@@ -85,6 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # avg
 # ---------------------------------------------------------------------------
@@ -96,8 +104,7 @@ def _load_avg_input(path):
     Phi form: {"field": {...}, "delta": {...}, "delta_powers":
     {"k": [c0, c1, c2...]}, "unit": ...}; coefficient i multiplies n^-i.
     """
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = _load_json(path)
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object")
     field = NumberField.from_json(obj["field"]) if "field" in obj else QQ
@@ -105,6 +112,8 @@ def _load_avg_input(path):
 
     if "delta_powers" in obj:
         delta = LaurentPolynomial.from_json(obj["delta"], field)
+        if delta.is_zero():
+            raise ParseError("delta must be nonzero")
         table = {}
         for k, coeffs in obj["delta_powers"].items():
             table[int(k)] = [FieldElement.from_json(c, field) for c in coeffs]
@@ -201,8 +210,7 @@ def cmd_knot(args) -> int:
 def _knot_from_file(args) -> int:
     from .diagrams import FeynmanDiagram, VertexFactorTable, loop_invariant
     from .nzdata import TwistedNZData
-    with open(args.knot) as fh:
-        obj = json.load(fh)
+    obj = _load_json(args.knot)
     if "nz" not in obj or "diagrams" not in obj:
         raise ParseError("knot file needs 'nz' and 'diagrams' sections")
     data = TwistedNZData.from_json(obj["nz"])
@@ -231,7 +239,10 @@ def _load_values_csv(path, field: NumberField):
             unit = cells[-1].strip() == "sqrt(-3)"
             if unit:
                 cells = cells[:-1]
-            n = int(cells[0])
+            try:
+                n = int(cells[0])
+            except ValueError as exc:
+                raise ParseError(f"bad n {cells[0]!r} in {path}") from exc
             coords = [parse_rational(c) for c in cells[1:]]
             rows.append((n, field.element(coords), unit))
     if not rows:
@@ -243,8 +254,7 @@ def _load_values_csv(path, field: NumberField):
 
 
 def cmd_reconstruct(args) -> int:
-    with open(args.roots) as fh:
-        roots_obj = json.load(fh)
+    roots_obj = _load_json(args.roots)
     field = NumberField.from_json(roots_obj["field"])
     roots = [FieldElement.from_json(x, field) for x in roots_obj["roots"]]
     if len(roots) != args.r:

@@ -221,7 +221,9 @@ class FigureEightFixture(KnotFixture):
         if ell == 3:
             c3 = self.phi_average(3, n).value
             c2 = self.phi_average(2, n)
-            assert c2.sqrt_m3
+            if not c2.sqrt_m3:
+                raise ParseError("Phi_3 assembly needs Phi_2^c to carry the "
+                                 "sqrt(-3) unit")
             sq = c2.value * c2.value * Fraction(-3, 2)
             return c3 + sq
         raise ParseError(f"ell = {ell} not tabulated")

@@ -15,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence
 
-from .errors import (IncompleteFactorization, ParseError, SingularMatrix,
-                     ZeroBase)
+from .errors import (IncompleteFactorization, MathDomainError, ParseError,
+                     SingularMatrix, ZeroBase)
 from .numberfield import QQ, FieldElement, NumberField, parse_rational
 
 
@@ -241,18 +241,6 @@ class LaurentPolynomial:
             acc = acc + term
         return acc
 
-    def eval_ball(self, ball, precision_digits=30):
-        """Numeric evaluation on a ComplexBall (or mpmath number)."""
-        import mpmath
-        if hasattr(ball, "to_mpc"):
-            z = ball.to_mpc()
-        else:
-            z = mpmath.mpc(ball)
-        acc = mpmath.mpc(0)
-        for k, c in self.coeffs.items():
-            acc += c.to_mpc(precision_digits) * z ** k
-        return acc
-
     # -- division --------------------------------------------------------------
 
     def divmod_poly(self, other: "LaurentPolynomial"):
@@ -318,14 +306,6 @@ class LaurentPolynomial:
         p = self.shift(-self.min_exp())
         lead = p.coeffs[p.max_exp()]
         return p * lead.inverse()
-
-    def derivative(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.field,
-                                 {k - 1: v * k for k, v in self.coeffs.items() if k != 0})
-
-    def substitute_power(self, m: int) -> "LaurentPolynomial":
-        """t -> t^m."""
-        return LaurentPolynomial(self.field, {k * m: v for k, v in self.coeffs.items()})
 
     # -- serialization ------------------------------------------------------------
 
@@ -505,8 +485,10 @@ class RationalFunction:
     def from_json(cls, obj, field: NumberField) -> "RationalFunction":
         if not isinstance(obj, dict) or "num" not in obj or "den" not in obj:
             raise ParseError("rational function needs 'num' and 'den'")
-        return cls(LaurentPolynomial.from_json(obj["num"], field),
-                   LaurentPolynomial.from_json(obj["den"], field))
+        den = LaurentPolynomial.from_json(obj["den"], field)
+        if den.is_zero():
+            raise ParseError("rational function has a zero denominator")
+        return cls(LaurentPolynomial.from_json(obj["num"], field), den)
 
 
 def partial_fractions(f: RationalFunction, roots):
@@ -604,14 +586,19 @@ class LaurentMatrix:
                 and all(self.entries[i][j] == other.entries[i][j]
                         for i in range(self.rows) for j in range(self.cols)))
 
+    def _check_same_shape(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise MathDomainError(f"matrix shapes {self.rows}x{self.cols} and "
+                                  f"{other.rows}x{other.cols} differ")
+
     def __add__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
+        self._check_same_shape(other)
         return LaurentMatrix(self.field,
                              [[self.entries[i][j] + other.entries[i][j]
                                for j in range(self.cols)] for i in range(self.rows)])
 
     def __sub__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
+        self._check_same_shape(other)
         return LaurentMatrix(self.field,
                              [[self.entries[i][j] - other.entries[i][j]
                                for j in range(self.cols)] for i in range(self.rows)])
@@ -623,7 +610,9 @@ class LaurentMatrix:
 
     def __mul__(self, other):
         if isinstance(other, LaurentMatrix):
-            assert self.cols == other.rows
+            if self.cols != other.rows:
+                raise MathDomainError(f"cannot multiply {self.rows}x{self.cols} "
+                                      f"by {other.rows}x{other.cols}")
             out = []
             for i in range(self.rows):
                 row = []
@@ -746,7 +735,8 @@ class LaurentMatrix:
 def rational_matrix_mul(A, B):
     """Product of matrices with RationalFunction (or Laurent) entries."""
     rows, inner, cols = len(A), len(A[0]), len(B[0])
-    assert inner == len(B)
+    if inner != len(B):
+        raise MathDomainError(f"cannot multiply {rows}x{inner} by {len(B)}x{cols}")
     out = []
     for i in range(rows):
         row = []

@@ -6,7 +6,7 @@ exact field division, which is fine at the sizes this package needs.
 
 from __future__ import annotations
 
-from .errors import SingularError
+from .errors import MathDomainError, SingularError
 from .numberfield import FieldElement, NumberField
 
 
@@ -17,7 +17,8 @@ def identity(field: NumberField, n: int):
 
 def mat_mul(A, B):
     rows, inner, cols = len(A), len(A[0]), len(B[0])
-    assert inner == len(B)
+    if inner != len(B):
+        raise MathDomainError(f"cannot multiply {rows}x{inner} by {len(B)}x{cols}")
     out = []
     for i in range(rows):
         row = []
@@ -33,14 +34,6 @@ def mat_mul(A, B):
 
 def mat_add(A, B):
     return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(A, c):
-    return [[a * c for a in row] for row in A]
 
 
 def transpose(A):
@@ -69,26 +62,6 @@ def mat_inv(field: NumberField, A):
                 f = aug[i][k]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
     return [row[n:] for row in aug]
-
-
-def mat_det(field: NumberField, A):
-    n = len(A)
-    M = [list(row) for row in A]
-    det = field.one()
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if not M[i][k].is_zero()), None)
-        if pivot_row is None:
-            return field.zero()
-        if pivot_row != k:
-            M[k], M[pivot_row] = M[pivot_row], M[k]
-            det = -det
-        det = det * M[k][k]
-        inv = M[k][k].inverse()
-        for i in range(k + 1, n):
-            if not M[i][k].is_zero():
-                f = M[i][k] * inv
-                M[i] = [a - f * b for a, b in zip(M[i], M[k])]
-    return det
 
 
 def solve(field: NumberField, A, b):

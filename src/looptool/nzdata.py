@@ -163,10 +163,6 @@ class TwistedNZData:
             out.append(vals)
         return out
 
-    def propagator_longitude(self):
-        """Pi at t = 1; full cyclic symmetry holds for the longitude."""
-        return self.propagator_at(self.field.one())
-
     def propagator_meridian(self):
         """Pi_mu from the bordered matrices (B(1) + O[b_mu])^{-1}(A(1) + O[a_mu])."""
         if self.peripheral is None or self.peripheral.a_mu is None:

@@ -23,9 +23,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath
 
-from .errors import (HoldoutMismatchError, ParseError, RecursionMismatch,
-                     ResonantRoot, SingularError, SingularSystem,
-                     UnitCircleRoot)
+from .errors import (CrossCheckError, HoldoutMismatchError, ParseError,
+                     RecursionMismatch, ResonantRoot, SingularError,
+                     SingularSystem, UnitCircleRoot)
 from .laurent import LaurentPolynomial, RationalFunction
 from .linalg import solve
 from .numberfield import FieldElement, NumberField, QQ
@@ -288,7 +288,9 @@ def reconstruct_p(values: Sequence[Tuple[int, FieldElement]],
     field = roots[0].field if roots else QQ
     basis = CoverPolynomial.basis(r, ell)
     needed = (ell - 1) * comb(r + 2 * ell - 2, r)
-    assert len(basis) == needed
+    if len(basis) != needed:
+        raise CrossCheckError(f"{len(basis)} basis monomials, count formula "
+                              f"says {needed}")
     if len(values) < needed:
         raise ParseError(f"need {needed} values, got {len(values)}")
     one = field.one()

@@ -1,17 +1,27 @@
 """Exact summation of rational functions over roots of unity.
 
-The workhorse identity: for the n x n cyclic-shift matrix C (the companion
-matrix of t^n - 1), the eigenvalues of C are exactly the n-th roots of unity,
-so
+The sum of f = P/Q over the n-th roots of unity is computed by residues in
+F[t]/(Q).  Divide P = qQ + r with deg r < d = deg Q.  A monomial t^k sums to
+n when n divides k and to 0 otherwise, which gives the polynomial part.  For
+the proper part, r(t)/Q(t) * n t^(n-1)/(t^n - 1) has residue r(w)/Q(w) at
+each root of unity w and none at infinity, so the sum is minus its residues
+at the roots of Q:
 
-    sum_{w^n = 1} f(w)  =  trace f(C).
+    sum_{w^n = 1} r(w)/Q(w) = -n [t^(d-1)] (r t^(n-1) (t^n - 1)^(-1) mod Q) / lc(Q).
 
-f(C) is computed in the commutant algebra F[C] = F[t]/(t^n - 1): fold the
-numerator's exponents mod n, invert the folded denominator by the extended
-Euclidean algorithm against t^n - 1, and multiply.  Since trace C^k is n for
-k = 0 mod n and 0 otherwise, the trace is n times the constant coefficient.
-This keeps every computation in exact field arithmetic; no complex root of
-unity is ever evaluated.
+This holds for repeated roots too.  t^(n-1) mod Q comes from binary powering
+and (t^n - 1)^(-1) from the extended Euclidean algorithm mod Q, which fails
+exactly when Q vanishes at an n-th root of unity.  The cost is O(d^2 log n)
+field operations.  Numerators with negative exponents move their power of t
+into Q; t^n - 1 stays a unit modulo a power of t.
+
+The oracle `av_trace` takes a second route: for the n x n cyclic-shift
+matrix C (the companion matrix of t^n - 1), whose eigenvalues are the n-th
+roots of unity, the sum is trace f(C).  f(C) lives in F[C] = F[t]/(t^n - 1):
+fold the exponents mod n, invert the folded denominator against t^n - 1 and
+multiply; the trace is n times the constant coefficient.  `diagrams`,
+`circulant` and `synth` use that full cyclic image.  Neither route ever
+evaluates a complex root of unity.
 """
 
 from __future__ import annotations
@@ -27,7 +37,8 @@ from .laurent import LaurentPolynomial, RationalFunction, partial_fractions
 from .numberfield import QQ, FieldElement, NumberField
 
 # ---------------------------------------------------------------------------
-# Arithmetic in F[t]/(t^n - 1), elements as dense coefficient lists.
+# Arithmetic in F[t]/(t^n - 1) and F[t]/(Q), elements as dense coefficient
+# lists.
 # ---------------------------------------------------------------------------
 
 
@@ -77,6 +88,19 @@ def _dense_divmod(a: List[FieldElement], b: List[FieldElement], field):
     return quo, _dense_trim(rem)
 
 
+def _dense_mul(a: Sequence[FieldElement], b: Sequence[FieldElement],
+               field: NumberField) -> List[FieldElement]:
+    if not a or not b:
+        return []
+    out = [field.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
 def invert_mod_cyclic(a: Sequence[FieldElement], n: int,
                       field: NumberField) -> List[FieldElement] | None:
     """Inverse of a in F[t]/(t^n - 1), or None when gcd(a, t^n - 1) != 1."""
@@ -92,12 +116,7 @@ def invert_mod_cyclic(a: Sequence[FieldElement], n: int,
         q, r = _dense_divmod(r0, r1, field)
         r0, r1 = r1, r
         # s_new = s0 - q*s1
-        qs1 = [field.zero()] * (len(q) + len(s1) - 1) if q and s1 else []
-        for i, x in enumerate(q):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(s1):
-                qs1[i + j] = qs1[i + j] + x * y
+        qs1 = _dense_mul(q, s1, field)
         m = max(len(s0), len(qs1))
         s_new = [(s0[i] if i < len(s0) else field.zero())
                  - (qs1[i] if i < len(qs1) else field.zero()) for i in range(m)]
@@ -122,15 +141,88 @@ def ratfun_mod_cyclic(f: RationalFunction, n: int) -> List[FieldElement]:
     return _cyc_mul(num, den_inv, n, field)
 
 
-def av_exact(f: RationalFunction | LaurentPolynomial, n: int) -> FieldElement:
-    """Exact sum of f over all n-th roots of unity (trace of f at the
-    cyclic-shift companion matrix of t^n - 1)."""
+def av_trace(f: RationalFunction | LaurentPolynomial, n: int) -> FieldElement:
+    """Sum of f over the n-th roots of unity as the trace of f at the
+    cyclic-shift companion matrix of t^n - 1 (the oracle for av_exact)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(f, LaurentPolynomial):
         f = RationalFunction.from_poly(f)
-    residue = ratfun_mod_cyclic(f, n)
-    return residue[0] * n
+    return ratfun_mod_cyclic(f, n)[0] * n
+
+
+def _dense_invmod(a: List[FieldElement], modulus: List[FieldElement],
+                  field: NumberField) -> List[FieldElement] | None:
+    """Inverse of a modulo a polynomial of higher degree, or None when they
+    have a common factor.  Extended Euclid with each remainder made monic,
+    which keeps the rational coefficients of the remainders small."""
+    r0, r1 = modulus, _dense_trim(list(a))
+    s0, s1 = [], [field.one()]
+    while r1:
+        lead_inv = r1[-1].inverse()
+        r1 = [c * lead_inv for c in r1]
+        s1 = [c * lead_inv for c in s1]
+        q, r = _dense_divmod(r0, r1, field)
+        r0, r1 = r1, r
+        # s_new = s0 - q*s1
+        qs1 = _dense_mul(q, s1, field)
+        m = max(len(s0), len(qs1))
+        s_new = [(s0[i] if i < len(s0) else field.zero())
+                 - (qs1[i] if i < len(qs1) else field.zero()) for i in range(m)]
+        s0, s1 = s1, _dense_trim(s_new)
+    # the last remainder r0 is monic: the inverse exists iff it is 1
+    return s0 if len(r0) == 1 else None
+
+
+def _mulmod(a: List[FieldElement], b: List[FieldElement],
+            modulus: List[FieldElement], field: NumberField) -> List[FieldElement]:
+    return _dense_divmod(_dense_mul(a, b, field), modulus, field)[1]
+
+
+def _power_of_t_mod(e: int, modulus: List[FieldElement],
+                    field: NumberField) -> List[FieldElement]:
+    """t^e mod modulus by left-to-right binary powering."""
+    out = _dense_divmod([field.one()], modulus, field)[1]
+    for bit in bin(e)[2:]:
+        out = _mulmod(out, out, modulus, field)
+        if bit == "1":
+            out = _dense_divmod([field.zero()] + out, modulus, field)[1]
+    return out
+
+
+def av_exact(f: RationalFunction | LaurentPolynomial, n: int) -> FieldElement:
+    """Exact sum of f over all n-th roots of unity, by residues in F[t]/(Q)
+    (see the module docstring)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if isinstance(f, LaurentPolynomial):
+        f = RationalFunction.from_poly(f)
+    field = f.field
+    num, num_shift = f.num.as_poly_coeffs()
+    den, den_shift = f.den.as_poly_coeffs()
+    shift = num_shift - den_shift
+    if shift < 0:
+        den = [field.zero()] * -shift + den
+    else:
+        num = [field.zero()] * shift + num
+    quo, rem = _dense_divmod(num, den, field)
+    total = field.zero()
+    for k in range(0, len(quo), n):
+        total = total + quo[k]
+    d = len(den) - 1
+    if d:
+        power = _power_of_t_mod(n - 1, den, field)
+        # t^n - 1 mod Q
+        unit = _dense_divmod([field.zero()] + power, den, field)[1] or [field.zero()]
+        unit[0] = unit[0] - field.one()
+        inv = _dense_invmod(unit, den, field)
+        if inv is None:
+            raise RootOfUnityPole(
+                f"denominator vanishes at an {n}-th root of unity")
+        residue = _mulmod(rem, _mulmod(power, inv, den, field), den, field)
+        if len(residue) == d:
+            total = total - residue[d - 1] * den[d].inverse()
+    return total * n
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Seeded random generators for valid synthetic inputs.
+r"""Seeded random generators for valid synthetic inputs.
 
 Random twisted gluing data is built as A(t) = B(t) S(t) where S(1/t) = S(t)^T
 and B(t) = U diag(t-1, 1, ..., 1) W with U, W unimodular over Z[t^{\pm 1}];

@@ -15,12 +15,13 @@ import mpmath
 from .circulant import BlockCirculant, block_diagonalize_check, cover_blocks_from_symbolic
 from .diagrams import connected_multigraphs, enumerate_flows, is_conserved, \
     weight_direct, weight_flow
+from .errors import RootOfUnityPole
 from .knots import fixture
 from .laurent import LaurentPolynomial, RationalFunction
 from .linalg import mat_mul
 from .numberfield import QQ
 from .powersum import quad_to_delta_form, reconstruct_p
-from .rootsum import (av_exact, cyclic_resultant, delta_basis_inverse,
+from .rootsum import (av_exact, av_trace, cyclic_resultant, delta_basis_inverse,
                       delta_power_sums, delta_sum_value, pole_sum_closed)
 from .synth import (random_laurent_matrix, random_nz_data,
                     random_symmetric_propagator, random_vertex_table)
@@ -124,9 +125,33 @@ def suite_feynman(seed: int = 0, prec: int = 50) -> List[Result]:
     return results
 
 
+def _random_laurent(rng, lo: int, hi: int) -> LaurentPolynomial:
+    return LaurentPolynomial(QQ, {k: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                  for k in range(lo, hi + 1)})
+
+
+def _root_sum_or_pole(route, f, n):
+    try:
+        return route(f, n)
+    except RootOfUnityPole:
+        return None
+
+
 def suite_identities(seed: int = 0, prec: int = 50) -> List[Result]:
+    rng = random.Random(seed)
     repro = _repro("identities", seed, prec)
     results = []
+    ok = True
+    for _ in range(8):
+        den = _random_laurent(rng, 0, rng.randint(1, 2)) ** 2 * _random_laurent(rng, 0, 2)
+        num = _random_laurent(rng, rng.randint(-3, 0), rng.randint(0, 8))
+        if den.is_zero():
+            continue
+        f = RationalFunction(num, den)
+        for n in range(1, 13):
+            if _root_sum_or_pole(av_exact, f, n) != _root_sum_or_pole(av_trace, f, n):
+                ok = False
+    results.append(("residue route matches companion trace", ok, repro))
     ok = True
     for a in (Fraction(2), Fraction(3, 2), Fraction(-3)):
         ae = QQ.element(a)
@@ -161,7 +186,7 @@ def suite_identities(seed: int = 0, prec: int = 50) -> List[Result]:
             exact_c = mpmath.mpf(q.numerator) / q.denominator
             if abs(brute - exact_c) > mpmath.mpf(10) ** (1 - prec):
                 ok = False
-    results.append(("companion trace matches complex summation", ok, repro))
+    results.append(("residue route matches complex summation", ok, repro))
     ok = True
     delta41 = LaurentPolynomial(QQ, {1: 1, 0: -5, -1: 1})
     if cyclic_resultant(delta41, 1) != -3 or cyclic_resultant(delta41, 2) != 21:
@@ -200,7 +225,7 @@ def suite_quadratic(seed: int = 0, prec: int = 50) -> List[Result]:
         for n in range(1, 21):
             if delta_sum_value(lam, k, n) != av_exact(fk, n):
                 ok = False
-    results.append(("alpha expansion matches companion trace (k<=4, n<=20)", ok, repro))
+    results.append(("alpha expansion matches residue route (k<=4, n<=20)", ok, repro))
     ok = True
     beta = delta_basis_inverse(lam, 4)
     for a in range(5):

@@ -173,3 +173,43 @@ def test_deterministic_output(capsys):
     c2, out2, _ = run(["knot", "--knot", "4_1", "--loop", "3", "--nmax", "4",
                        "--mode", "all"], capsys)
     assert c1 == c2 == 0 and out1 == out2
+
+
+def _one_line_usage_error(code, err):
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_reconstruct_non_integer_n_exit_1(tmp_path, capsys):
+    values = tmp_path / "values.csv"
+    values.write_text("1,17/216,0,sqrt(-3)\n2.5,1,0,sqrt(-3)\n")
+    code, _, err = run(["reconstruct", "--values", str(values),
+                        "--roots", os.path.join(DATA, "roots_4_1.json"),
+                        "--ell", "2", "--r", "1"], capsys)
+    _one_line_usage_error(code, err)
+    assert "'2.5'" in err
+
+
+def test_invalid_json_exit_1(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"field": {"minpoly": ["0", "1"]},\n "num": ')
+    values = tmp_path / "values.csv"
+    values.write_text("1,1\n")
+    for argv in (["avg", "--f", str(bad), "--n", "2"],
+                 ["knot", "--knot", str(bad), "--loop", "2", "--nmax", "2"],
+                 ["reconstruct", "--values", str(values), "--roots", str(bad),
+                  "--ell", "2", "--r", "1"]):
+        code, _, err = run(argv, capsys)
+        _one_line_usage_error(code, err)
+        assert "invalid JSON" in err
+
+
+def test_avg_zero_denominator_exit_1(tmp_path, capsys):
+    for den in ({}, {"0": "0"}):
+        path = tmp_path / "zero_den.json"
+        path.write_text(json.dumps({"field": {"minpoly": ["0", "1"]},
+                                    "num": {"0": "1"}, "den": den}))
+        code, _, err = run(["avg", "--f", str(path), "--n", "3"], capsys)
+        _one_line_usage_error(code, err)
+        assert "zero denominator" in err

@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from looptool.errors import IncompleteFactorization, SingularMatrix, ZeroBase
+from looptool.errors import (IncompleteFactorization, LoopToolError,
+                             SingularMatrix, ZeroBase)
 from looptool.laurent import (LaurentMatrix, LaurentPolynomial,
                               RationalFunction, partial_fractions,
                               proportional_up_to_unit,
+                              rational_matrix_mul,
                               recombine_partial_fractions)
+from looptool.linalg import mat_mul
 from looptool.numberfield import QQ
 
 LP = LaurentPolynomial
@@ -165,3 +168,14 @@ def test_laurent_serialization_roundtrip(field_cubic):
     assert LP.from_json(p.to_json(), field_cubic) == p
     f = RationalFunction(p, LP(field_cubic, {0: 1, 1: 1}))
     assert RationalFunction.from_json(f.to_json(), field_cubic) == f
+
+
+def test_shape_mismatch_raises_typed_error():
+    A = LaurentMatrix.identity(QQ, 2)
+    B = LaurentMatrix.identity(QQ, 3)
+    row = [[QQ.one(), QQ.one()]]
+    for product in (lambda: A + B, lambda: A - B, lambda: A * B,
+                    lambda: rational_matrix_mul(row, row),
+                    lambda: mat_mul(row, row)):
+        with pytest.raises(LoopToolError, match="2x2|1x2"):
+            product()

@@ -1,14 +1,16 @@
 """Exact summation over roots of unity and the torus-sum oracle."""
 
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from looptool.errors import PoleOnTorus, ResonantRoot, RootOfUnityPole
+from looptool.knots import FIELD_52, fixture
 from looptool.laurent import LaurentPolynomial, RationalFunction
 from looptool.numberfield import QQ
-from looptool.rootsum import (TorusSumSpec, av_exact, cyclic_resultant,
+from looptool.rootsum import (TorusSumSpec, av_exact, av_trace, cyclic_resultant,
                               delta_basis_inverse, delta_power_sums,
                               delta_sum_value, fit_rational_shape,
                               pole_sum_closed, torus_sum_numeric,
@@ -57,6 +59,84 @@ def test_pole_at_root_of_unity_raises():
         av_exact(geometric(Fraction(1)), 4)
     with pytest.raises(RootOfUnityPole):
         av_exact(geometric(Fraction(-1)), 2)
+
+
+# -- residue route against the companion-trace oracle ----------------------------
+
+
+def _random_poly(rng, field, lo, hi):
+    """Laurent polynomial with support in [lo, hi] and nonzero ends."""
+    def coeff(nonzero):
+        while True:
+            c = field.element([Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                               for _ in range(field.degree)])
+            if not (nonzero and c.is_zero()):
+                return c
+    return LP(field, {k: coeff(k in (lo, hi)) for k in range(lo, hi + 1)})
+
+
+def _outcome(route, f, n):
+    try:
+        return route(f, n)
+    except RootOfUnityPole:
+        return "pole"
+
+
+@pytest.mark.parametrize("field", [QQ, FIELD_52], ids=["QQ", "cubic"])
+def test_residue_route_matches_trace_on_random_fractions(field):
+    rng = random.Random(7 + field.degree)
+    compared = 0
+    for _ in range(12 if field.degree == 1 else 5):
+        # a repeated factor, a numerator reaching below t^0 and past deg Q
+        den = _random_poly(rng, field, 0, rng.randint(1, 2)) ** rng.randint(1, 3) \
+            * _random_poly(rng, field, 0, rng.randint(0, 2))
+        num = _random_poly(rng, field, rng.randint(-4, 0), rng.randint(0, 9))
+        f = RationalFunction(num, den)
+        for n in (1, 2, 3, 5, 8):
+            got = _outcome(av_exact, f, n)
+            assert got == _outcome(av_trace, f, n), (f, n)
+            compared += got != "pole"
+    assert compared > 0
+
+
+def test_residue_route_on_laurent_polynomials():
+    rng = random.Random(3)
+    for _ in range(10):
+        p = _random_poly(rng, QQ, rng.randint(-6, 0), rng.randint(0, 6))
+        for n in range(1, 8):
+            expect = sum((c.coords[0] for k, c in p.coeffs.items() if k % n == 0),
+                         Fraction(0)) * n
+            assert av_exact(p, n) == av_trace(p, n) == expect
+
+
+def test_both_routes_raise_on_cyclotomic_factor():
+    cyclo3 = LP(QQ, {0: 1, 1: 1, 2: 1})
+    rest = LP(QQ, {0: 1, 1: -2}) ** 2
+    num = LP(QQ, {-1: 3, 0: 1, 4: -2})
+    f = RationalFunction(num, cyclo3 * rest)
+    # an unreduced fraction whose numerator shares the cyclotomic factor
+    g = RationalFunction(num * cyclo3, cyclo3 * rest, reduce=False)
+    for n in range(1, 10):
+        for h in (f, g):
+            if n % 3 == 0:
+                for route in (av_exact, av_trace):
+                    with pytest.raises(RootOfUnityPole):
+                        route(h, n)
+            else:
+                assert av_exact(h, n) == av_trace(h, n)
+
+
+def test_both_routes_reject_n_below_one():
+    for route in (av_exact, av_trace):
+        with pytest.raises(ValueError):
+            route(geometric(Fraction(2)), 0)
+
+
+def test_residue_route_41_tables_match_closed_form():
+    fx = fixture("4_1")
+    for ell in (2, 3):
+        for n in list(range(1, 201)) + [1000]:
+            assert fx.phi_average(ell, n) == fx.phi_closed(ell, n), (ell, n)
 
 
 def test_linearity(rng):
