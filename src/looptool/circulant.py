@@ -17,6 +17,7 @@ from .errors import ParseError
 from .laurent import LaurentMatrix, LaurentPolynomial
 from .linalg import mat_add, mat_mul
 from .numberfield import FieldElement, NumberField
+from .rootsum import CyclicMatrixImage
 
 
 class BlockCirculant:
@@ -140,29 +141,15 @@ def cover_blocks_from_symbolic(pi_matrix, n: int, field: NumberField,
     mod t^n - 1 via blocks <-> representer coefficients, so the cover value
     of any matrix function is obtained by folding its entries; block c is
     the coefficient of t^c.  When pi0 is supplied (the flow-value-0
-    propagator differs from Pi(1)), every block picks up (pi0 - Pi(1))/n.
+    propagator differs from Pi(1)), every block picks up (pi0 - Pi(1))/n,
+    with Pi(1) evaluated here when pi1 is not passed.  The images come from
+    rootsum.CyclicMatrixImage, as in the flow formula.
     """
-    from .laurent import RationalFunction
-    from .rootsum import ratfun_mod_cyclic
     N = len(pi_matrix)
-    folded = []
-    for row in pi_matrix:
-        out_row = []
-        for entry in row:
-            if isinstance(entry, LaurentPolynomial):
-                entry = RationalFunction.from_poly(entry)
-            out_row.append(ratfun_mod_cyclic(entry, n))
-        folded.append(out_row)
-    blocks = []
-    for c in range(n):
-        blocks.append([[folded[i][j][c] for j in range(N)] for i in range(N)])
-    if pi0 is not None:
-        if pi1 is None:
-            raise ParseError("pi0 override requires pi1 = Pi(1)")
-        inv_n = field.one() / n
-        corr = [[(pi0[i][j] - pi1[i][j]) * inv_n for j in range(N)] for i in range(N)]
-        blocks = [[[blk[i][j] + corr[i][j] for j in range(N)] for i in range(N)]
-                  for blk in blocks]
+    images = CyclicMatrixImage(pi_matrix, n, field, pi0, pi1)
+    folded = [[images.entry(i, j) for j in range(N)] for i in range(N)]
+    blocks = [[[folded[i][j][c] for j in range(N)] for i in range(N)]
+              for c in range(n)]
     return BlockCirculant(field, blocks)
 
 

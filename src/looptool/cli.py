@@ -213,6 +213,9 @@ def _knot_from_file(args) -> int:
     obj = _load_json(args.knot)
     if "nz" not in obj or "diagrams" not in obj:
         raise ParseError("knot file needs 'nz' and 'diagrams' sections")
+    if not (isinstance(obj["diagrams"], list)
+            and all(isinstance(d, dict) for d in obj["diagrams"])):
+        raise ParseError("'diagrams' must be a list of objects")
     data = TwistedNZData.from_json(obj["nz"])
     diagrams = []
     for d in obj["diagrams"]:
@@ -255,6 +258,11 @@ def _load_values_csv(path, field: NumberField):
 
 def cmd_reconstruct(args) -> int:
     roots_obj = _load_json(args.roots)
+    if not isinstance(roots_obj, dict):
+        raise ParseError("roots file must be a JSON object")
+    for key in ("field", "roots"):
+        if key not in roots_obj:
+            raise ParseError(f"roots file needs a {key!r} key")
     field = NumberField.from_json(roots_obj["field"])
     roots = [FieldElement.from_json(x, field) for x in roots_obj["roots"]]
     if len(roots) != args.r:

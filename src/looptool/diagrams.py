@@ -3,9 +3,15 @@
 Two evaluation routes for the weight of a diagram on an n-cyclic cover:
 
 * weight_flow: the flow formula.  The sum over flows is a sum over an
-  n-torus of roots of unity; it is evaluated exactly by working in the group
-  ring F[(Z/nZ)^d] (d = first betti number), where the propagator applied to
-  a flow monomial folds into a univariate quotient ring.  No complex root of
+  n-torus of roots of unity; it is the coefficient of the trivial monomial
+  in the group ring F[(Z/nZ)^d] (d = first betti number), where the
+  propagator applied to a flow monomial folds into F[t]/(t^n - 1).  Only
+  the tree edges that lie on a cycle are multiplied out, over partial sums
+  in (Z/nZ)^d; each free edge carries one cycle coordinate, so its residue
+  is forced and it is closed by a lookup.  Per vertex labeling this costs
+  O(|E| n min(n^m, n^d)) field operations, m the number of tree edges on
+  a cycle.  loop_invariant folds the propagator once per n
+  (rootsum.CyclicMatrixImage) for all of its diagrams.  No complex root of
   unity is ever evaluated.
 
 * weight_direct: the brute expansion over all (nN)^|V| vertex labelings of
@@ -25,9 +31,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .circulant import BlockCirculant
 from .errors import (GradeMismatch, MissingVertexFactor, ParseError,
                      ValidationError)
-from .laurent import LaurentPolynomial, RationalFunction
 from .numberfield import FieldElement, NumberField, QQ, parse_rational
-from .rootsum import ratfun_mod_cyclic
+from .rootsum import CyclicMatrixImage
 
 FlowAssignment = Tuple[int, ...]  # one residue per edge, aligned with .edges
 
@@ -250,20 +255,6 @@ def load_diagram(path, field: NumberField):
 # Weights
 # ---------------------------------------------------------------------------
 
-def _zero_key(d: int) -> tuple:
-    return (0,) * d
-
-
-def _ring_mul(a: dict, b: dict, n: int, field) -> dict:
-    out: dict = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            key = tuple((x + y) % n for x, y in zip(ka, kb))
-            prod = va * vb
-            out[key] = out[key] + prod if key in out else prod
-    return out
-
-
 def weight_flow(G: FeynmanDiagram, n: int, pi_symbolic, table: VertexFactorTable,
                 N: int, pi0=None, field: Optional[NumberField] = None
                 ) -> Dict[int, FieldElement]:
@@ -276,36 +267,34 @@ def weight_flow(G: FeynmanDiagram, n: int, pi_symbolic, table: VertexFactorTable
     Per labeling, the flow sum is n^d times the coefficient of the trivial
     monomial in the product over edges of the propagator entry applied to
     that edge's flow monomial, evaluated in F[(Z/nZ)^d]; the 1/n^{d-1}
-    prefactor leaves n times that coefficient.
+    prefactor leaves n times that coefficient.  Bridges carry flow 0 and
+    enter as scalars.  The other tree edges are multiplied out over partial
+    sums s in (Z/nZ)^d, at most min(n^m, n^d) of them for m such edges.
+    Free edge i carries the unit vector e_i, so its residue is forced to
+    -s_i and each free edge is closed by one lookup.  That costs
+    O(|E| n min(n^m, n^d)) field operations per labeling: O(n) for the
+    theta graph, O(1) for the dumbbell and the figure-eight.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if field is None:
         field = _field_of(pi_symbolic, table)
-    pi_rf = [[RationalFunction.from_poly(e) if isinstance(e, LaurentPolynomial) else e
-              for e in row] for row in pi_symbolic]
-    exponents = G.edge_exponents()
-    d = G.first_betti
-    one_val = field.one()
-    pi1 = None
-    needs_pi1 = pi0 is not None or any(all(c == 0 for c in vec) for vec in exponents)
-    if needs_pi1 or pi0 is None:
-        pi1 = [[e.eval(one_val) for e in row] for row in pi_rf]
-    zero_entries = pi0 if pi0 is not None else pi1
+    return _contract(G, table, N, CyclicMatrixImage(pi_symbolic, n, field, pi0))
 
-    fold_cache: Dict[Tuple[int, int], List[FieldElement]] = {}
 
-    def folded(i: int, j: int) -> List[FieldElement]:
-        if (i, j) not in fold_cache:
-            base = ratfun_mod_cyclic(pi_rf[i][j], n)
-            if pi0 is not None:
-                corr = (pi0[i][j] - pi1[i][j]) / n
-                base = [c + corr for c in base]
-            fold_cache[(i, j)] = base
-        return fold_cache[(i, j)]
-
+def _contract(G: FeynmanDiagram, table: VertexFactorTable, N: int,
+              images: CyclicMatrixImage) -> Dict[int, FieldElement]:
+    """weight_flow on the cover propagator images of one n."""
+    n, field = images.n, images.field
+    zero_entries = images.zero_entries()
+    tree_idx, free_idx, exponents = G._tree_data()
+    bridges = [G.edges[idx] for idx in tree_idx if not any(exponents[idx])]
+    cycle_tree = [idx for idx in tree_idx if any(exponents[idx])]
+    # residues of k * (exponent vector) for k in Z/nZ, per cycle tree edge
+    steps = [[tuple(k * c % n for c in exponents[idx]) for k in range(n)]
+             for idx in cycle_tree]
+    cycle_edges = [G.edges[idx] for idx in cycle_tree + free_idx]
+    m = len(cycle_tree)
     result: Dict[int, FieldElement] = {}
-    zero_key = _zero_key(d)
+    zero_key = (0,) * len(free_idx)
     labeling = [0] * G.n_vertices
     while True:
         value = field.one()
@@ -315,20 +304,20 @@ def weight_flow(G: FeynmanDiagram, n: int, pi_symbolic, table: VertexFactorTable
             value = value * gv
             grade += gr
         if not value.is_zero():
-            acc = {zero_key: value}
-            for idx, (u, v) in enumerate(G.edges):
-                i, j = labeling[u], labeling[v]
-                vec = exponents[idx]
-                if all(c == 0 for c in vec):
-                    factor = {zero_key: zero_entries[i][j]}
-                else:
-                    fold = folded(i, j)
-                    factor = {tuple((k * c) % n for c in vec): fold[k]
-                              for k in range(n)}
-                acc = _ring_mul(acc, factor, n, field)
-                if not acc:
-                    break
-            contrib = acc.get(zero_key, field.zero()) * n
+            folds = [images.entry(labeling[u], labeling[v]) for u, v in cycle_edges]
+            for u, v in bridges:
+                value = value * zero_entries[labeling[u]][labeling[v]]
+            acc = {zero_key: value} if not value.is_zero() else {}
+            for fold, step in zip(folds, steps):
+                acc = _multiply_edge(acc, fold, step, n)
+            total = field.zero()
+            for key, term in acc.items():
+                for pos, fold in enumerate(folds[m:]):
+                    term = term * fold[-key[pos] % n]
+                    if term.is_zero():
+                        break
+                total = total + term
+            contrib = total * n
             if not contrib.is_zero():
                 result[grade] = result.get(grade, field.zero()) + contrib
         pos = 0
@@ -342,6 +331,20 @@ def weight_flow(G: FeynmanDiagram, n: int, pi_symbolic, table: VertexFactorTable
             break
     inv_sigma = field.element(1 / G.symmetry_factor)
     return {g: v * inv_sigma for g, v in result.items() if not v.is_zero()}
+
+
+def _multiply_edge(acc: dict, fold: List[FieldElement], step: List[tuple],
+                   n: int) -> dict:
+    """acc times sum_k fold[k] T^(k * exponent vector), keyed by residues."""
+    out: dict = {}
+    for key, a in acc.items():
+        for k, c in enumerate(fold):
+            if c.is_zero():
+                continue
+            new = tuple((x + y) % n for x, y in zip(key, step[k]))
+            prod = a * c
+            out[new] = out[new] + prod if new in out else prod
+    return out
 
 
 def weight_direct(G: FeynmanDiagram, n: int, pi_cover: BlockCirculant,
@@ -416,9 +419,10 @@ def loop_invariant(data, n: int, diagrams, ell: int,
     elif peripheral != "lambda":
         raise ParseError("peripheral curve must be 'lambda' or 'mu'")
     field = data.field
+    images = CyclicMatrixImage(pi_symbolic, n, field, pi0)
     total: Dict[int, FieldElement] = {}
     for G, table in diagrams:
-        w = weight_flow(G, n, pi_symbolic, table, data.N, pi0=pi0, field=field)
+        w = _contract(G, table, data.N, images)
         for g, v in w.items():
             total[g] = total.get(g, field.zero()) + v
         if table.gamma0 is not None:

@@ -19,9 +19,12 @@ The oracle `av_trace` takes a second route: for the n x n cyclic-shift
 matrix C (the companion matrix of t^n - 1), whose eigenvalues are the n-th
 roots of unity, the sum is trace f(C).  f(C) lives in F[C] = F[t]/(t^n - 1):
 fold the exponents mod n, invert the folded denominator against t^n - 1 and
-multiply; the trace is n times the constant coefficient.  `diagrams`,
-`circulant` and `synth` use that full cyclic image.  Neither route ever
-evaluates a complex root of unity.
+multiply; the trace is n times the constant coefficient.  The inverse
+comes from the same extended Euclid as above, run against t^n - 1.
+`CyclicMatrixImage` builds that full cyclic image for every entry of a
+propagator matrix, with one inverse per distinct denominator; `diagrams`
+and `circulant` use it, `synth` inverts mod t^n - 1 directly.  Neither
+route ever evaluates a complex root of unity.
 """
 
 from __future__ import annotations
@@ -101,56 +104,6 @@ def _dense_mul(a: Sequence[FieldElement], b: Sequence[FieldElement],
     return out
 
 
-def invert_mod_cyclic(a: Sequence[FieldElement], n: int,
-                      field: NumberField) -> List[FieldElement] | None:
-    """Inverse of a in F[t]/(t^n - 1), or None when gcd(a, t^n - 1) != 1."""
-    a = _dense_trim(list(a))
-    if not a:
-        return None
-    modulus = [field.zero()] * (n + 1)
-    modulus[0] = -field.one()
-    modulus[n] = field.one()
-    r0, r1 = modulus, list(a)
-    s0, s1 = [], [field.one()]
-    while r1:
-        q, r = _dense_divmod(r0, r1, field)
-        r0, r1 = r1, r
-        # s_new = s0 - q*s1
-        qs1 = _dense_mul(q, s1, field)
-        m = max(len(s0), len(qs1))
-        s_new = [(s0[i] if i < len(s0) else field.zero())
-                 - (qs1[i] if i < len(qs1) else field.zero()) for i in range(m)]
-        s0, s1 = s1, _dense_trim(s_new)
-    if len(r0) != 1:
-        return None
-    lead_inv = r0[0].inverse()
-    inv = [c * lead_inv for c in s0]
-    inv += [field.zero()] * (n - len(inv))
-    return [inv[i] for i in range(n)]
-
-
-def ratfun_mod_cyclic(f: RationalFunction, n: int) -> List[FieldElement]:
-    """Image of f in F[t]/(t^n - 1); raises RootOfUnityPole at denominator zeros."""
-    field = f.field
-    den = fold_mod_cyclic(f.den, n)
-    den_inv = invert_mod_cyclic(den, n, field)
-    if den_inv is None:
-        raise RootOfUnityPole(
-            f"denominator vanishes at an {n}-th root of unity")
-    num = fold_mod_cyclic(f.num, n)
-    return _cyc_mul(num, den_inv, n, field)
-
-
-def av_trace(f: RationalFunction | LaurentPolynomial, n: int) -> FieldElement:
-    """Sum of f over the n-th roots of unity as the trace of f at the
-    cyclic-shift companion matrix of t^n - 1 (the oracle for av_exact)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if isinstance(f, LaurentPolynomial):
-        f = RationalFunction.from_poly(f)
-    return ratfun_mod_cyclic(f, n)[0] * n
-
-
 def _dense_invmod(a: List[FieldElement], modulus: List[FieldElement],
                   field: NumberField) -> List[FieldElement] | None:
     """Inverse of a modulo a polynomial of higher degree, or None when they
@@ -172,6 +125,93 @@ def _dense_invmod(a: List[FieldElement], modulus: List[FieldElement],
         s0, s1 = s1, _dense_trim(s_new)
     # the last remainder r0 is monic: the inverse exists iff it is 1
     return s0 if len(r0) == 1 else None
+
+
+def invert_mod_cyclic(a: Sequence[FieldElement], n: int,
+                      field: NumberField) -> List[FieldElement] | None:
+    """Inverse of a in F[t]/(t^n - 1), or None when gcd(a, t^n - 1) != 1."""
+    modulus = [-field.one()] + [field.zero()] * (n - 1) + [field.one()]
+    inv = _dense_invmod(a, modulus, field)
+    if inv is None:
+        return None
+    return inv + [field.zero()] * (n - len(inv))
+
+
+def _den_inverse_mod_cyclic(den: LaurentPolynomial, n: int) -> List[FieldElement]:
+    inv = invert_mod_cyclic(fold_mod_cyclic(den, n), n, den.field)
+    if inv is None:
+        raise RootOfUnityPole(
+            f"denominator vanishes at an {n}-th root of unity")
+    return inv
+
+
+def ratfun_mod_cyclic(f: RationalFunction, n: int) -> List[FieldElement]:
+    """Image of f in F[t]/(t^n - 1); raises RootOfUnityPole at denominator zeros."""
+    den_inv = _den_inverse_mod_cyclic(f.den, n)
+    return _cyc_mul(fold_mod_cyclic(f.num, n), den_inv, n, f.field)
+
+
+class CyclicMatrixImage:
+    """Images in F[t]/(t^n - 1) of the entries of a square matrix of rational
+    functions (or Laurent polynomials): the cover propagator of an n-fold
+    cyclic cover, one dense coefficient list per entry.
+
+    Each image is built on first use and kept, so an entry whose denominator
+    vanishes at an n-th root of unity raises RootOfUnityPole only when it is
+    asked for.  Entries with the same denominator share one inverse mod
+    t^n - 1.  When pi0 overrides the value at flow 0, every coefficient of
+    every image picks up (pi0 - Pi(1))/n, so that each image still sums to
+    its pi0 entry; `zero_entries` is the matrix for flow value 0, pi0 or
+    Pi(1).  Pi(1) is evaluated at most once, and taken from pi1 when given.
+    """
+
+    def __init__(self, matrix, n: int, field: NumberField, pi0=None, pi1=None):
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        self.matrix = [[RationalFunction.from_poly(e) if isinstance(e, LaurentPolynomial)
+                        else e for e in row] for row in matrix]
+        self.n = n
+        self.field = field
+        self.pi0 = pi0
+        self._pi1 = pi1
+        self._images: Dict[Tuple[int, int], List[FieldElement]] = {}
+        self._den_inverses: Dict[LaurentPolynomial, List[FieldElement]] = {}
+
+    def _at_one(self):
+        """Pi(1), the entries evaluated at t = 1."""
+        if self._pi1 is None:
+            one = self.field.one()
+            self._pi1 = [[e.eval(one) for e in row] for row in self.matrix]
+        return self._pi1
+
+    def zero_entries(self):
+        pi1 = self._at_one()
+        return pi1 if self.pi0 is None else self.pi0
+
+    def entry(self, i: int, j: int) -> List[FieldElement]:
+        image = self._images.get((i, j))
+        if image is None:
+            f = self.matrix[i][j]
+            den_inv = self._den_inverses.get(f.den)
+            if den_inv is None:
+                den_inv = _den_inverse_mod_cyclic(f.den, self.n)
+                self._den_inverses[f.den] = den_inv
+            image = _cyc_mul(fold_mod_cyclic(f.num, self.n), den_inv, self.n, f.field)
+            if self.pi0 is not None:
+                corr = (self.pi0[i][j] - self._at_one()[i][j]) / self.n
+                image = [c + corr for c in image]
+            self._images[(i, j)] = image
+        return image
+
+
+def av_trace(f: RationalFunction | LaurentPolynomial, n: int) -> FieldElement:
+    """Sum of f over the n-th roots of unity as the trace of f at the
+    cyclic-shift companion matrix of t^n - 1 (the oracle for av_exact)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if isinstance(f, LaurentPolynomial):
+        f = RationalFunction.from_poly(f)
+    return ratfun_mod_cyclic(f, n)[0] * n
 
 
 def _mulmod(a: List[FieldElement], b: List[FieldElement],

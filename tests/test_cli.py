@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, file formats."""
 
+import hashlib
 import json
 import os
 
@@ -213,3 +214,49 @@ def test_avg_zero_denominator_exit_1(tmp_path, capsys):
         code, _, err = run(["avg", "--f", str(path), "--n", "3"], capsys)
         _one_line_usage_error(code, err)
         assert "zero denominator" in err
+
+
+def _reconstruct_with_roots(tmp_path, capsys, roots_obj):
+    roots = tmp_path / "roots.json"
+    roots.write_text(json.dumps(roots_obj))
+    values = tmp_path / "values.csv"
+    values.write_text("1,17/216,0,sqrt(-3)\n")
+    return run(["reconstruct", "--values", str(values), "--roots", str(roots),
+                "--ell", "2", "--r", "1"], capsys)
+
+
+def test_reconstruct_roots_without_field_exit_1(tmp_path, capsys):
+    code, _, err = _reconstruct_with_roots(tmp_path, capsys, {"roots": ["2"]})
+    _one_line_usage_error(code, err)
+    assert "'field'" in err
+
+
+def test_reconstruct_roots_without_roots_exit_1(tmp_path, capsys):
+    with open(os.path.join(DATA, "roots_4_1.json")) as fh:
+        obj = json.load(fh)
+    del obj["roots"]
+    code, _, err = _reconstruct_with_roots(tmp_path, capsys, obj)
+    _one_line_usage_error(code, err)
+    assert "'roots'" in err
+
+
+def test_knot_diagrams_not_a_list_exit_1(tmp_path, capsys):
+    with open(os.path.join(DATA, "synthetic_theta_bundle.json")) as fh:
+        obj = json.load(fh)
+    obj["diagrams"] = {"a": 1}
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(["knot", "--knot", str(path), "--loop", "2",
+                        "--nmax", "2"], capsys)
+    _one_line_usage_error(code, err)
+    assert "diagrams" in err
+
+
+def test_bundle_table_golden(capsys):
+    # exact outputs far beyond the n <= 3 reach of the weight_direct oracle
+    code, out, _ = run(["knot", "--knot",
+                        os.path.join(DATA, "synthetic_theta_bundle.json"),
+                        "--loop", "2", "--nmax", "40"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "480867719df60f666a11f3a23bc6fc39b4691f8b274a032bb40ac7cae9e87ddb"

@@ -10,9 +10,10 @@ from looptool.diagrams import (FeynmanDiagram, VertexFactorTable,
                                is_conserved, loop_invariant, weight_direct,
                                weight_flow)
 from looptool.errors import (GradeMismatch, MissingVertexFactor,
-                             ValidationError)
+                             RootOfUnityPole, ValidationError)
 from looptool.laurent import LaurentPolynomial, RationalFunction
 from looptool.numberfield import QQ
+from looptool.rootsum import ratfun_mod_cyclic
 from looptool.synth import (random_nz_data, random_symmetric_matrix,
                             random_symmetric_propagator, random_vertex_table)
 
@@ -213,3 +214,106 @@ def test_diagram_json_roundtrip():
     obj["vertices"][0]["degree"] = 5
     with pytest.raises(ValidationError):
         FeynmanDiagram.from_json(obj)
+
+
+# -- contraction with several cycle tree edges and free edges -------------------
+
+K4 = FeynmanDiagram(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+CYCLE4 = FeynmanDiagram(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+CHORDED4 = FeynmanDiagram(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+DUMBBELL = FeynmanDiagram(2, [(0, 0), (0, 1), (1, 1)], Fraction(8))
+
+# denominators without roots of unity, one per entry
+DENOMINATORS = [{0: 1, 1: -2}, {0: 3, 1: 1}, {0: 2, 1: -1, 2: 1}, {0: 1, 2: 3}]
+
+
+def distinct_denominator_propagator(rng, N):
+    """Rational N x N propagator whose entries have pairwise different
+    denominators (not symmetric)."""
+    return [[RationalFunction(
+        LaurentPolynomial(QQ, {k: rng.randint(-3, 3) or 1 for k in range(-1, 2)}),
+        LaurentPolynomial(QQ, DENOMINATORS[N * i + j])) for j in range(N)]
+        for i in range(N)]
+
+
+def test_contraction_shapes_cover_cycle_tree_and_free_edges():
+    # (cycle tree edges m, free edges d): the closing by lookup sees m, d >= 2
+    for g, m, d in ((K4, 3, 3), (CYCLE4, 3, 1), (CHORDED4, 3, 2), (DUMBBELL, 0, 2)):
+        tree_idx, free_idx, exponents = g._tree_data()
+        assert len(free_idx) == d
+        assert sum(1 for idx in tree_idx if any(exponents[idx])) == m
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_flow_equals_direct_beyond_three_edges(rng, N):
+    for n in (1, 2, 3):
+        pi = distinct_denominator_propagator(rng, N)
+        pi1 = [[e.eval(QQ.one()) for e in row] for row in pi]
+        pi0 = random_symmetric_matrix(rng, N)
+        plain = cover_blocks_from_symbolic(pi, n, QQ)
+        shifted = cover_blocks_from_symbolic(pi, n, QQ, pi0=pi0, pi1=pi1)
+        for i in range(N):
+            for j in range(N):
+                image = ratfun_mod_cyclic(pi[i][j], n)
+                corr = (pi0[i][j] - pi1[i][j]) / n
+                for c in range(n):
+                    assert plain.blocks[c][i][j] == image[c]
+                    assert shifted.blocks[c][i][j] == image[c] + corr
+        for g in (K4, CYCLE4, CHORDED4, DUMBBELL):
+            table = random_vertex_table(rng, N, set(g.degrees))
+            assert weight_flow(g, n, pi, table, N) == \
+                weight_direct(g, n, plain, table, N), (g, n)
+            assert weight_flow(g, n, pi, table, N, pi0=pi0) == \
+                weight_direct(g, n, shifted, table, N), (g, n)
+
+
+class _Bundle:
+    """The parts of TwistedNZData that loop_invariant reads."""
+
+    def __init__(self, pi, pi_mu):
+        self.pi, self.pi_mu = pi, pi_mu
+        self.field, self.N = QQ, len(pi)
+
+    def propagator_symbolic(self):
+        return self.pi
+
+    def propagator_meridian(self):
+        return self.pi_mu
+
+
+def _bench_diagrams(rng, N, gamma0):
+    # theta, dumbbell and figure-eight all at hbar grade 1
+    tables = [random_vertex_table(rng, N, {3}, {3: -1}),
+              random_vertex_table(rng, N, {3}, {3: -1}),
+              random_vertex_table(rng, N, {4}, {4: -1})]
+    tables[0].gamma0 = gamma0
+    return list(zip((THETA, DUMBBELL, BOUQUET), tables))
+
+
+@pytest.mark.parametrize("peripheral", ["lambda", "mu"])
+def test_loop_invariant_sums_weights_with_shared_images(rng, peripheral):
+    N = 2
+    gamma0 = (QQ.element(Fraction(-5, 3)), 1)
+    for n in (1, 2, 3, 7):
+        data = _Bundle(distinct_denominator_propagator(rng, N),
+                       random_symmetric_matrix(rng, N))
+        diags = _bench_diagrams(rng, N, gamma0)
+        pi0 = data.pi_mu if peripheral == "mu" else None
+        expect = gamma0[0]
+        for g, table in diags:
+            expect = expect + weight_flow(g, n, data.pi, table, N, pi0=pi0).get(
+                1, QQ.zero())
+        assert loop_invariant(data, n, diags, 2, peripheral=peripheral) == expect
+
+
+def test_loop_invariant_raises_on_cyclotomic_denominator(rng):
+    pi = distinct_denominator_propagator(rng, 2)
+    cyclo3 = LaurentPolynomial(QQ, {0: 1, 1: 1, 2: 1})
+    pi[1][0] = RationalFunction(pi[1][0].num, pi[1][0].den * cyclo3)
+    data = _Bundle(pi, random_symmetric_matrix(rng, 2))
+    diags = _bench_diagrams(rng, 2, None)
+    for n in (1, 2, 4, 5):
+        loop_invariant(data, n, diags, 2)
+    for n in (3, 6):
+        with pytest.raises(RootOfUnityPole):
+            loop_invariant(data, n, diags, 2)

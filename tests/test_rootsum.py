@@ -10,11 +10,12 @@ from looptool.errors import PoleOnTorus, ResonantRoot, RootOfUnityPole
 from looptool.knots import FIELD_52, fixture
 from looptool.laurent import LaurentPolynomial, RationalFunction
 from looptool.numberfield import QQ
-from looptool.rootsum import (TorusSumSpec, av_exact, av_trace, cyclic_resultant,
-                              delta_basis_inverse, delta_power_sums,
-                              delta_sum_value, fit_rational_shape,
-                              pole_sum_closed, torus_sum_numeric,
-                              torus_sum_oracle)
+from looptool.rootsum import (TorusSumSpec, _cyc_mul, av_exact, av_trace,
+                              cyclic_resultant, delta_basis_inverse,
+                              delta_power_sums, delta_sum_value,
+                              fit_rational_shape, fold_mod_cyclic,
+                              invert_mod_cyclic, pole_sum_closed,
+                              torus_sum_numeric, torus_sum_oracle)
 
 LP = LaurentPolynomial
 DELTA_41 = LP(QQ, {1: 1, 0: -5, -1: 1})
@@ -97,6 +98,30 @@ def test_residue_route_matches_trace_on_random_fractions(field):
             assert got == _outcome(av_trace, f, n), (f, n)
             compared += got != "pole"
     assert compared > 0
+
+
+@pytest.mark.parametrize("field", [QQ, FIELD_52], ids=["QQ", "cubic"])
+def test_invert_mod_cyclic_is_an_inverse(field):
+    # a * inv = 1 in F[t]/(t^n - 1), and None exactly when a vanishes at an
+    # n-th root of unity, i.e. when the cyclic resultant of a is zero
+    rng = random.Random(31 + field.degree)
+    t_minus_1 = LP(field, {0: -1, 1: 1})
+    inverted = 0
+    for n in (1, 2, 3, 4, 6, 9, 16, 30):
+        one = [field.one()] + [field.zero()] * (n - 1)
+        g = _random_poly(rng, field, rng.randint(-2, 0), rng.randint(0, 4))
+        cases = [g, g * t_minus_1, g * LP(field, {0: 1, 1: 1}),
+                 g * LP(field, {0: 1, 1: 1, 2: 1})]
+        for k, p in enumerate(cases):
+            inv = invert_mod_cyclic(fold_mod_cyclic(p, n), n, field)
+            assert (inv is None) == cyclic_resultant(p, n).is_zero(), (p, n)
+            if k == 1:
+                assert inv is None
+            if inv is not None:
+                assert len(inv) == n
+                assert _cyc_mul(fold_mod_cyclic(p, n), inv, n, field) == one
+                inverted += 1
+    assert inverted > 8
 
 
 def test_residue_route_on_laurent_polynomials():
