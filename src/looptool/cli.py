@@ -16,14 +16,13 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
 import mpmath
 
 from .errors import (CrossCheckError, HoldoutMismatchError, LoopToolError,
                      MathDomainError, ParseError, SingularError)
-from .knots import KnotFixture, fixture
+from .knots import KnotFixture, fixture, phi_integrand
 from .laurent import LaurentPolynomial, RationalFunction
 from .numberfield import FieldElement, NumberField, QQ, parse_rational
 from .powersum import reconstruct_p
@@ -111,27 +110,24 @@ def _load_avg_input(path):
     unit = obj.get("unit") in ("sqrt(-3)", "sqrt-3", True)
 
     if "delta_powers" in obj:
+        if "delta" not in obj:
+            raise ParseError("delta_powers needs a 'delta'")
         delta = LaurentPolynomial.from_json(obj["delta"], field)
         if delta.is_zero():
             raise ParseError("delta must be nonzero")
+        powers = obj["delta_powers"]
+        if not isinstance(powers, dict) or not powers:
+            raise ParseError("delta_powers must be a nonempty object")
         table = {}
-        for k, coeffs in obj["delta_powers"].items():
-            table[int(k)] = [FieldElement.from_json(c, field) for c in coeffs]
-
-        def build(n: int) -> RationalFunction:
-            kmax = max(table)
-            num = LaurentPolynomial.zero(field)
-            inv_n = Fraction(1, n)
-            for k, coeffs in table.items():
-                c = field.zero()
-                scale = Fraction(1)
-                for ci in coeffs:
-                    c = c + ci * scale
-                    scale *= inv_n
-                num = num + delta ** (kmax - k) * c
-            return RationalFunction(num, delta ** kmax)
-
-        return build, field, unit
+        for k, coeffs in powers.items():
+            try:
+                k_int = int(k)
+            except ValueError as exc:
+                raise ParseError(f"delta_powers key {k!r} is not an integer") from exc
+            if not isinstance(coeffs, list):
+                raise ParseError(f"delta_powers[{k!r}] must be a list of coefficients")
+            table[k_int] = [FieldElement.from_json(c, field) for c in coeffs]
+        return (lambda n: phi_integrand(delta, table, n)), field, unit
     if "num" not in obj or "den" not in obj:
         raise ParseError("rational-function file needs num/den or delta_powers")
     rf = RationalFunction.from_json(obj, field)

@@ -21,7 +21,7 @@ import mpmath
 
 from .errors import ParseError
 from .laurent import LaurentPolynomial, RationalFunction
-from .numberfield import FieldElement, NumberField, QQ
+from .numberfield import FieldElement, NumberField, QQ, poly_divmod
 from .rootsum import av_exact
 
 #: Real quadratic field Q(sqrt 21); root_index 1 is the positive square root.
@@ -81,6 +81,25 @@ def _el52(c0="0", c1="0", c2="0") -> FieldElement:
     return FIELD_52.element([_q(str(c0)), _q(str(c1)), _q(str(c2))])
 
 
+def phi_integrand(delta: LaurentPolynomial,
+                  table: Dict[int, List[FieldElement]], n: int) -> RationalFunction:
+    """sum_k c_k(n) delta(t)^(-k) for fixed n, as one fraction over
+    delta^kmax with kmax the largest k or 0; table maps k to [c0, c1, ...]
+    with c_k(n) = sum_i c_i n^(-i)."""
+    kmax = max([0, *table])
+    field = delta.field
+    num = LaurentPolynomial.zero(field)
+    inv_n = Fraction(1, n)
+    for k, coeffs in table.items():
+        c = field.zero()
+        scale = Fraction(1)
+        for ci in coeffs:
+            c = c + ci * scale
+            scale *= inv_n
+        num = num + delta ** (kmax - k) * c
+    return RationalFunction(num, delta ** kmax)
+
+
 class KnotFixture:
     """One knot's exact data: delta, phi tables, closed forms, asymptotics.
 
@@ -102,19 +121,7 @@ class KnotFixture:
         """phi_ell^c(t, n) for fixed n, over the fixture field."""
         if ell not in self.phi:
             raise ParseError(f"no phi table for ell = {ell}")
-        table = self.phi[ell]
-        kmax = max(table)
-        field = self.field
-        num = LaurentPolynomial.zero(field)
-        inv_n = Fraction(1, n)
-        for k, coeffs in table.items():
-            c = field.zero()
-            scale = Fraction(1)
-            for ci in coeffs:
-                c = c + ci * scale
-                scale *= inv_n
-            num = num + self.delta ** (kmax - k) * c
-        return RationalFunction(num, self.delta ** kmax)
+        return phi_integrand(self.delta, self.phi[ell], n)
 
     def phi_average(self, ell: int, n: int) -> TaggedValue:
         """Av_n(phi_ell^c(t, n)), exact."""
@@ -302,21 +309,13 @@ class FiveTwoFixture(KnotFixture):
 
     def lambda_sextic_residue(self) -> List[FieldElement]:
         """Reduce the printed degree-6 polynomial mod the quadratic of lambda
-        over the cubic field; an all-zero result certifies the sextic."""
+        over the cubic field; a zero (empty) remainder certifies the sextic."""
         a, b = self.lam_quadratic
+        zero, one = FIELD_52.zero(), FIELD_52.one()
         # monic quadratic: u^2 + (b/a) u + 1
-        p = b / a
-        one = FIELD_52.one()
-        # reduce sum c_k u^k
+        quadratic = [one, b / a, one]
         coeffs = [FIELD_52.element(c) for c in LAMBDA_52_SEXTIC]
-        while len(coeffs) > 2:
-            top = coeffs.pop()
-            if top.is_zero():
-                continue
-            deg = len(coeffs)  # reduced monomial u^deg = -p u^{deg-1} - u^{deg-2}
-            coeffs[deg - 1] = coeffs[deg - 1] - top * p
-            coeffs[deg - 2] = coeffs[deg - 2] - top
-        return coeffs
+        return poly_divmod(coeffs, quadratic, zero, one)[1]
 
     def lambda_numeric(self, precision_digits: int = 60):
         """The root of delta inside the unit disk, numerically."""

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Sequence
 
 from .errors import (IncompleteFactorization, MathDomainError, ParseError,
                      SingularMatrix, ZeroBase)
-from .numberfield import QQ, FieldElement, NumberField, parse_rational
+from .numberfield import QQ, FieldElement, NumberField, parse_rational, poly_divmod
 
 
 def _as_element(field: NumberField, value) -> FieldElement:
@@ -253,22 +253,7 @@ class LaurentPolynomial:
             return self, self
         a, sa = self.as_poly_coeffs()
         b, sb = o.as_poly_coeffs()
-        quo = [self.field.zero()] * max(0, len(a) - len(b) + 1)
-        rem = list(a)
-        db = len(b) - 1
-        lead_inv = b[-1].inverse()
-        while len(rem) >= len(b):
-            if rem[-1].is_zero():
-                rem.pop()
-                continue
-            c = rem[-1] * lead_inv
-            k = len(rem) - len(b)
-            quo[k] = c
-            for i in range(len(b)):
-                rem[i + k] = rem[i + k] - c * b[i]
-            rem.pop()
-        while rem and rem[-1].is_zero():
-            rem.pop()
+        quo, rem = poly_divmod(a, b, self.field.zero(), self.field.one())
         q_lp = LaurentPolynomial.from_coeff_list(self.field, quo, sa - sb)
         r_lp = LaurentPolynomial.from_coeff_list(self.field, rem, sa)
         return q_lp, r_lp
@@ -731,20 +716,3 @@ class LaurentMatrix:
         return cls(field, [[LaurentPolynomial.from_json(e, field) for e in row]
                            for row in obj])
 
-
-def rational_matrix_mul(A, B):
-    """Product of matrices with RationalFunction (or Laurent) entries."""
-    rows, inner, cols = len(A), len(A[0]), len(B[0])
-    if inner != len(B):
-        raise MathDomainError(f"cannot multiply {rows}x{inner} by {len(B)}x{cols}")
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = None
-            for k in range(inner):
-                term = A[i][k] * B[k][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out

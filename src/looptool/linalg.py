@@ -7,7 +7,7 @@ exact field division, which is fine at the sizes this package needs.
 from __future__ import annotations
 
 from .errors import MathDomainError, SingularError
-from .numberfield import FieldElement, NumberField
+from .numberfield import NumberField
 
 
 def identity(field: NumberField, n: int):
@@ -45,54 +45,17 @@ def is_symmetric(A) -> bool:
     return all(A[i][j] == A[j][i] for i in range(n) for j in range(i + 1, n))
 
 
-def mat_inv(field: NumberField, A):
-    """Inverse by Gauss-Jordan; raises SingularError on rank deficiency."""
-    n = len(A)
-    aug = [list(row) + [field.one() if i == j else field.zero() for j in range(n)]
-           for i, row in enumerate(A)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if not aug[i][k].is_zero()), None)
-        if pivot_row is None:
-            raise SingularError("singular matrix")
-        aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        inv = aug[k][k].inverse()
-        aug[k] = [e * inv for e in aug[k]]
-        for i in range(n):
-            if i != k and not aug[i][k].is_zero():
-                f = aug[i][k]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
-    return [row[n:] for row in aug]
-
-
-def solve(field: NumberField, A, b):
-    """Solve the square system A x = b exactly; raises SingularError."""
-    n = len(A)
-    aug = [list(row) + [b[i]] for i, row in enumerate(A)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if not aug[i][k].is_zero()), None)
-        if pivot_row is None:
-            raise SingularError("singular linear system")
-        aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        inv = aug[k][k].inverse()
-        aug[k] = [e * inv for e in aug[k]]
-        for i in range(n):
-            if i != k and not aug[i][k].is_zero():
-                f = aug[i][k]
-                aug[i] = [a - f * c for a, c in zip(aug[i], aug[k])]
-    return [aug[i][n] for i in range(n)]
-
-
-def solve_consistent(field: NumberField, A, b):
-    """Any exact solution of a possibly rank-deficient consistent system.
-
-    Returns a solution vector with free variables set to zero, or raises
-    SingularError if the system is inconsistent.
-    """
-    rows, cols = len(A), len(A[0])
-    aug = [list(row) + [b[i]] for i, row in enumerate(A)]
+def _gauss_jordan(aug, cols: int):
+    """Reduce the first `cols` columns of the augmented matrix `aug` (a list
+    of rows) in place to reduced row echelon form.  Each pivot is the first
+    nonzero entry at or below the current row; returns the pivot columns,
+    the i-th of which has its pivot, scaled to 1, in row i."""
+    rows = len(aug)
     pivots = []
-    r = 0
     for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
         pivot_row = next((i for i in range(r, rows) if not aug[i][c].is_zero()), None)
         if pivot_row is None:
             continue
@@ -102,15 +65,41 @@ def solve_consistent(field: NumberField, A, b):
         for i in range(rows):
             if i != r and not aug[i][c].is_zero():
                 f = aug[i][c]
-                aug[i] = [a - f * cc for a, cc in zip(aug[i], aug[r])]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if not aug[i][cols].is_zero():
-            raise SingularError("inconsistent linear system")
+    return pivots
+
+
+def mat_inv(field: NumberField, A):
+    """Inverse by Gauss-Jordan; raises SingularError on rank deficiency."""
+    n = len(A)
+    aug = [list(row) + unit for row, unit in zip(A, identity(field, n))]
+    if len(_gauss_jordan(aug, n)) < n:
+        raise SingularError("singular matrix")
+    return [row[n:] for row in aug]
+
+
+def solve(field: NumberField, A, b):
+    """Solve the square system A x = b exactly; raises SingularError."""
+    n = len(A)
+    aug = [list(row) + [b[i]] for i, row in enumerate(A)]
+    if len(_gauss_jordan(aug, n)) < n:
+        raise SingularError("singular linear system")
+    return [row[n] for row in aug]
+
+
+def solve_consistent(field: NumberField, A, b):
+    """Any exact solution of a possibly rank-deficient consistent system.
+
+    Returns a solution vector with free variables set to zero, or raises
+    SingularError if the system is inconsistent.
+    """
+    cols = len(A[0])
+    aug = [list(row) + [b[i]] for i, row in enumerate(A)]
+    pivots = _gauss_jordan(aug, cols)
+    if any(not row[cols].is_zero() for row in aug[len(pivots):]):
+        raise SingularError("inconsistent linear system")
     x = [field.zero()] * cols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][cols]
+    for row, c in zip(aug, pivots):
+        x[c] = row[cols]
     return x

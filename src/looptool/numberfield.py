@@ -53,84 +53,88 @@ def format_rational(q: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over Q, as coefficient lists [c0, c1, ...] with no trailing zeros.
+# Dense univariate polynomials, as coefficient lists [c0, c1, ...] with no
+# trailing zeros.  This is the one dense kernel of the package: it serves the
+# Fraction coefficients of minimal polynomials here and the FieldElement
+# coefficients of rootsum and laurent.  It is generic over the coefficient
+# ring and uses only + - * /, truthiness and the `zero` and `one` the caller
+# passes in.
 # ---------------------------------------------------------------------------
 
-def _poly_trim(p: list) -> list:
-    while p and p[-1] == 0:
+def poly_trim(p: list) -> list:
+    while p and not p[-1]:
         p.pop()
     return p
 
 
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return _poly_trim(out)
-
-
-def _poly_scale(p, c):
-    if c == 0:
+def poly_mul(a: Sequence, b: Sequence, zero) -> list:
+    if not a or not b:
         return []
-    return [a * c for a in p]
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+    return poly_trim(out)
 
 
-def _poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _poly_trim(out)
-
-
-def _poly_divmod(p, q):
-    if not q:
+def poly_divmod(a: Sequence, b: Sequence, zero, one):
+    """(q, r) with a = q*b + r and deg r < deg b, for b without trailing zeros."""
+    if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    dq, lead = len(q) - 1, q[-1]
-    while len(rem) - 1 >= dq and rem:
-        c = rem[-1] / lead
-        k = len(rem) - 1 - dq
-        quo[k] = c
-        for i, b in enumerate(q):
-            rem[i + k] -= c * b
-        _poly_trim(rem)
-    return _poly_trim(quo), rem
+    rem = list(a)
+    db = len(b) - 1
+    quo = [zero] * max(0, len(rem) - db)
+    lead_inv = one / b[-1]
+    while len(rem) > db:
+        c = rem.pop()
+        if c:
+            c = c * lead_inv
+            k = len(rem) - db
+            quo[k] = c
+            for i in range(db):
+                rem[k + i] = rem[k + i] - c * b[i]
+    return poly_trim(quo), poly_trim(rem)
 
 
-def _poly_gcd(p, q):
-    a, b = list(p), list(q)
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+def poly_mulmod(a: Sequence, b: Sequence, m: Sequence, zero, one) -> list:
+    return poly_divmod(poly_mul(a, b, zero), m, zero, one)[1]
+
+
+def poly_t_power_mod(e: int, m: Sequence, zero, one) -> list:
+    """t^e mod m by left-to-right binary powering."""
+    out = poly_divmod([one], m, zero, one)[1]
+    for bit in bin(e)[2:]:
+        out = poly_mulmod(out, out, m, zero, one)
+        if bit == "1":
+            out = poly_divmod([zero] + out, m, zero, one)[1]
+    return out
+
+
+def poly_invmod(a: Sequence, m: Sequence, zero, one):
+    """Inverse of a modulo m, for deg a < deg m, or None when they have a
+    common factor.  Extended Euclid with each remainder made monic, which
+    keeps the rational coefficients of the remainders small."""
+    r0, r1 = m, poly_trim(list(a))
+    s0, s1 = [], [one]
+    while r1:
+        lead_inv = one / r1[-1]
+        r1 = [c * lead_inv for c in r1]
+        s1 = [c * lead_inv for c in s1]
+        q, r = poly_divmod(r0, r1, zero, one)
+        r0, r1 = r1, r
+        # s_new = s0 - q*s1
+        qs1 = poly_mul(q, s1, zero)
+        s_new = s0 + [zero] * (len(qs1) - len(s0))
+        for i, c in enumerate(qs1):
+            s_new[i] = s_new[i] - c
+        s0, s1 = s1, poly_trim(s_new)
+    # the last remainder r0 is monic: the inverse exists iff it is 1
+    return s0 if len(r0) == 1 else None
 
 
 def _poly_deriv(p):
-    return _poly_trim([i * c for i, c in enumerate(p)][1:])
-
-
-def _poly_extgcd(a, m):
-    """Return (g, s) with s*a = g (mod m), g monic."""
-    r0, r1 = list(m), list(a)
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_add(s0, _poly_scale(_poly_mul(q, s1), -1))
-    if not r0:
-        return [], []
-    lead = r0[-1]
-    return [c / lead for c in r0], [c / lead for c in s0]
+    return poly_trim([i * c for i, c in enumerate(p)][1:])
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +283,13 @@ class NumberField:
 
     def __init__(self, minpoly: Iterable, root_index: int = 0):
         coeffs = [parse_rational(c) for c in minpoly]
-        _poly_trim(coeffs)
+        poly_trim(coeffs)
         if len(coeffs) < 2:
             raise ParseError("minpoly must have degree >= 1")
         if coeffs[-1] != 1:
             raise ParseError("minpoly must be monic")
-        g = _poly_gcd(coeffs, _poly_deriv(coeffs))
-        if len(g) > 1:
+        # m is squarefree iff m' is a unit mod m
+        if poly_invmod(_poly_deriv(coeffs), coeffs, Fraction(0), Fraction(1)) is None:
             raise ParseError("minpoly must be squarefree")
         self.minpoly = tuple(coeffs)
         self.degree = len(coeffs) - 1
@@ -510,8 +514,8 @@ class FieldElement:
             raise ZeroInverse("inverse of zero field element")
         if self.field.degree == 1:
             return FieldElement(self.field, (1 / self.coords[0],))
-        g, s = _poly_extgcd(_poly_trim(list(self.coords)), list(self.field.minpoly))
-        if len(g) != 1:
+        s = poly_invmod(self.coords, self.field.minpoly, Fraction(0), Fraction(1))
+        if s is None:
             raise ZeroInverse("element not invertible; minpoly not squarefree?")
         return self.field.element(s)
 

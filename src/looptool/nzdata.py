@@ -15,8 +15,7 @@ from typing import List, Optional
 from .circulant import BlockCirculant
 from .errors import (NotDivisible, ParseError, SingularAtRoot, SingularError,
                      ValidationError)
-from .laurent import (LaurentMatrix, LaurentPolynomial, RationalFunction,
-                      rational_matrix_mul)
+from .laurent import LaurentMatrix, LaurentPolynomial, RationalFunction
 from .linalg import mat_inv, mat_mul
 from .numberfield import FieldElement, NumberField
 
@@ -140,7 +139,7 @@ class TwistedNZData:
         G = self._gluing_matrix()
         Ginv = G.inverse()
         B_rf = [[RationalFunction.from_poly(e) for e in row] for row in self.B.entries]
-        prod = rational_matrix_mul(Ginv, B_rf)
+        prod = mat_mul(Ginv, B_rf)
         self._pi_symbolic = [[-e for e in row] for row in prod]
         return self._pi_symbolic
 

@@ -37,11 +37,13 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import (ParseError, PoleOnTorus, ResonantRoot, RootOfUnityPole,
                      SingularError)
 from .laurent import LaurentPolynomial, RationalFunction, partial_fractions
-from .numberfield import QQ, FieldElement, NumberField
+from .numberfield import (QQ, FieldElement, NumberField, poly_divmod, poly_invmod,
+                          poly_mulmod, poly_t_power_mod, poly_trim)
 
 # ---------------------------------------------------------------------------
-# Arithmetic in F[t]/(t^n - 1) and F[t]/(Q), elements as dense coefficient
-# lists.
+# Images in F[t]/(t^n - 1) and sums by residues in F[t]/(Q), elements as
+# dense coefficient lists; division, inverses and powers mod a polynomial
+# come from the dense kernel in numberfield.
 # ---------------------------------------------------------------------------
 
 
@@ -68,73 +70,14 @@ def _cyc_mul(a: Sequence[FieldElement], b: Sequence[FieldElement], n: int,
     return out
 
 
-def _dense_trim(p: List[FieldElement]) -> List[FieldElement]:
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def _dense_divmod(a: List[FieldElement], b: List[FieldElement], field):
-    quo = [field.zero()] * max(0, len(a) - len(b) + 1)
-    rem = list(a)
-    lead_inv = b[-1].inverse()
-    while len(rem) >= len(b):
-        if rem[-1].is_zero():
-            rem.pop()
-            continue
-        c = rem[-1] * lead_inv
-        k = len(rem) - len(b)
-        quo[k] = c
-        for i in range(len(b)):
-            rem[i + k] = rem[i + k] - c * b[i]
-        rem.pop()
-    return quo, _dense_trim(rem)
-
-
-def _dense_mul(a: Sequence[FieldElement], b: Sequence[FieldElement],
-               field: NumberField) -> List[FieldElement]:
-    if not a or not b:
-        return []
-    out = [field.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _dense_invmod(a: List[FieldElement], modulus: List[FieldElement],
-                  field: NumberField) -> List[FieldElement] | None:
-    """Inverse of a modulo a polynomial of higher degree, or None when they
-    have a common factor.  Extended Euclid with each remainder made monic,
-    which keeps the rational coefficients of the remainders small."""
-    r0, r1 = modulus, _dense_trim(list(a))
-    s0, s1 = [], [field.one()]
-    while r1:
-        lead_inv = r1[-1].inverse()
-        r1 = [c * lead_inv for c in r1]
-        s1 = [c * lead_inv for c in s1]
-        q, r = _dense_divmod(r0, r1, field)
-        r0, r1 = r1, r
-        # s_new = s0 - q*s1
-        qs1 = _dense_mul(q, s1, field)
-        m = max(len(s0), len(qs1))
-        s_new = [(s0[i] if i < len(s0) else field.zero())
-                 - (qs1[i] if i < len(qs1) else field.zero()) for i in range(m)]
-        s0, s1 = s1, _dense_trim(s_new)
-    # the last remainder r0 is monic: the inverse exists iff it is 1
-    return s0 if len(r0) == 1 else None
-
-
 def invert_mod_cyclic(a: Sequence[FieldElement], n: int,
                       field: NumberField) -> List[FieldElement] | None:
     """Inverse of a in F[t]/(t^n - 1), or None when gcd(a, t^n - 1) != 1."""
-    modulus = [-field.one()] + [field.zero()] * (n - 1) + [field.one()]
-    inv = _dense_invmod(a, modulus, field)
+    zero, one = field.zero(), field.one()
+    inv = poly_invmod(a, [-one] + [zero] * (n - 1) + [one], zero, one)
     if inv is None:
         return None
-    return inv + [field.zero()] * (n - len(inv))
+    return inv + [zero] * (n - len(inv))
 
 
 def _den_inverse_mod_cyclic(den: LaurentPolynomial, n: int) -> List[FieldElement]:
@@ -214,22 +157,6 @@ def av_trace(f: RationalFunction | LaurentPolynomial, n: int) -> FieldElement:
     return ratfun_mod_cyclic(f, n)[0] * n
 
 
-def _mulmod(a: List[FieldElement], b: List[FieldElement],
-            modulus: List[FieldElement], field: NumberField) -> List[FieldElement]:
-    return _dense_divmod(_dense_mul(a, b, field), modulus, field)[1]
-
-
-def _power_of_t_mod(e: int, modulus: List[FieldElement],
-                    field: NumberField) -> List[FieldElement]:
-    """t^e mod modulus by left-to-right binary powering."""
-    out = _dense_divmod([field.one()], modulus, field)[1]
-    for bit in bin(e)[2:]:
-        out = _mulmod(out, out, modulus, field)
-        if bit == "1":
-            out = _dense_divmod([field.zero()] + out, modulus, field)[1]
-    return out
-
-
 def av_exact(f: RationalFunction | LaurentPolynomial, n: int) -> FieldElement:
     """Exact sum of f over all n-th roots of unity, by residues in F[t]/(Q)
     (see the module docstring)."""
@@ -237,29 +164,30 @@ def av_exact(f: RationalFunction | LaurentPolynomial, n: int) -> FieldElement:
         raise ValueError("n must be >= 1")
     if isinstance(f, LaurentPolynomial):
         f = RationalFunction.from_poly(f)
-    field = f.field
+    zero, one = f.field.zero(), f.field.one()
     num, num_shift = f.num.as_poly_coeffs()
     den, den_shift = f.den.as_poly_coeffs()
     shift = num_shift - den_shift
     if shift < 0:
-        den = [field.zero()] * -shift + den
+        den = [zero] * -shift + den
     else:
-        num = [field.zero()] * shift + num
-    quo, rem = _dense_divmod(num, den, field)
-    total = field.zero()
+        num = [zero] * shift + num
+    quo, rem = poly_divmod(num, den, zero, one)
+    total = zero
     for k in range(0, len(quo), n):
         total = total + quo[k]
     d = len(den) - 1
     if d:
-        power = _power_of_t_mod(n - 1, den, field)
+        power = poly_t_power_mod(n - 1, den, zero, one)
         # t^n - 1 mod Q
-        unit = _dense_divmod([field.zero()] + power, den, field)[1] or [field.zero()]
-        unit[0] = unit[0] - field.one()
-        inv = _dense_invmod(unit, den, field)
+        unit = poly_divmod([zero] + power, den, zero, one)[1] or [zero]
+        unit[0] = unit[0] - one
+        inv = poly_invmod(unit, den, zero, one)
         if inv is None:
             raise RootOfUnityPole(
                 f"denominator vanishes at an {n}-th root of unity")
-        residue = _mulmod(rem, _mulmod(power, inv, den, field), den, field)
+        residue = poly_mulmod(rem, poly_mulmod(power, inv, den, zero, one),
+                              den, zero, one)
         if len(residue) == d:
             total = total - residue[d - 1] * den[d].inverse()
     return total * n
@@ -271,17 +199,17 @@ def av_exact(f: RationalFunction | LaurentPolynomial, n: int) -> FieldElement:
 
 def _resultant(f: List[FieldElement], g: List[FieldElement], field: NumberField):
     """Resultant of dense polynomials over the field (Euclidean algorithm)."""
-    f = _dense_trim(list(f))
-    g = _dense_trim(list(g))
-    if not f or not g:
-        return field.zero()
-    a, b = f, g
-    acc = field.one()
+    zero, one = field.zero(), field.one()
+    a = poly_trim(list(f))
+    b = poly_trim(list(g))
+    if not a or not b:
+        return zero
+    acc = one
     while True:
         da, db = len(a) - 1, len(b) - 1
         if db == 0:
             return acc * b[0] ** da
-        _, r = _dense_divmod(a, b, field)
+        r = poly_divmod(a, b, zero, one)[1]
         dr = len(r) - 1
         if not r:
             return field.zero()
@@ -341,14 +269,7 @@ def pole_sum_polynomials(m: int) -> Tuple[Tuple[Fraction, ...], ...]:
         add(i, prev[i], Fraction(-i, k), 1)
         if i + 1 <= m:
             add(i + 1, prev[i], Fraction(i, k), 1)
-    return tuple(tuple(_trim_fractions(row)) for row in out[:m + 1])
-
-
-def _trim_fractions(row):
-    row = list(row)
-    while row and row[-1] == 0:
-        row.pop()
-    return row or [Fraction(0)]
+    return tuple(tuple(poly_trim(row) or [Fraction(0)]) for row in out[:m + 1])
 
 
 def _poly_at(poly: Sequence[Fraction], n: int) -> Fraction:

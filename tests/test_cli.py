@@ -260,3 +260,43 @@ def test_bundle_table_golden(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "480867719df60f666a11f3a23bc6fc39b4691f8b274a032bb40ac7cae9e87ddb"
+
+
+def _avg_with_delta_powers(tmp_path, capsys, delta_powers):
+    with open(os.path.join(DATA, "phi2_41.json")) as fh:
+        obj = json.load(fh)
+    obj["delta_powers"] = delta_powers
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(obj))
+    return run(["avg", "--f", str(path), "--n", "3"], capsys)
+
+
+def test_avg_delta_powers_non_integer_key_exit_1(tmp_path, capsys):
+    code, _, err = _avg_with_delta_powers(tmp_path, capsys, {"x": ["1"]})
+    _one_line_usage_error(code, err)
+    assert "'x'" in err
+
+
+def test_avg_delta_powers_list_exit_1(tmp_path, capsys):
+    code, _, err = _avg_with_delta_powers(tmp_path, capsys, [["1"]])
+    _one_line_usage_error(code, err)
+    assert "delta_powers" in err
+
+
+def test_avg_delta_powers_empty_exit_1(tmp_path, capsys):
+    code, _, err = _avg_with_delta_powers(tmp_path, capsys, {})
+    _one_line_usage_error(code, err)
+    assert "delta_powers" in err
+
+
+def test_avg_delta_powers_coefficients_not_a_list_exit_1(tmp_path, capsys):
+    # a string would otherwise be read character by character
+    code, _, err = _avg_with_delta_powers(tmp_path, capsys, {"1": "12"})
+    _one_line_usage_error(code, err)
+    assert "list" in err
+
+
+def test_avg_delta_powers_negative_keys(tmp_path, capsys):
+    # delta^1 = t - 5 + 1/t sums to 3 * (-5) over the cube roots of unity
+    code, out, _ = _avg_with_delta_powers(tmp_path, capsys, {"-1": ["1"]})
+    assert code == 0 and out.strip() == "-15 (unit sqrt(-3))"

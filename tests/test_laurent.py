@@ -9,7 +9,6 @@ from looptool.errors import (IncompleteFactorization, LoopToolError,
 from looptool.laurent import (LaurentMatrix, LaurentPolynomial,
                               RationalFunction, partial_fractions,
                               proportional_up_to_unit,
-                              rational_matrix_mul,
                               recombine_partial_fractions)
 from looptool.linalg import mat_mul
 from looptool.numberfield import QQ
@@ -175,7 +174,6 @@ def test_shape_mismatch_raises_typed_error():
     B = LaurentMatrix.identity(QQ, 3)
     row = [[QQ.one(), QQ.one()]]
     for product in (lambda: A + B, lambda: A - B, lambda: A * B,
-                    lambda: rational_matrix_mul(row, row),
                     lambda: mat_mul(row, row)):
         with pytest.raises(LoopToolError, match="2x2|1x2"):
             product()

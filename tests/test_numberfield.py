@@ -1,5 +1,6 @@
 """Field arithmetic, inverses, certified embeddings, serialization."""
 
+import random
 from fractions import Fraction
 
 import mpmath
@@ -7,8 +8,11 @@ import pytest
 
 from conftest import random_element
 from looptool.errors import ParseError, ZeroInverse
+from looptool.knots import FIELD_52
 from looptool.numberfield import (ComplexBall, FieldElement, NumberField, QQ,
-                                  parse_rational, sqrt_lower, sqrt_upper)
+                                  parse_rational, poly_divmod, poly_invmod,
+                                  poly_mul, poly_mulmod, poly_trim, sqrt_lower,
+                                  sqrt_upper)
 
 
 def test_rational_parsing_roundtrip():
@@ -60,6 +64,81 @@ def test_field_axioms_random(rng, field_cubic):
 def test_minpoly_must_be_squarefree():
     with pytest.raises(ParseError):
         NumberField([1, 2, 1])  # (x+1)^2
+    with pytest.raises(ParseError):
+        NumberField([2, -3, 0, 1])  # (x-1)^2 (x+2)
+
+
+# -- the dense polynomial kernel, over Fractions and over field elements ---------
+
+RINGS = {
+    "Q": (Fraction(0), Fraction(1), lambda rng: random_element(rng, QQ).coords[0]),
+    "cubic": (FIELD_52.zero(), FIELD_52.one(), lambda rng: random_element(rng, FIELD_52)),
+}
+
+
+def _random_poly(rng, draw, degree):
+    p = [draw(rng) for _ in range(degree + 1)]
+    while not p[-1]:
+        p[-1] = draw(rng)
+    return p
+
+
+def _poly_add(a, b, zero):
+    out = [zero] * max(len(a), len(b))
+    for p in (a, b):
+        for i, c in enumerate(p):
+            out[i] = out[i] + c
+    return poly_trim(out)
+
+
+def _gcd_is_one(a, m, zero, one):
+    while a:
+        m, a = a, poly_divmod(m, a, zero, one)[1]
+    return len(m) == 1
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_kernel_divmod_identity(ring):
+    zero, one, draw = RINGS[ring]
+    rng = random.Random(11)
+    for _ in range(25):
+        a = _random_poly(rng, draw, rng.randint(0, 9))
+        b = _random_poly(rng, draw, rng.randint(0, 5))
+        q, r = poly_divmod(a, b, zero, one)
+        assert len(r) < len(b) and r == poly_trim(list(r))
+        assert _poly_add(poly_mul(q, b, zero), r, zero) == a
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_kernel_invmod_inverts_or_reports_common_factor(ring):
+    zero, one, draw = RINGS[ring]
+    rng = random.Random(12)
+    t_minus_1 = [-one, one]
+    inverted = 0
+    for _ in range(15):
+        h = _random_poly(rng, draw, rng.randint(0, 4))
+        g = _random_poly(rng, draw, rng.randint(0, 3))
+        m = poly_mul(t_minus_1, h, zero)
+        common = poly_divmod(poly_mul(t_minus_1, g, zero), m, zero, one)[1]
+        assert poly_invmod(common, m, zero, one) is None
+        for a in (poly_divmod(g, m, zero, one)[1], common):
+            inv = poly_invmod(a, m, zero, one)
+            assert (inv is None) == (not _gcd_is_one(a, m, zero, one))
+            if inv is not None:
+                assert poly_mulmod(a, inv, m, zero, one) == [one]
+                inverted += 1
+    assert inverted > 5
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_inverse_with_large_coordinates(field_sqrt21, field_cubic, bits):
+    rng = random.Random(bits)
+    for field in (field_sqrt21, field_cubic):
+        for _ in range(4):
+            x = field.element([Fraction(rng.getrandbits(bits) - (1 << (bits - 1)),
+                                        rng.getrandbits(bits) | 1)
+                               for _ in range(field.degree)])
+            assert x * x.inverse() == 1
 
 
 def test_minpoly_must_be_monic():

@@ -1,5 +1,8 @@
-"""Every module of the package compiles with warnings turned into errors."""
+"""Every module of the package compiles with warnings turned into errors and
+contains no `assert` statement: runtime checks raise typed errors instead,
+since `python -O` strips asserts."""
 
+import ast
 import glob
 import os
 import warnings
@@ -17,3 +20,6 @@ def test_module_compiles_without_warnings(path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile(source, path, "exec")
+    asserts = [node.lineno for node in ast.walk(ast.parse(source, path))
+               if isinstance(node, ast.Assert)]
+    assert not asserts, f"assert statements at lines {asserts}"
