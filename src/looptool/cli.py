@@ -253,6 +253,8 @@ def _load_values_csv(path, field: NumberField):
 
 
 def cmd_reconstruct(args) -> int:
+    if args.ell < 2:
+        raise ParseError(f"--ell must be at least 2, got {args.ell}")
     roots_obj = _load_json(args.roots)
     if not isinstance(roots_obj, dict):
         raise ParseError("roots file must be a JSON object")

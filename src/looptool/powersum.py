@@ -191,20 +191,12 @@ class CoverPolynomial:
         return [(alpha, beta) for beta in range(1, ell) for alpha in alphas]
 
     def evaluate(self, n: int) -> FieldElement:
-        one = self.field.one()
-        xs = []
-        for lam in self.roots:
-            diff = one - lam ** n
-            if diff.is_zero():
-                raise ResonantRoot(f"lam^{n} = 1 for a root")
-            xs.append(diff.inverse())
+        tables = _x_power_tables(self.field, self.roots, n, 2 * self.ell - 2)
         acc = self.field.zero()
         for (alpha, beta), c in self.terms.items():
-            v = c * Fraction(n) ** beta
-            for x, a in zip(xs, alpha):
-                if a:
-                    v = v * x ** a
-            acc = acc + v
+            v = c * n ** beta
+            x = _monomial(tables, alpha)
+            acc = acc + (v if x is None else v * x)
         return acc
 
     def __eq__(self, other):
@@ -275,9 +267,50 @@ class CoverPolynomial:
             return cls.from_json(json.load(fh), field)
 
 
+def _x_power_tables(field: NumberField, roots: Sequence[FieldElement], n: int,
+                    top: int) -> List[List[FieldElement]]:
+    """[1, x, ..., x^top] for x = 1/(1 - lam^n) and each root lam."""
+    one = field.one()
+    tables = []
+    for lam in roots:
+        diff = one - lam ** n
+        if diff.is_zero():
+            raise ResonantRoot(f"lam^{n} = 1 for a root")
+        x = diff.inverse()
+        table = [one, x]
+        for _ in range(top - 1):
+            table.append(table[-1] * x)
+        tables.append(table)
+    return tables
+
+
+def _monomial(tables: Sequence[Sequence[FieldElement]], alpha: Tuple[int, ...]):
+    """prod_j x_j^alpha_j from the power tables, or None when alpha is 0."""
+    v = None
+    for table, a in zip(tables, alpha):
+        if a:
+            v = table[a] if v is None else v * table[a]
+    return v
+
+
+def reconstruction_matrix(field: NumberField, roots: Sequence[FieldElement],
+                          ell: int, ns: Sequence[int]) -> List[List[FieldElement]]:
+    """One row per n: the canonical basis monomials n^beta prod_j x_j^alpha_j
+    at x_j = 1/(1 - lam_j^n), in the order of CoverPolynomial.basis."""
+    basis = CoverPolynomial.basis(len(roots), ell)
+    alphas = sorted({alpha for alpha, _ in basis})
+    rows = []
+    for n in ns:
+        tables = _x_power_tables(field, roots, n, 2 * ell - 2)
+        monomials = {alpha: _monomial(tables, alpha) for alpha in alphas}
+        n_powers = [field.element(n ** beta) for beta in range(ell)]
+        rows.append([n_powers[beta] if monomials[alpha] is None
+                     else monomials[alpha] * n_powers[beta] for alpha, beta in basis])
+    return rows
+
+
 def reconstruct_p(values: Sequence[Tuple[int, FieldElement]],
-                  roots: Sequence[FieldElement], ell: int, r: int,
-                  validate_rest: bool = True) -> CoverPolynomial:
+                  roots: Sequence[FieldElement], ell: int, r: int) -> CoverPolynomial:
     """Solve for the cover polynomial from consecutive sequence values.
 
     Needs at least (ell-1) * C(r + 2ell - 2, r) values; the first that many
@@ -293,26 +326,8 @@ def reconstruct_p(values: Sequence[Tuple[int, FieldElement]],
                               f"says {needed}")
     if len(values) < needed:
         raise ParseError(f"need {needed} values, got {len(values)}")
-    one = field.one()
-
-    def row_for(n: int):
-        xs = []
-        for lam in roots:
-            diff = one - lam ** n
-            if diff.is_zero():
-                raise ResonantRoot(f"lam^{n} = 1 inside the window")
-            xs.append(diff.inverse())
-        row = []
-        for alpha, beta in basis:
-            v = field.element(Fraction(n) ** beta)
-            for x, a in zip(xs, alpha):
-                if a:
-                    v = v * x ** a
-            row.append(v)
-        return row
-
     window = values[:needed]
-    A = [row_for(n) for n, _ in window]
+    A = reconstruction_matrix(field, roots, ell, [n for n, _ in window])
     b = [field.element(v.coords[0]) if isinstance(v, FieldElement) and v.field.degree == 1
          else v for _, v in window]
     try:
@@ -322,10 +337,9 @@ def reconstruct_p(values: Sequence[Tuple[int, FieldElement]],
                              "(resonance or bad window)") from exc
     terms = {key: c for key, c in zip(basis, coeffs) if not c.is_zero()}
     p = CoverPolynomial(field, ell, list(roots), terms)
-    if validate_rest:
-        for n, v in values[needed:]:
-            if p.evaluate(n) != v:
-                raise HoldoutMismatchError(f"reconstruction fails at held-out n = {n}")
+    for n, v in values[needed:]:
+        if p.evaluate(n) != v:
+            raise HoldoutMismatchError(f"reconstruction fails at held-out n = {n}")
     return p
 
 

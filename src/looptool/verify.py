@@ -16,11 +16,12 @@ from .circulant import BlockCirculant, block_diagonalize_check, cover_blocks_fro
 from .diagrams import connected_multigraphs, enumerate_flows, is_conserved, \
     weight_direct, weight_flow
 from .errors import RootOfUnityPole
-from .knots import fixture
+from .knots import FIELD_SQRT21, fixture
 from .laurent import LaurentPolynomial, RationalFunction
-from .linalg import mat_mul
+from .linalg import mat_mul, solve, solve_gauss_jordan
 from .numberfield import QQ
-from .powersum import quad_to_delta_form, reconstruct_p
+from .powersum import (CoverPolynomial, quad_to_delta_form, reconstruct_p,
+                       reconstruction_matrix)
 from .rootsum import (av_exact, av_trace, cyclic_resultant, delta_basis_inverse,
                       delta_power_sums, delta_sum_value, pole_sum_closed)
 from .synth import (random_laurent_matrix, random_nz_data,
@@ -203,6 +204,17 @@ def suite_identities(seed: int = 0, prec: int = 50) -> List[Result]:
         if predict(n) != torus_sum_oracle(triangle, n):
             ok = False
     results.append(("torus-sum shape fit extrapolates exactly", ok, repro))
+    ok = True
+    for field, coords, ell in ((QQ, [[Fraction(3, 2)]], 4),
+                               (FIELD_SQRT21, [[Fraction(3, 2), Fraction(1, 2)]], 3)):
+        roots = [field.element(c) for c in coords]
+        size = len(CoverPolynomial.basis(len(roots), ell))
+        A = reconstruction_matrix(field, roots, ell, range(1, size + 1))
+        b = [field.element([Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+                            for _ in range(field.degree)]) for _ in A]
+        if solve(field, A, b) != solve_gauss_jordan(field, A, b):
+            ok = False
+    results.append(("p-adic solve matches Gauss-Jordan", ok, repro))
     return results
 
 

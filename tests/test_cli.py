@@ -192,6 +192,17 @@ def test_reconstruct_non_integer_n_exit_1(tmp_path, capsys):
     assert "'2.5'" in err
 
 
+def test_reconstruct_ell_below_two_exit_1(tmp_path, capsys):
+    values = tmp_path / "values.csv"
+    values.write_text("1,17/216,0,sqrt(-3)\n")
+    for ell in ("1", "0", "-3"):
+        code, _, err = run(["reconstruct", "--values", str(values),
+                            "--roots", os.path.join(DATA, "roots_4_1.json"),
+                            "--ell", ell, "--r", "1"], capsys)
+        _one_line_usage_error(code, err)
+        assert "--ell" in err
+
+
 def test_invalid_json_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"field": {"minpoly": ["0", "1"]},\n "num": ')

@@ -1,18 +1,28 @@
-"""Exact Gauss-Jordan elimination: inverse, square solve, consistent solve."""
+"""Exact linear algebra: Gauss-Jordan inverse and consistent solve, and the
+p-adic square solve checked against the Gauss-Jordan oracle."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import random_element
-from looptool.errors import SingularError
-from looptool.linalg import identity, mat_inv, mat_mul, solve, solve_consistent
+from looptool import linalg
+from looptool.errors import CrossCheckError, MathDomainError, SingularError
+from looptool.knots import FIELD_52
+from looptool.linalg import (PRIMES, identity, mat_inv, mat_mul, solve,
+                             solve_consistent, solve_gauss_jordan)
 from looptool.numberfield import QQ
 
 
 @pytest.fixture(params=["QQ", "sqrt21"])
 def field(request, field_sqrt21):
     return QQ if request.param == "QQ" else field_sqrt21
+
+
+@pytest.fixture(params=["QQ", "sqrt21", "FIELD_52"])
+def any_field(request, field_sqrt21):
+    return {"QQ": QQ, "sqrt21": field_sqrt21, "FIELD_52": FIELD_52}[request.param]
 
 
 def _random_matrix(rng, field, rows, cols):
@@ -35,15 +45,15 @@ def test_inverse_and_solve(field):
         assert _apply(A, solve(field, A, b)) == b
 
 
-def test_singular_matrix_raises(field):
+def test_singular_matrix_raises(any_field):
     rng = random.Random(6)
-    A = _random_matrix(rng, field, 3, 3)
+    A = _random_matrix(rng, any_field, 3, 3)
     A[2] = [a + b for a, b in zip(A[0], A[1])]
-    b = [random_element(rng, field) for _ in range(3)]
+    b = [random_element(rng, any_field) for _ in range(3)]
     with pytest.raises(SingularError):
-        mat_inv(field, A)
+        mat_inv(any_field, A)
     with pytest.raises(SingularError):
-        solve(field, A, b)
+        solve(any_field, A, b)
 
 
 def test_consistent_rank_deficient_system(field):
@@ -69,3 +79,77 @@ def test_inconsistent_system_raises(field):
     b[2] = b[0] + b[1] + 1
     with pytest.raises(SingularError):
         solve_consistent(field, A, b)
+
+
+# -- p-adic solve against the Gauss-Jordan oracle ---------------------------
+
+
+def _big_element(rng, field, bits):
+    return field.element([Fraction(rng.getrandbits(bits) - (1 << (bits - 1)),
+                                   rng.getrandbits(bits) | 1)
+                          for _ in range(field.degree)])
+
+
+def _integer_matrix(rng, diagonal):
+    """L D U with unit triangular integer L, U: its determinant is the
+    product of the diagonal of D."""
+    n = len(diagonal)
+    L = [[1 if i == j else rng.randint(-9, 9) if j < i else 0 for j in range(n)]
+         for i in range(n)]
+    DU = [[diagonal[i] if i == j else diagonal[i] * rng.randint(-9, 9) if j > i else 0
+           for j in range(n)] for i in range(n)]
+    return mat_mul(L, DU)
+
+
+def test_solve_rejects_non_square_systems():
+    one = QQ.one()
+    for A, b in (([[1, 2, 3]], [5]),
+                 ([[one, one], [one]], [one, one]),
+                 ([[one, one], [one, -one]], [one])):
+        with pytest.raises(MathDomainError):
+            solve(QQ, A, b)
+
+
+def test_padic_solve_matches_gauss_jordan(any_field):
+    rng = random.Random(11)
+    for n in (1, 2, 3, 5, 8):
+        A = _random_matrix(rng, any_field, n, n)
+        b = [random_element(rng, any_field) for _ in range(n)]
+        assert solve(any_field, A, b) == solve_gauss_jordan(any_field, A, b)
+
+
+def test_padic_solve_recovers_large_solutions(any_field):
+    # a 400-bit numerator over a 400-bit denominator needs a modulus above
+    # 2^800, i.e. at least 14 lifting steps; the 1 x 1 systems take early
+    # reconstructions that only the exact check A x = b rejects
+    rng = random.Random(12)
+    for n, bits in [(1, 400)] * 6 + [(2, 400), (4, 200), (7, 64)]:
+        A = _random_matrix(rng, any_field, n, n)
+        x = [_big_element(rng, any_field, bits) for _ in range(n)]
+        b = _apply(A, x)
+        assert solve(any_field, A, b) == x
+        assert solve_gauss_jordan(any_field, A, b) == x
+
+
+@pytest.mark.parametrize("singular_mod", [1, len(PRIMES)])
+def test_singular_modulo_listed_primes(singular_mod):
+    # nonsingular over Q, singular modulo the first `singular_mod` primes:
+    # the solve moves to the next prime, or Gauss-Jordan decides
+    rng = random.Random(13)
+    ints = _integer_matrix(rng, list(PRIMES[:singular_mod]) + [1, 1, 1])
+    for p in PRIMES[:singular_mod]:
+        with pytest.raises(SingularError):
+            linalg._ModularLU(ints, p)
+    A = [[QQ.element(v) for v in row] for row in ints]
+    x = [random_element(rng, QQ) for _ in A]
+    b = _apply(A, x)
+    assert solve(QQ, A, b) == x == solve_gauss_jordan(QQ, A, b)
+
+
+def test_step_cap_reached_raises_cross_check(monkeypatch):
+    rng = random.Random(15)
+    A = [[QQ.element(3)]]
+    b = _apply(A, [_big_element(rng, QQ, 400)])
+    monkeypatch.setattr(linalg, "_step_cap", lambda M, rhs, p: 2)
+    with pytest.raises(CrossCheckError):
+        solve(QQ, A, b)

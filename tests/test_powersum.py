@@ -7,14 +7,16 @@ import pytest
 
 from looptool.errors import (HoldoutMismatchError, RecursionMismatch,
                              SingularSystem, UnitCircleRoot)
-from looptool.knots import FIELD_SQRT21, fixture
+from looptool.knots import FIELD_52, FIELD_SQRT21, fixture
 from looptool.laurent import LaurentPolynomial, RationalFunction
+from looptool.linalg import solve, solve_gauss_jordan
 from looptool.numberfield import QQ
 from looptool.powersum import (CoverPolynomial, GeneralizedPowerSum,
                                asymptotic_fit_check, check_recurrence,
                                gps_to_series, leading_asymptotic,
                                quad_to_delta_form, reconstruct_p,
-                               series_coefficients, series_from_values)
+                               reconstruction_matrix, series_coefficients,
+                               series_from_values)
 
 LP = LaurentPolynomial
 
@@ -156,6 +158,53 @@ def test_singular_window_detected():
     with pytest.raises((SingularSystem, ResonantRoot)):
         reconstruct_p([(n, QQ.element(n)) for n in (1, 2, 3)],
                       [QQ.element(1)], 2, 1)
+
+
+#: Two non-resonant roots per field, neither the inverse of the other.
+RECONSTRUCTION_ROOTS = {
+    "QQ": (QQ, [[Fraction(3, 2)], [-3]]),
+    "sqrt21": (FIELD_SQRT21, [[Fraction(3, 2), Fraction(1, 2)],
+                              [Fraction(-3, 2), Fraction(1, 2)]]),
+    "FIELD_52": (FIELD_52, [[1, 1], [2, 0, 1]]),
+}
+
+
+def _both_solves(field, roots, ell, window):
+    A = reconstruction_matrix(field, roots, ell, [n for n, _ in window])
+    b = [v for _, v in window]
+    return solve(field, A, b), solve_gauss_jordan(field, A, b)
+
+
+@pytest.mark.parametrize("name", sorted(RECONSTRUCTION_ROOTS))
+def test_reconstruction_solve_matches_gauss_jordan(name, rng):
+    field, coords = RECONSTRUCTION_ROOTS[name]
+    roots = [field.element(c) for c in coords]
+    for r, ell, bits in ((1, 3, 8), (2, 2, 8), (1, 3, 300)):
+        basis = CoverPolynomial.basis(r, ell)
+        terms = {key: field.element([Fraction(rng.getrandbits(bits) - (1 << (bits - 1)),
+                                              rng.getrandbits(bits) | 1)
+                                     for _ in range(field.degree)])
+                 for key in basis}
+        planted = CoverPolynomial(field, ell, roots[:r], terms)
+        values = [(n, planted.evaluate(n)) for n in range(1, len(basis) + 3)]
+        fast, oracle = _both_solves(field, roots[:r], ell, values[:len(basis)])
+        assert fast == oracle == [terms[key] for key in basis]
+        assert reconstruct_p(values, roots[:r], ell, r) == planted
+
+
+def test_41_ell3_solve_matches_gauss_jordan():
+    fx = fixture("4_1")
+    values = [(n, fx.phi_average(3, n).value) for n in range(1, 11)]
+    fast, oracle = _both_solves(fx.lam.field, [fx.lam], 3, values)
+    assert fast == oracle
+
+
+def test_reciprocal_pair_window_is_singular():
+    # x_1 + x_2 = 1 for the roots 2 and 1/2, so the basis columns are
+    # dependent for every window
+    with pytest.raises(SingularSystem):
+        reconstruct_p([(n, QQ.element(n)) for n in range(1, 7)],
+                      [QQ.element(2), QQ.element(Fraction(1, 2))], 2, 2)
 
 
 def test_json_roundtrip_and_symmetric_alpha(field_sqrt21):
