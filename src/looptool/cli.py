@@ -22,7 +22,7 @@ import mpmath
 
 from .errors import (CrossCheckError, HoldoutMismatchError, LoopToolError,
                      MathDomainError, ParseError, SingularError)
-from .knots import KnotFixture, fixture, phi_integrand
+from .knots import KnotFixture, fixture, phi_integrand, phi_numerators
 from .laurent import LaurentPolynomial, RationalFunction
 from .numberfield import FieldElement, NumberField, QQ, parse_rational
 from .powersum import reconstruct_p
@@ -127,7 +127,8 @@ def _load_avg_input(path):
             if not isinstance(coeffs, list):
                 raise ParseError(f"delta_powers[{k!r}] must be a list of coefficients")
             table[k_int] = [FieldElement.from_json(c, field) for c in coeffs]
-        return (lambda n: phi_integrand(delta, table, n)), field, unit
+        numerators = phi_numerators(delta, table)
+        return (lambda n: phi_integrand(numerators, n)), field, unit
     if "num" not in obj or "den" not in obj:
         raise ParseError("rational-function file needs num/den or delta_powers")
     rf = RationalFunction.from_json(obj, field)
@@ -195,9 +196,10 @@ def cmd_knot(args) -> int:
             base = values[primary]
             for name, v in values.items():
                 if v != base:
-                    print(f"MISMATCH at n = {n}: {primary} != {name}",
-                          file=sys.stderr)
-                    raise CrossCheckError(f"cross-method disagreement at n = {n}")
+                    raise CrossCheckError(
+                        f"{primary} and {name} disagree at n = {n}: "
+                        f"{primary} = {_format_value(base.value, base.sqrt_m3)}, "
+                        f"{name} = {_format_value(v.value, v.sqrt_m3)}")
             print(f"{n},{_format_value(base.value, base.sqrt_m3)}")
         return 0
     return _knot_from_file(args)

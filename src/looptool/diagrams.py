@@ -24,7 +24,6 @@ grade one, vertex factors carry their declared grades.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -242,13 +241,6 @@ class VertexFactorTable:
             gamma0 = (FieldElement.from_json(g["value"], field),
                       int(g.get("grade", 0)))
         return cls(factors, grades, gamma0)
-
-
-def load_diagram(path, field: NumberField):
-    """Read a diagram file: (FeynmanDiagram, VertexFactorTable)."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    return FeynmanDiagram.from_json(obj), VertexFactorTable.from_json(obj, field)
 
 
 # ---------------------------------------------------------------------------

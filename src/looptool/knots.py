@@ -9,13 +9,19 @@ xi ~ -0.662 - 0.562i of xi^3 - xi - 1.
 Three independent routes to the same numbers exist for 4_1 (average over
 roots of unity, generalized-power-sum closed form, generating series), which
 is what the test suite leans on.
+
+The average route sums phi_ell^c(t, n) = (P_0 + P_1/n + P_2/n^2)/delta^kmax
+over the n-th roots of unity.  A fixture builds P_0, P_1, P_2 and delta^kmax
+once per ell, on first use, and each row only combines them, leaving the
+fraction unreduced.  The generating-series route keeps a prefix of series
+coefficients that at least doubles when it grows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import mpmath
 
@@ -81,23 +87,26 @@ def _el52(c0="0", c1="0", c2="0") -> FieldElement:
     return FIELD_52.element([_q(str(c0)), _q(str(c1)), _q(str(c2))])
 
 
-def phi_integrand(delta: LaurentPolynomial,
-                  table: Dict[int, List[FieldElement]], n: int) -> RationalFunction:
-    """sum_k c_k(n) delta(t)^(-k) for fixed n, as one fraction over
-    delta^kmax with kmax the largest k or 0; table maps k to [c0, c1, ...]
-    with c_k(n) = sum_i c_i n^(-i)."""
+def phi_numerators(delta: LaurentPolynomial,
+                   table: Dict[int, List[FieldElement]]):
+    """([P_0, P_1, ...], delta^kmax) with sum_k c_k(n) delta(t)^(-k) equal to
+    sum_i P_i n^(-i) / delta^kmax for every n; table maps k to [c0, c1, ...]
+    with c_k(n) = sum_i c_i n^(-i), and kmax is the largest k or 0."""
     kmax = max([0, *table])
-    field = delta.field
-    num = LaurentPolynomial.zero(field)
-    inv_n = Fraction(1, n)
+    nums = [LaurentPolynomial.zero(delta.field)] * max(map(len, table.values()), default=0)
     for k, coeffs in table.items():
-        c = field.zero()
-        scale = Fraction(1)
-        for ci in coeffs:
-            c = c + ci * scale
-            scale *= inv_n
-        num = num + delta ** (kmax - k) * c
-    return RationalFunction(num, delta ** kmax)
+        for i, ci in enumerate(coeffs):
+            nums[i] = nums[i] + delta ** (kmax - k) * ci
+    return nums, delta ** kmax
+
+
+def phi_integrand(numerators, n: int, reduce: bool = True) -> RationalFunction:
+    """sum_i P_i n^(-i) / delta^kmax for fixed n, from `phi_numerators`; in
+    lowest terms unless `reduce` is false."""
+    nums, den = numerators
+    num = sum((p * Fraction(1, n ** i) for i, p in enumerate(nums)),
+              LaurentPolynomial.zero(den.field))
+    return RationalFunction(num, den, reduce=reduce)
 
 
 class KnotFixture:
@@ -116,12 +125,18 @@ class KnotFixture:
         self.delta = delta
         self.phi = phi
         self.phi_units = phi_units
+        self._numerators: Dict[int, tuple] = {}
 
     def phi_rational_function(self, ell: int, n: int) -> RationalFunction:
-        """phi_ell^c(t, n) for fixed n, over the fixture field."""
+        """phi_ell^c(t, n) for fixed n, over the fixture field, as the
+        unreduced fraction over delta^kmax: the sum over roots of unity does
+        not depend on the representative, and the numerators are built once
+        per ell."""
         if ell not in self.phi:
             raise ParseError(f"no phi table for ell = {ell}")
-        return phi_integrand(self.delta, self.phi[ell], n)
+        if ell not in self._numerators:
+            self._numerators[ell] = phi_numerators(self.delta, self.phi[ell])
+        return phi_integrand(self._numerators[ell], n, reduce=False)
 
     def phi_average(self, ell: int, n: int) -> TaggedValue:
         """Av_n(phi_ell^c(t, n)), exact."""
@@ -208,7 +223,8 @@ class FigureEightFixture(KnotFixture):
             raise ParseError(f"no series for ell = {ell}")
         cache = self._series_coeff_cache.setdefault(ell, [])
         if len(cache) <= n:
-            cache[:] = series_coefficients(self.series[ell], n + 1)
+            # at least doubling, so that a table costs one prefix, not n
+            cache[:] = series_coefficients(self.series[ell], 2 * (n + 1))
         a_n = cache[n]
         one = FIELD_SQRT21.one()
         resultant = (one - self.lam ** n) * (one - self.lam_inv ** n)

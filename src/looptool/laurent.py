@@ -241,6 +241,9 @@ class LaurentPolynomial:
             acc = acc + term
         return acc
 
+    #: Evaluation at x = n, for Laurent polynomials in the cover degree.
+    at = eval
+
     # -- division --------------------------------------------------------------
 
     def divmod_poly(self, other: "LaurentPolynomial"):

@@ -55,10 +55,11 @@ def format_rational(q: Fraction) -> str:
 # ---------------------------------------------------------------------------
 # Dense univariate polynomials, as coefficient lists [c0, c1, ...] with no
 # trailing zeros.  This is the one dense kernel of the package: it serves the
-# Fraction coefficients of minimal polynomials here and the FieldElement
-# coefficients of rootsum and laurent.  It is generic over the coefficient
-# ring and uses only + - * /, truthiness and the `zero` and `one` the caller
-# passes in.
+# Fraction coefficients of minimal polynomials here, the FieldElement
+# coefficients of rootsum and laurent, and ints (rootsum's powers of t modulo
+# a monic integer polynomial, divided without /).  It is generic over the
+# coefficient ring and uses only + - * /, ==, truthiness and the `zero` and
+# `one` the caller passes in.
 # ---------------------------------------------------------------------------
 
 def poly_trim(p: list) -> list:
@@ -85,7 +86,7 @@ def poly_divmod(a: Sequence, b: Sequence, zero, one):
     rem = list(a)
     db = len(b) - 1
     quo = [zero] * max(0, len(rem) - db)
-    lead_inv = one / b[-1]
+    lead_inv = one if b[-1] == one else one / b[-1]
     while len(rem) > db:
         c = rem.pop()
         if c:
@@ -140,10 +141,6 @@ def _poly_deriv(p):
 # ---------------------------------------------------------------------------
 # Exact complex rational arithmetic (re, im) pairs, used by the certifier.
 # ---------------------------------------------------------------------------
-
-def _c_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
 
 def _c_mul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])

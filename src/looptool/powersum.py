@@ -29,7 +29,7 @@ from .errors import (CrossCheckError, HoldoutMismatchError, ParseError,
 from .laurent import LaurentPolynomial, RationalFunction
 from .linalg import solve
 from .numberfield import FieldElement, NumberField, QQ
-from .rootsum import XLaurent, delta_basis_inverse
+from .rootsum import delta_basis_inverse
 
 
 class GeneralizedPowerSum:
@@ -450,9 +450,6 @@ class DeltaForm:
         from .rootsum import av_exact
         return av_exact(self.as_rational_function(n), n)
 
-    def x_degree(self) -> int:
-        return max((i for i, _ in self.terms), default=0)
-
     def y_degree(self) -> int:
         return max((j for _, j in self.terms), default=0)
 
@@ -472,7 +469,7 @@ def quad_to_delta_form(p: CoverPolynomial) -> DeltaForm:
     field = p.field
     a_max = max((alpha[0] for (alpha, _) in p.terms), default=0)
     beta_rows = delta_basis_inverse(lam, a_max) if a_max > 0 else \
-        [[XLaurent.constant(field, 1)]]
+        [[LaurentPolynomial.one(field)]]
     out: Dict[Tuple[int, int], FieldElement] = {}
     for (alpha, beta), c in p.terms.items():
         a = alpha[0]

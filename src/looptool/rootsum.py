@@ -9,18 +9,23 @@ at the roots of Q:
 
     sum_{w^n = 1} r(w)/Q(w) = -n [t^(d-1)] (r t^(n-1) (t^n - 1)^(-1) mod Q) / lc(Q).
 
-This holds for repeated roots too.  t^(n-1) mod Q comes from binary powering
-and (t^n - 1)^(-1) from the extended Euclidean algorithm mod Q, which fails
-exactly when Q vanishes at an n-th root of unity.  The cost is O(d^2 log n)
-field operations.  Numerators with negative exponents move their power of t
-into Q; t^n - 1 stays a unit modulo a power of t.
+This holds for repeated roots too.  t^(n-1) mod Q comes from binary powering,
+over Z when Q is over Q and monic integral up to a scalar.  x = t^(n-1)
+(t^n - 1)^(-1) mod Q solves M_u x = t^(n-1), where M_u, with columns
+u t^j mod Q, is multiplication by u = t^n - 1 in F[t]/(Q) (von zur Gathen and
+Gerhard, Modern Computer Algebra, ch. 4-5); `linalg.solve` solves it by
+p-adic lifting with an exact check.  M_u is singular exactly when Q vanishes
+at an n-th root of unity.  Numerators with negative exponents move their
+power of t into Q; t^n - 1 stays a unit modulo a power of t.
+`av_residue_euclid`, an oracle, takes (t^n - 1)^(-1) from the extended
+Euclidean algorithm mod Q instead, in O(d^2 log n) field operations.
 
 The oracle `av_trace` takes a second route: for the n x n cyclic-shift
 matrix C (the companion matrix of t^n - 1), whose eigenvalues are the n-th
 roots of unity, the sum is trace f(C).  f(C) lives in F[C] = F[t]/(t^n - 1):
 fold the exponents mod n, invert the folded denominator against t^n - 1 and
 multiply; the trace is n times the constant coefficient.  The inverse
-comes from the same extended Euclid as above, run against t^n - 1.
+comes from the extended Euclid of the dense kernel, run against t^n - 1.
 `CyclicMatrixImage` builds that full cyclic image for every entry of a
 propagator matrix, with one inverse per distinct denominator; `diagrams`
 and `circulant` use it, `synth` inverts mod t^n - 1 directly.  Neither
@@ -37,6 +42,7 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import (ParseError, PoleOnTorus, ResonantRoot, RootOfUnityPole,
                      SingularError)
 from .laurent import LaurentPolynomial, RationalFunction, partial_fractions
+from .linalg import solve, solve_consistent, transpose
 from .numberfield import (QQ, FieldElement, NumberField, poly_divmod, poly_invmod,
                           poly_mulmod, poly_t_power_mod, poly_trim)
 
@@ -157,9 +163,10 @@ def av_trace(f: RationalFunction | LaurentPolynomial, n: int) -> FieldElement:
     return ratfun_mod_cyclic(f, n)[0] * n
 
 
-def av_exact(f: RationalFunction | LaurentPolynomial, n: int) -> FieldElement:
-    """Exact sum of f over all n-th roots of unity, by residues in F[t]/(Q)
-    (see the module docstring)."""
+def _root_sum(f: RationalFunction | LaurentPolynomial, n: int, divide):
+    """The residue route of the module docstring; divide(a, M_u, Q) is a / u
+    mod Q for a = t^(n-1) mod Q and u = t^n - 1 (see `_unit_matrix`), or
+    None when u is not a unit mod Q."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(f, LaurentPolynomial):
@@ -178,19 +185,66 @@ def av_exact(f: RationalFunction | LaurentPolynomial, n: int) -> FieldElement:
         total = total + quo[k]
     d = len(den) - 1
     if d:
-        power = poly_t_power_mod(n - 1, den, zero, one)
-        # t^n - 1 mod Q
-        unit = poly_divmod([zero] + power, den, zero, one)[1] or [zero]
-        unit[0] = unit[0] - one
-        inv = poly_invmod(unit, den, zero, one)
-        if inv is None:
+        x = divide(*_unit_matrix(n, den, f.field), den)
+        if x is None:
             raise RootOfUnityPole(
                 f"denominator vanishes at an {n}-th root of unity")
-        residue = poly_mulmod(rem, poly_mulmod(power, inv, den, zero, one),
-                              den, zero, one)
+        residue = poly_mulmod(rem, x, den, zero, one)
         if len(residue) == d:
             total = total - residue[d - 1] * den[d].inverse()
     return total * n
+
+
+def _unit_matrix(n: int, den, field: NumberField):
+    """t^(n-1) mod Q and the matrix M_u of multiplication by u = t^n - 1 in
+    F[t]/(Q), both padded to length d: column j of M_u is u t^j mod Q.
+    When Q is over Q and Q / lc(Q) is integral, both are built over Z modulo
+    Q / lc(Q), free of Fractions."""
+    m, zero, one = den, field.zero(), field.one()
+    if field.degree == 1:
+        monic = [c.coords[0] / den[-1].coords[0] for c in den]
+        if all(q.denominator == 1 for q in monic):
+            m, zero, one = [q.numerator for q in monic], 0, 1
+    d = len(den) - 1
+    power = poly_t_power_mod(n - 1, m, zero, one)
+    col = poly_divmod([zero] + power, m, zero, one)[1] or [zero]
+    col[0] = col[0] - one
+    columns = []
+    for _ in range(d):
+        columns.append(col)
+        col = poly_divmod([zero] + col, m, zero, one)[1]
+
+    def lift(p):
+        return ([c if m is den else FieldElement(field, (Fraction(c),)) for c in p]
+                + [field.zero()] * (d - len(p)))
+    return lift(power), transpose([lift(c) for c in columns])
+
+
+def _divide_by_solve(a, M_u, den):
+    """The solution of M_u x = a; M_u is singular exactly when u is not a
+    unit mod Q."""
+    try:
+        return poly_trim(solve(den[-1].field, M_u, a))
+    except SingularError:
+        return None
+
+
+def _divide_by_euclid(a, M_u, den):
+    zero, one = den[-1].field.zero(), den[-1].field.one()
+    inv = poly_invmod([row[0] for row in M_u], den, zero, one)
+    return None if inv is None else poly_mulmod(a, inv, den, zero, one)
+
+
+def av_exact(f: RationalFunction | LaurentPolynomial, n: int) -> FieldElement:
+    """Exact sum of f over all n-th roots of unity, by residues in F[t]/(Q)
+    and an exact linear solve (see the module docstring)."""
+    return _root_sum(f, n, _divide_by_solve)
+
+
+def av_residue_euclid(f: RationalFunction | LaurentPolynomial, n: int) -> FieldElement:
+    """av_exact with (t^n - 1)^(-1) mod Q from the extended Euclidean
+    algorithm: the oracle for av_exact's linear solve."""
+    return _root_sum(f, n, _divide_by_euclid)
 
 
 # ---------------------------------------------------------------------------
@@ -415,106 +469,36 @@ def delta_sum_value(lam: FieldElement, j: int, n: int) -> FieldElement:
     return acc
 
 
-# ---------------------------------------------------------------------------
-# Laurent polynomials in x over a field: used to invert the triangular
-# power-sum tables, whose inverse entries are polynomials in 1/x.
-# ---------------------------------------------------------------------------
-
-class XLaurent:
-    """Sparse Laurent polynomial in an abstract variable x over a field."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs: Dict[int, FieldElement]):
-        self.field = field
-        self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
-
-    @classmethod
-    def from_xpoly(cls, p: XPoly) -> "XLaurent":
-        return cls(p.field, {i: c for i, c in enumerate(p.coeffs)})
-
-    @classmethod
-    def constant(cls, field, c) -> "XLaurent":
-        return cls(field, {0: field.element(c) if not isinstance(c, FieldElement) else c})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, self.field.zero()) + v
-        return XLaurent(self.field, out)
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, self.field.zero()) - v
-        return XLaurent(self.field, out)
-
-    def __mul__(self, other):
-        out: Dict[int, FieldElement] = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                k = i + j
-                prod = a * b
-                out[k] = out[k] + prod if k in out else prod
-        return XLaurent(self.field, out)
-
-    def scale(self, c):
-        return XLaurent(self.field, {k: v * c for k, v in self.coeffs.items()})
-
-    def monomial_inverse(self) -> "XLaurent":
-        if len(self.coeffs) != 1:
-            raise ValueError("only monomials invert to Laurent polynomials")
-        (k, c), = self.coeffs.items()
-        return XLaurent(self.field, {-k: c.inverse()})
-
-    def at(self, n) -> FieldElement:
-        """Evaluate at x = n (n a nonzero integer or field element)."""
-        acc = self.field.zero()
-        npos = self.field.element(n) if not isinstance(n, FieldElement) else n
-        for k, c in self.coeffs.items():
-            acc = acc + c * npos ** k
-        return acc
-
-    def max_exp(self):
-        return max(self.coeffs) if self.coeffs else 0
-
-    def min_exp(self):
-        return min(self.coeffs) if self.coeffs else 0
-
-
-def delta_basis_inverse(lam: FieldElement, k: int) -> List[List[XLaurent]]:
+def delta_basis_inverse(lam: FieldElement, k: int) -> List[List[LaurentPolynomial]]:
     """Inverse beta of the lower-triangular alpha matrix of delta_power_sums.
 
     Row a of the result expresses 1/(1 - lam^n)^a as
 
         sum_i beta_{a,i}(1/n) * S_i(n),   S_0 = 1, S_i = sum_{t^n=1} delta(t)^(-i),
 
-    with beta entries Laurent polynomials in x = n carrying only non-positive
-    exponents (i.e. genuine polynomials in 1/n).
+    with beta entries Laurent polynomials in x = n (evaluated by `at`)
+    carrying only non-positive exponents (i.e. genuine polynomials in 1/n).
     """
     _check_quadratic_root(lam)
     field = lam.field
-    rows = delta_power_sums(lam, k)
-    # alpha as (k+1)x(k+1) lower-triangular XLaurent matrix: alpha[j][i]
-    alpha = [[XLaurent(field, {}) for _ in range(k + 1)] for _ in range(k + 1)]
+    zero = LaurentPolynomial.zero(field)
+    # alpha[j][i] as Laurent polynomials in x; the diagonal entries are
+    # monomials c x^j
+    alpha = [[LaurentPolynomial.from_coeff_list(field, poly.coeffs) for poly in row]
+             for row in delta_power_sums(lam, k)]
+    inv_diag = []
     for j in range(k + 1):
-        for i, poly in enumerate(rows[j]):
-            alpha[j][i] = XLaurent.from_xpoly(poly)
-    beta = [[XLaurent(field, {}) for _ in range(k + 1)] for _ in range(k + 1)]
+        (e, c), = alpha[j][j].coeffs.items()
+        inv_diag.append(LaurentPolynomial(field, {-e: c.inverse()}))
+    beta = [[zero] * (k + 1) for _ in range(k + 1)]
     for a in range(k + 1):
-        # diagonal entries are monomials c * x^a
-        diag = alpha[a][a]
-        beta_aa = diag.monomial_inverse()
-        beta[a][a] = beta_aa
+        beta[a][a] = inv_diag[a]
         for j in range(a - 1, -1, -1):
             # solve sum_{i=j..a} beta[a][i] * alpha[i][j] = 0
-            acc = XLaurent(field, {})
+            acc = zero
             for i in range(j + 1, a + 1):
                 acc = acc + beta[a][i] * alpha[i][j]
-            beta[a][j] = (XLaurent(field, {}) - acc) * alpha[j][j].monomial_inverse()
+            beta[a][j] = -acc * inv_diag[j]
     for a in range(k + 1):
         for i in range(k + 1):
             if beta[a][i].coeffs and beta[a][i].max_exp() > 0:
@@ -696,7 +680,6 @@ def fit_rational_shape(values, constants: Sequence[FieldElement], d: int,
             row.append(v)
         return row
 
-    from .linalg import solve_consistent
     A = [basis_row(n) for n, _ in values]
     b = [v for _, v in values]
     coeffs = solve_consistent(field, A, b)

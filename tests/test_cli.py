@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 
+import pytest
+
 from looptool.cli import main
 from looptool.knots import FIELD_SQRT21, fixture
 
@@ -271,6 +273,46 @@ def test_bundle_table_golden(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "480867719df60f666a11f3a23bc6fc39b4691f8b274a032bb40ac7cae9e87ddb"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--knot", "5_2", "--loop", "3", "--nmax", "25", "--mode", "average"],
+     "1636f6b4711efc3a137184069544eb6fbbb65f32cf6debcbf5314b29e367abf3"),
+    (["--knot", "4_1", "--loop", "3", "--nmax", "60", "--mode", "all"],
+     "a71ad6cd123753308f242513ace5c22daa6efb42c5870cda89b21961e3d1f8cc"),
+], ids=["5_2-average", "4_1-all"])
+def test_knot_table_golden(argv, digest, capsys):
+    code, out, _ = run(["knot"] + argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_knot_cross_check_failure_names_routes_and_values(monkeypatch, capsys):
+    fx = fixture("4_1")
+    real = fx.series_value
+
+    def off_at_three(ell, n):
+        value = real(ell, n)
+        return value.scale(2) if n == 3 else value
+
+    monkeypatch.setattr(fx, "series_value", off_at_three)
+    code, out, err = run(["knot", "--knot", "4_1", "--loop", "3",
+                          "--nmax", "5", "--mode", "all"], capsys)
+    assert code == 3
+    assert len(out.strip().splitlines()) == 2
+    good = fx.phi_average(3, 3).value
+    assert err.strip().splitlines() == [
+        f"cross-check failure: average and series disagree at n = 3: "
+        f"average = {good.coords[0]}, series = {(good * 2).coords[0]}"]
+
+
+def test_avg_phi_table_keeps_cancelling_root_of_unity_pole(tmp_path, capsys):
+    # delta = (t - 1)^2 / t vanishes at t = 1, but delta / delta = 1
+    path = tmp_path / "cancel.json"
+    path.write_text(json.dumps({"delta": {"1": "1", "0": "-2", "-1": "1"},
+                                "delta_powers": {"1": ["0"], "0": ["1"]}}))
+    code, out, _ = run(["avg", "--f", str(path), "--n", "4"], capsys)
+    assert code == 0 and out.strip() == "4"
 
 
 def _avg_with_delta_powers(tmp_path, capsys, delta_powers):

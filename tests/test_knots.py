@@ -5,8 +5,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from looptool.knots import (FIELD_52, FIELD_SQRT21, TaggedValue, fixture,
-                            export_csv_rows)
+from looptool.knots import (FIELD_52, FIELD_SQRT21, FigureEightFixture,
+                            TaggedValue, export_csv_rows, fixture,
+                            phi_integrand, phi_numerators)
+from looptool.laurent import LaurentPolynomial, RationalFunction
 from looptool.nzdata import is_palindromic_up_to_unit
 from looptool.numberfield import QQ
 
@@ -124,3 +126,40 @@ def test_unknown_fixture_rejected():
     from looptool.errors import ParseError
     with pytest.raises(ParseError):
         fixture("6_2")
+
+
+@pytest.mark.parametrize("name", ["4_1", "5_2"])
+def test_phi_rational_function_is_the_phi_sum(name):
+    # the unreduced fraction over delta^kmax built from the cached numerators
+    # equals sum_k c_k(n) delta^(-k) assembled term by term, and its reduced
+    # form is what `phi_integrand` gives
+    fx = fixture(name)
+    inv_delta = RationalFunction(LaurentPolynomial.one(fx.field), fx.delta)
+    for ell, table in fx.phi.items():
+        for n in (1, 2, 7):
+            expect = RationalFunction.from_poly(LaurentPolynomial.zero(fx.field))
+            for k, coeffs in table.items():
+                c = sum((ci * Fraction(1, n ** i) for i, ci in enumerate(coeffs)),
+                        fx.field.zero())
+                expect = expect + inv_delta ** k * c
+            got = fx.phi_rational_function(ell, n)
+            assert got.den.degree_span() == (fx.delta ** max(table)).degree_span()
+            assert got.num * expect.den == expect.num * got.den, (ell, n)
+            reduced = phi_integrand(phi_numerators(fx.delta, table), n)
+            assert (reduced.num, reduced.den) == (expect.num, expect.den)
+
+
+def test_series_cache_grows_by_doubling(monkeypatch):
+    import looptool.powersum as powersum
+    counts = []
+    real = powersum.series_coefficients
+
+    def counted(rf, count):
+        counts.append(count)
+        return real(rf, count)
+
+    monkeypatch.setattr(powersum, "series_coefficients", counted)
+    fx = FigureEightFixture()
+    for n in range(1, 101):
+        assert fx.series_value(2, n) == fx.phi_closed(2, n)
+    assert len(counts) <= 7 and all(b >= 2 * a for a, b in zip(counts, counts[1:]))

@@ -10,9 +10,9 @@ from looptool.errors import PoleOnTorus, ResonantRoot, RootOfUnityPole
 from looptool.knots import FIELD_52, fixture
 from looptool.laurent import LaurentPolynomial, RationalFunction
 from looptool.numberfield import QQ
-from looptool.rootsum import (TorusSumSpec, _cyc_mul, av_exact, av_trace,
-                              cyclic_resultant, delta_basis_inverse,
-                              delta_power_sums, delta_sum_value,
+from looptool.rootsum import (TorusSumSpec, _cyc_mul, av_exact,
+                              av_residue_euclid, av_trace, cyclic_resultant,
+                              delta_basis_inverse, delta_power_sums, delta_sum_value,
                               fit_rational_shape, fold_mod_cyclic,
                               invert_mod_cyclic, pole_sum_closed,
                               torus_sum_numeric, torus_sum_oracle)
@@ -149,6 +149,78 @@ def test_both_routes_raise_on_cyclotomic_factor():
                         route(h, n)
             else:
                 assert av_exact(h, n) == av_trace(h, n)
+
+
+# -- the linear solve against M_u, with the Euclid and trace routes as oracles --
+
+ROUTES = (av_exact, av_residue_euclid, av_trace)
+
+
+@pytest.fixture(params=["QQ", "sqrt21", "FIELD_52"])
+def any_field(request, field_sqrt21):
+    return {"QQ": QQ, "sqrt21": field_sqrt21, "FIELD_52": FIELD_52}[request.param]
+
+
+def test_solve_route_matches_euclid_and_trace(any_field):
+    field = any_field
+    rng = random.Random(101 + field.degree)
+    compared = 0
+    for _ in range(8 if field.degree == 1 else 4):
+        # a repeated factor, a power of t in Q, a numerator reaching below
+        # t^0 and at least as far as deg Q; unreduced on purpose
+        base = _random_poly(rng, field, 0, rng.randint(1, 2))
+        den = base ** rng.randint(2, 3) * _random_poly(rng, field, rng.randint(-2, 0),
+                                                       rng.randint(0, 2))
+        num = _random_poly(rng, field, rng.randint(-5, -1),
+                           den.max_exp() + rng.randint(0, 4))
+        f = RationalFunction(num, den, reduce=False)
+        for n in (1, 2, 3, 4, 7, 12):
+            outcomes = [_outcome(route, f, n) for route in ROUTES]
+            assert outcomes[0] == outcomes[1] == outcomes[2], (f, n)
+            compared += outcomes[0] != "pole"
+    assert compared >= 12
+
+
+def test_solve_route_on_a_hand_case():
+    # t^-2 + 3 t^5 over (1 - 2t)^2: negative exponents, deg P > deg Q, n = 1
+    f = RationalFunction(LP(QQ, {-2: 1, 5: 3}), LP(QQ, {0: 1, 1: -2}) ** 2)
+    assert av_exact(f, 1) == f.eval(QQ.one()) == 4
+    for n in range(1, 9):
+        assert av_exact(f, n) == av_residue_euclid(f, n) == av_trace(f, n)
+    with pytest.raises(ValueError):
+        av_residue_euclid(f, 0)
+
+
+@pytest.mark.parametrize("den", [DELTA_41 ** 3 * 11, LP(QQ, {0: 1, 1: 3, 2: -1}) ** 3],
+                         ids=["lc 1", "lc -1"])
+def test_solve_route_on_large_coefficients(den):
+    # t^(n-1) mod Q and the solution grow with n: many lifting steps; both
+    # denominators are integral and monic up to sign, so the powers of t
+    # are taken over Z
+    f = RationalFunction(LP(QQ, {-3: 2, 1: -7, 6: 1}), den)
+    for n in (40, 97):
+        value = av_exact(f, n)
+        assert value == av_residue_euclid(f, n) == av_trace(f, n)
+        assert value.coords[0].denominator.bit_length() > 100
+
+
+def test_all_routes_raise_on_cyclotomic_factors(any_field):
+    field = any_field
+    rng = random.Random(17 + field.degree)
+    cyclotomic = {1: LP(field, {0: -1, 1: 1}), 2: LP(field, {0: 1, 1: 1}),
+                  3: LP(field, {0: 1, 1: 1, 2: 1}), 4: LP(field, {0: 1, 2: 1})}
+    for order, phi in cyclotomic.items():
+        rest = _random_poly(rng, field, 0, 2) ** 2
+        num = _random_poly(rng, field, -1, 5)
+        for reduce in (True, False):
+            f = RationalFunction(num * (phi if not reduce else 1), phi * rest,
+                                 reduce=reduce)
+            for n in range(1, 7):
+                outcomes = [_outcome(route, f, n) for route in ROUTES]
+                if n % order == 0:
+                    assert outcomes == ["pole"] * 3, (order, n)
+                else:
+                    assert outcomes[0] == outcomes[1] == outcomes[2], (order, n)
 
 
 def test_both_routes_reject_n_below_one():
