@@ -1,7 +1,6 @@
 """Exact loop invariants of cyclic covers from twisted gluing data."""
 
-from .numberfield import (ComplexBall, FieldElement, NumberField, QQ,
-                          Rational, common_field)
+from .numberfield import ComplexBall, FieldElement, NumberField, QQ, Rational
 from .laurent import (LaurentMatrix, LaurentPolynomial, RationalFunction,
                       partial_fractions, proportional_up_to_unit)
 from .circulant import BlockCirculant, block_diagonalize_check, \
@@ -25,7 +24,7 @@ __all__ = [
     "LaurentMatrix", "LaurentPolynomial", "NumberField", "PeripheralRows",
     "QQ", "Rational", "RationalFunction", "TaggedValue", "TorusSumSpec",
     "TwistedNZData", "VertexFactorTable", "asymptotic_fit_check", "av_exact",
-    "block_diagonalize_check", "common_field", "connected_multigraphs",
+    "block_diagonalize_check", "connected_multigraphs",
     "cover_blocks_from_symbolic", "cyclic_resultant", "delta_basis_inverse",
     "delta_power_sums", "enumerate_flows", "fixture", "gps_to_series",
     "leading_asymptotic", "loop_invariant", "normalize_unit",

@@ -20,8 +20,8 @@ from typing import List, Optional
 
 import mpmath
 
-from .errors import (CrossCheckError, HoldoutMismatchError, LoopToolError,
-                     MathDomainError, ParseError, SingularError)
+from .errors import (CrossCheckError, HoldoutMismatchError, MathDomainError,
+                     ParseError, SingularError)
 from .knots import KnotFixture, fixture, phi_integrand, phi_numerators
 from .laurent import LaurentPolynomial, RationalFunction
 from .numberfield import FieldElement, NumberField, QQ, parse_rational
@@ -146,6 +146,8 @@ def _format_value(value: FieldElement, unit: bool) -> str:
 def cmd_avg(args) -> int:
     if args.n < 1:
         raise ParseError("--n must be >= 1")
+    if args.numeric_check is not None and args.numeric_check < 1:
+        raise ParseError(f"--numeric-check must be at least 1, got {args.numeric_check}")
     build, field, unit = _load_avg_input(args.f)
     rf = build(args.n)
     value = av_exact(rf, args.n)
@@ -257,12 +259,16 @@ def _load_values_csv(path, field: NumberField):
 def cmd_reconstruct(args) -> int:
     if args.ell < 2:
         raise ParseError(f"--ell must be at least 2, got {args.ell}")
+    if args.r < 1:
+        raise ParseError(f"--r must be at least 1, got {args.r}")
     roots_obj = _load_json(args.roots)
     if not isinstance(roots_obj, dict):
         raise ParseError("roots file must be a JSON object")
     for key in ("field", "roots"):
         if key not in roots_obj:
             raise ParseError(f"roots file needs a {key!r} key")
+    if not isinstance(roots_obj["roots"], list):
+        raise ParseError("'roots' must be a list")
     field = NumberField.from_json(roots_obj["field"])
     roots = [FieldElement.from_json(x, field) for x in roots_obj["roots"]]
     if len(roots) != args.r:

@@ -24,13 +24,14 @@ grade one, vertex factors carry their declared grades.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .circulant import BlockCirculant
 from .errors import (GradeMismatch, MissingVertexFactor, ParseError,
                      ValidationError)
-from .numberfield import FieldElement, NumberField, QQ, parse_rational
+from .numberfield import FieldElement, NumberField, QQ, parse_int, parse_rational
 from .rootsum import CyclicMatrixImage
 
 FlowAssignment = Tuple[int, ...]  # one residue per edge, aligned with .edges
@@ -151,9 +152,16 @@ class FeynmanDiagram:
     def from_json(cls, obj) -> "FeynmanDiagram":
         edges = obj.get("edges", [])
         vertices = obj.get("vertices", [])
+        if not (isinstance(edges, list)
+                and all(isinstance(e, list) and len(e) == 2 for e in edges)):
+            raise ParseError("'edges' must be a list of [u, v] pairs")
+        if not (isinstance(vertices, list) and all(isinstance(v, dict) for v in vertices)):
+            raise ParseError("'vertices' must be a list of objects")
+        edges = [(parse_int(u, "edge endpoint"), parse_int(v, "edge endpoint"))
+                 for u, v in edges]
         sigma = obj.get("symmetry_factor", "1")
         diag = cls(len(vertices), edges, sigma)
-        declared = [int(v.get("degree", -1)) for v in vertices]
+        declared = [parse_int(v.get("degree", -1), "degree") for v in vertices]
         for i, d in enumerate(declared):
             if d >= 0 and d != diag.degrees[i]:
                 raise ValidationError(
@@ -170,21 +178,8 @@ def enumerate_flows(G: FeynmanDiagram, n: int) -> Iterator[FlowAssignment]:
     if n < 1:
         raise ValueError("n must be >= 1")
     exponents = G.edge_exponents()
-    d = G.first_betti
-    idx = [0] * d
-    while True:
+    for idx in itertools.product(range(n), repeat=G.first_betti):
         yield tuple(sum(c * x for c, x in zip(vec, idx)) % n for vec in exponents)
-        pos = 0
-        while pos < d:
-            idx[pos] += 1
-            if idx[pos] < n:
-                break
-            idx[pos] = 0
-            pos += 1
-        else:
-            break
-        if d == 0:
-            break
 
 
 def is_conserved(G: FeynmanDiagram, flow: FlowAssignment, n: int) -> bool:
@@ -228,18 +223,27 @@ class VertexFactorTable:
     @classmethod
     def from_json(cls, obj, field: NumberField) -> "VertexFactorTable":
         vf = obj.get("vertex_factors", {})
+        if not isinstance(vf, dict):
+            raise ParseError("'vertex_factors' must be an object")
         grades = {}
         factors = {}
         for k, v in vf.items():
             if k == "hbar_grade":
-                grades = {int(kk): int(vv) for kk, vv in v.items()}
+                if not isinstance(v, dict):
+                    raise ParseError("'hbar_grade' must be an object")
+                grades = {parse_int(kk, "degree"): parse_int(vv, "hbar grade")
+                          for kk, vv in v.items()}
                 continue
-            factors[int(k)] = [FieldElement.from_json(e, field) for e in v]
+            if not isinstance(v, list):
+                raise ParseError(f"vertex_factors[{k!r}] must be a list")
+            factors[parse_int(k, "degree")] = [FieldElement.from_json(e, field) for e in v]
         gamma0 = None
-        if "gamma0" in obj and obj["gamma0"] is not None:
+        if obj.get("gamma0") is not None:
             g = obj["gamma0"]
+            if not isinstance(g, dict) or "value" not in g:
+                raise ParseError("'gamma0' must be an object with a 'value'")
             gamma0 = (FieldElement.from_json(g["value"], field),
-                      int(g.get("grade", 0)))
+                      parse_int(g.get("grade", 0), "gamma0 grade"))
         return cls(factors, grades, gamma0)
 
 
@@ -287,8 +291,7 @@ def _contract(G: FeynmanDiagram, table: VertexFactorTable, N: int,
     m = len(cycle_tree)
     result: Dict[int, FieldElement] = {}
     zero_key = (0,) * len(free_idx)
-    labeling = [0] * G.n_vertices
-    while True:
+    for labeling in itertools.product(range(N), repeat=G.n_vertices):
         value = field.one()
         grade = len(G.edges)
         for v in range(G.n_vertices):
@@ -312,15 +315,6 @@ def _contract(G: FeynmanDiagram, table: VertexFactorTable, N: int,
             contrib = total * n
             if not contrib.is_zero():
                 result[grade] = result.get(grade, field.zero()) + contrib
-        pos = 0
-        while pos < G.n_vertices:
-            labeling[pos] += 1
-            if labeling[pos] < N:
-                break
-            labeling[pos] = 0
-            pos += 1
-        else:
-            break
     inv_sigma = field.element(1 / G.symmetry_factor)
     return {g: v * inv_sigma for g, v in result.items() if not v.is_zero()}
 
@@ -351,8 +345,7 @@ def weight_direct(G: FeynmanDiagram, n: int, pi_cover: BlockCirculant,
         field = pi_cover.field
     size = n * N
     result: Dict[int, FieldElement] = {}
-    labeling = [0] * G.n_vertices
-    while True:
+    for labeling in itertools.product(range(size), repeat=G.n_vertices):
         value = field.one()
         grade = len(G.edges)
         for v in range(G.n_vertices):
@@ -366,15 +359,6 @@ def weight_direct(G: FeynmanDiagram, n: int, pi_cover: BlockCirculant,
                     break
             if not value.is_zero():
                 result[grade] = result.get(grade, field.zero()) + value
-        pos = 0
-        while pos < G.n_vertices:
-            labeling[pos] += 1
-            if labeling[pos] < size:
-                break
-            labeling[pos] = 0
-            pos += 1
-        else:
-            break
     inv_sigma = field.element(1 / G.symmetry_factor)
     return {g: v * inv_sigma for g, v in result.items() if not v.is_zero()}
 

@@ -174,8 +174,6 @@ class FigureEightFixture(KnotFixture):
             2: TaggedValue(FIELD_SQRT21.element(_q("55/1512")), True),
             3: TaggedValue(self.sqrt21 * _q("-317/238140"), False),
         }
-        t = LaurentPolynomial.variable(QQ)
-        one = LaurentPolynomial.one(QQ)
         quad = LaurentPolynomial(QQ, {0: 1, 1: -5, 2: 1})          # 1 - 5t + t^2
         quad2 = LaurentPolynomial(QQ, {0: 1, 1: -23, 2: 1})        # (1-lam^2 t)(1-lam^-2 t)
         tm1 = LaurentPolynomial(QQ, {0: -1, 1: 1})                 # -1 + t
@@ -230,26 +228,6 @@ class FigureEightFixture(KnotFixture):
         resultant = (one - self.lam ** n) * (one - self.lam_inv ** n)
         value = a_n / resultant ** (ell - 1)
         return TaggedValue(value, self.series_units[ell])
-
-    # -- assembled (non-connected) invariants ------------------------------------
-
-    def phi_full(self, ell: int, n: int) -> FieldElement:
-        """Phi_ell(n): Phi_2 = Phi_2^c; Phi_3 = Phi_3^c + (Phi_2^c)^2 / 2.
-
-        The square of a sqrt(-3)-tagged value is -3 times the rational
-        square, so both are plain rational numbers.
-        """
-        if ell == 2:
-            return self.phi_average(2, n).value
-        if ell == 3:
-            c3 = self.phi_average(3, n).value
-            c2 = self.phi_average(2, n)
-            if not c2.sqrt_m3:
-                raise ParseError("Phi_3 assembly needs Phi_2^c to carry the "
-                                 "sqrt(-3) unit")
-            sq = c2.value * c2.value * Fraction(-3, 2)
-            return c3 + sq
-        raise ParseError(f"ell = {ell} not tabulated")
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +356,3 @@ def fixture(name: str) -> KnotFixture:
             raise ParseError(f"unknown knot fixture {name!r}")
     return _FIXTURES[key]
 
-
-def export_csv_rows(values) -> List[str]:
-    """Rows `n,coord_0,...[,unit]` for a list of (n, TaggedValue)."""
-    out = []
-    for n, tv in values:
-        cells = [str(n)] + [str(c) for c in tv.value.coords]
-        if tv.sqrt_m3:
-            cells.append("sqrt(-3)")
-        out.append(",".join(cells))
-    return out

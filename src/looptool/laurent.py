@@ -13,11 +13,11 @@ divisions performed are exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 from .errors import (IncompleteFactorization, MathDomainError, ParseError,
                      SingularMatrix, ZeroBase)
-from .numberfield import QQ, FieldElement, NumberField, parse_rational, poly_divmod
+from .numberfield import FieldElement, NumberField, parse_rational, poly_divmod
 
 
 def _as_element(field: NumberField, value) -> FieldElement:
@@ -343,7 +343,11 @@ class RationalFunction:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.field != den.field:
-            den = num._coerce(den)
+            # lift the part over Q into the other part's field
+            if num.field.degree == 1:
+                num = den._coerce(num)
+            else:
+                den = num._coerce(den)
         if num.is_zero():
             den = LaurentPolynomial.one(den.field)
         elif reduce:

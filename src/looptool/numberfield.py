@@ -48,6 +48,19 @@ def parse_rational(text) -> Fraction:
     raise ParseError(f"not a rational: {text!r}")
 
 
+def parse_int(value, what: str) -> int:
+    """An integer given as a JSON int or a string of one; ParseError naming
+    `what` otherwise."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ParseError(f"{what} must be an integer, got {value!r}")
+
+
 def format_rational(q: Fraction) -> str:
     return str(Fraction(q))
 
@@ -414,9 +427,9 @@ class NumberField:
 
     @classmethod
     def from_json(cls, obj) -> "NumberField":
-        if not isinstance(obj, dict) or "minpoly" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("minpoly"), list):
             raise ParseError("field description needs a 'minpoly' list")
-        return cls(obj["minpoly"], int(obj.get("root_index", 0)))
+        return cls(obj["minpoly"], parse_int(obj.get("root_index", 0), "root_index"))
 
 
 class FieldElement:
@@ -627,7 +640,7 @@ class FieldElement:
         if not isinstance(obj, dict):
             raise ParseError(f"cannot parse field element from {obj!r}")
         if "minpoly" in obj:
-            fld = NumberField(obj["minpoly"], int(obj.get("root_index", 0)))
+            fld = NumberField.from_json(obj)
             if field is not None and fld != field and fld.degree > 1:
                 raise ParseError("element minpoly disagrees with file-level field")
         elif field is not None:
@@ -642,13 +655,3 @@ class FieldElement:
 #: The rationals as a degree-1 field (minpoly xi, i.e. xi = 0).
 QQ = NumberField([0, 1])
 
-
-def common_field(*elements: FieldElement) -> NumberField:
-    """The unique non-rational field among the arguments, or QQ."""
-    field = QQ
-    for e in elements:
-        if e.field.degree > 1:
-            if field.degree > 1 and field != e.field:
-                raise TypeError("elements from two distinct extensions")
-            field = e.field
-    return field

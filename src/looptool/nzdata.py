@@ -17,7 +17,7 @@ from .errors import (NotDivisible, ParseError, SingularAtRoot, SingularError,
                      ValidationError)
 from .laurent import LaurentMatrix, LaurentPolynomial, RationalFunction
 from .linalg import mat_inv, mat_mul
-from .numberfield import FieldElement, NumberField
+from .numberfield import FieldElement, NumberField, parse_int
 
 
 class PeripheralRows:
@@ -45,9 +45,12 @@ class PeripheralRows:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj.get("a_mu"), obj.get("b_mu"),
-                   obj.get("a_lambda"), obj.get("b_lambda"),
-                   int(obj.get("replaced_row", -1)))
+        if not isinstance(obj, dict):
+            raise ParseError("'peripheral' must be an object")
+        rows = [obj.get(key) for key in ("a_mu", "b_mu", "a_lambda", "b_lambda")]
+        if not all(row is None or isinstance(row, list) for row in rows):
+            raise ParseError("peripheral rows must be lists")
+        return cls(*rows, parse_int(obj.get("replaced_row", -1), "replaced_row"))
 
 
 class TwistedNZData:
@@ -73,7 +76,6 @@ class TwistedNZData:
         self.zpp = [one - z.inverse() for z in self.shapes]           # z'' = 1 - 1/z
         self._delta = None
         self._pi_symbolic = None
-        self._detB = None
         if check:
             self.validate()
 
@@ -90,12 +92,6 @@ class TwistedNZData:
         t_minus_1 = LaurentPolynomial(self.field, {1: 1, 0: -1})
         if not t_minus_1.divides(detB):
             raise ValidationError("det B(t) must vanish at t = 1")
-        self._detB = detB
-
-    def det_B(self) -> LaurentPolynomial:
-        if self._detB is None:
-            self._detB = self.B.det()
-        return self._detB
 
     # -- twisted one-loop polynomial -----------------------------------------
 
@@ -233,7 +229,9 @@ class TwistedNZData:
             raise ParseError("NZ data must be a JSON object")
         try:
             field = NumberField.from_json(obj["field"])
-            N = int(obj["N"])
+            N = parse_int(obj["N"], "N")
+            if not isinstance(obj["shapes"], list):
+                raise ParseError("'shapes' must be a list")
             shapes = [FieldElement.from_json(z, field) for z in obj["shapes"]]
             A = _matrix_from_json(obj["A"], field, N)
             B = _matrix_from_json(obj["B"], field, N)
@@ -263,9 +261,12 @@ def _matrix_from_json(arr, field, N) -> LaurentMatrix:
         raise ParseError("matrix must be a list of {exp, matrix} objects")
     entries = [[dict() for _ in range(N)] for _ in range(N)]
     for item in arr:
-        k = int(item["exp"])
+        if not isinstance(item, dict):
+            raise ParseError("matrix must be a list of {exp, matrix} objects")
+        k = parse_int(item["exp"], "exp")
         mat = item["matrix"]
-        if len(mat) != N or any(len(r) != N for r in mat):
+        if not (isinstance(mat, list) and len(mat) == N
+                and all(isinstance(r, list) and len(r) == N for r in mat)):
             raise ParseError("coefficient matrix has wrong shape")
         for i in range(N):
             for j in range(N):

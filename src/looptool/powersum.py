@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from fractions import Fraction
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,10 +25,11 @@ import mpmath
 from .errors import (CrossCheckError, HoldoutMismatchError, ParseError,
                      RecursionMismatch, ResonantRoot, SingularError,
                      SingularSystem, UnitCircleRoot)
+from .knots import phi_integrand, phi_numerators
 from .laurent import LaurentPolynomial, RationalFunction
 from .linalg import solve
 from .numberfield import FieldElement, NumberField, QQ
-from .rootsum import delta_basis_inverse
+from .rootsum import av_exact, delta_basis_inverse, one_minus_u_power
 
 
 class GeneralizedPowerSum:
@@ -244,13 +244,7 @@ class CoverPolynomial:
                 new = []
                 for alpha_vec, c in expanded:
                     # multiply by u_j^a * (1 - u_j)^b
-                    binom = [Fraction(1)]
-                    for _ in range(b):
-                        binom = [p - q for p, q in zip(binom + [Fraction(0)],
-                                                       [Fraction(0)] + binom)]
-                    for k, bc in enumerate(binom):
-                        if bc == 0:
-                            continue
+                    for k, bc in enumerate(one_minus_u_power(b)):
                         vec = list(alpha_vec)
                         vec[j] += a + k
                         new.append((tuple(vec), c * bc))
@@ -419,39 +413,29 @@ def asymptotic_fit_check(values: Sequence[Tuple[int, FieldElement]],
 
 class DeltaForm:
     """q(x, y) with x standing for 1/delta(t) and y for 1/n, where delta is
-    the monic palindromic quadratic with root lam."""
+    the monic palindromic quadratic with root lam.
+
+    terms maps (i, j) to the coefficient of x^i y^j; read as a phi-table,
+    it is slot j of the row for delta^(-i), so the integrand of `average`
+    comes from `knots.phi_numerators`, built once per form.
+    """
 
     def __init__(self, field: NumberField, lam: FieldElement,
                  terms: Dict[Tuple[int, int], FieldElement]):
         self.field = field
         self.lam = lam
         self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
-
-    def delta_polynomial(self) -> LaurentPolynomial:
-        tr = self.lam + self.lam.inverse()
-        return LaurentPolynomial(self.field, {1: 1, 0: -tr, -1: 1})
-
-    def as_rational_function(self, n: int) -> RationalFunction:
-        """q(1/delta(t), 1/n) as a rational function of t for fixed n."""
-        delta = RationalFunction.from_poly(self.delta_polynomial())
-        inv_delta = delta.reciprocal()
-        acc = RationalFunction.from_poly(LaurentPolynomial.zero(self.field))
-        inv_n = Fraction(1, n)
-        for (i, j), c in sorted(self.terms.items()):
-            coeff = c * inv_n ** j
-            term = RationalFunction.from_poly(
-                LaurentPolynomial(self.field, {0: coeff}))
-            if i:
-                term = term * inv_delta ** i
-            acc = acc + term
-        return acc
+        table: Dict[int, List[FieldElement]] = {}
+        for (i, j), c in self.terms.items():
+            row = table.setdefault(i, [])
+            row.extend([field.zero()] * (j + 1 - len(row)))
+            row[j] = c
+        delta = LaurentPolynomial(field, {1: 1, 0: -(lam + lam.inverse()), -1: 1})
+        self._numerators = phi_numerators(delta, table)
 
     def average(self, n: int) -> FieldElement:
-        from .rootsum import av_exact
-        return av_exact(self.as_rational_function(n), n)
-
-    def y_degree(self) -> int:
-        return max((j for _, j in self.terms), default=0)
+        """Av_n(q(1/delta(t), 1/n)), exact."""
+        return av_exact(phi_integrand(self._numerators, n), n)
 
 
 def quad_to_delta_form(p: CoverPolynomial) -> DeltaForm:

@@ -34,9 +34,11 @@ route ever evaluates a complex root of unity.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import (ParseError, PoleOnTorus, ResonantRoot, RootOfUnityPole,
@@ -362,49 +364,20 @@ def _check_quadratic_root(lam: FieldElement):
         raise ResonantRoot("lambda^2 = 1 is resonant")
 
 
-@dataclass(frozen=True)
-class XPoly:
-    """Polynomial in x with FieldElement coefficients (dense list)."""
-    field: NumberField
-    coeffs: tuple
-
-    @classmethod
-    def build(cls, field, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        return cls(field, tuple(coeffs))
-
-    def at(self, n) -> FieldElement:
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * n + c
-        return acc
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        m = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero()
-        return XPoly.build(self.field, [
-            (self.coeffs[i] if i < len(self.coeffs) else z)
-            + (other.coeffs[i] if i < len(other.coeffs) else z) for i in range(m)])
-
-    def scale(self, c) -> "XPoly":
-        return XPoly.build(self.field, [a * c for a in self.coeffs])
+def one_minus_u_power(b: int) -> List[int]:
+    """Coefficients of (1 - u)^b in powers of u."""
+    return [(-1) ** k * comb(b, k) for k in range(b + 1)]
 
 
-def delta_power_sums(lam: FieldElement, k: int) -> List[List[XPoly]]:
+def delta_power_sums(lam: FieldElement, k: int) -> List[List[LaurentPolynomial]]:
     """Tables alpha_{j,i}(x) for j = 0..k with
 
         sum_{t^n=1} delta(t)^(-j)
             = alpha_{j,0}(n) + sum_{i>=1} alpha_{j,i}(n) / (1 - lam^n)^i
 
-    where delta(t) = t - (lam + 1/lam) + 1/t.  Row j has j+1 entries.
+    where delta(t) = t - (lam + 1/lam) + 1/t.  Row j has j+1 entries, each a
+    Laurent polynomial in x = n with non-negative exponents (evaluated by
+    `at`).
 
     Built from the exact partial fraction decomposition of delta^(-j) and
     the universal pole-sum polynomials; the basis 1/(1 - lam^{-n})^i is
@@ -413,7 +386,7 @@ def delta_power_sums(lam: FieldElement, k: int) -> List[List[XPoly]]:
     _check_quadratic_root(lam)
     field = lam.field
     lam_inv = lam.inverse()
-    rows: List[List[XPoly]] = [[XPoly.build(field, [field.one()])]]
+    rows: List[List[LaurentPolynomial]] = [[LaurentPolynomial.one(field)]]
     fac_lam = LaurentPolynomial(field, {0: 1, 1: -lam})
     fac_inv = LaurentPolynomial(field, {0: 1, 1: -lam_inv})
     for j in range(1, k + 1):
@@ -421,7 +394,7 @@ def delta_power_sums(lam: FieldElement, k: int) -> List[List[XPoly]]:
         num = LaurentPolynomial(field, {j: 1})
         f = RationalFunction(num, (fac_lam ** j) * (fac_inv ** j))
         poly_part, terms = partial_fractions(f, [(lam, j), (lam_inv, j)])
-        row = [XPoly.build(field, []) for _ in range(j + 1)]
+        row = [LaurentPolynomial.zero(field)] * (j + 1)
         if not poly_part.is_zero():
             # a Laurent monomial t^e sums to n*[e = 0 mod n]; for the proper
             # fractions handled here the polynomial part is always zero
@@ -429,26 +402,15 @@ def delta_power_sums(lam: FieldElement, k: int) -> List[List[XPoly]]:
         for (root_idx, m), c in terms.items():
             if c.is_zero():
                 continue
-            table = pole_sum_polynomials(m)
-            if root_idx == 0:
-                # pole lam: basis 1/(1 - lam^n)^i directly
-                for i in range(len(table)):
-                    contrib = XPoly.build(field, [c * Fraction(q) for q in table[i]])
-                    row[i] = row[i] + contrib
-            else:
-                # pole 1/lam: (1 - lam^{-n})^{-i} = (1 - u)^i with u = 1/(1-lam^n)
-                for i in range(len(table)):
-                    base = [c * Fraction(q) for q in table[i]]
-                    # expand (1-u)^i into powers of u
-                    binom = [Fraction(1)]
-                    for _ in range(i):
-                        binom = [a - b for a, b in
-                                 zip(binom + [Fraction(0)], [Fraction(0)] + binom)]
-                    for p_idx, bc in enumerate(binom):
-                        if bc == 0:
-                            continue
-                        contrib = XPoly.build(field, [x * bc for x in base])
-                        row[p_idx] = row[p_idx] + contrib
+            for i, poly in enumerate(pole_sum_polynomials(m)):
+                base = LaurentPolynomial.from_coeff_list(field, [c * q for q in poly])
+                if root_idx == 0:
+                    # pole lam: basis 1/(1 - lam^n)^i directly
+                    row[i] = row[i] + base
+                else:
+                    # pole 1/lam: (1 - lam^{-n})^{-i} = (1 - u)^i, u = 1/(1-lam^n)
+                    for p_idx, bc in enumerate(one_minus_u_power(i)):
+                        row[p_idx] = row[p_idx] + base * bc
         rows.append(row)
     return rows
 
@@ -482,10 +444,8 @@ def delta_basis_inverse(lam: FieldElement, k: int) -> List[List[LaurentPolynomia
     _check_quadratic_root(lam)
     field = lam.field
     zero = LaurentPolynomial.zero(field)
-    # alpha[j][i] as Laurent polynomials in x; the diagonal entries are
-    # monomials c x^j
-    alpha = [[LaurentPolynomial.from_coeff_list(field, poly.coeffs) for poly in row]
-             for row in delta_power_sums(lam, k)]
+    # the diagonal entries of alpha are monomials c x^j
+    alpha = delta_power_sums(lam, k)
     inv_diag = []
     for j in range(k + 1):
         (e, c), = alpha[j][j].coeffs.items()
@@ -582,11 +542,9 @@ def torus_sum_oracle(spec: TorusSumSpec, n: int) -> FieldElement:
         powers.append(row)
     total = field.zero()
     tail = s - d
-    idx = [0] * tail
-    while True:
+    for idx in itertools.product(range(n), repeat=tail):
         # forced coordinate exponents: k_i = -(T0_i + sum_j e_{ji} k_j) mod n
         prod = one
-        ok = True
         for i in range(d):
             e = spec.t0[i]
             for j in range(tail):
@@ -598,18 +556,6 @@ def torus_sum_oracle(spec: TorusSumSpec, n: int) -> FieldElement:
             if idx[j]:
                 prod = prod * powers[d + j][idx[j]]
         total = total + prod
-        # odometer over the tail indices
-        pos = 0
-        while pos < tail:
-            idx[pos] += 1
-            if idx[pos] < n:
-                break
-            idx[pos] = 0
-            pos += 1
-        else:
-            break
-        if tail == 0:
-            break
     scale = Fraction(n) ** d
     return total * denom.inverse() * scale
 
@@ -620,8 +566,7 @@ def torus_sum_numeric(spec: TorusSumSpec, n: int, precision_digits: int = 40):
     with mpmath.workdps(precision_digits + 10):
         cs = [c.to_mpc(precision_digits + 10) for c in spec.constants]
         total = mpmath.mpc(0)
-        idx = [0] * spec.d
-        while True:
+        for idx in itertools.product(range(n), repeat=spec.d):
             ws = [mpmath.e ** (2j * mpmath.pi * k / n) for k in idx]
             t0 = mpmath.mpc(1)
             for i, e in enumerate(spec.t0):
@@ -633,17 +578,6 @@ def torus_sum_numeric(spec: TorusSumSpec, n: int, precision_digits: int = 40):
                     tv *= ws[i] ** e
                 denom *= (1 - c * tv)
             total += t0 / denom
-            pos = 0
-            while pos < spec.d:
-                idx[pos] += 1
-                if idx[pos] < n:
-                    break
-                idx[pos] = 0
-                pos += 1
-            else:
-                break
-            if spec.d == 0:
-                break
         return total
 
 
@@ -654,6 +588,9 @@ def fit_rational_shape(values, constants: Sequence[FieldElement], d: int,
     p has x_i-degree at most 1 and y-degree at most y_degree.  `values` is a
     list of (n, FieldElement).  Returns a predictor callable n -> value.
     Raises SingularError when the values are inconsistent with the shape.
+    The system is overdetermined (the triangle of acceptance criterion 7
+    fits 16 unknowns to 22 values), so it goes to `solve_consistent`, not to
+    the square-only `solve`.
     """
     field = constants[0].field if constants else QQ
     one = field.one()

@@ -353,3 +353,78 @@ def test_avg_delta_powers_negative_keys(tmp_path, capsys):
     # delta^1 = t - 5 + 1/t sums to 3 * (-5) over the cube roots of unity
     code, out, _ = _avg_with_delta_powers(tmp_path, capsys, {"-1": ["1"]})
     assert code == 0 and out.strip() == "-15 (unit sqrt(-3))"
+
+
+def _set(path, value):
+    """A mutation of the theta bundle: set the item at `path` to `value`."""
+    def mutate(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, fragment", [
+    (_set(("nz", "A"), [5]), "{exp, matrix}"),
+    (_set(("nz", "A", 0, "matrix"), 5), "wrong shape"),
+    (_set(("nz", "A", 0, "exp"), "x"), "exp must be an integer"),
+    (_set(("nz", "N"), "two"), "N must be an integer"),
+    (_set(("nz", "shapes"), 5), "'shapes'"),
+    (_set(("nz", "peripheral"), 3), "'peripheral'"),
+    (_set(("diagrams", 0, "edges"), [[0, 1, 2]]), "'edges'"),
+    (_set(("diagrams", 0, "vertices"), [1, 2]), "'vertices'"),
+    (_set(("diagrams", 0, "gamma0"), 5), "'gamma0'"),
+    (_set(("diagrams", 0, "vertex_factors"), {"3": "1/2"}), "must be a list"),
+], ids=["A-item", "matrix", "exp", "N", "shapes", "peripheral", "edges",
+        "vertices", "gamma0", "vertex-factors"])
+def test_knot_malformed_bundle_exit_1(mutate, fragment, tmp_path, capsys):
+    with open(os.path.join(DATA, "synthetic_theta_bundle.json")) as fh:
+        obj = json.load(fh)
+    mutate(obj)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(["knot", "--knot", str(path), "--loop", "2",
+                        "--nmax", "3"], capsys)
+    _one_line_usage_error(code, err)
+    assert fragment in err
+
+
+def test_avg_numeric_check_below_one_exit_1(capsys):
+    for digits in ("-5", "0"):
+        code, out, err = run(["avg", "--f", os.path.join(DATA, "phi2_41.json"),
+                              "--n", "2", "--numeric-check", digits], capsys)
+        _one_line_usage_error(code, err)
+        assert out == "" and "--numeric-check" in err
+
+
+def test_reconstruct_r_below_one_exit_1(tmp_path, capsys):
+    with open(os.path.join(DATA, "roots_4_1.json")) as fh:
+        obj = json.load(fh)
+    obj["roots"] = []
+    roots = tmp_path / "roots.json"
+    roots.write_text(json.dumps(obj))
+    values = tmp_path / "values.csv"
+    values.write_text("1,17/216,0,sqrt(-3)\n")
+    code, _, err = run(["reconstruct", "--values", str(values), "--roots", str(roots),
+                        "--ell", "2", "--r", "0"], capsys)
+    _one_line_usage_error(code, err)
+    assert "--r" in err
+
+
+def test_reconstruct_root_index_not_an_integer_exit_1(tmp_path, capsys):
+    with open(os.path.join(DATA, "roots_4_1.json")) as fh:
+        obj = json.load(fh)
+    obj["roots"][0]["root_index"] = "a"
+    code, _, err = _reconstruct_with_roots(tmp_path, capsys, obj)
+    _one_line_usage_error(code, err)
+    assert "root_index" in err
+
+
+def test_reconstruct_roots_not_a_list_exit_1(tmp_path, capsys):
+    # a string would otherwise be read character by character
+    with open(os.path.join(DATA, "roots_4_1.json")) as fh:
+        obj = json.load(fh)
+    obj["roots"] = "abc"
+    code, _, err = _reconstruct_with_roots(tmp_path, capsys, obj)
+    _one_line_usage_error(code, err)
+    assert "'roots' must be a list" in err

@@ -6,8 +6,8 @@ import mpmath
 import pytest
 
 from looptool.knots import (FIELD_52, FIELD_SQRT21, FigureEightFixture,
-                            TaggedValue, export_csv_rows, fixture,
-                            phi_integrand, phi_numerators)
+                            TaggedValue, fixture, phi_integrand,
+                            phi_numerators)
 from looptool.laurent import LaurentPolynomial, RationalFunction
 from looptool.nzdata import is_palindromic_up_to_unit
 from looptool.numberfield import QQ
@@ -61,15 +61,6 @@ def test_41_psi_values():
     assert fx.psi[3].value == fx.sqrt21 * Fraction(-317, 238140)
 
 
-def test_41_phi_full_connectivity_relation():
-    fx = fixture("4_1")
-    for n in (1, 2, 5):
-        c2 = fx.phi_average(2, n)
-        c3 = fx.phi_average(3, n)
-        full = fx.phi_full(3, n)
-        assert full == c3.value + c2.value * c2.value * Fraction(-3, 2)
-
-
 def test_52_delta_palindromic():
     fx = fixture("5_2")
     assert is_palindromic_up_to_unit(fx.delta)
@@ -113,13 +104,6 @@ def test_52_ell3_transcription_checksum():
         v = fx.phi_average(3, 25)
         rel = abs(v.to_mpc(100) / 25 - psi3) / abs(psi3)
         assert rel < mpmath.mpf(10) ** -15
-
-
-def test_csv_export():
-    fx = fixture("4_1")
-    rows = export_csv_rows([(1, fx.phi_average(2, 1)), (2, fx.phi_average(2, 2))])
-    assert rows[0] == "1,17/216,sqrt(-3)"
-    assert rows[1].startswith("2,449/5292")
 
 
 def test_unknown_fixture_rejected():

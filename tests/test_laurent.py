@@ -61,6 +61,15 @@ def test_zero_rational_function_is_canonical():
     assert z == 0 and z.is_polynomial()
 
 
+def test_rational_function_lifts_rational_part_into_extension(field_sqrt21):
+    s21 = field_sqrt21.generator()
+    den = LP(field_sqrt21, {0: 1, 1: s21})
+    both = RationalFunction(LP.one(field_sqrt21), den)
+    assert RationalFunction(LP.one(QQ), den) == both
+    assert RationalFunction(den, LP(QQ, {0: 2})) == RationalFunction(
+        den, LP(field_sqrt21, {0: 2}))
+
+
 def test_matrix_inverse_identity_and_scalar():
     I3 = LaurentMatrix.identity(QQ, 3)
     inv = I3.inverse()

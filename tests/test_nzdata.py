@@ -76,7 +76,7 @@ def test_random_data_invariants(rng):
         assert all(P1[i][j] == P1[j][i] for i in range(N) for j in range(N))
         delta = data.twisted_one_loop()
         assert is_palindromic_up_to_unit(delta)
-        detB = data.det_B()
+        detB = data.B.det()
         assert T_MINUS_1.divides(detB)
         big = T_MINUS_1 * delta
         for i in range(N):

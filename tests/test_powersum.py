@@ -220,6 +220,26 @@ def test_json_roundtrip_and_symmetric_alpha(field_sqrt21):
     assert CoverPolynomial.from_json(symmetric, field_sqrt21) == p
 
 
+def test_json_paired_exponents_above_one():
+    # u (1 - u)^3 and (1 - u)^2 fold into powers of u = 1/(1 - lam^n)
+    lam = QQ.element(3)
+    paired = {"ell": 3, "r": 1, "roots": ["3"],
+              "terms": [{"alpha": [1, 3], "beta": 2, "coeff": "2/5"},
+                        {"alpha": [0, 2], "beta": 1, "coeff": "-7"}]}
+    p = CoverPolynomial.from_json(paired, QQ)
+    expanded = {((1,), 2): Fraction(2, 5), ((2,), 2): Fraction(-6, 5),
+                ((3,), 2): Fraction(6, 5), ((4,), 2): Fraction(-2, 5),
+                ((0,), 1): Fraction(-7), ((1,), 1): Fraction(14),
+                ((2,), 1): Fraction(-7)}
+    assert p == CoverPolynomial(QQ, 3, [lam], {k: QQ.element(c)
+                                               for k, c in expanded.items()})
+    for n in range(1, 9):
+        u = (1 - lam ** n).inverse()
+        v = (1 - lam ** -n).inverse()
+        assert p.evaluate(n) == (u * v ** 3 * Fraction(2, 5) * n ** 2
+                                 + v ** 2 * Fraction(-7) * n)
+
+
 # -- asymptotics -----------------------------------------------------------------
 
 

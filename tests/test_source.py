@@ -1,15 +1,20 @@
 """Every module of the package compiles with warnings turned into errors and
 contains no `assert` statement: runtime checks raise typed errors instead,
-since `python -O` strips asserts."""
+since `python -O` strips asserts.  Every name the benchmark harness in
+`bench/` takes from the package still exists."""
 
 import ast
 import glob
+import importlib
 import os
 import warnings
 
 import pytest
 
+import looptool
+
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "looptool")
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 
 
 @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SRC, "*.py"))),
@@ -23,3 +28,68 @@ def test_module_compiles_without_warnings(path):
     asserts = [node.lineno for node in ast.walk(ast.parse(source, path))
                if isinstance(node, ast.Assert)]
     assert not asserts, f"assert statements at lines {asserts}"
+
+
+def _literal(tree, name):
+    """The literal value assigned to `name` at module level of `tree`."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(name)
+
+
+def _resolve(module, name):
+    """`module.name`, an attribute or a submodule, or None."""
+    mod = importlib.import_module(module)
+    if hasattr(mod, name):
+        return getattr(mod, name)
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return None
+
+
+def test_bench_hooks_resolve():
+    """The names `bench/*.py` imports from looptool and uses on its modules,
+    the tracer's SPANS and NF_OPS targets (looked up as Tracer.install does,
+    through owner.__dict__), and looptool.__all__ all exist.  bench/ is read,
+    never imported."""
+    missing = []
+    for path in sorted(glob.glob(os.path.join(BENCH, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("looptool"):
+                for alias in node.names:
+                    value = _resolve(node.module, alias.name)
+                    if value is None:
+                        missing.append(f"{os.path.basename(path)}: "
+                                       f"{node.module}.{alias.name}")
+                    elif hasattr(value, "__path__") or hasattr(value, "__file__"):
+                        modules[alias.asname or alias.name] = value
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                    and not hasattr(modules[node.value.id], node.attr)):
+                missing.append(f"{os.path.basename(path)}: {node.value.id}.{node.attr}")
+        if os.path.basename(path) != "tracer.py":
+            continue
+        for module, *targets in _literal(tree, "SPANS").values():
+            mod = importlib.import_module(module)
+            for target in targets:
+                owner, _, attr = target.rpartition(".")
+                if owner:
+                    ok = attr in getattr(mod, owner, object).__dict__
+                else:
+                    ok = hasattr(mod, attr)
+                if not ok:
+                    missing.append(f"SPANS: {module}.{target}")
+        from looptool.numberfield import FieldElement
+        for attrs in _literal(tree, "NF_OPS").values():
+            missing.extend(f"NF_OPS: FieldElement.{attr}" for attr in attrs
+                           if attr not in FieldElement.__dict__)
+    missing.extend(f"looptool.__all__: {name}" for name in looptool.__all__
+                   if not hasattr(looptool, name))
+    assert not missing, missing
