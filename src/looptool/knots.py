@@ -11,10 +11,12 @@ roots of unity, generalized-power-sum closed form, generating series), which
 is what the test suite leans on.
 
 The average route sums phi_ell^c(t, n) = (P_0 + P_1/n + P_2/n^2)/delta^kmax
-over the n-th roots of unity.  A fixture builds P_0, P_1, P_2 and delta^kmax
-once per ell, on first use, and each row only combines them, leaving the
-fraction unreduced.  The generating-series route keeps a prefix of series
-coefficients that at least doubles when it grows.
+over the n-th roots of unity.  A fixture caches one `rootsum.ResidueForm`
+per ell, built on first use from P_0, P_1, P_2 and delta^kmax: their
+polynomial parts and residue functionals are prepared once, and a row is
+one solve and one dot product per numerator; no integrand is built per row.
+The generating-series route keeps a prefix of series coefficients that at
+least doubles when it grows.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import mpmath
 from .errors import ParseError
 from .laurent import LaurentPolynomial, RationalFunction
 from .numberfield import FieldElement, NumberField, QQ, poly_divmod
-from .rootsum import av_exact
+from .rootsum import ResidueForm, av_exact
 
 #: Real quadratic field Q(sqrt 21); root_index 1 is the positive square root.
 FIELD_SQRT21 = NumberField([-21, 0, 1], root_index=1)
@@ -125,22 +127,25 @@ class KnotFixture:
         self.delta = delta
         self.phi = phi
         self.phi_units = phi_units
-        self._numerators: Dict[int, tuple] = {}
+        self._forms: Dict[int, ResidueForm] = {}
+
+    def phi_form(self, ell: int) -> ResidueForm:
+        """phi_ell^c as a residue form over delta^kmax, built once per ell."""
+        if ell not in self.phi:
+            raise ParseError(f"no phi table for ell = {ell}")
+        if ell not in self._forms:
+            self._forms[ell] = ResidueForm(*phi_numerators(self.delta, self.phi[ell]))
+        return self._forms[ell]
 
     def phi_rational_function(self, ell: int, n: int) -> RationalFunction:
         """phi_ell^c(t, n) for fixed n, over the fixture field, as the
-        unreduced fraction over delta^kmax: the sum over roots of unity does
-        not depend on the representative, and the numerators are built once
-        per ell."""
-        if ell not in self.phi:
-            raise ParseError(f"no phi table for ell = {ell}")
-        if ell not in self._numerators:
-            self._numerators[ell] = phi_numerators(self.delta, self.phi[ell])
-        return phi_integrand(self._numerators[ell], n, reduce=False)
+        unreduced fraction over delta^kmax; `phi_average` does not build it."""
+        form = self.phi_form(ell)
+        return phi_integrand((form.numerators, form.den), n, reduce=False)
 
     def phi_average(self, ell: int, n: int) -> TaggedValue:
         """Av_n(phi_ell^c(t, n)), exact."""
-        value = av_exact(self.phi_rational_function(ell, n), n)
+        value = av_exact(self.phi_form(ell), n)
         return TaggedValue(value, self.phi_units.get(ell, False))
 
 

@@ -3,13 +3,15 @@
 Matrices are plain lists of lists.  The inverse and the consistent solve of a
 rank-deficient system run one Gauss-Jordan routine with exact field division.
 The square solve lifts p-adically instead (Dixon, Numer. Math. 40, 1982): it
-writes the system over Q through the regular representation of the field,
-factors the integer matrix once modulo a 61-bit prime (LU, which serves as
-the inverse mod p), and recovers the solution from its p-adic digits by
-rational reconstruction.  Its cost grows
-with the bit size of the solution, not with that of the elimination's
-intermediate fractions.  Gauss-Jordan stays its oracle (`solve_gauss_jordan`)
-and decides the rare systems that are singular modulo every listed prime.
+writes the system over Z through the regular representation of the field
+(`integer_system`), and `solve_integer` factors the integer matrix once
+modulo a 61-bit prime (LU, which serves as the inverse mod p) and recovers
+the solution from its p-adic digits by rational reconstruction.  Its cost
+grows with the bit size of the solution, not with that of the elimination's
+intermediate fractions.  Callers that already hold an integer system pass it
+to `solve_integer` directly.  Gauss-Jordan stays the oracle of the field
+solve (`solve_gauss_jordan`) and decides the rare systems that are singular
+modulo every listed prime.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from math import isqrt, lcm
 from operator import mul
 
 from .errors import CrossCheckError, MathDomainError, SingularError
-from .numberfield import FieldElement, NumberField
+from .numberfield import QQ, FieldElement, NumberField
 
 #: Moduli of the p-adic solve.  The later ones are used only when the integer
 #: system is singular modulo every one before them.
@@ -107,7 +109,20 @@ def solve(field: NumberField, A, b):
                               f"side per row, got {n} rows of lengths "
                               f"{sorted({len(row) for row in A})} and {len(b)} "
                               f"right-hand sides")
-    M, rhs = _integer_system(field, A, b)
+    num, den = solve_integer(*integer_system(field, A, b))
+    d = field.degree
+    return [FieldElement(field, tuple(Fraction(v, den) for v in num[k:k + d]))
+            for k in range(0, d * n, d)]
+
+
+def solve_integer(M, rhs):
+    """(numerators, common positive denominator) of the solution of the
+    square integer system M x = rhs; raises SingularError.
+
+    Dixon's lifting modulo the first prime of PRIMES that leaves M
+    nonsingular, the answer checked exactly against M x = rhs; a system
+    singular modulo every listed prime goes to Gauss-Jordan over Q.
+    """
     for p in PRIMES:
         try:
             lu = _ModularLU(M, p)
@@ -115,11 +130,11 @@ def solve(field: NumberField, A, b):
         except SingularError:
             continue
     else:
-        return solve_gauss_jordan(field, A, b)
-    num, den = _dixon(M, rhs, lu)
-    d = field.degree
-    return [FieldElement(field, tuple(Fraction(v, den) for v in num[k:k + d]))
-            for k in range(0, d * n, d)]
+        x = solve_gauss_jordan(QQ, [[QQ.element(v) for v in row] for row in M],
+                               [QQ.element(v) for v in rhs])
+        den = lcm(*(c.coords[0].denominator for c in x))
+        return [c.coords[0].numerator * (den // c.coords[0].denominator) for c in x], den
+    return _dixon(M, rhs, lu)
 
 
 def solve_gauss_jordan(field: NumberField, A, b):
@@ -150,7 +165,7 @@ def _columns(coords, lows):
     return out
 
 
-def _integer_system(field: NumberField, A, b):
+def integer_system(field: NumberField, A, b):
     """A x = b as a (d n) x (d n) system over Z: each field equation becomes
     d rational ones through the regular representation, and each rational
     equation is scaled by the lcm of its denominators.  Unknown k*d + j is

@@ -7,18 +7,31 @@ the proper part, r(t)/Q(t) * n t^(n-1)/(t^n - 1) has residue r(w)/Q(w) at
 each root of unity w and none at infinity, so the sum is minus its residues
 at the roots of Q:
 
-    sum_{w^n = 1} r(w)/Q(w) = -n [t^(d-1)] (r t^(n-1) (t^n - 1)^(-1) mod Q) / lc(Q).
+    sum_{w^n = 1} r(w)/Q(w) = -n [t^(d-1)] (r x mod Q) / lc(Q),
+    x = t^(n-1) (t^n - 1)^(-1) mod Q.
 
-This holds for repeated roots too.  t^(n-1) mod Q comes from binary powering,
-over Z when Q is over Q and monic integral up to a scalar.  x = t^(n-1)
-(t^n - 1)^(-1) mod Q solves M_u x = t^(n-1), where M_u, with columns
+This holds for repeated roots too.  The right-hand side is linear in x: it
+is -n w.x with w_j = [t^(d-1)](r t^j mod Q) / lc(Q), the residue
+functional of r.  A `ResidueForm` holds numerators P_0, P_1, ... over one Q
+and stands for sum_i P_i n^(-i) / Q; it divides each P_i by Q and builds
+its functional w_i, scaled to integers, once.  Its sum at n is then
+
+    n sum_i n^(-i) (sum_{k = 0 mod n} q_(i,k) - w_i.x),
+
+and a row costs t^(n-1) mod Q, the matrix M_u, one solve and one dot product
+per numerator.  x solves M_u x = t^(n-1) mod Q, where M_u, with columns
 u t^j mod Q, is multiplication by u = t^n - 1 in F[t]/(Q) (von zur Gathen and
-Gerhard, Modern Computer Algebra, ch. 4-5); `linalg.solve` solves it by
-p-adic lifting with an exact check.  M_u is singular exactly when Q vanishes
-at an n-th root of unity.  Numerators with negative exponents move their
-power of t into Q; t^n - 1 stays a unit modulo a power of t.
-`av_residue_euclid`, an oracle, takes (t^n - 1)^(-1) from the extended
-Euclidean algorithm mod Q instead, in O(d^2 log n) field operations.
+Gerhard, Modern Computer Algebra, ch. 4-5); `linalg.solve_integer` solves it
+by p-adic lifting with an exact check.  When Q is over Q and Q / lc(Q) is
+integral, t^(n-1) and M_u are built over Z and go to it as they are;
+otherwise `linalg.integer_system` writes them over Z first.  M_u is singular
+exactly when Q vanishes at an n-th root of unity.  The numerators share one
+frame: when some P_i reaches below the lowest power of t in Q, that power
+of t moves into Q; t^n - 1 stays a unit modulo a power of t.  `av_exact`
+takes a form, or a `RationalFunction` or `LaurentPolynomial` as a form with
+one numerator.  `av_residue_euclid`, an oracle, keeps one numerator in its
+own frame, takes (t^n - 1)^(-1) mod Q from the extended Euclidean algorithm
+and multiplies out r x mod Q, in O(d^2 log n) field operations.
 
 The oracle `av_trace` takes a second route: for the n x n cyclic-shift
 matrix C (the companion matrix of t^n - 1), whose eigenvalues are the n-th
@@ -38,13 +51,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import (ParseError, PoleOnTorus, ResonantRoot, RootOfUnityPole,
                      SingularError)
 from .laurent import LaurentPolynomial, RationalFunction, partial_fractions
-from .linalg import solve, solve_consistent, transpose
+from .linalg import integer_system, solve_consistent, solve_integer, transpose
 from .numberfield import (QQ, FieldElement, NumberField, poly_divmod, poly_invmod,
                           poly_mulmod, poly_t_power_mod, poly_trim)
 
@@ -165,10 +179,110 @@ def av_trace(f: RationalFunction | LaurentPolynomial, n: int) -> FieldElement:
     return ratfun_mod_cyclic(f, n)[0] * n
 
 
-def _root_sum(f: RationalFunction | LaurentPolynomial, n: int, divide):
-    """The residue route of the module docstring; divide(a, M_u, Q) is a / u
-    mod Q for a = t^(n-1) mod Q and u = t^n - 1 (see `_unit_matrix`), or
-    None when u is not a unit mod Q."""
+class ResidueForm:
+    """sum_i P_i n^(-i) / Q for Laurent polynomials P_0, P_1, ... and Q over
+    one field, prepared for its sums over the n-th roots of unity (see the
+    module docstring): the polynomial part q_i of each P_i and its residue
+    functional w_i, as an integer matrix over one scale, are built once.
+    Zero numerators are allowed and contribute nothing."""
+
+    def __init__(self, numerators, den: LaurentPolynomial):
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        self.numerators = list(numerators)
+        self.den = den
+        field = self.field = den.field
+        zero, one = field.zero(), field.one()
+        dpoly, dshift = den.as_poly_coeffs()
+        # the common frame: t^lift moves into Q when some P_i reaches below it
+        lift = max(0, dshift - min((p.min_exp() for p in self.numerators
+                                    if not p.is_zero()), default=dshift))
+        lc_inv = dpoly[-1].inverse()
+        monic = [zero] * lift + [c * lc_inv for c in dpoly]
+        d = self._d = len(monic) - 1
+        basis = [field.element([0] * k + [1]) for k in range(field.degree)]
+        self._terms = []
+        for i, p in enumerate(self.numerators):
+            if p.is_zero():
+                continue
+            coeffs, shift = p.as_poly_coeffs()
+            quo, rem = poly_divmod([zero] * (shift - dshift + lift) + coeffs,
+                                   monic, zero, one)
+            # w_j = [t^(d-1)](r t^j mod Q) / lc(Q), written as the matrix of
+            # x -> w.x on the coordinates of x: column j*deg + k holds those
+            # of w_j xi^k
+            columns = []
+            for _ in range(d):
+                w = rem[d - 1] * lc_inv if len(rem) == d else zero
+                columns.extend((w * b).coords for b in basis)
+                rem = poly_divmod([zero] + rem, monic, zero, one)[1]
+            scale = lcm(*(q.denominator for col in columns for q in col))
+            weights = [[col[c].numerator * (scale // col[c].denominator)
+                        for col in columns] for c in range(field.degree)]
+            self._terms.append((i, [(c * lc_inv).coords for c in quo], weights, scale))
+        self._integral = (field.degree == 1
+                          and all(c.coords[0].denominator == 1 for c in monic))
+        self._modulus = ([c.coords[0].numerator for c in monic] if self._integral
+                         else monic)
+
+    def root_sum(self, n: int) -> FieldElement:
+        """sum over the n-th roots of unity w of sum_i P_i(w) n^(-i) / Q(w)."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        x, x_den = [], 1
+        if self._d and self._terms:
+            if self._integral:
+                power, M_u = _unit_system(n, self._modulus, 0, 1)
+            else:
+                power, M_u = _unit_system(n, self._modulus, self.field.zero(),
+                                          self.field.one())
+                M_u, power = integer_system(self.field, M_u, power)
+            try:
+                x, x_den = solve_integer(M_u, power)
+            except SingularError:
+                raise RootOfUnityPole(
+                    f"denominator vanishes at an {n}-th root of unity") from None
+        total = [Fraction(0)] * self.field.degree
+        for i, quo, weights, scale in self._terms:
+            factor = Fraction(n) ** (1 - i)
+            for c, row in enumerate(weights):
+                value = sum(coords[c] for coords in quo[::n]) \
+                    - Fraction(sum(map(mul, row, x)), scale * x_den)
+                total[c] += value * factor
+        return FieldElement(self.field, tuple(total))
+
+
+def _unit_system(n: int, m, zero, one):
+    """t^(n-1) mod m and the matrix M_u of multiplication by u = t^n - 1 in
+    F[t]/(m), for monic m of degree d >= 1, both padded to length d: column
+    j of M_u is u t^j mod m."""
+    d = len(m) - 1
+    power = poly_t_power_mod(n - 1, m, zero, one)
+    col = poly_divmod([zero] + power, m, zero, one)[1] or [zero]
+    col[0] = col[0] - one
+    columns = []
+    for _ in range(d):
+        columns.append(col + [zero] * (d - len(col)))
+        col = poly_divmod([zero] + col, m, zero, one)[1]
+    return power + [zero] * (d - len(power)), transpose(columns)
+
+
+def av_exact(f: ResidueForm | RationalFunction | LaurentPolynomial,
+             n: int) -> FieldElement:
+    """Exact sum of f over all n-th roots of unity, by the residue
+    functional of a `ResidueForm` (see the module docstring); a rational
+    function or Laurent polynomial is a form with one numerator."""
+    if isinstance(f, LaurentPolynomial):
+        f = ResidueForm([f], LaurentPolynomial.one(f.field))
+    elif isinstance(f, RationalFunction):
+        f = ResidueForm([f.num], f.den)
+    return f.root_sum(n)
+
+
+def av_residue_euclid(f: RationalFunction | LaurentPolynomial, n: int) -> FieldElement:
+    """The residue route for one numerator in its own frame, with
+    (t^n - 1)^(-1) mod Q from the extended Euclidean algorithm and the full
+    product r x mod Q: the oracle for av_exact."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(f, LaurentPolynomial):
@@ -187,66 +301,17 @@ def _root_sum(f: RationalFunction | LaurentPolynomial, n: int, divide):
         total = total + quo[k]
     d = len(den) - 1
     if d:
-        x = divide(*_unit_matrix(n, den, f.field), den)
-        if x is None:
+        u = poly_t_power_mod(n, den, zero, one) or [zero]
+        u[0] = u[0] - one
+        inv = poly_invmod(u, den, zero, one)
+        if inv is None:
             raise RootOfUnityPole(
                 f"denominator vanishes at an {n}-th root of unity")
+        x = poly_mulmod(poly_t_power_mod(n - 1, den, zero, one), inv, den, zero, one)
         residue = poly_mulmod(rem, x, den, zero, one)
         if len(residue) == d:
             total = total - residue[d - 1] * den[d].inverse()
     return total * n
-
-
-def _unit_matrix(n: int, den, field: NumberField):
-    """t^(n-1) mod Q and the matrix M_u of multiplication by u = t^n - 1 in
-    F[t]/(Q), both padded to length d: column j of M_u is u t^j mod Q.
-    When Q is over Q and Q / lc(Q) is integral, both are built over Z modulo
-    Q / lc(Q), free of Fractions."""
-    m, zero, one = den, field.zero(), field.one()
-    if field.degree == 1:
-        monic = [c.coords[0] / den[-1].coords[0] for c in den]
-        if all(q.denominator == 1 for q in monic):
-            m, zero, one = [q.numerator for q in monic], 0, 1
-    d = len(den) - 1
-    power = poly_t_power_mod(n - 1, m, zero, one)
-    col = poly_divmod([zero] + power, m, zero, one)[1] or [zero]
-    col[0] = col[0] - one
-    columns = []
-    for _ in range(d):
-        columns.append(col)
-        col = poly_divmod([zero] + col, m, zero, one)[1]
-
-    def lift(p):
-        return ([c if m is den else FieldElement(field, (Fraction(c),)) for c in p]
-                + [field.zero()] * (d - len(p)))
-    return lift(power), transpose([lift(c) for c in columns])
-
-
-def _divide_by_solve(a, M_u, den):
-    """The solution of M_u x = a; M_u is singular exactly when u is not a
-    unit mod Q."""
-    try:
-        return poly_trim(solve(den[-1].field, M_u, a))
-    except SingularError:
-        return None
-
-
-def _divide_by_euclid(a, M_u, den):
-    zero, one = den[-1].field.zero(), den[-1].field.one()
-    inv = poly_invmod([row[0] for row in M_u], den, zero, one)
-    return None if inv is None else poly_mulmod(a, inv, den, zero, one)
-
-
-def av_exact(f: RationalFunction | LaurentPolynomial, n: int) -> FieldElement:
-    """Exact sum of f over all n-th roots of unity, by residues in F[t]/(Q)
-    and an exact linear solve (see the module docstring)."""
-    return _root_sum(f, n, _divide_by_solve)
-
-
-def av_residue_euclid(f: RationalFunction | LaurentPolynomial, n: int) -> FieldElement:
-    """av_exact with (t^n - 1)^(-1) mod Q from the extended Euclidean
-    algorithm: the oracle for av_exact's linear solve."""
-    return _root_sum(f, n, _divide_by_euclid)
 
 
 # ---------------------------------------------------------------------------
@@ -377,47 +442,55 @@ def delta_power_sums(lam: FieldElement, k: int) -> List[List[LaurentPolynomial]]
 
     where delta(t) = t - (lam + 1/lam) + 1/t.  Row j has j+1 entries, each a
     Laurent polynomial in x = n with non-negative exponents (evaluated by
-    `at`).
-
-    Built from the exact partial fraction decomposition of delta^(-j) and
-    the universal pole-sum polynomials; the basis 1/(1 - lam^{-n})^i is
-    rewritten through 1/(1 - lam^{-n}) = 1 - 1/(1 - lam^n).
+    `at`).  Each row is built once per (lam, j); see `_delta_power_row`.
     """
     _check_quadratic_root(lam)
-    field = lam.field
+    return [list(_delta_power_row(lam.field, lam.coords, j)) for j in range(k + 1)]
+
+
+@lru_cache(maxsize=256)
+def _delta_power_row(field: NumberField, coords: tuple,
+                     j: int) -> Tuple[LaurentPolynomial, ...]:
+    """Row j of `delta_power_sums` for lam with these coordinates, from the
+    exact partial fraction decomposition of delta^(-j) and the universal
+    pole-sum polynomials; the basis 1/(1 - lam^{-n})^i is rewritten through
+    1/(1 - lam^{-n}) = 1 - 1/(1 - lam^n).  Keyed by field and coordinates,
+    since equal elements of different fields give rows over different
+    fields."""
+    if j == 0:
+        return (LaurentPolynomial.one(field),)
+    lam = FieldElement(field, coords)
     lam_inv = lam.inverse()
-    rows: List[List[LaurentPolynomial]] = [[LaurentPolynomial.one(field)]]
     fac_lam = LaurentPolynomial(field, {0: 1, 1: -lam})
     fac_inv = LaurentPolynomial(field, {0: 1, 1: -lam_inv})
-    for j in range(1, k + 1):
-        # delta^(-j) = t^j / ((1-lam t)^j (1-lam^{-1} t)^j)
-        num = LaurentPolynomial(field, {j: 1})
-        f = RationalFunction(num, (fac_lam ** j) * (fac_inv ** j))
-        poly_part, terms = partial_fractions(f, [(lam, j), (lam_inv, j)])
-        row = [LaurentPolynomial.zero(field)] * (j + 1)
-        if not poly_part.is_zero():
-            # a Laurent monomial t^e sums to n*[e = 0 mod n]; for the proper
-            # fractions handled here the polynomial part is always zero
-            raise SingularError("unexpected polynomial part in delta power sum")
-        for (root_idx, m), c in terms.items():
-            if c.is_zero():
-                continue
-            for i, poly in enumerate(pole_sum_polynomials(m)):
-                base = LaurentPolynomial.from_coeff_list(field, [c * q for q in poly])
-                if root_idx == 0:
-                    # pole lam: basis 1/(1 - lam^n)^i directly
-                    row[i] = row[i] + base
-                else:
-                    # pole 1/lam: (1 - lam^{-n})^{-i} = (1 - u)^i, u = 1/(1-lam^n)
-                    for p_idx, bc in enumerate(one_minus_u_power(i)):
-                        row[p_idx] = row[p_idx] + base * bc
-        rows.append(row)
-    return rows
+    # delta^(-j) = t^j / ((1-lam t)^j (1-lam^{-1} t)^j)
+    num = LaurentPolynomial(field, {j: 1})
+    f = RationalFunction(num, (fac_lam ** j) * (fac_inv ** j))
+    poly_part, terms = partial_fractions(f, [(lam, j), (lam_inv, j)])
+    row = [LaurentPolynomial.zero(field)] * (j + 1)
+    if not poly_part.is_zero():
+        # a Laurent monomial t^e sums to n*[e = 0 mod n]; for the proper
+        # fractions handled here the polynomial part is always zero
+        raise SingularError("unexpected polynomial part in delta power sum")
+    for (root_idx, m), c in terms.items():
+        if c.is_zero():
+            continue
+        for i, poly in enumerate(pole_sum_polynomials(m)):
+            base = LaurentPolynomial.from_coeff_list(field, [c * q for q in poly])
+            if root_idx == 0:
+                # pole lam: basis 1/(1 - lam^n)^i directly
+                row[i] = row[i] + base
+            else:
+                # pole 1/lam: (1 - lam^{-n})^{-i} = (1 - u)^i, u = 1/(1-lam^n)
+                for p_idx, bc in enumerate(one_minus_u_power(i)):
+                    row[p_idx] = row[p_idx] + base * bc
+    return tuple(row)
 
 
 def delta_sum_value(lam: FieldElement, j: int, n: int) -> FieldElement:
-    """Evaluate sum_{t^n=1} delta(t)^(-j) from the alpha table."""
-    rows = delta_power_sums(lam, j)
+    """Evaluate sum_{t^n=1} delta(t)^(-j) from row j of the alpha table."""
+    _check_quadratic_root(lam)
+    row = _delta_power_row(lam.field, lam.coords, j)
     lam_n = lam ** n
     one_minus = lam.field.one() - lam_n
     if one_minus.is_zero():
@@ -425,7 +498,7 @@ def delta_sum_value(lam: FieldElement, j: int, n: int) -> FieldElement:
     u = one_minus.inverse()
     acc = lam.field.zero()
     upow = lam.field.one()
-    for poly in rows[j]:
+    for poly in row:
         acc = acc + upow * poly.at(n)
         upow = upow * u
     return acc

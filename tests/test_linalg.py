@@ -11,8 +11,9 @@ from looptool import linalg
 from looptool.errors import CrossCheckError, MathDomainError, SingularError
 from looptool.knots import FIELD_52
 from looptool.linalg import (PRIMES, identity, mat_inv, mat_mul, solve,
-                             solve_consistent, solve_gauss_jordan)
+                             solve_consistent, solve_gauss_jordan, solve_integer)
 from looptool.numberfield import QQ
+from looptool.rootsum import _unit_system
 
 
 @pytest.fixture(params=["QQ", "sqrt21"])
@@ -144,6 +145,56 @@ def test_singular_modulo_listed_primes(singular_mod):
     x = [random_element(rng, QQ) for _ in A]
     b = _apply(A, x)
     assert solve(QQ, A, b) == x == solve_gauss_jordan(QQ, A, b)
+
+
+# -- the integer core ---------------------------------------------------------
+
+
+def _over_q(M, rhs):
+    return [[QQ.element(v) for v in row] for row in M], [QQ.element(v) for v in rhs]
+
+
+def test_integer_solve_matches_gauss_jordan():
+    rng = random.Random(16)
+    solved = 0
+    for n in (1, 2, 3, 5, 8, 12) * 3:
+        M = [[rng.randint(-40, 40) for _ in range(n)] for _ in range(n)]
+        rhs = [rng.randint(-(1 << 200), 1 << 200) for _ in range(n)]
+        num, den = solve_integer(M, rhs)
+        assert den > 0 and len(num) == n
+        expect = solve_gauss_jordan(QQ, *_over_q(M, rhs))
+        assert [Fraction(v, den) for v in num] == [c.coords[0] for c in expect]
+        solved += 1
+    assert solved == 18
+
+
+def test_integer_solve_singular_modulo_every_listed_prime():
+    # nonsingular over Z, singular modulo every prime: Gauss-Jordan decides
+    rng = random.Random(13)
+    M = _integer_matrix(rng, list(PRIMES) + [1, 1, 1])
+    for p in PRIMES:
+        with pytest.raises(SingularError):
+            linalg._ModularLU(M, p)
+    rhs = [rng.randint(-99, 99) for _ in M]
+    num, den = solve_integer(M, rhs)
+    assert den > 0
+    assert all(sum(a * v for a, v in zip(row, num)) == den * b for row, b in zip(M, rhs))
+
+
+def test_integer_solve_raises_on_a_singular_unit_matrix():
+    # Q = (t^2 + t + 1)(t - 2)^2 vanishes at the cube roots of unity, so
+    # multiplication by t^3 - 1 is singular in Z[t]/(Q), and not by t^4 - 1
+    Q = [4, 0, 1, -3, 1]
+    power, M_u = _unit_system(3, Q, 0, 1)
+    with pytest.raises(SingularError):
+        solve_integer(M_u, power)
+    power, M_u = _unit_system(4, Q, 0, 1)
+    num, den = solve_integer(M_u, power)
+    assert all(sum(a * v for a, v in zip(row, num)) == den * b
+               for row, b in zip(M_u, power))
+    # a plain singular matrix as well
+    with pytest.raises(SingularError):
+        solve_integer([[1, 2], [2, 4]], [1, 1])
 
 
 def test_step_cap_reached_raises_cross_check(monkeypatch):

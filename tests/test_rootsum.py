@@ -7,10 +7,11 @@ import mpmath
 import pytest
 
 from looptool.errors import PoleOnTorus, ResonantRoot, RootOfUnityPole
-from looptool.knots import FIELD_52, fixture
+from looptool import rootsum
+from looptool.knots import FIELD_52, fixture, phi_integrand
 from looptool.laurent import LaurentPolynomial, RationalFunction
-from looptool.numberfield import QQ
-from looptool.rootsum import (TorusSumSpec, _cyc_mul, av_exact,
+from looptool.numberfield import QQ, NumberField
+from looptool.rootsum import (ResidueForm, TorusSumSpec, _cyc_mul, av_exact,
                               av_residue_euclid, av_trace, cyclic_resultant,
                               delta_basis_inverse, delta_power_sums, delta_sum_value,
                               fit_rational_shape, fold_mod_cyclic,
@@ -234,6 +235,115 @@ def test_residue_route_41_tables_match_closed_form():
     for ell in (2, 3):
         for n in list(range(1, 201)) + [1000]:
             assert fx.phi_average(ell, n) == fx.phi_closed(ell, n), (ell, n)
+
+
+# -- residue forms: the functional route against the integrand and Euclid --
+
+
+@pytest.mark.parametrize("name, ell", [("4_1", 2), ("4_1", 3), ("5_2", 2), ("5_2", 3)])
+def test_residue_form_matches_integrand_and_euclid_on_knot_tables(name, ell):
+    form = fixture(name).phi_form(ell)
+    for n in range(1, 41):
+        f = phi_integrand((form.numerators, form.den), n, reduce=False)
+        assert av_exact(form, n) == av_exact(f, n) == av_residue_euclid(f, n), n
+
+
+def _form_outcomes(numerators, den, n):
+    """The form's sum at n, the sum of its one-numerator integrand and the
+    Euclid route on each numerator, each a value or "pole"."""
+    field = den.field
+    integrand = sum((p * Fraction(1, n ** i) for i, p in enumerate(numerators)),
+                    LP.zero(field))
+    try:
+        euclid = sum((av_residue_euclid(RationalFunction(p, den, reduce=False), n)
+                      * Fraction(1, n ** i) for i, p in enumerate(numerators)),
+                     field.zero())
+    except RootOfUnityPole:
+        euclid = "pole"
+    return (_outcome(av_exact, ResidueForm(numerators, den), n),
+            _outcome(av_exact, RationalFunction(integrand, den, reduce=False), n),
+            euclid)
+
+
+@pytest.mark.parametrize("field, integral", [(QQ, True), (QQ, False), (FIELD_52, False)],
+                         ids=["QQ-integral", "QQ", "cubic"])
+def test_residue_form_on_a_seeded_family(field, integral):
+    # numerators with different lowest exponents, some below that of Q and
+    # one past deg Q, and a zero numerator; Q with lc(Q) != 1, integral up
+    # to that scalar in the first case
+    rng = random.Random(41 + 2 * field.degree + integral)
+    compared = 0
+    for _ in range(6 if field.degree == 1 else 3):
+        if integral:
+            base = LP(QQ, {0: rng.choice([-1, 1]), 1: rng.randint(-6, 6), 2: 1})
+            den = base ** rng.randint(1, 3) * LP(QQ, {rng.randint(-2, 1): rng.randint(2, 9)})
+        else:
+            den = _random_poly(rng, field, rng.randint(-2, 1), rng.randint(2, 4)) \
+                * _random_poly(rng, field, 0, rng.randint(1, 2))
+        lo = den.min_exp()
+        numerators = [_random_poly(rng, field, lo - 3, den.max_exp() + 3),
+                      LP.zero(field),
+                      _random_poly(rng, field, lo + rng.randint(-1, 2), lo + 3),
+                      _random_poly(rng, field, lo + 2, lo + 2)]
+        rng.shuffle(numerators)
+        for n in (1, 2, 3, 5, 8, 13):
+            outcomes = _form_outcomes(numerators, den, n)
+            assert outcomes[0] == outcomes[1] == outcomes[2], (numerators, den, n)
+            compared += outcomes[0] != "pole"
+    assert compared >= 12
+
+
+def test_residue_form_edge_cases():
+    den = LP(QQ, {-1: 3, 0: -15, 1: 3}) ** 2        # 3 delta_41, lc(Q) = 9
+    # deg P >= deg Q, so the polynomial part counts; alone, at n = 1, with
+    # a zero numerator in front of it
+    big = LP(QQ, {-2: 1, 0: 5, 3: -2, 6: 7})
+    for numerators in ([big], [LP.zero(QQ), big], [big, big * 3, LP(QQ, {-5: 1})]):
+        for n in (1, 2, 3, 6):
+            outcomes = _form_outcomes(numerators, den, n)
+            assert outcomes[0] == outcomes[1] == outcomes[2], (numerators, n)
+    assert av_exact(ResidueForm([big], den), 1) == big.eval(QQ.one()) / den.eval(QQ.one())
+    # no numerator, or only zeros: the sum is zero
+    for numerators in ([], [LP.zero(QQ)] * 2):
+        assert av_exact(ResidueForm(numerators, den), 4).is_zero()
+    with pytest.raises(ValueError):
+        av_exact(ResidueForm([big], den), 0)
+    with pytest.raises(ZeroDivisionError):
+        ResidueForm([big], LP.zero(QQ))
+
+
+@pytest.mark.parametrize("field", [QQ, FIELD_52], ids=["QQ", "cubic"])
+def test_residue_form_raises_on_cyclotomic_factor(field):
+    rng = random.Random(59 + field.degree)
+    cyclo3 = LP(field, {0: 1, 1: 1, 2: 1})
+    den = cyclo3 * _random_poly(rng, field, -1, 1) ** 2
+    numerators = [_random_poly(rng, field, -3, 4), LP.zero(field),
+                  _random_poly(rng, field, 0, 6) * cyclo3]
+    for n in range(1, 8):
+        outcomes = _form_outcomes(numerators, den, n)
+        if n % 3 == 0:
+            assert outcomes == ("pole",) * 3, n
+        else:
+            assert outcomes[0] == outcomes[1] == outcomes[2] != "pole", n
+
+
+def test_delta_sum_value_builds_each_row_once():
+    lam = QQ.element(3)
+    rootsum._delta_power_row.cache_clear()
+    for n in range(1, 6):
+        for j in range(4):
+            delta_sum_value(lam, j, n)
+    info = rootsum._delta_power_row.cache_info()
+    assert (info.misses, info.hits) == (4, 16)
+    # the returned table is fresh: changing it leaves the next one intact
+    rows = delta_power_sums(lam, 2)
+    rows[2][0] = LP.zero(QQ)
+    rows[1].clear()
+    assert delta_power_sums(lam, 2)[2][0] != LP.zero(QQ)
+    assert len(delta_power_sums(lam, 2)[1]) == 2
+    # equal elements of different fields give rows over their own fields
+    s21 = NumberField([-21, 0, 1], root_index=1)
+    assert delta_power_sums(s21.element(3), 1)[1][0].field == s21
 
 
 def test_linearity(rng):

@@ -1,7 +1,7 @@
 """Every module of the package compiles with warnings turned into errors and
 contains no `assert` statement: runtime checks raise typed errors instead,
 since `python -O` strips asserts.  Every name the benchmark harness in
-`bench/` takes from the package still exists."""
+`bench/` and its tests take from the package still exists."""
 
 import ast
 import glob
@@ -50,30 +50,40 @@ def _resolve(module, name):
         return None
 
 
+BENCH_SOURCES = sorted(glob.glob(os.path.join(BENCH, "*.py"))
+                       + glob.glob(os.path.join(BENCH, "tests", "*.py")))
+
+
 def test_bench_hooks_resolve():
-    """The names `bench/*.py` imports from looptool and uses on its modules,
-    the tracer's SPANS and NF_OPS targets (looked up as Tracer.install does,
-    through owner.__dict__), and looptool.__all__ all exist.  bench/ is read,
-    never imported."""
+    """The names `bench/*.py` and `bench/tests/*.py` import from looptool
+    and use on its modules and classes, the tracer's SPANS and NF_OPS
+    targets (looked up as Tracer.install does, through owner.__dict__), and
+    looptool.__all__ all exist.  bench/ is read, never imported."""
     missing = []
-    for path in sorted(glob.glob(os.path.join(BENCH, "*.py"))):
+    for path in BENCH_SOURCES:
+        name = os.path.relpath(path, BENCH)
         with open(path) as fh:
             tree = ast.parse(fh.read(), path)
-        modules = {}
+        owners = {}
         for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "looptool":
+                        bound = alias.asname or alias.name.split(".")[0]
+                        owners[bound] = importlib.import_module(
+                            alias.name if alias.asname else "looptool")
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("looptool"):
                 for alias in node.names:
                     value = _resolve(node.module, alias.name)
                     if value is None:
-                        missing.append(f"{os.path.basename(path)}: "
-                                       f"{node.module}.{alias.name}")
-                    elif hasattr(value, "__path__") or hasattr(value, "__file__"):
-                        modules[alias.asname or alias.name] = value
+                        missing.append(f"{name}: {node.module}.{alias.name}")
+                    elif isinstance(value, type) or hasattr(value, "__file__"):
+                        owners[alias.asname or alias.name] = value
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id in modules
-                    and not hasattr(modules[node.value.id], node.attr)):
-                missing.append(f"{os.path.basename(path)}: {node.value.id}.{node.attr}")
+                    and node.value.id in owners
+                    and not hasattr(owners[node.value.id], node.attr)):
+                missing.append(f"{name}: {node.value.id}.{node.attr}")
         if os.path.basename(path) != "tracer.py":
             continue
         for module, *targets in _literal(tree, "SPANS").values():
