@@ -395,7 +395,7 @@ def loop_invariant(data, n: int, diagrams, ell: int,
     elif peripheral != "lambda":
         raise ParseError("peripheral curve must be 'lambda' or 'mu'")
     field = data.field
-    images = CyclicMatrixImage(pi_symbolic, n, field, pi0)
+    images = CyclicMatrixImage(pi_symbolic, n, field, pi0, data.propagator_at_one)
     total: Dict[int, FieldElement] = {}
     for G, table in diagrams:
         w = _contract(G, table, data.N, images)

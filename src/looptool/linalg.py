@@ -16,8 +16,7 @@ modulo every listed prime.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import CrossCheckError, MathDomainError, SingularError
@@ -111,7 +110,7 @@ def solve(field: NumberField, A, b):
                               f"right-hand sides")
     num, den = solve_integer(*integer_system(field, A, b))
     d = field.degree
-    return [FieldElement(field, tuple(Fraction(v, den) for v in num[k:k + d]))
+    return [FieldElement._from_integers(field, num[k:k + d], den)
             for k in range(0, d * n, d)]
 
 
@@ -132,8 +131,8 @@ def solve_integer(M, rhs):
     else:
         x = solve_gauss_jordan(QQ, [[QQ.element(v) for v in row] for row in M],
                                [QQ.element(v) for v in rhs])
-        den = lcm(*(c.coords[0].denominator for c in x))
-        return [c.coords[0].numerator * (den // c.coords[0].denominator) for c in x], den
+        den = lcm(*(c.den for c in x))
+        return [c.num[0] * (den // c.den) for c in x], den
     return _dixon(M, rhs, lu)
 
 
@@ -146,40 +145,40 @@ def solve_gauss_jordan(field: NumberField, A, b):
     return [row[n] for row in aug]
 
 
-def _coords(x, field: NumberField):
-    if isinstance(x, FieldElement) and x.field == field:
-        return x.coords
-    return (field.zero() + x).coords
-
-
-def _columns(coords, lows):
-    """Coordinates of a, a xi, ..., a xi^(d-1) for a with the given
-    coordinates, where xi^d = -(lows[0] + lows[1] xi + ...): the columns of
-    the matrix of multiplication by a in the power basis."""
-    col = list(coords)
-    out = [col]
-    for _ in range(len(col) - 1):
-        top = col[-1]
-        col = [-top * lows[0]] + [c - top * m for c, m in zip(col[:-1], lows[1:])]
-        out.append(col)
-    return out
+def _in_field(x, field: NumberField) -> FieldElement:
+    if isinstance(x, FieldElement) and (x.field is field or x.field == field):
+        return x
+    return field.zero() + x
 
 
 def integer_system(field: NumberField, A, b):
     """A x = b as a (d n) x (d n) system over Z: each field equation becomes
     d rational ones through the regular representation, and each rational
-    equation is scaled by the lcm of its denominators.  Unknown k*d + j is
-    coordinate j of x_k."""
-    lows = field.minpoly[:-1]
+    equation is scaled to coprime integers.  Unknown k*d + j is coordinate j
+    of x_k."""
+    d = field.degree
+    # column j of a multiplication matrix is over scale^j: bring all to d - 1
+    lift = [field._scale ** (d - 1 - j) for j in range(d)]
     M, rhs = [], []
     for row, rhs_i in zip(A, b):
-        blocks = [_columns(_coords(a, field), lows) for a in row]
-        for c, target in enumerate(_coords(rhs_i, field)):
-            eq = [col[c] for cols in blocks for col in cols] + [target]
-            scale = lcm(*(q.denominator for q in eq))
-            ints = [q.numerator * (scale // q.denominator) for q in eq]
-            rhs.append(ints.pop())
-            M.append(ints)
+        row = [_in_field(a, field) for a in row]
+        target = _in_field(rhs_i, field)
+        den = lcm(target.den, *(a.den for a in row))
+        cols = []
+        for a in row:
+            f = den // a.den
+            for col, u in zip(field._mult_columns(a.num), lift):
+                cols.append([v * (f * u) for v in col])
+        top = den // target.den * lift[0]
+        common = den * lift[0]
+        for c in range(d):
+            eq = [col[c] for col in cols]
+            eq.append(target.num[c] * top)
+            g = gcd(common, *eq)
+            if g > 1:
+                eq = [v // g for v in eq]
+            rhs.append(eq.pop())
+            M.append(eq)
     return M, rhs
 
 

@@ -2,8 +2,18 @@
 
 A number field is Q[xi]/(m(xi)) for a monic squarefree m with rational
 coefficients; its elements are coordinate vectors over Q in the power basis
-1, xi, ..., xi^(d-1).  All values are immutable; arithmetic returns new
-objects, so elements are safe to share across threads.
+1, xi, ..., xi^(d-1), stored as d integer numerators over one positive
+common denominator in lowest terms (Cohen, A Course in Computational
+Algebraic Number Theory, 4.2), one representation for every degree.  A sum
+reduces only by g = gcd of the two denominators, the one factor that can
+divide its content (Knuth, TAOCP vol. 2, 4.5.1); a product is one integer
+convolution, folded back through the rows of xi^d, ..., xi^(2d-2) written
+over Z with one scale (which covers monic minimal polynomials with
+non-integral coefficients), then one content gcd; an inverse is one
+fraction-free Gauss-Jordan elimination on the integer matrix of
+multiplication.  The Fraction coordinates (`coords`) are built on first
+use.  All values are immutable; arithmetic returns new objects, so elements
+are safe to share across threads.
 
 Complex embeddings are certified: every approximate root of m carries an
 isolation radius r such that the disk of radius r around the approximation
@@ -20,6 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 import mpmath
@@ -308,6 +319,13 @@ class NumberField:
         self.root_index = root_index
         self._roots_cache: dict = {}
         self._reduction_rows = self._build_reduction()
+        # the same rows over Z: xi^(d+k) = _int_rows[k] / _scale
+        self._scale = lcm(*(q.denominator for row in self._reduction_rows for q in row))
+        self._int_rows = [[q.numerator * (self._scale // q.denominator) for q in row]
+                          for row in self._reduction_rows]
+        self._pad = (0,) * (self.degree - 1)
+        self._zero = _make(self, (0,) + self._pad, 1)
+        self._one = _make(self, (1,) + self._pad, 1)
 
     def _build_reduction(self):
         # coordinate rows of xi^(d+k) for k = 0..d-2, so products reduce by
@@ -325,6 +343,19 @@ class NumberField:
             cur = nxt
         return rows
 
+    def _mult_columns(self, num) -> list:
+        """Numerators of a, a xi, ..., a xi^(d-1) for the element a with
+        numerators `num`, column j over _scale^j: the matrix of
+        multiplication by a in the power basis, column by column."""
+        scale, low = self._scale, self._int_rows[0]
+        col = list(num)
+        out = [col]
+        for _ in range(self.degree - 1):
+            top = col[-1]
+            col = [top * low[0]] + [scale * c + top * m for c, m in zip(col, low[1:])]
+            out.append(col)
+        return out
+
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other):
@@ -341,19 +372,23 @@ class NumberField:
     # -- element constructors --------------------------------------------------
 
     def element(self, coords) -> "FieldElement":
+        if type(coords) is int:
+            return _make(self, (coords,) + self._pad, 1)
         if isinstance(coords, (int, Fraction, str)):
-            coords = [parse_rational(coords)] + [Fraction(0)] * (self.degree - 1)
+            q = parse_rational(coords)
+            return _make(self, (q.numerator,) + self._pad, q.denominator)
         coords = [parse_rational(c) for c in coords]
         if len(coords) > self.degree:
             raise ParseError(f"expected at most {self.degree} coordinates")
-        coords += [Fraction(0)] * (self.degree - len(coords))
-        return FieldElement(self, tuple(coords))
+        if len(coords) == 1:
+            return self.element(coords[0])
+        return FieldElement(self, coords + [0] * (self.degree - len(coords)))
 
     def zero(self) -> "FieldElement":
-        return self.element(0)
+        return self._zero
 
     def one(self) -> "FieldElement":
-        return self.element(1)
+        return self._one
 
     def generator(self) -> "FieldElement":
         if self.degree == 1:
@@ -432,27 +467,119 @@ class NumberField:
         return cls(obj["minpoly"], parse_int(obj.get("root_index", 0), "root_index"))
 
 
+_new = object.__new__
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """The Fraction n/d for coprime n and d > 0, without the gcd and the
+    argument checks of Fraction(n, d); sets the two slots that Fraction
+    itself reads."""
+    q = _new(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+def _make(field: NumberField, num: tuple, den: int) -> "FieldElement":
+    """The element num / den of the field, for num and den > 0 already in
+    lowest terms."""
+    e = _new(FieldElement)
+    e.field = field
+    e.num = num
+    e.den = den
+    e._coords = None
+    return e
+
+
+def _add1(field: NumberField, x: int, b: int, y: int, e: int) -> "FieldElement":
+    """x/b + y/e in Q, for both in lowest terms (Knuth, TAOCP vol. 2,
+    4.5.1): only g = gcd(b, e) can divide the numerator of the sum and its
+    denominator."""
+    if b == e:
+        s = x + y
+        if b == 1:
+            return _make(field, (s,), 1)
+        g = gcd(s, b)
+        return _make(field, (s // g,), b // g) if g > 1 else _make(field, (s,), b)
+    g = gcd(b, e)
+    if g == 1:
+        return _make(field, (x * e + y * b,), b * e)
+    b1 = b // g
+    s = x * (e // g) + y * b1
+    g2 = gcd(s, g)
+    return _make(field, (s // g2,), b1 * (e // g2)) if g2 > 1 else _make(field, (s,), b1 * e)
+
+
+def _add(field: NumberField, a, b: int, c, e: int) -> "FieldElement":
+    """a/b + c/e for numerator vectors over their denominators, both in
+    lowest terms; as `_add1`, only gcd(b, e) can divide the content."""
+    if b == e:
+        num = [x + y for x, y in zip(a, c)]
+        if b == 1:
+            return _make(field, tuple(num), 1)
+        g = gcd(b, *num)
+        if g == 1:
+            return _make(field, tuple(num), b)
+        return _make(field, tuple([v // g for v in num]), b // g)
+    g = gcd(b, e)
+    if g == 1:
+        return _make(field, tuple([x * e + y * b for x, y in zip(a, c)]), b * e)
+    b1, e1 = b // g, e // g
+    num = [x * e1 + y * b1 for x, y in zip(a, c)]
+    g2 = gcd(g, *num)
+    if g2 == 1:
+        return _make(field, tuple(num), b1 * e)
+    return _make(field, tuple([v // g2 for v in num]), b1 * (e // g2))
+
+
 class FieldElement:
-    """Immutable element of a NumberField as a rational coordinate vector."""
+    """Immutable element of a NumberField: the integer numerators `num` of
+    its power-basis coordinates over one positive common denominator `den`,
+    in lowest terms (gcd(den, num...) = 1, and zero is 0/1).  `coords` gives
+    the coordinates as Fractions, built on first use."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "num", "den", "_coords")
 
-    def __init__(self, field: NumberField, coords: tuple):
+    def __init__(self, field: NumberField, coords):
+        # the lcm of reduced denominators leaves no common factor
+        den = lcm(*[c.denominator for c in coords])
         self.field = field
-        self.coords = coords
+        self.num = tuple([c.numerator * (den // c.denominator) for c in coords])
+        self.den = den
+        self._coords = None
+
+    @staticmethod
+    def _from_integers(field: NumberField, num, den: int) -> "FieldElement":
+        """The element with coordinates num[i] / den, for integers and den != 0."""
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g == 1:
+            return _make(field, tuple(num), den)
+        return _make(field, tuple([v // g for v in num]), den // g)
+
+    @property
+    def coords(self) -> tuple:
+        """The power-basis coordinates as Fractions."""
+        if self._coords is None:
+            den = self.den
+            gs = [gcd(v, den) for v in self.num]
+            self._coords = tuple([_fraction(v // g, den // g) for v, g in zip(self.num, gs)])
+        return self._coords
 
     # -- coercion --------------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field == self.field:
+            field = self.field
+            if other.field is field or other.field == field:
                 return other
             if other.field.degree == 1:
-                return self.field.element(other.coords[0])
-            if self.field.degree == 1:
+                return _make(field, other.num + field._pad, other.den)
+            if field.degree == 1:
                 return NotImplemented  # handled by reflected op
             raise TypeError(f"elements of incompatible fields: "
-                            f"{self.field!r} vs {other.field!r}")
+                            f"{field!r} vs {other.field!r}")
         if isinstance(other, (int, Fraction)):
             return self.field.element(other)
         return NotImplemented
@@ -460,52 +587,77 @@ class FieldElement:
     # -- ring operations ---------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return self._promote_op(other, "add")
-        return FieldElement(self.field,
-                            tuple(a + b for a, b in zip(self.coords, o.coords)))
+        if other.__class__ is FieldElement and other.field is self.field:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is NotImplemented:
+                return self._promote_op(other, "add")
+        if self.field.degree == 1:
+            return _add1(self.field, self.num[0], self.den, o.num[0], o.den)
+        return _add(self.field, self.num, self.den, o.num, o.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return self._promote_op(other, "sub")
-        return FieldElement(self.field,
-                            tuple(a - b for a, b in zip(self.coords, o.coords)))
+        if other.__class__ is FieldElement and other.field is self.field:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is NotImplemented:
+                return self._promote_op(other, "sub")
+        if self.field.degree == 1:
+            return _add1(self.field, self.num[0], self.den, -o.num[0], o.den)
+        return _add(self.field, self.num, self.den, [-v for v in o.num], o.den)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coords))
+        return _make(self.field, tuple([-v for v in self.num]), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return self._promote_op(other, "mul")
-        d = self.field.degree
-        if d == 1:
-            return FieldElement(self.field, (self.coords[0] * o.coords[0],))
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(o.coords):
-                    if b:
-                        conv[i + j] += a * b
-        out = conv[:d]
-        rows = self.field._reduction_rows
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                row = rows[k - d]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return FieldElement(self.field, tuple(out))
+        if other.__class__ is FieldElement and other.field is self.field:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is NotImplemented:
+                return self._promote_op(other, "mul")
+        field = self.field
+        b, e = self.den, o.den
+        if field.degree == 1:
+            # cross-cancel as Fraction multiplication does
+            (a,), (c,) = self.num, o.num
+            g1, g2 = gcd(a, e), gcd(c, b)
+            if g1 > 1:
+                a //= g1
+                e //= g1
+            if g2 > 1:
+                c //= g2
+                b //= g2
+            return _make(field, (a * c,), b * e)
+        # one integer convolution, the powers xi^d ... xi^(2d-2) folded back
+        # through the integer rows over one scale, then one content gcd
+        d = field.degree
+        conv = [0] * (2 * d - 1)
+        for i, x in enumerate(self.num):
+            if x:
+                for j, y in enumerate(o.num, i):
+                    conv[j] += x * y
+        scale = field._scale
+        out = conv[:d] if scale == 1 else [v * scale for v in conv[:d]]
+        for v, row in zip(conv[d:], field._int_rows):
+            if v:
+                for i, r in enumerate(row):
+                    out[i] += v * r
+        den = b * e * scale
+        g = gcd(den, *out)
+        if g == 1:
+            return _make(field, tuple(out), den)
+        return _make(field, tuple([v // g for v in out]), den // g)
 
     def _promote_op(self, other, op):
         # self lives in Q, other in a bigger field
         if isinstance(other, FieldElement) and self.field.degree == 1:
-            lifted = other.field.element(self.coords[0])
+            lifted = _make(other.field, self.num + other.field._pad, self.den)
             if op == "add":
                 return lifted + other
             if op == "sub":
@@ -520,14 +672,36 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero():
+        num, field = self.num, self.field
+        if not any(num):
             raise ZeroInverse("inverse of zero field element")
-        if self.field.degree == 1:
-            return FieldElement(self.field, (1 / self.coords[0],))
-        s = poly_invmod(self.coords, self.field.minpoly, Fraction(0), Fraction(1))
-        if s is None:
-            raise ZeroInverse("element not invertible; minpoly not squarefree?")
-        return self.field.element(s)
+        if field.degree == 1:
+            a = num[0]
+            return _make(field, (self.den,), a) if a > 0 else _make(field, (-self.den,), -a)
+        # Solve M y = e_0 for the matrix M of multiplication by num with
+        # fraction-free Gauss-Jordan (Bareiss): every division is exact, and
+        # at the end each diagonal entry is the last pivot D = +-det M and the
+        # last column is D y.
+        d = field.degree
+        cols = field._mult_columns(num)
+        aug = [[col[i] for col in cols] + [int(i == 0)] for i in range(d)]
+        prev = 1
+        for k in range(d):
+            p = next((i for i in range(k, d) if aug[i][k]), None)
+            if p is None:
+                raise ZeroInverse("element not invertible; minpoly not squarefree?")
+            aug[k], aug[p] = aug[p], aug[k]
+            top = aug[k]
+            pivot = top[k]
+            for i, row in enumerate(aug):
+                if i != k:
+                    f = row[k]
+                    aug[i] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
+            prev = pivot
+        # column j of M is over scale^j, so 1/a = den * (scale^j y_j)_j
+        scale, den = field._scale, self.den
+        return FieldElement._from_integers(
+            field, [row[d] * den * scale ** j for j, row in enumerate(aug)], prev)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -545,6 +719,9 @@ class FieldElement:
         if exponent < 0:
             base = self.inverse()
             exponent = -exponent
+        if self.field.degree == 1:
+            # powers of coprime integers stay coprime
+            return _make(self.field, (base.num[0] ** exponent,), base.den ** exponent)
         result = self.field.one()
         while exponent:
             if exponent & 1:
@@ -556,10 +733,10 @@ class FieldElement:
     # -- predicates --------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
@@ -568,7 +745,8 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coords[0] == other
+            return (self.is_rational() and self.num[0] == other.numerator
+                    and self.den == other.denominator)
         if isinstance(other, FieldElement):
             try:
                 o = self._coerce(other)
@@ -576,16 +754,16 @@ class FieldElement:
                 return False
             if o is NotImplemented:
                 return other.__eq__(self)
-            return self.coords == o.coords
+            return self.num == o.num and self.den == o.den
         return NotImplemented
 
     def __hash__(self):
         if self.is_rational():
             return hash(self.coords[0])
-        return hash((self.field, self.coords))
+        return hash((self.field, self.num, self.den))
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     def __repr__(self):
         if self.is_rational():

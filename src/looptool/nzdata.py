@@ -76,6 +76,7 @@ class TwistedNZData:
         self.zpp = [one - z.inverse() for z in self.shapes]           # z'' = 1 - 1/z
         self._delta = None
         self._pi_symbolic = None
+        self._pi1 = None
         if check:
             self.validate()
 
@@ -158,6 +159,14 @@ class TwistedNZData:
             out.append(vals)
         return out
 
+    def propagator_at_one(self):
+        """Pi(1), evaluated once per dataset.  An entry whose denominator
+        vanishes at t = 1 raises ZeroDivisionError, and nothing is kept."""
+        if self._pi1 is None:
+            one = self.field.one()
+            self._pi1 = [[e.eval(one) for e in row] for row in self.propagator_symbolic()]
+        return self._pi1
+
     def propagator_meridian(self):
         """Pi_mu from the bordered matrices (B(1) + O[b_mu])^{-1}(A(1) + O[a_mu])."""
         if self.peripheral is None or self.peripheral.a_mu is None:
@@ -201,7 +210,12 @@ class TwistedNZData:
         (Pi_0 - Pi(1))/n to every block.
         """
         from .circulant import cover_blocks_from_symbolic
-        pi1 = self.propagator_at(self.field.one()) if pi0 is not None else None
+        pi1 = None
+        if pi0 is not None:
+            try:
+                pi1 = self.propagator_at_one()
+            except ZeroDivisionError:
+                raise SingularAtRoot("propagator singular at t = 1") from None
         return cover_blocks_from_symbolic(self.propagator_symbolic(), n,
                                           self.field, pi0, pi1)
 

@@ -332,8 +332,11 @@ def reconstruct_p(values: Sequence[Tuple[int, FieldElement]],
     terms = {key: c for key, c in zip(basis, coeffs) if not c.is_zero()}
     p = CoverPolynomial(field, ell, list(roots), terms)
     for n, v in values[needed:]:
-        if p.evaluate(n) != v:
-            raise HoldoutMismatchError(f"reconstruction fails at held-out n = {n}")
+        got = p.evaluate(n)
+        if got != v:
+            raise HoldoutMismatchError(
+                f"reconstruction fails at held-out n = {n}: recovered polynomial "
+                f"p({n}) = {got!r}, input value = {v!r}")
     return p
 
 

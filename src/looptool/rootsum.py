@@ -127,7 +127,8 @@ class CyclicMatrixImage:
     t^n - 1.  When pi0 overrides the value at flow 0, every coefficient of
     every image picks up (pi0 - Pi(1))/n, so that each image still sums to
     its pi0 entry; `zero_entries` is the matrix for flow value 0, pi0 or
-    Pi(1).  Pi(1) is evaluated at most once, and taken from pi1 when given.
+    Pi(1).  Pi(1) is evaluated at most once, and taken from pi1 when given:
+    the matrix, or a function that returns it, called when first needed.
     """
 
     def __init__(self, matrix, n: int, field: NumberField, pi0=None, pi1=None):
@@ -144,7 +145,9 @@ class CyclicMatrixImage:
 
     def _at_one(self):
         """Pi(1), the entries evaluated at t = 1."""
-        if self._pi1 is None:
+        if callable(self._pi1):
+            self._pi1 = self._pi1()
+        elif self._pi1 is None:
             one = self.field.one()
             self._pi1 = [[e.eval(one) for e in row] for row in self.matrix]
         return self._pi1
@@ -219,7 +222,7 @@ class ResidueForm:
             scale = lcm(*(q.denominator for col in columns for q in col))
             weights = [[col[c].numerator * (scale // col[c].denominator)
                         for col in columns] for c in range(field.degree)]
-            self._terms.append((i, [(c * lc_inv).coords for c in quo], weights, scale))
+            self._terms.append((i, [c * lc_inv for c in quo], weights, scale))
         self._integral = (field.degree == 1
                           and all(c.coords[0].denominator == 1 for c in monic))
         self._modulus = ([c.coords[0].numerator for c in monic] if self._integral
@@ -242,14 +245,13 @@ class ResidueForm:
             except SingularError:
                 raise RootOfUnityPole(
                     f"denominator vanishes at an {n}-th root of unity") from None
-        total = [Fraction(0)] * self.field.degree
+        field = self.field
+        total = field.zero()
         for i, quo, weights, scale in self._terms:
-            factor = Fraction(n) ** (1 - i)
-            for c, row in enumerate(weights):
-                value = sum(coords[c] for coords in quo[::n]) \
-                    - Fraction(sum(map(mul, row, x)), scale * x_den)
-                total[c] += value * factor
-        return FieldElement(self.field, tuple(total))
+            value = sum(quo[::n], field.zero()) - FieldElement._from_integers(
+                field, [sum(map(mul, row, x)) for row in weights], scale * x_den)
+            total = total + value * Fraction(n) ** (1 - i)
+        return total
 
 
 def _unit_system(n: int, m, zero, one):

@@ -131,6 +131,11 @@ def test_reconstruct_holdout_mismatch_exit_5(tmp_path, capsys):
                         "--roots", os.path.join(DATA, "roots_4_1.json"),
                         "--ell", "2", "--r", "1"], capsys)
     assert code == 5
+    # the planted disagreement: one line naming n, p(n) and the input value
+    good = fx.phi_average(2, 5).value.coords[0]
+    assert err.strip().splitlines() == [
+        f"holdout mismatch: reconstruction fails at held-out n = 5: recovered "
+        f"polynomial p(5) = {good}, input value = {good + 1}"]
 
 
 def test_reconstruct_singular_exit_4(tmp_path, capsys):
@@ -285,6 +290,24 @@ def test_knot_table_golden(argv, digest, capsys):
     code, out, _ = run(["knot"] + argv, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_reconstruct_41_golden(tmp_path, monkeypatch, capsys):
+    # the 4_1 l = 3, r = 1 reconstruction from the knot table's own values
+    code, out, _ = run(["knot", "--knot", "4_1", "--loop", "3", "--nmax", "13",
+                        "--mode", "average"], capsys)
+    assert code == 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "values.csv").write_text(out)
+    code, out, _ = run(["reconstruct", "--values", "values.csv",
+                        "--roots", os.path.abspath(os.path.join(DATA, "roots_4_1.json")),
+                        "--ell", "3", "--r", "1", "--holdout", "3",
+                        "--out", "poly.json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "0ea4356d96760daa858cec7f606d44fcaab779b3f88534cf88ceaf7dacfc9308"
+    assert hashlib.sha256((tmp_path / "poly.json").read_bytes()).hexdigest() == \
+        "e4daeb20ffa3105ebbe22b6dd641ea1114363b78c859811c63cee8936a25f1d3"
 
 
 def test_knot_cross_check_failure_names_routes_and_values(monkeypatch, capsys):

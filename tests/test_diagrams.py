@@ -10,9 +10,10 @@ from looptool.diagrams import (FeynmanDiagram, VertexFactorTable,
                                is_conserved, loop_invariant, weight_direct,
                                weight_flow)
 from looptool.errors import (GradeMismatch, MissingVertexFactor,
-                             RootOfUnityPole, ValidationError)
+                             RootOfUnityPole, SingularAtRoot, ValidationError)
 from looptool.laurent import LaurentPolynomial, RationalFunction
 from looptool.numberfield import QQ
+from looptool.nzdata import TwistedNZData
 from looptool.rootsum import ratfun_mod_cyclic
 from looptool.synth import (random_nz_data, random_symmetric_matrix,
                             random_symmetric_propagator, random_vertex_table)
@@ -280,6 +281,9 @@ class _Bundle:
     def propagator_meridian(self):
         return self.pi_mu
 
+    def propagator_at_one(self):
+        return [[e.eval(QQ.one()) for e in row] for row in self.pi]
+
 
 def _bench_diagrams(rng, N, gamma0):
     # theta, dumbbell and figure-eight all at hbar grade 1
@@ -317,3 +321,34 @@ def test_loop_invariant_raises_on_cyclotomic_denominator(rng):
     for n in (3, 6):
         with pytest.raises(RootOfUnityPole):
             loop_invariant(data, n, diags, 2)
+
+
+def test_loop_invariant_evaluates_pi_at_one_once_per_dataset(rng, monkeypatch):
+    data = random_nz_data(rng, 2)
+    diags = _bench_diagrams(rng, 2, None)
+    expect = {n: loop_invariant(data, n, diags, 2) for n in (1, 2, 3, 5)}
+    data = TwistedNZData(data.field, data.A, data.B, data.shapes)  # nothing cached
+    evaluated = []
+    real = RationalFunction.eval
+    monkeypatch.setattr(RationalFunction, "eval",
+                        lambda self, a: evaluated.append(a) or real(self, a))
+    for n in (1, 2, 3, 5):
+        assert loop_invariant(data, n, diags, 2) == expect[n]
+    assert len(evaluated) == data.N ** 2 and all(a == 1 for a in evaluated)
+
+
+def test_pi_singular_at_one_keeps_each_routes_exception(rng):
+    data = random_nz_data(rng, 2)
+    diags = _bench_diagrams(rng, 2, None)
+    t_minus_1 = LaurentPolynomial(QQ, {0: -1, 1: 1})
+    pi = data.propagator_symbolic()
+    pi[0][1] = RationalFunction(pi[0][1].num, pi[0][1].den * t_minus_1)
+    # loop_invariant evaluates the entry at t = 1; the cover propagator with a
+    # flow-0 override reports the singular propagator
+    with pytest.raises(ZeroDivisionError) as excinfo:
+        loop_invariant(data, 2, diags, 2)
+    assert excinfo.type is ZeroDivisionError
+    with pytest.raises(SingularAtRoot, match="t = 1"):
+        data.cover_propagator(2, pi0=random_symmetric_matrix(rng, 2))
+    with pytest.raises(ZeroDivisionError):
+        loop_invariant(data, 3, diags, 2)

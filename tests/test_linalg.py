@@ -3,6 +3,7 @@ p-adic square solve checked against the Gauss-Jordan oracle."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -12,7 +13,7 @@ from looptool.errors import CrossCheckError, MathDomainError, SingularError
 from looptool.knots import FIELD_52
 from looptool.linalg import (PRIMES, identity, mat_inv, mat_mul, solve,
                              solve_consistent, solve_gauss_jordan, solve_integer)
-from looptool.numberfield import QQ
+from looptool.numberfield import QQ, NumberField
 from looptool.rootsum import _unit_system
 
 
@@ -204,3 +205,50 @@ def test_step_cap_reached_raises_cross_check(monkeypatch):
     monkeypatch.setattr(linalg, "_step_cap", lambda M, rhs, p: 2)
     with pytest.raises(CrossCheckError):
         solve(QQ, A, b)
+
+
+def _reference_integer_system(field, A, b):
+    """integer_system on Fraction coordinates: the multiplication matrix of
+    each entry column by column, each rational equation scaled by the lcm of
+    its reduced denominators."""
+    lows = field.minpoly[:-1]
+
+    def columns(x):
+        col = list((field.zero() + x).coords)
+        out = [col]
+        for _ in range(field.degree - 1):
+            top = col[-1]
+            col = [-top * lows[0]] + [c - top * m for c, m in zip(col[:-1], lows[1:])]
+            out.append(col)
+        return out
+
+    M, rhs = [], []
+    for row, target in zip(A, b):
+        blocks = [columns(a) for a in row]
+        for c, t in enumerate((field.zero() + target).coords):
+            eq = [col[c] for cols in blocks for col in cols] + [t]
+            scale = lcm(*(q.denominator for q in eq))
+            ints = [q.numerator * (scale // q.denominator) for q in eq]
+            rhs.append(ints.pop())
+            M.append(ints)
+    return M, rhs
+
+
+@pytest.mark.parametrize("minpoly", [[0, 1], [-21, 0, 1], [-1, -1, 0, 1],
+                                     ["-3/4", 0, 1], ["-1/3", "-1/2", 0, 1]],
+                         ids=["QQ", "sqrt21", "cubic", "x2-3/4", "cubic-non-integral"])
+def test_integer_system_matches_fraction_reference(minpoly):
+    field = NumberField(minpoly)
+    rng = random.Random(str(minpoly))
+    for n in (1, 2, 3, 5):
+        A = _random_matrix(rng, field, n, n)
+        A[0][-1] = field.zero()
+        A[-1][0] = QQ.element(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        b = [random_element(rng, field, den=30) for _ in range(n - 1)] + [7]
+        assert linalg.integer_system(field, A, b) == _reference_integer_system(field, A, b)
+        try:
+            want = solve_gauss_jordan(field, [[field.zero() + a for a in row] for row in A],
+                                      [field.zero() + v for v in b])
+        except SingularError:
+            continue
+        assert solve(field, A, b) == want

@@ -1,5 +1,6 @@
 """Field arithmetic, inverses, certified embeddings, serialization."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -229,3 +230,146 @@ def test_ball_arithmetic_encloses():
     # true product of centers lies inside
     assert prod.contains_ball(ComplexBall(b1.re * b2.re - b1.im * b2.im,
                                           b1.re * b2.im + b1.im * b2.re))
+
+
+# -- integer numerators over one denominator, against Fraction coordinates ------
+
+def _oracle_mul(field, a, b):
+    """The schoolbook product of Fraction coordinate tuples, with the powers
+    xi^d ... xi^(2d-2) folded back through the field's rational reduction
+    rows: the arithmetic FieldElement had before it kept integers."""
+    d = field.degree
+    conv = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    out = conv[:d]
+    for c, row in zip(conv[d:], field._reduction_rows):
+        for i, r in enumerate(row):
+            out[i] += c * r
+    return tuple(out)
+
+
+def _oracle_inverse(field, a):
+    inv = poly_invmod(list(a), field.minpoly, Fraction(0), Fraction(1))
+    return tuple(inv + [Fraction(0)] * (field.degree - len(inv)))
+
+
+def _oracle_pow(field, a, k):
+    base = _oracle_inverse(field, a) if k < 0 else a
+    out = (Fraction(1),) + (Fraction(0),) * (field.degree - 1)
+    for _ in range(abs(k)):
+        out = _oracle_mul(field, out, base)
+    return out
+
+
+ORACLE_FIELDS = {
+    "Q": QQ,
+    "sqrt21": NumberField([-21, 0, 1], root_index=1),
+    "cubic_52": FIELD_52,
+    "x2-3/4": NumberField(["-3/4", 0, 1]),
+    "cubic_non_integral": NumberField(["-1/3", "-1/2", 0, 1]),
+}
+
+
+def _oracle_coords(rng, field):
+    """Coordinates of small, large and zero sizes, sometimes over one shared
+    denominator, sometimes over unrelated ones."""
+    kind = rng.choice(["small", "shared", "large", "zero", "sparse"])
+    if kind == "zero":
+        return [Fraction(0)] * field.degree
+    bound, den = {"small": (9, 12), "shared": (10 ** 6, 1), "large": (2 ** 80, 2 ** 70),
+                  "sparse": (50, 30)}[kind]
+    shared = rng.randint(1, 2 ** 40)
+    coords = []
+    for _ in range(field.degree):
+        num = rng.randint(-bound, bound)
+        if kind == "sparse" and rng.random() < 0.5:
+            num = 0
+        coords.append(Fraction(num, shared if kind == "shared" else rng.randint(1, den)))
+    return coords
+
+
+def _assert_canonical(e, field):
+    assert e.field is field
+    assert type(e.num) is tuple and len(e.num) == field.degree
+    assert all(type(v) is int for v in e.num) and type(e.den) is int
+    assert e.den > 0 and math.gcd(e.den, *e.num) == 1
+    if not any(e.num):
+        assert e.den == 1
+    assert type(e.coords) is tuple
+    assert all(type(c) is Fraction for c in e.coords)
+    assert e.coords == tuple(Fraction(v, e.den) for v in e.num)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_arithmetic_matches_fraction_oracle(name):
+    field = ORACLE_FIELDS[name]
+    rng = random.Random(name)
+    for _ in range(120):
+        a, b = _oracle_coords(rng, field), _oracle_coords(rng, field)
+        x, y = field.element(a), field.element(b)
+        assert x.coords == tuple(a)
+        results = {
+            "add": (x + y, tuple(p + q for p, q in zip(a, b))),
+            "sub": (x - y, tuple(p - q for p, q in zip(a, b))),
+            "neg": (-x, tuple(-p for p in a)),
+            "mul": (x * y, _oracle_mul(field, a, b)),
+            "rsub": (3 - x, tuple([3 - a[0]] + [-p for p in a[1:]])),
+            "scalar": (x * Fraction(-5, 7), tuple(p * Fraction(-5, 7) for p in a)),
+        }
+        if any(b):
+            results["div"] = (x / y, _oracle_mul(field, a, _oracle_inverse(field, b)))
+            results["inverse"] = (y.inverse(), _oracle_inverse(field, b))
+        for k in (-2, 0, 1, 3) if any(a) else (0, 1, 3):
+            results[f"pow{k}"] = (x ** k, _oracle_pow(field, a, k))
+        for op, (got, want) in results.items():
+            _assert_canonical(got, field)
+            assert got.coords == want, (name, op, a, b)
+            assert got == field.element(list(want)), (name, op)
+
+
+def test_representation_invariants(field_sqrt21):
+    K = field_sqrt21
+    s = K.generator()
+    for field in (QQ, K, ORACLE_FIELDS["x2-3/4"]):
+        zero = field.zero()
+        assert zero.num == (0,) * field.degree and zero.den == 1
+        x = field.element([Fraction(6, 4)] + [Fraction(3, 9)] * (field.degree - 1))
+        assert (x - x).num == zero.num and (x - x).den == 1
+        # rational elements hash and compare like the Fraction they hold
+        for q in (Fraction(3, 4), Fraction(-7), Fraction(0), Fraction(10 ** 30 + 1, 3 ** 40)):
+            e = field.element(q)
+            assert hash(e) == hash(q) and e == q and q == e
+            if q.denominator == 1:
+                assert e == int(q) and hash(e) == hash(int(q))
+    assert (s * s) == 21 and s != 21 and s * s != Fraction(43, 2)
+    # FieldElement(field, coords) takes Fractions and ints; the private
+    # constructor normalizes sign and content
+    assert FieldElement(K, (Fraction(1, 2), 3)) == K.element([Fraction(1, 2), 3])
+    e = FieldElement._from_integers(K, [2, -4], -6)
+    assert (e.num, e.den) == ((-1, 2), 3)
+    _assert_canonical(e, K)
+    # promotion from Q into Q(sqrt21), on either side of each operation
+    half = QQ.element(Fraction(1, 2))
+    for got, want in ((half + s, [Fraction(1, 2), 1]), (s + half, [Fraction(1, 2), 1]),
+                      (half - s, [Fraction(1, 2), -1]), (s - half, [Fraction(-1, 2), 1]),
+                      (half * s, [0, Fraction(1, 2)]), (s * half, [0, Fraction(1, 2)]),
+                      (half / s, [0, Fraction(1, 42)]), (s / half, [0, 2])):
+        assert got.field is K and got == K.element(want)
+        _assert_canonical(got, K)
+    assert half == K.element(Fraction(1, 2)) and K.element(Fraction(1, 2)) == half
+    assert hash(half) == hash(K.element(Fraction(1, 2)))
+
+
+def test_fraction_fast_path_matches_fraction():
+    rng = random.Random(5)
+    for _ in range(50):
+        den = rng.randint(1, 10 ** 20)
+        num = rng.randint(-10 ** 25, 10 ** 25)
+        e = QQ.element(Fraction(num, den))
+        q = e.coords[0]
+        assert type(q) is Fraction and q == Fraction(num, den)
+        assert (q.numerator, q.denominator) == (Fraction(num, den).numerator,
+                                                Fraction(num, den).denominator)
+        assert hash(q) == hash(Fraction(num, den)) and str(q) == str(Fraction(num, den))
