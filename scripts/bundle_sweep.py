@@ -1,0 +1,92 @@
+"""Time `diagrams.loop_invariant` on one seeded N = 2 bundle over a sweep of n.
+
+    PYTHONPATH=src python3 scripts/bundle_sweep.py [--seed 7] [--n 40 80 160 320]
+
+The bundle is `bench/inputs.bundle(random.Random(seed), 2, 40)` with its
+theta, dumbbell and figure-eight diagrams.  For each n the script prints the
+median wall time of `--repeat` calls (the symbolic propagator and Pi(1) are
+built beforehand), then the share of one profiled call spent in the
+denominator inverses, in the rest of the cyclic images and in the
+contraction, and finally the least-squares exponent of wall time in n.
+The split reads cProfile's cumulative times of the image builders by name,
+so it also runs on trees where those are `CyclicMatrixImage.entry` and
+`_den_inverse_mod_cyclic`.
+"""
+
+import argparse
+import cProfile
+import math
+import os
+import pstats
+import random
+import statistics
+import sys
+import time
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+import inputs  # noqa: E402
+from looptool import diagrams, nzdata  # noqa: E402
+
+INVERSES = {"_den_inverse", "_den_inverse_mod_cyclic"}
+IMAGES = {"image", "entry"}
+
+
+def load(seed: int):
+    obj, _ = inputs.bundle(random.Random(seed), 2, 40)
+    data = nzdata.TwistedNZData.from_json(obj["nz"])
+    diags = [(diagrams.FeynmanDiagram.from_json(d),
+              diagrams.VertexFactorTable.from_json(d, data.field))
+             for d in obj["diagrams"]]
+    data.propagator_symbolic()
+    data.propagator_at_one()
+    return data, diags
+
+
+def split(data, diags, n: int):
+    """(inverse, images, contraction) shares of one profiled call."""
+    profile = cProfile.Profile()
+    profile.runcall(diagrams.loop_invariant, data, n, diags, 2)
+    stats = pstats.Stats(profile).stats
+    total = sum(tt for _, _, tt, _, _ in stats.values())
+
+    def cumulative(names):
+        return sum(ct for (path, _, name), (_, _, _, ct, _) in stats.items()
+                   if path.endswith("rootsum.py") and name in names)
+
+    inverse = cumulative(INVERSES)
+    images = cumulative(IMAGES) - inverse
+    return inverse / total, images / total, 1 - (inverse + images) / total
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--n", type=int, nargs="+", default=[40, 80, 160, 320])
+    parser.add_argument("--repeat", type=int, default=5)
+    args = parser.parse_args(argv)
+    data, diags = load(args.seed)
+    print("n,median_ms,inverse_share,images_share,contraction_share")
+    points = []
+    for n in args.n:
+        times = []
+        for _ in range(args.repeat):
+            start = time.perf_counter()
+            diagrams.loop_invariant(data, n, diags, 2)
+            times.append(time.perf_counter() - start)
+        wall = statistics.median(times)
+        shares = split(data, diags, n)
+        points.append((math.log(n), math.log(wall)))
+        print(f"{n},{wall * 1e3:.2f}," + ",".join(f"{s:.2f}" for s in shares))
+    if len(points) > 1:
+        mx = statistics.fmean(x for x, _ in points)
+        my = statistics.fmean(y for _, y in points)
+        slope = (sum((x - mx) * (y - my) for x, y in points)
+                 / sum((x - mx) ** 2 for x, _ in points))
+        print(f"exponent in n: {slope:.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,10 +14,10 @@ from typing import List
 import mpmath
 
 from .errors import ParseError
-from .laurent import LaurentMatrix, LaurentPolynomial
+from .laurent import LaurentMatrix, LaurentPolynomial, RationalFunction
 from .linalg import mat_add, mat_mul
 from .numberfield import FieldElement, NumberField
-from .rootsum import CyclicMatrixImage
+from .rootsum import ratfun_mod_cyclic
 
 
 class BlockCirculant:
@@ -142,12 +142,22 @@ def cover_blocks_from_symbolic(pi_matrix, n: int, field: NumberField,
     of any matrix function is obtained by folding its entries; block c is
     the coefficient of t^c.  When pi0 is supplied (the flow-value-0
     propagator differs from Pi(1)), every block picks up (pi0 - Pi(1))/n,
-    with Pi(1) evaluated here when pi1 is not passed.  The images come from
-    rootsum.CyclicMatrixImage, as in the flow formula.
+    with Pi(1) evaluated here when pi1 is not passed.  Each entry is folded
+    on its own by rootsum.ratfun_mod_cyclic, the extended Euclid against
+    t^n - 1, so these blocks share no code with the integer images of the
+    flow formula and check them as an oracle.
     """
-    N = len(pi_matrix)
-    images = CyclicMatrixImage(pi_matrix, n, field, pi0, pi1)
-    folded = [[images.entry(i, j) for j in range(N)] for i in range(N)]
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    matrix = [[RationalFunction.from_poly(e) if isinstance(e, LaurentPolynomial)
+               else e for e in row] for row in pi_matrix]
+    folded = [[ratfun_mod_cyclic(e, n) for e in row] for row in matrix]
+    if pi0 is not None:
+        if pi1 is None:
+            pi1 = [[e.eval(field.one()) for e in row] for row in matrix]
+        folded = [[[c + (pi0[i][j] - pi1[i][j]) / n for c in image]
+                   for j, image in enumerate(row)] for i, row in enumerate(folded)]
+    N = len(matrix)
     blocks = [[[folded[i][j][c] for j in range(N)] for i in range(N)]
               for c in range(n)]
     return BlockCirculant(field, blocks)

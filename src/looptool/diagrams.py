@@ -9,14 +9,16 @@ Two evaluation routes for the weight of a diagram on an n-cyclic cover:
   the tree edges that lie on a cycle are multiplied out, over partial sums
   in (Z/nZ)^d; each free edge carries one cycle coordinate, so its residue
   is forced and it is closed by a lookup.  Per vertex labeling this costs
-  O(|E| n min(n^m, n^d)) field operations, m the number of tree edges on
-  a cycle.  loop_invariant folds the propagator once per n
-  (rootsum.CyclicMatrixImage) for all of its diagrams.  No complex root of
-  unity is ever evaluated.
+  O(|E| n min(n^m, n^d)) products of integer numerators, m the number of
+  tree edges on a cycle, and one gcd.  loop_invariant folds the propagator
+  once per n (rootsum.CyclicMatrixImage, on integers) for all of its
+  diagrams.  No complex root of unity is ever evaluated.
 
 * weight_direct: the brute expansion over all (nN)^|V| vertex labelings of
   the cover, with the cover propagator as a block circulant.  Exponentially
-  slower; used as the oracle the flow formula is checked against.
+  slower; used as the oracle the flow formula is checked against, on blocks
+  that circulant.cover_blocks_from_symbolic folds entry by entry with the
+  extended Euclid, sharing no code with the images.
 
 Both return exact field values graded by powers of hbar: every edge carries
 grade one, vertex factors carry their declared grades.
@@ -268,8 +270,13 @@ def weight_flow(G: FeynmanDiagram, n: int, pi_symbolic, table: VertexFactorTable
     sums s in (Z/nZ)^d, at most min(n^m, n^d) of them for m such edges.
     Free edge i carries the unit vector e_i, so its residue is forced to
     -s_i and each free edge is closed by one lookup.  That costs
-    O(|E| n min(n^m, n^d)) field operations per labeling: O(n) for the
-    theta graph, O(1) for the dumbbell and the figure-eight.
+    O(|E| n min(n^m, n^d)) products of the images' integer numerators per
+    labeling: O(n) for the theta graph, O(1) for the dumbbell and the
+    figure-eight.  The vertex factors and the bridges' flow-0 entries stay
+    field elements, and each labeling ends in one division by the collected
+    denominators, with one gcd.  Building the images costs one solve of
+    size deg Q and O(n deg Q) integer operations per distinct denominator Q,
+    and O(n) per entry numerator term (see rootsum).
     """
     if field is None:
         field = _field_of(pi_symbolic, table)
@@ -279,7 +286,8 @@ def weight_flow(G: FeynmanDiagram, n: int, pi_symbolic, table: VertexFactorTable
 def _contract(G: FeynmanDiagram, table: VertexFactorTable, N: int,
               images: CyclicMatrixImage) -> Dict[int, FieldElement]:
     """weight_flow on the cover propagator images of one n."""
-    n, field = images.n, images.field
+    n, field, ring = images.n, images.field, images.ring
+    mul, add = ring.mul, ring.add
     zero_entries = images.zero_entries()
     tree_idx, free_idx, exponents = G._tree_data()
     bridges = [G.edges[idx] for idx in tree_idx if not any(exponents[idx])]
@@ -289,6 +297,9 @@ def _contract(G: FeynmanDiagram, table: VertexFactorTable, N: int,
              for idx in cycle_tree]
     cycle_edges = [G.edges[idx] for idx in cycle_tree + free_idx]
     m = len(cycle_tree)
+    # every term is a product of one numerator per cycle edge, and the
+    # vertex value makes one more product
+    scale = ring.scale ** (len(cycle_edges) + 1)
     result: Dict[int, FieldElement] = {}
     zero_key = (0,) * len(free_idx)
     for labeling in itertools.product(range(N), repeat=G.n_vertices):
@@ -298,38 +309,52 @@ def _contract(G: FeynmanDiagram, table: VertexFactorTable, N: int,
             gv, gr = table.lookup(G.degrees[v], labeling[v])
             value = value * gv
             grade += gr
-        if not value.is_zero():
-            folds = [images.entry(labeling[u], labeling[v]) for u, v in cycle_edges]
-            for u, v in bridges:
-                value = value * zero_entries[labeling[u]][labeling[v]]
-            acc = {zero_key: value} if not value.is_zero() else {}
-            for fold, step in zip(folds, steps):
-                acc = _multiply_edge(acc, fold, step, n)
-            total = field.zero()
-            for key, term in acc.items():
-                for pos, fold in enumerate(folds[m:]):
-                    term = term * fold[-key[pos] % n]
-                    if term.is_zero():
-                        break
-                total = total + term
-            contrib = total * n
-            if not contrib.is_zero():
-                result[grade] = result.get(grade, field.zero()) + contrib
+        if value.is_zero():
+            continue
+        folds, den = [], scale
+        for u, v in cycle_edges:
+            fold, fold_den = images.image(labeling[u], labeling[v])
+            folds.append(fold)
+            den *= fold_den
+        for u, v in bridges:
+            value = value * zero_entries[labeling[u]][labeling[v]]
+        if value.is_zero():
+            continue
+        acc = {zero_key: ring.one}
+        for fold, step in zip(folds, steps):
+            acc = _multiply_edge(acc, fold, step, n, mul, add)
+        closing = list(enumerate(folds[m:]))
+        total = ring.zero
+        for key, term in acc.items():
+            for pos, fold in closing:
+                term = mul(term, fold[-key[pos] % n])
+                if not term:
+                    break
+            total = add(total, term)
+        contrib = ring.element(ring.times(mul(total, ring.numerator(value)), n),
+                               den * value.den)
+        if not contrib.is_zero():
+            result[grade] = result.get(grade, field.zero()) + contrib
     inv_sigma = field.element(1 / G.symmetry_factor)
     return {g: v * inv_sigma for g, v in result.items() if not v.is_zero()}
 
 
-def _multiply_edge(acc: dict, fold: List[FieldElement], step: List[tuple],
-                   n: int) -> dict:
-    """acc times sum_k fold[k] T^(k * exponent vector), keyed by residues."""
+def _multiply_edge(acc: dict, fold: list, step: List[tuple], n: int, mul, add) -> dict:
+    """acc times sum_k fold[k] T^(k * exponent vector), keyed by residues,
+    on integer numerators."""
+    if len(acc) == 1:
+        (key, a), = acc.items()
+        if not any(key):
+            # from the trivial monomial alone the residues are the steps
+            return dict(zip(step, map(mul, itertools.repeat(a), fold)))
     out: dict = {}
     for key, a in acc.items():
         for k, c in enumerate(fold):
-            if c.is_zero():
+            if not c:
                 continue
-            new = tuple((x + y) % n for x, y in zip(key, step[k]))
-            prod = a * c
-            out[new] = out[new] + prod if new in out else prod
+            new = tuple([(x + y) % n for x, y in zip(key, step[k])])
+            prod = mul(a, c)
+            out[new] = add(out[new], prod) if new in out else prod
     return out
 
 

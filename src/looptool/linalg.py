@@ -190,6 +190,7 @@ class _ModularLU:
         n = len(M)
         a = [[x % p for x in row] for row in M]
         perm = list(range(n))
+        self.pivot_inverses = []
         for c in range(n):
             r = next((i for i in range(c, n) if a[i][c]), None)
             if r is None:
@@ -197,6 +198,7 @@ class _ModularLU:
             a[c], a[r] = a[r], a[c]
             perm[c], perm[r] = perm[r], perm[c]
             inv = pow(a[c][c], -1, p)
+            self.pivot_inverses.append(inv)
             tail = a[c][c + 1:]
             for row in a[c + 1:]:
                 # the multiplier is kept in the eliminated slot, so later
@@ -209,7 +211,6 @@ class _ModularLU:
         self.perm = perm
         self.lower = [row[:i] for i, row in enumerate(a)]
         self.upper = [row[i + 1:] for i, row in enumerate(a)]
-        self.pivot_inverses = [pow(row[i], -1, p) for i, row in enumerate(a)]
 
     def solve(self, v):
         p = self.p

@@ -9,7 +9,9 @@ reduces only by g = gcd of the two denominators, the one factor that can
 divide its content (Knuth, TAOCP vol. 2, 4.5.1); a product is one integer
 convolution, folded back through the rows of xi^d, ..., xi^(2d-2) written
 over Z with one scale (which covers monic minimal polynomials with
-non-integral coefficients), then one content gcd; an inverse is one
+non-integral coefficients), then one content gcd.  That integer product
+(`NumberField._mul_numerators`) also serves callers that keep many
+numerators over one denominator of their own.  An inverse is one
 fraction-free Gauss-Jordan elimination on the integer matrix of
 multiplication.  The Fraction coordinates (`coords`) are built on first
 use.  All values are immutable; arithmetic returns new objects, so elements
@@ -356,6 +358,24 @@ class NumberField:
             out.append(col)
         return out
 
+    def _mul_numerators(self, x, y) -> list:
+        """Numerators over _scale of the product of the elements with
+        numerators x and y over 1: one integer convolution, the powers
+        xi^d ... xi^(2d-2) folded back through the integer rows."""
+        d = self.degree
+        conv = [0] * (2 * d - 1)
+        for i, a in enumerate(x):
+            if a:
+                for j, b in enumerate(y, i):
+                    conv[j] += a * b
+        scale = self._scale
+        out = conv[:d] if scale == 1 else [v * scale for v in conv[:d]]
+        for v, row in zip(conv[d:], self._int_rows):
+            if v:
+                for i, r in enumerate(row):
+                    out[i] += v * r
+        return out
+
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other):
@@ -634,21 +654,8 @@ class FieldElement:
                 c //= g2
                 b //= g2
             return _make(field, (a * c,), b * e)
-        # one integer convolution, the powers xi^d ... xi^(2d-2) folded back
-        # through the integer rows over one scale, then one content gcd
-        d = field.degree
-        conv = [0] * (2 * d - 1)
-        for i, x in enumerate(self.num):
-            if x:
-                for j, y in enumerate(o.num, i):
-                    conv[j] += x * y
-        scale = field._scale
-        out = conv[:d] if scale == 1 else [v * scale for v in conv[:d]]
-        for v, row in zip(conv[d:], field._int_rows):
-            if v:
-                for i, r in enumerate(row):
-                    out[i] += v * r
-        den = b * e * scale
+        out = field._mul_numerators(self.num, o.num)
+        den = b * e * field._scale
         g = gcd(den, *out)
         if g == 1:
             return _make(field, tuple(out), den)

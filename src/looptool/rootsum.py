@@ -38,10 +38,24 @@ matrix C (the companion matrix of t^n - 1), whose eigenvalues are the n-th
 roots of unity, the sum is trace f(C).  f(C) lives in F[C] = F[t]/(t^n - 1):
 fold the exponents mod n, invert the folded denominator against t^n - 1 and
 multiply; the trace is n times the constant coefficient.  The inverse
-comes from the extended Euclid of the dense kernel, run against t^n - 1.
-`CyclicMatrixImage` builds that full cyclic image for every entry of a
-propagator matrix, with one inverse per distinct denominator; `diagrams`
-and `circulant` use it, `synth` inverts mod t^n - 1 directly.  Neither
+comes from the extended Euclid of the dense kernel, run against t^n - 1
+(`ratfun_mod_cyclic`, which `circulant` and `synth` use too).
+
+`CyclicMatrixImage` builds the full cyclic image of every entry of a
+propagator matrix for `diagrams`, on integers: n integer numerators
+(`Numerators`: an int per coefficient over Q, field.degree ints otherwise)
+over one positive denominator.  The inverse of a denominator D = t^s Q
+comes from the residue side, once per distinct D.  For Q over Q, made
+primitive over Z, v = (t^n - 1)^(-1) mod Q is one solve of size d = deg Q
+(`_unit_system` and `linalg.solve_integer`, after s = lc(Q) t makes Q
+monic over Z), and the cofactor a = (1 - v (t^n - 1)) / Q is Q^(-1) mod
+t^n - 1.  By Gauss's lemma den(v) a is integral, so its n coefficients,
+those of the power series of den(v) (1 + v) / Q, come by exact integer
+division by Q(0): O(d^2 log n + n d) in all.  A Q with irrational
+coefficients goes through its norm N(Q) in Q[t], which vanishes at a root
+of unity exactly when Q does: Q^(-1) = (N(Q)/Q) N(Q)^(-1).  Before use the
+inverse A / c is certified by the product Q A = c mod t^n - 1, at O(n d);
+a failed check or an inexact division raises CrossCheckError.  Neither
 route ever evaluates a complex root of unity.
 """
 
@@ -51,13 +65,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
-from operator import mul
+from math import comb, gcd, lcm
+from operator import add, mul
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import (ParseError, PoleOnTorus, ResonantRoot, RootOfUnityPole,
-                     SingularError)
-from .laurent import LaurentPolynomial, RationalFunction, partial_fractions
+from .errors import (CrossCheckError, ParseError, PoleOnTorus, ResonantRoot,
+                     RootOfUnityPole, SingularError)
+from .laurent import LaurentMatrix, LaurentPolynomial, RationalFunction, partial_fractions
 from .linalg import integer_system, solve_consistent, solve_integer, transpose
 from .numberfield import (QQ, FieldElement, NumberField, poly_divmod, poly_invmod,
                           poly_mulmod, poly_t_power_mod, poly_trim)
@@ -102,33 +116,164 @@ def invert_mod_cyclic(a: Sequence[FieldElement], n: int,
     return inv + [zero] * (n - len(inv))
 
 
-def _den_inverse_mod_cyclic(den: LaurentPolynomial, n: int) -> List[FieldElement]:
-    inv = invert_mod_cyclic(fold_mod_cyclic(den, n), n, den.field)
-    if inv is None:
-        raise RootOfUnityPole(
-            f"denominator vanishes at an {n}-th root of unity")
-    return inv
-
-
 def ratfun_mod_cyclic(f: RationalFunction, n: int) -> List[FieldElement]:
     """Image of f in F[t]/(t^n - 1); raises RootOfUnityPole at denominator zeros."""
-    den_inv = _den_inverse_mod_cyclic(f.den, n)
+    den_inv = invert_mod_cyclic(fold_mod_cyclic(f.den, n), n, f.field)
+    if den_inv is None:
+        raise RootOfUnityPole(
+            f"denominator vanishes at an {n}-th root of unity")
     return _cyc_mul(fold_mod_cyclic(f.num, n), den_inv, n, f.field)
+
+
+class Numerators:
+    """Integer arithmetic on the numerators of field elements that share a
+    denominator kept by the caller: an int per element over Q, a list of
+    field.degree ints otherwise.  `mul` of two numerators over 1 is a
+    numerator over `scale` (`NumberField._mul_numerators`); `times`
+    multiplies by an int."""
+
+    def __init__(self, field: NumberField):
+        self.field = field
+        d = field.degree
+        if d == 1:
+            self.mul = self.times = mul
+            self.add = add
+            self.zero, self.one, self.scale = 0, 1, 1
+        else:
+            self.mul = field._mul_numerators
+            self.add = lambda x, y: [a + b for a, b in zip(x, y)]
+            self.times = lambda x, c: [a * c for a in x]
+            self.zero, self.one, self.scale = [0] * d, [1] + [0] * (d - 1), field._scale
+
+    def numerator(self, e: FieldElement):
+        """The numerator of an element of Q or of the field over e.den."""
+        if self.field.degree == 1:
+            return e.num[0]
+        return list(e.num) if len(e.num) > 1 else [e.num[0]] + self.zero[1:]
+
+    def of(self, elements) -> Tuple[list, int]:
+        """Elements of Q or of the field as numerators over one positive
+        denominator."""
+        den = lcm(*(e.den for e in elements))
+        return [self.times(self.numerator(e), den // e.den) for e in elements], den
+
+    def cyclic(self, terms, a: list, n: int, op=None) -> list:
+        """sum_k y_k t^k a(t) mod t^n - 1 for the pairs (k, y_k) of `terms`
+        and the n numerators of a; `op` (default `mul`) multiplies y_k by a
+        coefficient of a."""
+        op = op or self.mul
+        out = [self.zero] * n
+        for k, y in terms:
+            r = -k % n
+            out = list(map(self.add, out, map(op, itertools.repeat(y), a[r:] + a[:r])))
+        return out
+
+    def element(self, num, den: int) -> FieldElement:
+        return FieldElement._from_integers(self.field, [num] if self.field.degree == 1
+                                           else num, den)
+
+    def reduce(self, nums: list, den: int) -> Tuple[list, int]:
+        """nums / den with the content of all of them and den divided out."""
+        vector = self.field.degree > 1
+        g = gcd(den, *(itertools.chain.from_iterable(nums) if vector else nums))
+        if g == 1:
+            return nums, den
+        return [[x // g for x in v] if vector else v // g for v in nums], den // g
+
+
+def _rational_inverse(q: List[FieldElement], n: int, where: str) -> Tuple[List[int], int]:
+    """Integer numerators and a positive denominator of Q^(-1) in
+    Q[t]/(t^n - 1) for Q = sum q_k t^k with rational q_k and q_0 != 0, from
+    the residue side (see the module docstring)."""
+    den = lcm(*(c.den for c in q))
+    qz = [c.num[0] * (den // c.den) for c in q]
+    g = gcd(*qz)
+    qz = [c // g for c in qz]
+    d = len(qz) - 1
+    if d == 0:
+        return [qz[0] * den] + [0] * (n - 1), g
+    # s = lc t makes qz monic over Z, P(s) = lc^(d-1) qz(s / lc); then
+    # (t^n - 1) v = 1 mod qz is (s^n - lc^n) y = lc^n mod P with v(t) = y(lc t)
+    lc = qz[-1]
+    P = [c * lc ** (d - 1 - j) for j, c in enumerate(qz[:-1])] + [1]
+    M_u = _unit_system(n, P, 0, 1, lc ** n)[1]
+    y, v_den = _solve_unit(M_u, [lc ** n] + [0] * (d - 1), n)
+    v = [c * lc ** j for j, c in enumerate(y)]
+    # v_den (1 - (t^n - 1) v) / qz is integral by Gauss's lemma; below t^n it
+    # is the power series of v_den (1 + v) / qz
+    w = [v_den + v[0]] + v[1:]
+    q0, tail = qz[0], qz[1:]
+    a = []
+    for k in range(n):
+        m = min(k, d)
+        s = (w[k] if k < d else 0) - sum(map(mul, tail[:m], reversed(a[k - m:])))
+        x, r = divmod(s, q0)
+        if r:
+            raise CrossCheckError(
+                f"{where}: the cofactor (1 - (t^n - 1) v) / Q is not integral: "
+                f"coefficient {k} has numerator {s}, not a multiple of Q(0) = {q0}")
+        a.append(x)
+    return [c * den for c in a], v_den * g
+
+
+def _norm(q: List[FieldElement], field: NumberField):
+    """N(Q) in Q[t], over Q, and the cofactor N(Q) / Q over the field
+    for Q = sum q_k t^k: N(Q) is the determinant over Q[t] of multiplication
+    by Q on F[t], and a root of unity is a root of N(Q) exactly when it is
+    one of Q."""
+    basis = [field.element([0] * j + [1]) for j in range(field.degree)]
+    columns = [[(c * b).coords for c in q] for b in basis]
+    det = LaurentMatrix(QQ, [[LaurentPolynomial(QQ, dict(enumerate(c[i] for c in col)))
+                              for col in columns] for i in range(field.degree)]).det()
+    norm = det.as_poly_coeffs()[0]
+    cofactor = poly_divmod([field.zero() + c for c in norm], q, field.zero(),
+                           field.one())[0]
+    return norm, cofactor
+
+
+def _den_inverse(den: LaurentPolynomial, n: int, ring: Numerators,
+                 where: str) -> Tuple[list, int]:
+    """Numerators and a positive denominator c of den^(-1) in
+    F[t]/(t^n - 1), certified by den * A = c there before use."""
+    q, shift = den.as_poly_coeffs()
+    if all(c.is_rational() for c in q):
+        norm, cofactor = q, [ring.field.one()]
+    else:
+        norm, cofactor = _norm(q, ring.field)
+    a, c = _rational_inverse(norm, n, where)
+    cofactor, cofactor_den = ring.of(cofactor)
+    inverse = ring.cyclic(enumerate(cofactor), a, n, ring.times)
+    c *= cofactor_den
+    # the certificate Q A = c Q_den scale, for den = t^shift Q
+    q_num, q_den = ring.of(q)
+    product = ring.cyclic(enumerate(q_num), inverse, n)
+    expect = [ring.times(ring.one, c * q_den * ring.scale)] + [ring.zero] * (n - 1)
+    if product != expect:
+        k = next(k for k, (x, y) in enumerate(zip(product, expect)) if x != y)
+        raise CrossCheckError(
+            f"{where}: the inverse A / {c} of the denominator fails its check: "
+            f"coefficient {k} of Q(t) A(t) mod t^n - 1 is {product[k]}, "
+            f"expected {expect[k]}")
+    shift %= n
+    return inverse[shift:] + inverse[:shift], c
 
 
 class CyclicMatrixImage:
     """Images in F[t]/(t^n - 1) of the entries of a square matrix of rational
     functions (or Laurent polynomials): the cover propagator of an n-fold
-    cyclic cover, one dense coefficient list per entry.
+    cyclic cover.  `image` gives the n integer numerators of an entry (see
+    `Numerators`) over one positive denominator, `entry` the same image as
+    field elements.
 
     Each image is built on first use and kept, so an entry whose denominator
     vanishes at an n-th root of unity raises RootOfUnityPole only when it is
     asked for.  Entries with the same denominator share one inverse mod
-    t^n - 1.  When pi0 overrides the value at flow 0, every coefficient of
-    every image picks up (pi0 - Pi(1))/n, so that each image still sums to
-    its pi0 entry; `zero_entries` is the matrix for flow value 0, pi0 or
-    Pi(1).  Pi(1) is evaluated at most once, and taken from pi1 when given:
-    the matrix, or a function that returns it, called when first needed.
+    t^n - 1, taken from the residue side (see the module docstring).  When
+    pi0 overrides the value at flow 0, every coefficient of every image
+    picks up (pi0 - Pi(1))/n, so that each image still sums to its pi0
+    entry; `zero_entries` is the matrix for flow value 0, pi0 or Pi(1).
+    Pi(1) is evaluated at most once, and taken from pi1 when given: the
+    matrix, or a function that returns it, called when first needed.
     """
 
     def __init__(self, matrix, n: int, field: NumberField, pi0=None, pi1=None):
@@ -138,10 +283,11 @@ class CyclicMatrixImage:
                         else e for e in row] for row in matrix]
         self.n = n
         self.field = field
+        self.ring = Numerators(field)
         self.pi0 = pi0
         self._pi1 = pi1
-        self._images: Dict[Tuple[int, int], List[FieldElement]] = {}
-        self._den_inverses: Dict[LaurentPolynomial, List[FieldElement]] = {}
+        self._images: Dict[Tuple[int, int], Tuple[list, int]] = {}
+        self._den_inverses: Dict[tuple, Tuple[list, int]] = {}
 
     def _at_one(self):
         """Pi(1), the entries evaluated at t = 1."""
@@ -156,20 +302,33 @@ class CyclicMatrixImage:
         pi1 = self._at_one()
         return pi1 if self.pi0 is None else self.pi0
 
-    def entry(self, i: int, j: int) -> List[FieldElement]:
+    def image(self, i: int, j: int) -> Tuple[list, int]:
+        """(numerators, positive denominator) of the image of entry (i, j)."""
         image = self._images.get((i, j))
         if image is None:
-            f = self.matrix[i][j]
-            den_inv = self._den_inverses.get(f.den)
-            if den_inv is None:
-                den_inv = _den_inverse_mod_cyclic(f.den, self.n)
-                self._den_inverses[f.den] = den_inv
-            image = _cyc_mul(fold_mod_cyclic(f.num, self.n), den_inv, self.n, f.field)
+            f, n, ring = self.matrix[i][j], self.n, self.ring
+            # keyed by the exact coefficients, which hash faster than f.den
+            key = tuple((k, c.num, c.den) for k, c in sorted(f.den.coeffs.items()))
+            inverse = self._den_inverses.get(key)
+            if inverse is None:
+                inverse = _den_inverse(f.den, n, ring, f"entry ({i}, {j}) at n = {n}")
+                self._den_inverses[key] = inverse
+            inv, inv_den = inverse
+            nums, den = ring.of(list(f.num.coeffs.values()))
+            out = ring.cyclic(zip(f.num.coeffs, nums), inv, n)
+            den *= inv_den * ring.scale
             if self.pi0 is not None:
-                corr = (self.pi0[i][j] - self._at_one()[i][j]) / self.n
-                image = [c + corr for c in image]
-            self._images[(i, j)] = image
+                (corr,), corr_den = ring.of([(self.pi0[i][j] - self._at_one()[i][j]) / n])
+                common = lcm(den, corr_den)
+                corr = ring.times(corr, common // corr_den)
+                out = [ring.add(ring.times(x, common // den), corr) for x in out]
+                den = common
+            image = self._images[(i, j)] = ring.reduce(out, den)
         return image
+
+    def entry(self, i: int, j: int) -> List[FieldElement]:
+        nums, den = self.image(i, j)
+        return [self.ring.element(x, den) for x in nums]
 
 
 def av_trace(f: RationalFunction | LaurentPolynomial, n: int) -> FieldElement:
@@ -240,11 +399,7 @@ class ResidueForm:
                 power, M_u = _unit_system(n, self._modulus, self.field.zero(),
                                           self.field.one())
                 M_u, power = integer_system(self.field, M_u, power)
-            try:
-                x, x_den = solve_integer(M_u, power)
-            except SingularError:
-                raise RootOfUnityPole(
-                    f"denominator vanishes at an {n}-th root of unity") from None
+            x, x_den = _solve_unit(M_u, power, n)
         field = self.field
         total = field.zero()
         for i, quo, weights, scale in self._terms:
@@ -254,19 +409,29 @@ class ResidueForm:
         return total
 
 
-def _unit_system(n: int, m, zero, one):
-    """t^(n-1) mod m and the matrix M_u of multiplication by u = t^n - 1 in
-    F[t]/(m), for monic m of degree d >= 1, both padded to length d: column
-    j of M_u is u t^j mod m."""
+def _unit_system(n: int, m, zero, one, c=None):
+    """t^(n-1) mod m and the matrix M_u of multiplication by u = t^n - c
+    (c = 1 by default) in F[t]/(m), for monic m of degree d >= 1, both
+    padded to length d: column j of M_u is u t^j mod m."""
     d = len(m) - 1
     power = poly_t_power_mod(n - 1, m, zero, one)
     col = poly_divmod([zero] + power, m, zero, one)[1] or [zero]
-    col[0] = col[0] - one
+    col[0] = col[0] - (one if c is None else c)
     columns = []
     for _ in range(d):
         columns.append(col + [zero] * (d - len(col)))
         col = poly_divmod([zero] + col, m, zero, one)[1]
     return power + [zero] * (d - len(power)), transpose(columns)
+
+
+def _solve_unit(M_u, rhs, n: int):
+    """`linalg.solve_integer` of M_u y = rhs, where M_u is singular exactly
+    when the modulus vanishes at an n-th root of unity: RootOfUnityPole."""
+    try:
+        return solve_integer(M_u, rhs)
+    except SingularError:
+        raise RootOfUnityPole(
+            f"denominator vanishes at an {n}-th root of unity") from None
 
 
 def av_exact(f: ResidueForm | RationalFunction | LaurentPolynomial,

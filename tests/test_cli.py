@@ -3,11 +3,14 @@
 import hashlib
 import json
 import os
+import random
+from fractions import Fraction
 
 import pytest
 
 from looptool.cli import main
 from looptool.knots import FIELD_SQRT21, fixture
+from looptool.synth import random_nz_data, random_vertex_table
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -278,6 +281,37 @@ def test_bundle_table_golden(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "480867719df60f666a11f3a23bc6fc39b4691f8b274a032bb40ac7cae9e87ddb"
+
+
+def _seeded_bundle(path, seed, N, nmax):
+    """A knot file with seeded NZ data of N tetrahedra, regular at the n-th
+    roots of unity for n <= nmax, and the theta, dumbbell and figure-eight
+    diagrams with random vertex tables."""
+    rng = random.Random(seed)
+    data = random_nz_data(rng, N, regular_orders=range(1, nmax + 1))
+    diagrams = []
+    for edges, degrees, sigma in (([[0, 1]] * 3, [3, 3], "12"),
+                                  ([[0, 0], [0, 1], [1, 1]], [3, 3], "8"),
+                                  ([[0, 0]] * 2, [4], "8")):
+        table = random_vertex_table(rng, N, set(degrees), {d: -1 for d in degrees})
+        diagrams.append({"vertices": [{"degree": d} for d in degrees],
+                         "edges": edges, "symmetry_factor": sigma,
+                         **table.to_json()})
+    diagrams[0]["gamma0"] = {"value": str(Fraction(rng.randint(-9, 9), 7)),
+                             "grade": 1}
+    path.write_text(json.dumps({"nz": data.to_json(), "diagrams": diagrams}))
+    return str(path)
+
+
+@pytest.mark.parametrize("seed, N, digest", [
+    (5, 2, "fcf6b286d6828b3de703234764e41878fc7b1e1ee3f853d4d7bc1faa4c717291"),
+    (6, 3, "a516387095cb7f2799a7f8c112f318c82b5cfcd0d207182ac4ca2395f742fdb0"),
+], ids=["N2", "N3"])
+def test_seeded_bundle_table_golden(tmp_path, capsys, seed, N, digest):
+    path = _seeded_bundle(tmp_path / "bundle.json", seed, N, 40)
+    code, out, _ = run(["knot", "--knot", path, "--loop", "2", "--nmax", "40"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv, digest", [

@@ -1,5 +1,6 @@
 """Flow enumeration, Feynman weights, and the flow = direct oracle identity."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,9 @@ from looptool.diagrams import (FeynmanDiagram, VertexFactorTable,
                                connected_multigraphs, enumerate_flows,
                                is_conserved, loop_invariant, weight_direct,
                                weight_flow)
-from looptool.errors import (GradeMismatch, MissingVertexFactor,
-                             RootOfUnityPole, SingularAtRoot, ValidationError)
+from looptool.errors import (CrossCheckError, GradeMismatch,
+                             MissingVertexFactor, RootOfUnityPole,
+                             SingularAtRoot, ValidationError)
 from looptool.laurent import LaurentPolynomial, RationalFunction
 from looptool.numberfield import QQ
 from looptool.nzdata import TwistedNZData
@@ -303,11 +305,17 @@ def test_loop_invariant_sums_weights_with_shared_images(rng, peripheral):
                        random_symmetric_matrix(rng, N))
         diags = _bench_diagrams(rng, N, gamma0)
         pi0 = data.pi_mu if peripheral == "mu" else None
-        expect = gamma0[0]
+        # blocks built entry by entry by ratfun_mod_cyclic, independent of
+        # the images that loop_invariant and weight_flow share
+        cover = cover_blocks_from_symbolic(data.pi, n, QQ, pi0=pi0,
+                                           pi1=data.propagator_at_one())
+        expect = direct = gamma0[0]
         for g, table in diags:
             expect = expect + weight_flow(g, n, data.pi, table, N, pi0=pi0).get(
                 1, QQ.zero())
+            direct = direct + weight_direct(g, n, cover, table, N).get(1, QQ.zero())
         assert loop_invariant(data, n, diags, 2, peripheral=peripheral) == expect
+        assert expect == direct
 
 
 def test_loop_invariant_raises_on_cyclotomic_denominator(rng):
@@ -337,6 +345,57 @@ def test_loop_invariant_evaluates_pi_at_one_once_per_dataset(rng, monkeypatch):
     assert len(evaluated) == data.N ** 2 and all(a == 1 for a in evaluated)
 
 
+def test_loop_invariant_inverts_each_denominator_by_one_small_solve(rng, monkeypatch):
+    # no extended Euclid against t^n - 1 and no solve beyond one in F[t]/(Q)
+    # per distinct denominator, however many entries share it
+    from looptool import numberfield, rootsum
+    pi = distinct_denominator_propagator(rng, 2)
+    pi[1][1] = RationalFunction(pi[1][1].num, pi[0][0].den)
+    data = _Bundle(pi, random_symmetric_matrix(rng, 2))
+    diags = _bench_diagrams(rng, 2, None)
+    calls = {"poly_invmod": 0, "solve_integer": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(rootsum, "poly_invmod")
+    counted(numberfield, "poly_invmod")
+    counted(rootsum, "solve_integer")
+    for peripheral in ("lambda", "mu"):
+        calls.update(poly_invmod=0, solve_integer=0)
+        loop_invariant(data, 40, diags, 2, peripheral=peripheral)
+        assert calls == {"poly_invmod": 0, "solve_integer": 3}
+
+
+@pytest.mark.parametrize("entry, check", [((0, 0), "fails its check"),
+                                          ((0, 1), "is not integral")])
+def test_wrong_small_solve_raises_cross_check_error(rng, monkeypatch, entry, check):
+    # 1 - 2t at (0, 0) has Q(0) = 1, so only the certificate can catch a
+    # wrong v; 3 + t at (0, 1) has Q(0) = 3 and fails the exact division
+    from looptool import rootsum
+    real = rootsum.solve_integer
+
+    def wrong(M, rhs):
+        num, den = real(M, rhs)
+        return [num[0] + 1] + num[1:], den
+    monkeypatch.setattr(rootsum, "solve_integer", wrong)
+    data = _Bundle(distinct_denominator_propagator(rng, 2), random_symmetric_matrix(rng, 2))
+    i, j = entry
+    with pytest.raises(CrossCheckError) as excinfo:
+        rootsum.CyclicMatrixImage(data.pi, 7, QQ).image(i, j)
+    message = str(excinfo.value)
+    assert message.startswith(f"entry ({i}, {j}) at n = 7: ") and check in message
+    assert "coefficient" in message and "\n" not in message
+    if entry == (0, 0):
+        with pytest.raises(CrossCheckError, match=r"^entry \(0, 0\) at n = 7: "):
+            loop_invariant(data, 7, _bench_diagrams(rng, 2, None), 2)
+
+
 def test_pi_singular_at_one_keeps_each_routes_exception(rng):
     data = random_nz_data(rng, 2)
     diags = _bench_diagrams(rng, 2, None)
@@ -352,3 +411,140 @@ def test_pi_singular_at_one_keeps_each_routes_exception(rng):
         data.cover_propagator(2, pi0=random_symmetric_matrix(rng, 2))
     with pytest.raises(ZeroDivisionError):
         loop_invariant(data, 3, diags, 2)
+
+
+# -- cyclic images and weights over number fields ------------------------------
+
+def _raw_quotient(num, den):
+    """num / den kept exactly as given: RationalFunction would move a shift
+    of den into num and scale den to constant term 1."""
+    f = object.__new__(RationalFunction)
+    f.num, f.den = num, den
+    return f
+
+
+def _field_propagator(rng, field):
+    """3 x 3 matrix over the field whose denominators are non-monic and
+    non-integral, of degree 0, 1 and 2, shifted, rational, and one of them
+    shared by three entries; none vanishes at a root of unity."""
+    xi = field.generator()
+    c1, c2, c3 = 3 + xi / 5, 2 - xi / 7, (1 + xi / 4) / 3
+
+    def lp(coeffs):
+        return LaurentPolynomial(field, coeffs)
+
+    def num():
+        return lp({k: field.element([Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                     for _ in range(field.degree)])
+                   for k in range(rng.randint(-2, 0), rng.randint(1, 3))})
+
+    linear = lp({0: 1, 1: -c1})
+    quadratic = lp({0: 1, 1: -c2}) * lp({0: 1, 1: -c3})
+    shifted = lp({-1: Fraction(2, 3), 0: -c2})
+    constant = lp({0: Fraction(7, 3) + xi / 2})
+    rational = lp({0: 1, 1: Fraction(1, 2)})
+    return [[RationalFunction(num(), linear), RationalFunction(num(), linear),
+             RationalFunction(num(), quadratic)],
+            [_raw_quotient(num(), shifted), _raw_quotient(num(), constant), num()],
+            [RationalFunction(num(), rational), _raw_quotient(num(), quadratic),
+             _raw_quotient(num(), linear * 2)]]
+
+
+def _field_matrix(rng, field, N):
+    xi = field.generator()
+    return [[field.element(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+             + xi * Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+             for _ in range(N)] for _ in range(N)]
+
+
+@pytest.mark.parametrize("fixture", ["field_sqrt21", "field_cubic"])
+def test_cyclic_images_equal_ratfun_mod_cyclic_over_number_fields(request, fixture):
+    from looptool.rootsum import CyclicMatrixImage
+    field = request.getfixturevalue(fixture)
+    rng = random.Random(41 + field.degree)
+    pi = _field_propagator(rng, field)
+    pi1 = [[e.eval(field.one()) for e in row] for row in pi]
+    pi0 = _field_matrix(rng, field, 3)
+    for n in range(1, 41):
+        plain = CyclicMatrixImage(pi, n, field)
+        shifted = CyclicMatrixImage(pi, n, field, pi0, pi1)
+        for i in range(3):
+            for j in range(3):
+                f = pi[i][j]
+                if isinstance(f, LaurentPolynomial):
+                    f = RationalFunction.from_poly(f)
+                image = ratfun_mod_cyclic(f, n)
+                corr = (pi0[i][j] - pi1[i][j]) / n
+                assert plain.entry(i, j) == image, (n, i, j)
+                assert shifted.entry(i, j) == [c + corr for c in image], (n, i, j)
+
+
+class _FieldBundle(_Bundle):
+    """A 2 x 2 propagator over a number field, for loop_invariant."""
+
+    def __init__(self, pi, pi_mu, field):
+        super().__init__(pi, pi_mu)
+        self.field = field
+
+    def propagator_at_one(self):
+        return [[e.eval(self.field.one()) for e in row] for row in self.pi]
+
+
+def _field_table(rng, field, N, degrees, grades=None, gamma0=None):
+    xi = field.generator()
+    factors = {d: [field.element(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                          rng.randint(1, 3)))
+                   + xi * Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                   for _ in range(N)] for d in degrees}
+    return VertexFactorTable(factors, grades, gamma0)
+
+
+def _field_weights_agree(field, data, n, diags, peripheral):
+    """loop_invariant and weight_flow against weight_direct on blocks built
+    entry by entry by ratfun_mod_cyclic."""
+    pi0 = data.pi_mu if peripheral == "mu" else None
+    pi1 = data.propagator_at_one()
+    cover = cover_blocks_from_symbolic(data.pi, n, field, pi0=pi0, pi1=pi1)
+    expect = diags[0][1].gamma0[0]
+    for g, table in diags:
+        direct = weight_direct(g, n, cover, table, data.N, field=field)
+        assert weight_flow(g, n, data.pi, table, data.N, pi0=pi0,
+                           field=field) == direct, (g, n, peripheral)
+        expect = expect + direct.get(1, field.zero())
+    assert loop_invariant(data, n, diags, 2, peripheral=peripheral) == expect, \
+        (n, peripheral)
+
+
+@pytest.mark.parametrize("fixture", ["field_sqrt21", "field_cubic"])
+@pytest.mark.parametrize("peripheral", ["lambda", "mu"])
+def test_loop_invariant_over_number_fields_equals_direct(request, fixture, peripheral):
+    field = request.getfixturevalue(fixture)
+    rng = random.Random(53 + field.degree)
+    pi = [row[:2] for row in _field_propagator(rng, field)[1:]]
+    pi = [[e if not isinstance(e, LaurentPolynomial) else RationalFunction.from_poly(e)
+           for e in row] for row in pi]
+    data = _FieldBundle(pi, _field_matrix(rng, field, 2), field)
+    gamma0 = (field.element(Fraction(-5, 3)) + field.generator(), 1)
+    diags = [(THETA, _field_table(rng, field, 2, {3}, {3: -1}, gamma0)),
+             (DUMBBELL, _field_table(rng, field, 2, {3}, {3: -1}, gamma0)),
+             (BOUQUET, _field_table(rng, field, 2, {4}, {4: -1}, gamma0))]
+    for n in list(range(1, 13)) + [40]:
+        _field_weights_agree(field, data, n, diags, peripheral)
+
+
+@pytest.mark.parametrize("fixture", ["field_sqrt21", "field_cubic"])
+def test_catalogue_over_number_fields_equals_direct(request, fixture):
+    field = request.getfixturevalue(fixture)
+    rng = random.Random(59 + field.degree)
+    pi = [row[:2] for row in _field_propagator(rng, field)[:2]]
+    data = _FieldBundle(pi, _field_matrix(rng, field, 2), field)
+    for n in (1, 2, 3):
+        for peripheral in ("lambda", "mu"):
+            diags = [(g, _field_table(rng, field, 2, set(g.degrees)))
+                     for g in connected_multigraphs(3)]
+            pi0 = data.pi_mu if peripheral == "mu" else None
+            cover = cover_blocks_from_symbolic(data.pi, n, field, pi0=pi0,
+                                               pi1=data.propagator_at_one())
+            for g, table in diags:
+                assert weight_flow(g, n, data.pi, table, 2, pi0=pi0, field=field) \
+                    == weight_direct(g, n, cover, table, 2, field=field), (g, n)
