@@ -5,9 +5,9 @@ zeros.  Rational functions are kept reduced (unit gcd) and carry a canonical
 unit normalization: the denominator has lowest exponent 0 and constant term
 1, which makes serialized forms and equality tests bit-exact.
 
-Determinants and inverses of matrices use fraction-free Bareiss elimination
-over the Laurent ring, so intermediate entries stay polynomial and the only
-divisions performed are exact.
+Determinants and solves G^-1 R of matrices run the fraction-free elimination
+`numberfield.bareiss` over the Laurent ring (on [G | R] for a solve), so
+entries stay polynomial and every division is exact.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
-from .errors import (IncompleteFactorization, MathDomainError, ParseError,
-                     SingularMatrix, ZeroBase)
-from .numberfield import FieldElement, NumberField, parse_rational, poly_divmod
+from .errors import (IncompleteFactorization, MathDomainError, NotDivisible,
+                     ParseError, SingularMatrix, ZeroBase)
+from .numberfield import (FieldElement, NumberField, bareiss, parse_rational,
+                          poly_divmod)
 
 
 def _as_element(field: NumberField, value) -> FieldElement:
@@ -73,6 +74,9 @@ class LaurentPolynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def min_exp(self) -> int:
         if self.is_zero():
@@ -264,7 +268,7 @@ class LaurentPolynomial:
     def divide_exact(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         q, r = self.divmod_poly(other)
         if not r.is_zero():
-            raise ValueError("inexact Laurent division")
+            raise NotDivisible("inexact Laurent division")
         return q
 
     def divides(self, other: "LaurentPolynomial") -> bool:
@@ -644,76 +648,36 @@ class LaurentMatrix:
         """Entrywise exact evaluation at a field point; plain field matrix."""
         return [[e.eval(a) for e in row] for row in self.entries]
 
+    def _square(self, what: str) -> int:
+        if self.rows != self.cols:
+            raise MathDomainError(f"{what} of a non-square {self.rows}x{self.cols} matrix")
+        return self.rows
+
     def det(self) -> LaurentPolynomial:
-        """Fraction-free Bareiss determinant."""
-        n = self.rows
-        if n != self.cols:
-            raise ValueError("determinant of non-square matrix")
+        """Sign times last pivot of `bareiss`; 0 when a pivot is missing."""
+        n = self._square("determinant")
         if n == 0:
             return LaurentPolynomial.one(self.field)
-        M = [[self.entries[i][j] for j in range(n)] for i in range(n)]
-        sign = 1
-        prev = LaurentPolynomial.one(self.field)
-        for k in range(n - 1):
-            if M[k][k].is_zero():
-                for i in range(k + 1, n):
-                    if not M[i][k].is_zero():
-                        M[k], M[i] = M[i], M[k]
-                        sign = -sign
-                        break
-                else:
-                    return LaurentPolynomial.zero(self.field)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = M[i][j] * M[k][k] - M[i][k] * M[k][j]
-                    M[i][j] = num.divide_exact(prev)
-                M[i][k] = LaurentPolynomial.zero(self.field)
-            prev = M[k][k]
-        d = M[n - 1][n - 1]
-        return d if sign == 1 else -d
+        pivots, last, sign = bareiss(list(self.entries), n, LaurentPolynomial.divide_exact)
+        if len(pivots) < n:
+            return LaurentPolynomial.zero(self.field)
+        return last if sign == 1 else -last
+
+    def solve(self, rhs: "LaurentMatrix"):
+        """self^-1 rhs as lists of RationalFunction (right block over the
+        last pivot) from one `bareiss` of [self | rhs]; raises SingularMatrix."""
+        n = self._square("solve")
+        if rhs.rows != n:
+            raise MathDomainError(f"solve of a {n}x{n} system with {rhs.rows} rows")
+        aug = [a + b for a, b in zip(self.entries, rhs.entries)]
+        pivots, last, _ = bareiss(aug, n, LaurentPolynomial.divide_exact)
+        if len(pivots) < n:
+            raise SingularMatrix("matrix has zero determinant")
+        return [[RationalFunction(e, last) for e in row[n:]] for row in aug]
 
     def inverse(self):
-        """Exact inverse as a list of lists of RationalFunction.
-
-        Fraction-free Gauss-Jordan (Bareiss): the left block stays
-        polynomial throughout and every division is exact; the final
-        quotient by the pivot column produces the rational entries.
-        """
-        n = self.rows
-        if n != self.cols:
-            raise ValueError("inverse of non-square matrix")
-        zero = LaurentPolynomial.zero(self.field)
-        one = LaurentPolynomial.one(self.field)
-        aug = [[self.entries[i][j] for j in range(n)]
-               + [one if i == j else zero for j in range(n)] for i in range(n)]
-        prev = one
-        for k in range(n):
-            if aug[k][k].is_zero():
-                for i in range(k + 1, n):
-                    if not aug[i][k].is_zero():
-                        aug[k], aug[i] = aug[i], aug[k]
-                        break
-                else:
-                    raise SingularMatrix("matrix has zero determinant")
-            pivot = aug[k][k]
-            for i in range(n):
-                if i == k:
-                    continue
-                factor = aug[i][k]
-                for j in range(2 * n):
-                    if j == k:
-                        continue
-                    num = aug[i][j] * pivot - factor * aug[k][j]
-                    aug[i][j] = num.divide_exact(prev)
-                aug[i][k] = zero
-            prev = pivot
-        out = []
-        for i in range(n):
-            d = aug[i][i]
-            if d.is_zero():
-                raise SingularMatrix("matrix has zero determinant")
-            out.append([RationalFunction(aug[i][n + j], d) for j in range(n)])
-        return out
+        """`solve` of the identity; kept as the span the bench tracer wraps."""
+        return self.solve(LaurentMatrix.identity(self.field, self.rows))
 
     def to_json(self):
         return [[e.to_json() for e in row] for row in self.entries]

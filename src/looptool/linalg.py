@@ -9,18 +9,19 @@ modulo a 61-bit prime (LU, which serves as the inverse mod p) and recovers
 the solution from its p-adic digits by rational reconstruction.  Its cost
 grows with the bit size of the solution, not with that of the elimination's
 intermediate fractions.  Callers that already hold an integer system pass it
-to `solve_integer` directly.  Gauss-Jordan stays the oracle of the field
-solve (`solve_gauss_jordan`) and decides the rare systems that are singular
-modulo every listed prime.
+to `solve_integer` directly.  The rare integer systems singular modulo every
+listed prime go to the package's fraction-free elimination
+(`numberfield.bareiss`) over Z.  Gauss-Jordan over the field stays the
+oracle of the square solve (`solve_gauss_jordan`).
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import floordiv, mul
 
 from .errors import CrossCheckError, MathDomainError, SingularError
-from .numberfield import QQ, FieldElement, NumberField
+from .numberfield import FieldElement, NumberField, bareiss
 
 #: Moduli of the p-adic solve.  The later ones are used only when the integer
 #: system is singular modulo every one before them.
@@ -120,7 +121,8 @@ def solve_integer(M, rhs):
 
     Dixon's lifting modulo the first prime of PRIMES that leaves M
     nonsingular, the answer checked exactly against M x = rhs; a system
-    singular modulo every listed prime goes to Gauss-Jordan over Q.
+    singular modulo every listed prime goes to `bareiss` over Z, whose last
+    column is D x for the last pivot D.
     """
     for p in PRIMES:
         try:
@@ -129,10 +131,16 @@ def solve_integer(M, rhs):
         except SingularError:
             continue
     else:
-        x = solve_gauss_jordan(QQ, [[QQ.element(v) for v in row] for row in M],
-                               [QQ.element(v) for v in rhs])
-        den = lcm(*(c.den for c in x))
-        return [c.num[0] * (den // c.den) for c in x], den
+        n = len(M)
+        aug = [list(row) + [v] for row, v in zip(M, rhs)]
+        pivots, den, _ = bareiss(aug, n, floordiv)
+        if len(pivots) < n:
+            raise SingularError("singular linear system")
+        num = [row[n] for row in aug]
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        return [v // g for v in num], den // g
     return _dixon(M, rhs, lu)
 
 

@@ -11,11 +11,11 @@ convolution, folded back through the rows of xi^d, ..., xi^(2d-2) written
 over Z with one scale (which covers monic minimal polynomials with
 non-integral coefficients), then one content gcd.  That integer product
 (`NumberField._mul_numerators`) also serves callers that keep many
-numerators over one denominator of their own.  An inverse is one
-fraction-free Gauss-Jordan elimination on the integer matrix of
-multiplication.  The Fraction coordinates (`coords`) are built on first
-use.  All values are immutable; arithmetic returns new objects, so elements
-are safe to share across threads.
+numerators over one denominator of their own.  An inverse is one run of
+`bareiss`, the package's one fraction-free Gauss-Jordan elimination, on the
+integer matrix of multiplication.  The Fraction coordinates (`coords`) are
+built on first use.  All values are immutable; arithmetic returns new
+objects, so elements are safe to share across threads.
 
 Complex embeddings are certified: every approximate root of m carries an
 isolation radius r such that the disk of radius r around the approximation
@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import gcd, lcm
+from operator import floordiv
 from typing import Iterable, Sequence
 
 import mpmath
@@ -85,7 +86,8 @@ def format_rational(q: Fraction) -> str:
 # coefficients of rootsum and laurent, and ints (rootsum's powers of t modulo
 # a monic integer polynomial, divided without /).  It is generic over the
 # coefficient ring and uses only + - * /, ==, truthiness and the `zero` and
-# `one` the caller passes in.
+# `one` the caller passes in.  `bareiss`, the one exact elimination, is
+# generic in the same way over ints and Laurent polynomials.
 # ---------------------------------------------------------------------------
 
 def poly_trim(p: list) -> list:
@@ -162,6 +164,41 @@ def poly_invmod(a: Sequence, m: Sequence, zero, one):
 
 def _poly_deriv(p):
     return poly_trim([i * c for i, c in enumerate(p)][1:])
+
+
+def bareiss(aug: list, cols: int, div):
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
+    of the first `cols` columns of the rows `aug`, in place (rows are
+    replaced, never mutated), over a ring whose exact division is `div`.  The pivot is the first nonzero entry at
+    or below the current row; a column without one is skipped.  Each other
+    row becomes (pivot * row - f * pivot row) / previous pivot, so row i
+    ends as D times the reduced row echelon form, D the last pivot (sign * det
+    for a nonsingular square block).  Returns (pivot columns, D or None, sign
+    of the row swaps)."""
+    rows = len(aug)
+    pivots, prev, sign = [], None, 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        p = next((i for i in range(r, rows) if aug[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            aug[r], aug[p] = aug[p], aug[r]
+            sign = -sign
+        top = aug[r]
+        pivot = top[c]
+        for i, row in enumerate(aug):
+            if i != r:
+                f = row[c]
+                if prev is None:
+                    aug[i] = [pivot * x - f * y for x, y in zip(row, top)]
+                else:
+                    aug[i] = [div(pivot * x - f * y, prev) for x, y in zip(row, top)]
+        pivots.append(c)
+        prev = pivot
+    return pivots, prev, sign
 
 
 # ---------------------------------------------------------------------------
@@ -685,30 +722,18 @@ class FieldElement:
         if field.degree == 1:
             a = num[0]
             return _make(field, (self.den,), a) if a > 0 else _make(field, (-self.den,), -a)
-        # Solve M y = e_0 for the matrix M of multiplication by num with
-        # fraction-free Gauss-Jordan (Bareiss): every division is exact, and
-        # at the end each diagonal entry is the last pivot D = +-det M and the
-        # last column is D y.
+        # Solve M y = e_0 for the integer matrix M of multiplication by num:
+        # after `bareiss` the last column is D y, D the last pivot.
         d = field.degree
         cols = field._mult_columns(num)
         aug = [[col[i] for col in cols] + [int(i == 0)] for i in range(d)]
-        prev = 1
-        for k in range(d):
-            p = next((i for i in range(k, d) if aug[i][k]), None)
-            if p is None:
-                raise ZeroInverse("element not invertible; minpoly not squarefree?")
-            aug[k], aug[p] = aug[p], aug[k]
-            top = aug[k]
-            pivot = top[k]
-            for i, row in enumerate(aug):
-                if i != k:
-                    f = row[k]
-                    aug[i] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
-            prev = pivot
+        pivots, last, _ = bareiss(aug, d, floordiv)
+        if len(pivots) < d:
+            raise ZeroInverse("element not invertible; minpoly not squarefree?")
         # column j of M is over scale^j, so 1/a = den * (scale^j y_j)_j
         scale, den = field._scale, self.den
         return FieldElement._from_integers(
-            field, [row[d] * den * scale ** j for j, row in enumerate(aug)], prev)
+            field, [row[d] * den * scale ** j for j, row in enumerate(aug)], last)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -766,7 +791,8 @@ class FieldElement:
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coords[0])
+            # num[0] / den is in lowest terms when the other numerators vanish
+            return hash(_fraction(self.num[0], self.den))
         return hash((self.field, self.num, self.den))
 
     def __bool__(self):

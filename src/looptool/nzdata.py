@@ -15,7 +15,7 @@ from typing import List, Optional
 from .circulant import BlockCirculant
 from .errors import (NotDivisible, ParseError, SingularAtRoot, SingularError,
                      ValidationError)
-from .laurent import LaurentMatrix, LaurentPolynomial, RationalFunction
+from .laurent import LaurentMatrix, LaurentPolynomial
 from .linalg import mat_inv, mat_mul
 from .numberfield import FieldElement, NumberField, parse_int
 
@@ -128,16 +128,11 @@ class TwistedNZData:
     def propagator_symbolic(self):
         """(-B(t)^{-1} A(t) + Delta_{z'})^{-1} as RationalFunction entries.
 
-        Computed as -(A - B Delta)^{-1} B so a single Bareiss inverse of a
-        Laurent matrix suffices.
+        Computed as (A - B Delta)^{-1} (-B): one fraction-free elimination
+        of a Laurent matrix.
         """
-        if self._pi_symbolic is not None:
-            return self._pi_symbolic
-        G = self._gluing_matrix()
-        Ginv = G.inverse()
-        B_rf = [[RationalFunction.from_poly(e) for e in row] for row in self.B.entries]
-        prod = mat_mul(Ginv, B_rf)
-        self._pi_symbolic = [[-e for e in row] for row in prod]
+        if self._pi_symbolic is None:
+            self._pi_symbolic = self._gluing_matrix().solve(-self.B)
         return self._pi_symbolic
 
     def propagator_at(self, t_val):

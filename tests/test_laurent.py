@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from looptool.errors import (IncompleteFactorization, LoopToolError,
-                             SingularMatrix, ZeroBase)
+                             MathDomainError, NotDivisible, SingularMatrix,
+                             ZeroBase)
 from looptool.laurent import (LaurentMatrix, LaurentPolynomial,
                               RationalFunction, partial_fractions,
                               proportional_up_to_unit,
@@ -16,6 +17,7 @@ from looptool.numberfield import QQ
 LP = LaurentPolynomial
 
 DELTA_41 = LP(QQ, {1: 1, 0: -5, -1: 1})
+T_PLUS_2 = LP(QQ, {1: 1, 0: 2})
 
 
 def test_eval_delta_41_values():
@@ -70,14 +72,19 @@ def test_rational_function_lifts_rational_part_into_extension(field_sqrt21):
         den, LP(field_sqrt21, {0: 2}))
 
 
+def _inverse(M):
+    return M.solve(LaurentMatrix.identity(QQ, M.rows))
+
+
 def test_matrix_inverse_identity_and_scalar():
     I3 = LaurentMatrix.identity(QQ, 3)
-    inv = I3.inverse()
+    inv = _inverse(I3)
     for i in range(3):
         for j in range(3):
             assert inv[i][j] == (1 if i == j else 0)
     M = LaurentMatrix.from_rows(QQ, [[DELTA_41]])
-    assert M.inverse()[0][0] == RationalFunction(LP.one(QQ), DELTA_41)
+    assert _inverse(M)[0][0] == RationalFunction(LP.one(QQ), DELTA_41)
+    assert M.inverse() == _inverse(M)
 
 
 def test_matrix_inverse_both_sides(rng):
@@ -89,7 +96,7 @@ def test_matrix_inverse_both_sides(rng):
              for _ in range(n)] for _ in range(n)])
         if M.det().is_zero():
             continue
-        inv = M.inverse()
+        inv = _inverse(M)
         for i in range(n):
             for j in range(n):
                 left = right = None
@@ -103,12 +110,52 @@ def test_matrix_inverse_both_sides(rng):
         done += 1
 
 
+def test_matrix_solve_is_inverse_times_rhs(rng):
+    done = 0
+    while done < 10:
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        M = LaurentMatrix.from_rows(QQ, [
+            [LP(QQ, {k: rng.randint(-3, 3) for k in range(-1, 2)})
+             for _ in range(n)] for _ in range(n)])
+        if M.det().is_zero():
+            continue
+        R = LaurentMatrix.from_rows(QQ, [
+            [LP(QQ, {k: rng.randint(-3, 3) for k in range(0, 2)})
+             for _ in range(m)] for _ in range(n)])
+        rf = [[RationalFunction.from_poly(e) for e in row] for row in R.entries]
+        assert M.solve(R) == mat_mul(_inverse(M), rf)
+        done += 1
+
+
 def test_singular_matrix_raises():
     M = LaurentMatrix.from_rows(QQ, [[LP.one(QQ), LP.one(QQ)],
                                      [LP.one(QQ), LP.one(QQ)]])
     assert M.det().is_zero()
     with pytest.raises(SingularMatrix):
-        M.inverse()
+        _inverse(M)
+    with pytest.raises(SingularMatrix):
+        M.solve(LaurentMatrix.from_rows(QQ, [[1], [2]]))
+
+
+def test_non_square_matrix_raises_math_domain_error():
+    M = LaurentMatrix.from_rows(QQ, [[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(MathDomainError):
+        M.det()
+    with pytest.raises(MathDomainError):
+        M.solve(LaurentMatrix.identity(QQ, 2))
+    with pytest.raises(MathDomainError):
+        LaurentMatrix.identity(QQ, 2).solve(LaurentMatrix.identity(QQ, 3))
+
+
+def test_inexact_division_raises_not_divisible():
+    assert (DELTA_41 * T_PLUS_2).divide_exact(T_PLUS_2) == DELTA_41
+    with pytest.raises(NotDivisible):
+        DELTA_41.divide_exact(T_PLUS_2)
+
+
+def test_zero_polynomial_is_falsy():
+    assert not LP.zero(QQ) and not LP(QQ, {3: 0})
+    assert LP.one(QQ) and DELTA_41 and LP(QQ, {-2: Fraction(1, 5)})
 
 
 def test_bareiss_det_matches_cofactor(rng):

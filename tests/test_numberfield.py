@@ -3,15 +3,18 @@
 import math
 import random
 from fractions import Fraction
+from operator import floordiv
 
 import mpmath
 import pytest
 
 from conftest import random_element
-from looptool.errors import ParseError, ZeroInverse
+from looptool import laurent, linalg, numberfield
+from looptool.errors import ParseError, SingularError, ZeroInverse
 from looptool.knots import FIELD_52
+from looptool.synth import random_nz_data
 from looptool.numberfield import (ComplexBall, FieldElement, NumberField, QQ,
-                                  parse_rational, poly_divmod, poly_invmod,
+                                  bareiss, parse_rational, poly_divmod, poly_invmod,
                                   poly_mul, poly_mulmod, poly_trim, sqrt_lower,
                                   sqrt_upper)
 
@@ -373,3 +376,105 @@ def test_fraction_fast_path_matches_fraction():
         assert (q.numerator, q.denominator) == (Fraction(num, den).numerator,
                                                 Fraction(num, den).denominator)
         assert hash(q) == hash(Fraction(num, den)) and str(q) == str(Fraction(num, den))
+
+
+def test_rational_hash_skips_the_coordinates(field_sqrt21):
+    # num[0] / den is already in lowest terms: hashing builds no coords
+    for field in (QQ, field_sqrt21):
+        for q in (Fraction(-7, 12), Fraction(5), Fraction(0), Fraction(2 ** 70, 3 ** 50)):
+            e = field.element(q) * 1
+            assert e._coords is None
+            assert hash(e) == hash(q) and e._coords is None
+            if q.denominator == 1:
+                assert hash(e) == hash(int(q))
+    s = field_sqrt21.generator()
+    assert hash(s * s / 4) == hash(Fraction(21, 4))
+
+
+# -- the one fraction-free elimination ----------------------------------------
+
+
+def _exact(a, b):
+    q, r = divmod(a, b)
+    assert r == 0, f"{a} / {b} is not exact"
+    return q
+
+
+def _rref(aug, cols):
+    """Pivot columns and reduced row echelon form over Fraction."""
+    A = [[Fraction(x) for x in row] for row in aug]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if p is None:
+            continue
+        A[r], A[p] = A[p], A[r]
+        A[r] = [x / A[r][c] for x in A[r]]
+        for i in range(len(A)):
+            if i != r:
+                A[i] = [x - A[i][c] * y for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+    return pivots, A
+
+
+def test_bareiss_is_last_pivot_times_rref():
+    # rank-deficient products L R over Z, with extra right-hand columns: every
+    # division is exact, missing pivots are skipped, and the pivot rows are
+    # the last pivot times the reduced row echelon form
+    rng = random.Random(3)
+    deficient = 0
+    for _ in range(400):
+        rows, cols, rank = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 4)
+        L = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(rows)]
+        R = [[rng.randint(-4, 4) * rng.randint(0, 1) for _ in range(cols)]
+             for _ in range(rank)]
+        aug = [[sum(a * b for a, b in zip(L[i], col)) for col in zip(*R)] if rank
+               else [0] * cols for i in range(rows)]
+        aug = [row + [rng.randint(-5, 5) for _ in range(2)] for row in aug]
+        pivots, ref = _rref(aug, cols)
+        work = [list(row) for row in aug]
+        got, last, sign = bareiss(work, cols, _exact)
+        assert got == pivots and sign in (1, -1)
+        deficient += len(pivots) < min(rows, cols)
+        for i, c in enumerate(pivots):
+            assert work[i][c] == last
+            assert [Fraction(x, last) for x in work[i]] == ref[i]
+        for row in work[len(pivots):]:
+            assert not any(row[:cols])
+    assert deficient > 50
+
+
+def test_bareiss_sign_times_last_pivot_is_the_determinant():
+    assert bareiss([[0, 1], [1, 0]], 2, floordiv)[1:] == (1, -1)
+    assert bareiss([[2, 1], [4, 5]], 2, floordiv)[1:] == (6, 1)
+    assert bareiss([[0, 0], [0, 0]], 2, floordiv) == ([], None, 1)
+
+
+def test_one_elimination_serves_every_exact_solve(monkeypatch, field_cubic):
+    # one call each for the propagator, a cubic inverse and an integer system
+    # singular modulo every listed prime, and no field Gauss-Jordan there
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return bareiss(*args)
+
+    for module in (numberfield, laurent, linalg):
+        monkeypatch.setattr(module, "bareiss", counted)
+    monkeypatch.setattr(linalg, "solve_gauss_jordan", None)
+    data = random_nz_data(random.Random(5), 2)
+    calls.clear()
+    data.propagator_symbolic()
+    assert len(calls) == 1
+    calls.clear()
+    a = field_cubic.element([Fraction(3, 2), -1, Fraction(5, 7)])
+    assert a * a.inverse() == 1 and len(calls) == 1
+    P = math.prod(linalg.PRIMES)
+    M = [[P, 3], [2 * P, 7]]
+    for p in linalg.PRIMES:
+        with pytest.raises(SingularError):
+            linalg._ModularLU(M, p)
+    calls.clear()
+    assert linalg.solve_integer(M, [1, 3]) == ([-2, P], P)
+    assert len(calls) == 1

@@ -1,5 +1,8 @@
 """Twisted gluing data: validation, one-loop polynomial, propagators, covers."""
 
+import hashlib
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -8,7 +11,7 @@ import pytest
 from looptool.circulant import BlockCirculant, block_diagonalize_check
 from looptool.errors import SingularAtRoot, ValidationError
 from looptool.laurent import (LaurentMatrix, LaurentPolynomial,
-                              proportional_up_to_unit)
+                              RationalFunction, proportional_up_to_unit)
 from looptool.linalg import mat_mul
 from looptool.numberfield import QQ
 from looptool.nzdata import (TwistedNZData, is_palindromic_up_to_unit,
@@ -17,6 +20,7 @@ from looptool.synth import random_nz_data
 
 LP = LaurentPolynomial
 T_MINUS_1 = LP(QQ, {1: 1, 0: -1})
+DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
 
 def one_tet_data(A_poly, B_poly, z):
@@ -233,3 +237,55 @@ def test_json_roundtrip(tmp_path, rng):
     assert back.A == data.A and back.B == data.B
     assert back.shapes == data.shapes
     assert back.peripheral.a_mu == [1, 0] and back.peripheral.b_lambda == [2, -1]
+
+
+# -- the symbolic propagator: goldens and its defining identity ---------------
+
+
+def _lifted(data, field, shapes):
+    """`data` with A and B written over `field` and new shapes."""
+    def lift(M):
+        return LaurentMatrix(field, [[LP(field, e.coeffs) for e in row]
+                                     for row in M.entries])
+    return TwistedNZData(field, lift(data.A), lift(data.B), shapes)
+
+
+def _propagator_inputs():
+    with open(os.path.join(DATA, "synthetic_theta_bundle.json")) as fh:
+        theta = TwistedNZData.from_json(json.load(fh)["nz"])
+    return {"fig8": TwistedNZData.load(os.path.join(DATA, "nz_synthetic_fig8.json")),
+            "theta": theta,
+            "N2": random_nz_data(random.Random(5), 2),
+            "N3": random_nz_data(random.Random(6), 3)}
+
+
+def _sqrt21_data(field):
+    s = field.generator()
+    return _lifted(random_nz_data(random.Random(5), 2), field,
+                   [(1 + s) / 2, 3 - s / 5])
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("fig8", "e064cc66107603a50cfcbe8d8ca22cbc96dd51d92936312147c548a5ce2cfc19"),
+    ("theta", "e064cc66107603a50cfcbe8d8ca22cbc96dd51d92936312147c548a5ce2cfc19"),
+    ("N2", "b8ab35bf84936c294314254b22520a97f9dcd65310bb50932bedcf4c68934541"),
+    ("N3", "df1e60c86b9a56b05faa4f92fe9af4f6eacf4b84ab2c028ba24e0272cb6d8f44"),
+])
+def test_propagator_symbolic_golden(name, digest):
+    pi = _propagator_inputs()[name].propagator_symbolic()
+    text = json.dumps([[e.to_json() for e in row] for row in pi])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_propagator_solves_its_defining_identity(field_sqrt21):
+    # (A - B Delta_{z'}) Pi = -B, by RationalFunction products only
+    cases = list(_propagator_inputs().values()) + [_sqrt21_data(field_sqrt21)]
+    for data in cases:
+        N, pi = data.N, data.propagator_symbolic()
+        for i in range(N):
+            for j in range(N):
+                acc = RationalFunction.from_poly(LP.zero(data.field))
+                for k in range(N):
+                    g = data.A.entries[i][k] - data.B.entries[i][k] * data.zp[k]
+                    acc = acc + g * pi[k][j]
+                assert acc == RationalFunction.from_poly(-data.B.entries[i][j])
