@@ -13,7 +13,7 @@ from typing import List
 
 import mpmath
 
-from .errors import ParseError
+from .errors import ParseError, check_cover_order
 from .laurent import LaurentMatrix, LaurentPolynomial, RationalFunction
 from .linalg import mat_add, mat_mul
 from .numberfield import FieldElement, NumberField
@@ -49,8 +49,7 @@ class BlockCirculant:
         representer evaluations exactly, because summing w^{ik} r(w^k) over k
         picks out the coefficient matrices with exponent = i mod n.
         """
-        if n < 1:
-            raise ParseError("n must be >= 1")
+        check_cover_order(n)
         field = rep.field
         N = rep.rows
         if rep.cols != N:
@@ -147,8 +146,7 @@ def cover_blocks_from_symbolic(pi_matrix, n: int, field: NumberField,
     t^n - 1, so these blocks share no code with the integer images of the
     flow formula and check them as an oracle.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_cover_order(n)
     matrix = [[RationalFunction.from_poly(e) if isinstance(e, LaurentPolynomial)
                else e for e in row] for row in pi_matrix]
     folded = [[ratfun_mod_cyclic(e, n) for e in row] for row in matrix]

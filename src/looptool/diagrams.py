@@ -31,8 +31,8 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .circulant import BlockCirculant
-from .errors import (GradeMismatch, MissingVertexFactor, ParseError,
-                     ValidationError)
+from .errors import (CoverOrderError, GradeMismatch, MissingVertexFactor, ParseError,
+                     ValidationError, check_cover_order)
 from .numberfield import FieldElement, NumberField, QQ, parse_int, parse_rational
 from .rootsum import CyclicMatrixImage
 
@@ -177,8 +177,7 @@ class FeynmanDiagram:
 
 def enumerate_flows(G: FeynmanDiagram, n: int) -> Iterator[FlowAssignment]:
     """Yield all n^d flows; free edges range over Z/nZ, tree edges follow."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_cover_order(n)
     exponents = G.edge_exponents()
     for idx in itertools.product(range(n), repeat=G.first_betti):
         yield tuple(sum(c * x for c, x in zip(vec, idx)) % n for vec in exponents)
@@ -366,6 +365,8 @@ def weight_direct(G: FeynmanDiagram, n: int, pi_cover: BlockCirculant,
     The cover vertex factors repeat the base ones n times, matching the
     n-fold repetition of the shape parameters along the cover.
     """
+    if n != pi_cover.n:
+        raise CoverOrderError(f"n = {n} disagrees with the {pi_cover.n}-fold cover propagator")
     if field is None:
         field = pi_cover.field
     size = n * N

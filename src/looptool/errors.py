@@ -92,6 +92,18 @@ class PoleOnTorus(MathDomainError):
     pass
 
 
+# -- cyclic covers ----------------------------------------------------------
+
+class CoverOrderError(MathDomainError, ValueError):
+    """A cyclic cover order n < 1, or one that disagrees with the cover."""
+
+
+def check_cover_order(n: int) -> None:
+    """The one check that an n-fold cyclic cover has n >= 1."""
+    if n < 1:
+        raise CoverOrderError(f"n must be >= 1, got {n}")
+
+
 # -- powersum ---------------------------------------------------------------
 
 class RecursionMismatch(CrossCheckError):

@@ -63,10 +63,6 @@ class LaurentPolynomial:
         return cls(field, {exponent: coeff})
 
     @classmethod
-    def variable(cls, field: NumberField) -> "LaurentPolynomial":
-        return cls.monomial(field, 1)
-
-    @classmethod
     def from_coeff_list(cls, field: NumberField, coeffs: Sequence, shift: int = 0):
         return cls(field, {i + shift: c for i, c in enumerate(coeffs)})
 

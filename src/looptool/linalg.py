@@ -58,11 +58,6 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def is_symmetric(A) -> bool:
-    n = len(A)
-    return all(A[i][j] == A[j][i] for i in range(n) for j in range(i + 1, n))
-
-
 def _gauss_jordan(aug, cols: int):
     """Reduce the first `cols` columns of the augmented matrix `aug` (a list
     of rows) in place to reduced row echelon form.  Each pivot is the first

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import gcd, lcm
-from operator import floordiv
+from operator import floordiv, mul
 from typing import Iterable, Sequence
 
 import mpmath
@@ -86,8 +86,12 @@ def format_rational(q: Fraction) -> str:
 # coefficients of rootsum and laurent, and ints (rootsum's powers of t modulo
 # a monic integer polynomial, divided without /).  It is generic over the
 # coefficient ring and uses only + - * /, ==, truthiness and the `zero` and
-# `one` the caller passes in.  `bareiss`, the one exact elimination, is
-# generic in the same way over ints and Laurent polynomials.
+# `one` the caller passes in.  `poly_series` is the one power-series loop
+# (the generating series of powersum, the cofactor of rootsum's cyclic
+# inverses over Z, the expansion at infinity of its residue forms); it takes
+# the ring's exact division by den[0] from the caller instead of `one`.
+# `bareiss`, the one exact elimination, is generic in the same way over
+# ints, field elements and Laurent polynomials.
 # ---------------------------------------------------------------------------
 
 def poly_trim(p: list) -> list:
@@ -124,6 +128,19 @@ def poly_divmod(a: Sequence, b: Sequence, zero, one):
             for i in range(db):
                 rem[k + i] = rem[k + i] - c * b[i]
     return poly_trim(quo), poly_trim(rem)
+
+
+def poly_series(num: Sequence, den: Sequence, count: int, zero, div) -> list:
+    """The first `count` coefficients of the power series num/den in t, for
+    den[0] != 0; `div(x, den[0])` is the ring's exact division, called once
+    per coefficient in order."""
+    lead, tail = den[0], den[1:]
+    out = []
+    for k in range(count):
+        m = min(k, len(tail))
+        s = sum(map(mul, tail[:m], reversed(out[k - m:])), zero)
+        out.append(div((num[k] if k < len(num) else zero) - s, lead))
+    return out
 
 
 def poly_mulmod(a: Sequence, b: Sequence, m: Sequence, zero, one) -> list:
@@ -296,10 +313,6 @@ class ComplexBall:
 
     __radd__ = __add__
     __rmul__ = __mul__
-
-    def scaled(self, q: Fraction) -> "ComplexBall":
-        q = Fraction(q)
-        return ComplexBall(self.re * q, self.im * q, self.radius * abs(q))
 
     def abs_upper(self) -> Fraction:
         return sqrt_upper(_c_abs2((self.re, self.im))) + self.radius

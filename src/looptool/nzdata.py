@@ -14,7 +14,7 @@ from typing import List, Optional
 
 from .circulant import BlockCirculant
 from .errors import (NotDivisible, ParseError, SingularAtRoot, SingularError,
-                     ValidationError)
+                     ValidationError, check_cover_order)
 from .laurent import LaurentMatrix, LaurentPolynomial
 from .linalg import mat_inv, mat_mul
 from .numberfield import FieldElement, NumberField, parse_int
@@ -192,8 +192,7 @@ class TwistedNZData:
 
     def cover_matrices(self, n: int):
         """(A^(n), B^(n)) as block circulants; n = 1 gives the 1 x 1 block X(1)."""
-        if n < 1:
-            raise ParseError("n must be >= 1")
+        check_cover_order(n)
         return (BlockCirculant.from_representer(self.A, n),
                 BlockCirculant.from_representer(self.B, n))
 

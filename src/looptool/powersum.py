@@ -28,7 +28,7 @@ from .errors import (CrossCheckError, HoldoutMismatchError, ParseError,
 from .knots import phi_integrand, phi_numerators
 from .laurent import LaurentPolynomial, RationalFunction
 from .linalg import solve
-from .numberfield import FieldElement, NumberField, QQ
+from .numberfield import FieldElement, NumberField, QQ, poly_series
 from .rootsum import av_exact, delta_basis_inverse, one_minus_u_power
 
 
@@ -130,7 +130,7 @@ def series_from_values(values: Sequence[FieldElement], s: LaurentPolynomial
 def series_coefficients(rf: RationalFunction, count: int) -> List[FieldElement]:
     """First `count` power series coefficients of a rational function that is
     regular at t = 0."""
-    field = rf.field
+    zero = rf.field.zero()
     num, nshift = rf.num.as_poly_coeffs()
     den, dshift = rf.den.as_poly_coeffs()
     if dshift != 0:
@@ -138,16 +138,7 @@ def series_coefficients(rf: RationalFunction, count: int) -> List[FieldElement]:
     if nshift < 0:
         raise ParseError("series has a pole at t = 0")
     inv0 = den[0].inverse()
-    out = []
-    for k in range(count):
-        acc = field.zero()
-        kk = k - nshift
-        if 0 <= kk < len(num):
-            acc = acc + num[kk]
-        for i in range(1, min(k, len(den) - 1) + 1):
-            acc = acc - den[i] * out[k - i]
-        out.append(acc * inv0)
-    return out
+    return poly_series([zero] * nshift + num, den, count, zero, lambda x, _: x * inv0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,13 @@ at the roots of Q:
 
 This holds for repeated roots too.  The right-hand side is linear in x: it
 is -n w.x with w_j = [t^(d-1)](r t^j mod Q) / lc(Q), the residue
-functional of r.  A `ResidueForm` holds numerators P_0, P_1, ... over one Q
-and stands for sum_i P_i n^(-i) / Q; it divides each P_i by Q and builds
-its functional w_i, scaled to integers, once.  Its sum at n is then
+functional of r.  At t = infinity, w_j is the coefficient of t^(-1) in
+r t^j / Q, so the expansion of P/Q there holds w_j at t^(-1-j) below the
+quotient q at t^0 and up.  A `ResidueForm` holds numerators P_0, P_1, ...
+over one Q and stands for sum_i P_i n^(-i) / Q; it expands each P_i/Q at
+infinity once, as one power series (`numberfield.poly_series`) of the
+reversed polynomials, and keeps q_i and w_i, scaled to integers.  Its sum
+at n is then
 
     n sum_i n^(-i) (sum_{k = 0 mod n} q_(i,k) - w_i.x),
 
@@ -50,13 +54,19 @@ primitive over Z, v = (t^n - 1)^(-1) mod Q is one solve of size d = deg Q
 (`_unit_system` and `linalg.solve_integer`, after s = lc(Q) t makes Q
 monic over Z), and the cofactor a = (1 - v (t^n - 1)) / Q is Q^(-1) mod
 t^n - 1.  By Gauss's lemma den(v) a is integral, so its n coefficients,
-those of the power series of den(v) (1 + v) / Q, come by exact integer
-division by Q(0): O(d^2 log n + n d) in all.  A Q with irrational
+those of the power series of den(v) (1 + v) / Q, come from `poly_series`
+by exact integer division by Q(0): O(d^2 log n + n d) in all.  A Q with irrational
 coefficients goes through its norm N(Q) in Q[t], which vanishes at a root
 of unity exactly when Q does: Q^(-1) = (N(Q)/Q) N(Q)^(-1).  Before use the
 inverse A / c is certified by the product Q A = c mod t^n - 1, at O(n d);
 a failed check or an inexact division raises CrossCheckError.  Neither
 route ever evaluates a complex root of unity.
+
+The same M_u gives the cyclic resultant prod_{w^n = 1} delta(w), the
+one-loop term of the n-fold cover: for delta = t^s lc m with m monic of
+degree d it is (-1)^(nd + (n+1)s) lc^n det M_u, since det M_u is the norm
+of t^n - 1 in F[t]/(m) (von zur Gathen and Gerhard), and `bareiss`
+takes the determinant at O(d^2 log n + d^3).
 """
 
 from __future__ import annotations
@@ -66,15 +76,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
-from operator import add, mul
+from operator import add, mul, truediv
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import (CrossCheckError, ParseError, PoleOnTorus, ResonantRoot,
-                     RootOfUnityPole, SingularError)
+                     RootOfUnityPole, SingularError, check_cover_order)
 from .laurent import LaurentMatrix, LaurentPolynomial, RationalFunction, partial_fractions
 from .linalg import integer_system, solve_consistent, solve_integer, transpose
-from .numberfield import (QQ, FieldElement, NumberField, poly_divmod, poly_invmod,
-                          poly_mulmod, poly_t_power_mod, poly_trim)
+from .numberfield import (QQ, FieldElement, NumberField, bareiss, poly_divmod,
+                          poly_invmod, poly_mulmod, poly_series, poly_t_power_mod,
+                          poly_trim)
 
 # ---------------------------------------------------------------------------
 # Images in F[t]/(t^n - 1) and sums by residues in F[t]/(Q), elements as
@@ -201,18 +212,18 @@ def _rational_inverse(q: List[FieldElement], n: int, where: str) -> Tuple[List[i
     v = [c * lc ** j for j, c in enumerate(y)]
     # v_den (1 - (t^n - 1) v) / qz is integral by Gauss's lemma; below t^n it
     # is the power series of v_den (1 + v) / qz
-    w = [v_den + v[0]] + v[1:]
-    q0, tail = qz[0], qz[1:]
-    a = []
-    for k in range(n):
-        m = min(k, d)
-        s = (w[k] if k < d else 0) - sum(map(mul, tail[:m], reversed(a[k - m:])))
+    index = itertools.count()
+
+    def exact(s, q0):
+        k = next(index)
         x, r = divmod(s, q0)
         if r:
             raise CrossCheckError(
                 f"{where}: the cofactor (1 - (t^n - 1) v) / Q is not integral: "
                 f"coefficient {k} has numerator {s}, not a multiple of Q(0) = {q0}")
-        a.append(x)
+        return x
+
+    a = poly_series([v_den + v[0]] + v[1:], qz, n, 0, exact)
     return [c * den for c in a], v_den * g
 
 
@@ -277,8 +288,7 @@ class CyclicMatrixImage:
     """
 
     def __init__(self, matrix, n: int, field: NumberField, pi0=None, pi1=None):
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        check_cover_order(n)
         self.matrix = [[RationalFunction.from_poly(e) if isinstance(e, LaurentPolynomial)
                         else e for e in row] for row in matrix]
         self.n = n
@@ -334,8 +344,7 @@ class CyclicMatrixImage:
 def av_trace(f: RationalFunction | LaurentPolynomial, n: int) -> FieldElement:
     """Sum of f over the n-th roots of unity as the trace of f at the
     cyclic-shift companion matrix of t^n - 1 (the oracle for av_exact)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_cover_order(n)
     if isinstance(f, LaurentPolynomial):
         f = RationalFunction.from_poly(f)
     return ratfun_mod_cyclic(f, n)[0] * n
@@ -354,7 +363,7 @@ class ResidueForm:
         self.numerators = list(numerators)
         self.den = den
         field = self.field = den.field
-        zero, one = field.zero(), field.one()
+        zero = field.zero()
         dpoly, dshift = den.as_poly_coeffs()
         # the common frame: t^lift moves into Q when some P_i reaches below it
         lift = max(0, dshift - min((p.min_exp() for p in self.numerators
@@ -362,22 +371,27 @@ class ResidueForm:
         lc_inv = dpoly[-1].inverse()
         monic = [zero] * lift + [c * lc_inv for c in dpoly]
         d = self._d = len(monic) - 1
+        reversed_monic = poly_trim(monic[::-1])
         basis = [field.element([0] * k + [1]) for k in range(field.degree)]
         self._terms = []
         for i, p in enumerate(self.numerators):
             if p.is_zero():
                 continue
             coeffs, shift = p.as_poly_coeffs()
-            quo, rem = poly_divmod([zero] * (shift - dshift + lift) + coeffs,
-                                   monic, zero, one)
-            # w_j = [t^(d-1)](r t^j mod Q) / lc(Q), written as the matrix of
-            # x -> w.x on the coordinates of x: column j*deg + k holds those
-            # of w_j xi^k
+            num = [zero] * (shift - dshift + lift) + coeffs
+            num += [zero] * (d - len(num))
+            # P/m for m = Q / lc(Q) at t = infinity, the power series of the
+            # reversed P over the reversed m, which starts with 1: the
+            # quotient by m down to t^0, then lc(Q) w_j at t^(-1-j)
+            split = len(num) - d
+            series = poly_series(num[::-1], reversed_monic, len(num), zero, lambda x, _: x)
+            quo = series[:split][::-1]
+            # w as the matrix of x -> w.x on the coordinates of x: column
+            # j*deg + k holds those of w_j xi^k
             columns = []
-            for _ in range(d):
-                w = rem[d - 1] * lc_inv if len(rem) == d else zero
+            for e in series[split:]:
+                w = e * lc_inv
                 columns.extend((w * b).coords for b in basis)
-                rem = poly_divmod([zero] + rem, monic, zero, one)[1]
             scale = lcm(*(q.denominator for col in columns for q in col))
             weights = [[col[c].numerator * (scale // col[c].denominator)
                         for col in columns] for c in range(field.degree)]
@@ -389,8 +403,7 @@ class ResidueForm:
 
     def root_sum(self, n: int) -> FieldElement:
         """sum over the n-th roots of unity w of sum_i P_i(w) n^(-i) / Q(w)."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        check_cover_order(n)
         x, x_den = [], 1
         if self._d and self._terms:
             if self._integral:
@@ -450,8 +463,7 @@ def av_residue_euclid(f: RationalFunction | LaurentPolynomial, n: int) -> FieldE
     """The residue route for one numerator in its own frame, with
     (t^n - 1)^(-1) mod Q from the extended Euclidean algorithm and the full
     product r x mod Q: the oracle for av_exact."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_cover_order(n)
     if isinstance(f, LaurentPolynomial):
         f = RationalFunction.from_poly(f)
     zero, one = f.field.zero(), f.field.one()
@@ -485,44 +497,28 @@ def av_residue_euclid(f: RationalFunction | LaurentPolynomial, n: int) -> FieldE
 # Cyclic resultants
 # ---------------------------------------------------------------------------
 
-def _resultant(f: List[FieldElement], g: List[FieldElement], field: NumberField):
-    """Resultant of dense polynomials over the field (Euclidean algorithm)."""
-    zero, one = field.zero(), field.one()
-    a = poly_trim(list(f))
-    b = poly_trim(list(g))
-    if not a or not b:
-        return zero
-    acc = one
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        if db == 0:
-            return acc * b[0] ** da
-        r = poly_divmod(a, b, zero, one)[1]
-        dr = len(r) - 1
-        if not r:
-            return field.zero()
-        sign = field.one() if (da * db) % 2 == 0 else -field.one()
-        acc = acc * sign * b[-1] ** (da - dr)
-        a, b = b, r
-
-
 def cyclic_resultant(delta: LaurentPolynomial, n: int) -> FieldElement:
-    """Exact product of delta over all n-th roots of unity."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """Exact product of delta over all n-th roots of unity: for delta =
+    t^s lc m with m monic of degree d, the roots w of t^n - 1 multiply to
+    (-1)^(n+1) and prod_w m(w) = (-1)^(nd) prod_{m(r) = 0} (r^n - 1) is
+    (-1)^(nd) det M_u (see the module docstring)."""
+    check_cover_order(n)
     field = delta.field
     if delta.is_zero():
         return field.zero()
     coeffs, shift = delta.as_poly_coeffs()
-    # t^n - 1 as dense list
-    cyc = [field.zero()] * (n + 1)
-    cyc[0] = -field.one()
-    cyc[n] = field.one()
-    res = _resultant(cyc, coeffs, field)
-    # product over roots of t^shift: (prod of all n-th roots)^shift = (-1)^((n+1)*shift)
-    if ((n + 1) * shift) % 2:
-        res = -res
-    return res
+    lc = coeffs[-1]
+    d = len(coeffs) - 1
+    det = field.one()
+    if d:
+        lc_inv = lc.inverse()
+        M_u = _unit_system(n, [c * lc_inv for c in coeffs], field.zero(), field.one())[1]
+        pivots, last, sign = bareiss(M_u, d, truediv)
+        if len(pivots) < d:
+            return field.zero()
+        det = last if sign == 1 else -last
+    res = lc ** n * det
+    return -res if (n * d + (n + 1) * shift) % 2 else res
 
 
 # ---------------------------------------------------------------------------
@@ -684,24 +680,13 @@ def delta_basis_inverse(lam: FieldElement, k: int) -> List[List[LaurentPolynomia
     _check_quadratic_root(lam)
     field = lam.field
     zero = LaurentPolynomial.zero(field)
-    # the diagonal entries of alpha are monomials c x^j
-    alpha = delta_power_sums(lam, k)
-    inv_diag = []
-    for j in range(k + 1):
-        (e, c), = alpha[j][j].coeffs.items()
-        inv_diag.append(LaurentPolynomial(field, {-e: c.inverse()}))
-    beta = [[zero] * (k + 1) for _ in range(k + 1)]
-    for a in range(k + 1):
-        beta[a][a] = inv_diag[a]
-        for j in range(a - 1, -1, -1):
-            # solve sum_{i=j..a} beta[a][i] * alpha[i][j] = 0
-            acc = zero
-            for i in range(j + 1, a + 1):
-                acc = acc + beta[a][i] * alpha[i][j]
-            beta[a][j] = -acc * inv_diag[j]
-    for a in range(k + 1):
-        for i in range(k + 1):
-            if beta[a][i].coeffs and beta[a][i].max_exp() > 0:
+    alpha = LaurentMatrix(field, [row + [zero] * (k - j) for j, row in
+                                  enumerate(delta_power_sums(lam, k))])
+    beta = [[e.as_polynomial() for e in row]
+            for row in alpha.solve(LaurentMatrix.identity(field, k + 1))]
+    for row in beta:
+        for entry in row:
+            if entry.coeffs and entry.max_exp() > 0:
                 raise SingularError("basis inverse has positive powers of n")
     return beta
 
@@ -764,8 +749,7 @@ def torus_sum_oracle(spec: TorusSumSpec, n: int) -> FieldElement:
     mod n, contributing n^d.  Free tail indices determine the coordinate
     indices uniquely, so the cost is O(n^(s-d)).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_cover_order(n)
     field = spec.constants[0].field if spec.constants else QQ
     one = field.one()
     d, s = spec.d, spec.s

@@ -5,18 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from looptool.circulant import cover_blocks_from_symbolic
+from looptool.circulant import BlockCirculant, cover_blocks_from_symbolic
 from looptool.diagrams import (FeynmanDiagram, VertexFactorTable,
                                connected_multigraphs, enumerate_flows,
                                is_conserved, loop_invariant, weight_direct,
                                weight_flow)
-from looptool.errors import (CrossCheckError, GradeMismatch,
-                             MissingVertexFactor, RootOfUnityPole,
+from looptool.errors import (CoverOrderError, CrossCheckError, GradeMismatch,
+                             MathDomainError, MissingVertexFactor, RootOfUnityPole,
                              SingularAtRoot, ValidationError)
 from looptool.laurent import LaurentPolynomial, RationalFunction
 from looptool.numberfield import QQ
 from looptool.nzdata import TwistedNZData
-from looptool.rootsum import ratfun_mod_cyclic
+from looptool.rootsum import (CyclicMatrixImage, ResidueForm, TorusSumSpec, av_exact,
+                              av_residue_euclid, av_trace, cyclic_resultant,
+                              ratfun_mod_cyclic, torus_sum_oracle)
 from looptool.synth import (random_nz_data, random_symmetric_matrix,
                             random_symmetric_propagator, random_vertex_table)
 
@@ -160,6 +162,52 @@ def test_orientation_independence(rng):
             edges[k] = (v, u)
             g2 = FeynmanDiagram(g.n_vertices, edges, g.symmetry_factor)
             assert weight_flow(g2, n, pi, table, N) == base
+
+
+def test_weight_direct_rejects_a_cover_of_another_order(rng):
+    # n must be the cover's own order: another n sums the wrong labelings
+    N = 2
+    pi = random_symmetric_propagator(rng, N)
+    table = random_vertex_table(rng, N, {3})
+    cover = cover_blocks_from_symbolic(pi, 3, QQ)
+    assert weight_direct(THETA, 3, cover, table, N) == weight_flow(THETA, 3, pi, table, N)
+    for n in (2, 4):
+        with pytest.raises(CoverOrderError, match="^n = .* disagrees with the 3-fold cover"):
+            weight_direct(THETA, n, cover, table, N)
+
+
+def _cover_order_entry_points():
+    """Every public entry point that takes a cyclic cover order n."""
+    rng = random.Random(13)
+    data = random_nz_data(rng, 2)
+    pi = random_symmetric_propagator(rng, 2)
+    f = RationalFunction(LaurentPolynomial(QQ, {-1: 1}), LaurentPolynomial(QQ, {0: 1, 1: -2}))
+    table = random_vertex_table(rng, 2, {3})
+    spec = TorusSumSpec(1, (0,), ((1,),), (QQ.element(2),))
+    return {
+        "av_exact": lambda n: av_exact(f, n),
+        "av_residue_euclid": lambda n: av_residue_euclid(f, n),
+        "av_trace": lambda n: av_trace(f, n),
+        "cyclic_resultant": lambda n: cyclic_resultant(f.den, n),
+        "torus_sum_oracle": lambda n: torus_sum_oracle(spec, n),
+        "CyclicMatrixImage": lambda n: CyclicMatrixImage(pi, n, QQ),
+        "ResidueForm.root_sum": lambda n: ResidueForm([f.num], f.den).root_sum(n),
+        "BlockCirculant.from_representer": lambda n: BlockCirculant.from_representer(data.A, n),
+        "cover_blocks_from_symbolic": lambda n: cover_blocks_from_symbolic(pi, n, QQ),
+        "TwistedNZData.cover_matrices": lambda n: data.cover_matrices(n),
+        "enumerate_flows": lambda n: list(enumerate_flows(THETA, n)),
+        "weight_direct": lambda n: weight_direct(THETA, n, cover_blocks_from_symbolic(pi, 1, QQ),
+                                                 table, 2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_cover_order_entry_points()))
+def test_every_cover_entry_point_rejects_n_below_one(name):
+    call = _cover_order_entry_points()[name]
+    for n in (0, -3):
+        with pytest.raises(CoverOrderError, match=f"^n (must be >= 1, got |= ){n}") as excinfo:
+            call(n)
+        assert isinstance(excinfo.value, MathDomainError) and isinstance(excinfo.value, ValueError)
 
 
 def test_rational_propagator_from_nz_data(rng):

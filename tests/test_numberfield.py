@@ -3,19 +3,20 @@
 import math
 import random
 from fractions import Fraction
-from operator import floordiv
+from operator import floordiv, truediv
 
 import mpmath
 import pytest
 
 from conftest import random_element
-from looptool import laurent, linalg, numberfield
+from looptool import laurent, linalg, numberfield, powersum, rootsum
 from looptool.errors import ParseError, SingularError, ZeroInverse
 from looptool.knots import FIELD_52
+from looptool.laurent import LaurentPolynomial, RationalFunction
 from looptool.synth import random_nz_data
 from looptool.numberfield import (ComplexBall, FieldElement, NumberField, QQ,
                                   bareiss, parse_rational, poly_divmod, poly_invmod,
-                                  poly_mul, poly_mulmod, poly_trim, sqrt_lower,
+                                  poly_mul, poly_mulmod, poly_series, poly_trim, sqrt_lower,
                                   sqrt_upper)
 
 
@@ -391,6 +392,54 @@ def test_rational_hash_skips_the_coordinates(field_sqrt21):
     assert hash(s * s / 4) == hash(Fraction(21, 4))
 
 
+# -- the one power-series loop -------------------------------------------------
+
+
+def _strict_floordiv(a, b):
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"{a} is not a multiple of {b}")
+    return q
+
+
+@pytest.mark.parametrize("ring", ["int", "Fraction", "FieldElement"])
+def test_poly_series_times_den_is_num_mod_t_count(ring, field_cubic):
+    rng = random.Random(17)
+    zero = {"int": 0, "Fraction": Fraction(0), "FieldElement": field_cubic.zero()}[ring]
+
+    def coeff(nonzero=False):
+        while True:
+            if ring == "FieldElement":
+                c = random_element(rng, field_cubic, -5, 5, 4)
+            else:
+                c = rng.randint(-6, 6) if ring == "int" else Fraction(rng.randint(-6, 6),
+                                                                      rng.randint(1, 5))
+            if c or not nonzero:
+                return c
+
+    for _ in range(40):
+        count = rng.randint(0, 12)
+        den = [coeff(True)] + [coeff() for _ in range(rng.randint(0, 4))]
+        if ring == "int":
+            # num = den s for an integer series s, so every division is exact
+            expect = [coeff() for _ in range(count)]
+            num = poly_mul(expect, den, 0)[:count + rng.randint(0, 3)]
+            series = poly_series(num, den, count, zero, _strict_floordiv)
+            assert series == expect
+        else:
+            num = [coeff() for _ in range(rng.randint(0, 8))]
+            series = poly_series(num, den, count, zero, truediv)
+        assert len(series) == count
+        product = poly_mul(series, den, zero) + [zero] * count
+        assert product[:count] == (list(num) + [zero] * count)[:count]
+
+
+def test_poly_series_stops_at_an_inexact_division():
+    # 2 + t over 2 + 2t: the coefficient of t is (1 - 2) / 2
+    with pytest.raises(ArithmeticError, match="-1 is not a multiple of 2"):
+        poly_series([2, 1], [2, 2], 3, 0, _strict_floordiv)
+
+
 # -- the one fraction-free elimination ----------------------------------------
 
 
@@ -452,15 +501,16 @@ def test_bareiss_sign_times_last_pivot_is_the_determinant():
 
 
 def test_one_elimination_serves_every_exact_solve(monkeypatch, field_cubic):
-    # one call each for the propagator, a cubic inverse and an integer system
-    # singular modulo every listed prime, and no field Gauss-Jordan there
+    # one call each for the propagator, a cubic inverse, an integer system
+    # singular modulo every listed prime, a cyclic resultant and the delta
+    # basis inverse, and no field Gauss-Jordan there
     calls = []
 
     def counted(*args):
         calls.append(1)
         return bareiss(*args)
 
-    for module in (numberfield, laurent, linalg):
+    for module in (numberfield, laurent, linalg, rootsum):
         monkeypatch.setattr(module, "bareiss", counted)
     monkeypatch.setattr(linalg, "solve_gauss_jordan", None)
     data = random_nz_data(random.Random(5), 2)
@@ -478,3 +528,33 @@ def test_one_elimination_serves_every_exact_solve(monkeypatch, field_cubic):
     calls.clear()
     assert linalg.solve_integer(M, [1, 3]) == ([-2, P], P)
     assert len(calls) == 1
+    calls.clear()
+    delta = LaurentPolynomial(QQ, {-1: 1, 0: -5, 1: 1})
+    assert rootsum.cyclic_resultant(delta, 2) == 21 and len(calls) == 1
+    calls.clear()
+    rootsum.delta_basis_inverse(QQ.element(2), 3)
+    assert len(calls) == 1
+
+
+def test_one_series_loop_serves_every_power_series(monkeypatch):
+    # the generating series, a cyclic image over Q and a residue form each
+    # expand their power series through poly_series
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return poly_series(*args)
+
+    for module in (rootsum, powersum):
+        monkeypatch.setattr(module, "poly_series", counted)
+    t = LaurentPolynomial(QQ, {1: 1})
+    one_minus_2t = LaurentPolynomial(QQ, {0: 1, 1: -2})
+    f = RationalFunction(t + 3, one_minus_2t * one_minus_2t)
+    powersum.series_coefficients(f, 5)
+    assert len(calls) == 1
+    calls.clear()
+    rootsum.CyclicMatrixImage([[f]], 7, QQ).image(0, 0)
+    assert len(calls) == 1
+    calls.clear()
+    rootsum.ResidueForm([f.num, t * t], f.den)
+    assert len(calls) == 2

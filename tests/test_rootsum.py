@@ -6,10 +6,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from conftest import random_element
 from looptool.errors import PoleOnTorus, ResonantRoot, RootOfUnityPole
 from looptool import rootsum
 from looptool.knots import FIELD_52, fixture, phi_integrand
-from looptool.laurent import LaurentPolynomial, RationalFunction
+from looptool.laurent import LaurentMatrix, LaurentPolynomial, RationalFunction
 from looptool.numberfield import QQ, NumberField
 from looptool.rootsum import (ResidueForm, TorusSumSpec, _cyc_mul, av_exact,
                               av_residue_euclid, av_trace, cyclic_resultant,
@@ -383,6 +384,40 @@ def test_cyclic_resultant_matches_root_formula(field_sqrt21):
             expect = -expect
         got = cyclic_resultant(DELTA_41, n)
         assert field_sqrt21.element(got.coords[0]) == expect
+
+
+def _sylvester_resultant(delta, n):
+    """prod_{w^n = 1} delta(w) as the determinant of the Sylvester matrix of
+    t^n - 1 and the polynomial part P of delta = t^s P: Res(t^n - 1, P) times
+    (prod w)^s = (-1)^((n + 1) s)."""
+    coeffs, shift = delta.as_poly_coeffs()
+    e = len(coeffs) - 1
+    size = n + e
+    rows = []
+    for top, count in (([1] + [0] * (n - 1) + [-1], e), (coeffs[::-1], n)):
+        for i in range(count):
+            rows.append([0] * i + top + [0] * (size - i - len(top)))
+    det = LaurentMatrix.from_rows(delta.field, rows).det().coefficient(0)
+    return -det if (n + 1) * shift % 2 else det
+
+
+def test_cyclic_resultant_matches_sylvester_determinant(field_sqrt21, field_cubic):
+    rng = random.Random(1303)
+    cyclotomic = LP(QQ, {0: 1, 1: 1, 2: 1})
+    compared = 0
+    for field in (QQ, field_sqrt21, field_cubic):
+        for _ in range(14):
+            shift, span = rng.randint(-3, 1), rng.randint(0, 5)
+            delta = LP(field, {shift + k: random_element(rng, field) for k in range(span + 1)})
+            if rng.random() < 0.3:
+                delta = delta * LP(field, cyclotomic.coeffs)
+            if delta.is_zero():
+                continue
+            n = rng.randint(1, 12)
+            got = cyclic_resultant(delta, n)
+            assert got == _sylvester_resultant(delta, n), (delta, n)
+            compared += got.is_zero()
+    assert compared >= 3  # the t^2 + t + 1 cases with 3 | n vanish
 
 
 def test_remark_toy_identity():
