@@ -367,6 +367,9 @@ def weight_direct(G: FeynmanDiagram, n: int, pi_cover: BlockCirculant,
     """
     if n != pi_cover.n:
         raise CoverOrderError(f"n = {n} disagrees with the {pi_cover.n}-fold cover propagator")
+    if N != pi_cover.block_size:
+        raise CoverOrderError(f"N = {N} disagrees with the {pi_cover.block_size} x "
+                              f"{pi_cover.block_size} blocks of the cover propagator")
     if field is None:
         field = pi_cover.field
     size = n * N

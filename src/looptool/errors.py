@@ -95,7 +95,8 @@ class PoleOnTorus(MathDomainError):
 # -- cyclic covers ----------------------------------------------------------
 
 class CoverOrderError(MathDomainError, ValueError):
-    """A cyclic cover order n < 1, or one that disagrees with the cover."""
+    """A cyclic cover order n < 1, or an n or block size N that disagrees
+    with the cover."""
 
 
 def check_cover_order(n: int) -> None:

@@ -6,13 +6,17 @@ The square solve lifts p-adically instead (Dixon, Numer. Math. 40, 1982): it
 writes the system over Z through the regular representation of the field
 (`integer_system`), and `solve_integer` factors the integer matrix once
 modulo a 61-bit prime (LU, which serves as the inverse mod p) and recovers
-the solution from its p-adic digits by rational reconstruction.  Its cost
-grows with the bit size of the solution, not with that of the elimination's
-intermediate fractions.  Callers that already hold an integer system pass it
-to `solve_integer` directly.  The rare integer systems singular modulo every
-listed prime go to the package's fraction-free elimination
-(`numberfield.bareiss`) over Z.  Gauss-Jordan over the field stays the
-oracle of the square solve (`solve_gauss_jordan`).
+the solution from its p-adic digits by rational reconstruction.  The solve's
+cost grows with the bit size of the solution, not with that of the
+elimination's intermediate fractions.  The LU (`_ModularLU`) packs each row
+into one integer of fixed-width slots, one per column, wide enough
+(2 bitlen(p) + bitlen(n) + 1 bits) for the fewer than n unreduced updates of
+at most (p - 1) p that a slot starting below p takes before it is read; each
+row update is then one big-integer multiply-add.  Callers that already hold
+an integer system pass it to `solve_integer` directly.  The rare integer
+systems singular modulo every listed prime go to the package's fraction-free
+elimination (`numberfield.bareiss`) over Z.  Gauss-Jordan over the field
+stays the oracle of the square solve (`solve_gauss_jordan`).
 """
 
 from __future__ import annotations
@@ -98,16 +102,23 @@ def solve(field: NumberField, A, b):
     Dixon's p-adic lifting, every candidate accepted only when it satisfies
     the integer system exactly; see the module docstring.
     """
+    n = _check_square(A, b)
+    num, den = solve_integer(*integer_system(field, A, b))
+    d = field.degree
+    return [FieldElement._from_integers(field, num[k:k + d], den)
+            for k in range(0, d * n, d)]
+
+
+def _check_square(A, b) -> int:
+    """The size n of the square system A x = b; raises MathDomainError on
+    any other shape."""
     n = len(A)
     if any(len(row) != n for row in A) or len(b) != n:
         raise MathDomainError(f"solve needs a square system and one right-hand "
                               f"side per row, got {n} rows of lengths "
                               f"{sorted({len(row) for row in A})} and {len(b)} "
                               f"right-hand sides")
-    num, den = solve_integer(*integer_system(field, A, b))
-    d = field.degree
-    return [FieldElement._from_integers(field, num[k:k + d], den)
-            for k in range(0, d * n, d)]
+    return n
 
 
 def solve_integer(M, rhs):
@@ -119,6 +130,7 @@ def solve_integer(M, rhs):
     singular modulo every listed prime goes to `bareiss` over Z, whose last
     column is D x for the last pivot D.
     """
+    _check_square(M, rhs)
     for p in PRIMES:
         try:
             lu = _ModularLU(M, p)
@@ -187,33 +199,73 @@ def integer_system(field: NumberField, A, b):
 
 class _ModularLU:
     """P M = L U modulo the prime p, with row pivoting; `solve` returns
-    M^-1 v mod p in O(n^2) operations for each new right-hand side."""
+    M^-1 v mod p in O(n^2) operations for each new right-hand side.
+
+    The pivot of column c is the first row at or below c that is nonzero
+    mod p.  `perm[c]` is the row of M moved to row c, `lower[i]` the i
+    multipliers of row i in column order, `upper[c]` the entries of U right
+    of the diagonal, all reduced mod p, and `pivot_inverses[c]` the inverse
+    of U's diagonal entry.
+
+    During the elimination each remaining row is one integer: slot j, bits
+    j w to (j + 1) w, holds the entry in column c + j as a nonnegative
+    integer that is reduced only when it is read.  Eliminating column c
+    reads a row's low slot for its multiplier f and sets
+    row = (row >> w) + f * T, where slot j of T is p - u_j for the pivot
+    row's reduced tail u; this adds f (p - u_j) = f (-u_j) mod p to each
+    slot at once.  A slot starts below p and takes fewer than n such
+    additions of at most (p - 1) p before it is read, so it stays below
+    n p^2 < 2^(2 bitlen(p) + bitlen(n)) and never carries into the next
+    slot when w = 2 bitlen(p) + bitlen(n) + 1, rounded up to whole bytes.
+    Only the pivot row is unpacked, so the interpreter does O(n^2) work and
+    the O(n^3) arithmetic runs inside the big-integer code.
+    """
 
     def __init__(self, M, p: int):
         n = len(M)
-        a = [[x % p for x in row] for row in M]
+        size = (2 * p.bit_length() + n.bit_length() + 8) // 8  # bytes per slot
+        width = 8 * size
+        low = (1 << width) - 1
+        from_bytes = int.from_bytes
+        rows = [from_bytes(b"".join([(x % p).to_bytes(size, "little") for x in row]),
+                           "little")
+                for row in M]
         perm = list(range(n))
-        self.pivot_inverses = []
+        # the multipliers live beside their row, so row swaps carry them along
+        lower = [[] for _ in range(n)]
+        upper, inverses = [], []
         for c in range(n):
-            r = next((i for i in range(c, n) if a[i][c]), None)
-            if r is None:
+            for r in range(c, n):
+                pivot = (rows[r] & low) % p
+                if pivot:
+                    break
+            else:
                 raise SingularError(f"singular modulo {p}")
-            a[c], a[r] = a[r], a[c]
-            perm[c], perm[r] = perm[r], perm[c]
-            inv = pow(a[c][c], -1, p)
-            self.pivot_inverses.append(inv)
-            tail = a[c][c + 1:]
-            for row in a[c + 1:]:
-                # the multiplier is kept in the eliminated slot, so later
-                # row swaps carry it along
-                f = row[c] * inv % p
-                if f:
-                    row[c + 1:] = [(x - f * y) % p for x, y in zip(row[c + 1:], tail)]
-                row[c] = f
+            if r != c:
+                rows[c], rows[r] = rows[r], rows[c]
+                lower[c], lower[r] = lower[r], lower[c]
+                perm[c], perm[r] = perm[r], perm[c]
+            inv = pow(pivot, -1, p)
+            inverses.append(inv)
+            if c + 1 == n:
+                upper.append([])
+                break
+            end = (n - c) * size
+            raw = rows[c].to_bytes(end, "little")
+            tail = [from_bytes(raw[j:j + size], "little") % p for j in range(size, end, size)]
+            upper.append(tail)
+            neg = from_bytes(b"".join([(p - u).to_bytes(size, "little") for u in tail]),
+                             "little")
+            for i in range(c + 1, n):
+                row = rows[i]
+                f = (row & low) * inv % p
+                lower[i].append(f)
+                rows[i] = (row >> width) + f * neg if f else row >> width
         self.p = p
         self.perm = perm
-        self.lower = [row[:i] for i, row in enumerate(a)]
-        self.upper = [row[i + 1:] for i, row in enumerate(a)]
+        self.lower = lower
+        self.upper = upper
+        self.pivot_inverses = inverses
 
     def solve(self, v):
         p = self.p

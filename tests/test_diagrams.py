@@ -176,6 +176,19 @@ def test_weight_direct_rejects_a_cover_of_another_order(rng):
             weight_direct(THETA, n, cover, table, N)
 
 
+def test_weight_direct_rejects_another_block_size(rng):
+    # N must be the cover's block size: N = 1 on 2 x 2 blocks gave -239/2
+    # where the theta weight is 777
+    N = 2
+    pi = random_symmetric_propagator(rng, N)
+    table = random_vertex_table(rng, N, {3})
+    cover = cover_blocks_from_symbolic(pi, 3, QQ)
+    assert weight_direct(THETA, 3, cover, table, N) == weight_flow(THETA, 3, pi, table, N)
+    for wrong in (1, 3):
+        with pytest.raises(CoverOrderError, match="^N = .* disagrees with the 2 x 2 blocks"):
+            weight_direct(THETA, 3, cover, table, wrong)
+
+
 def _cover_order_entry_points():
     """Every public entry point that takes a cyclic cover order n."""
     rng = random.Random(13)

@@ -1,6 +1,7 @@
 """Exact linear algebra: Gauss-Jordan inverse and consistent solve, and the
 p-adic square solve checked against the Gauss-Jordan oracle."""
 
+import operator
 import random
 from fractions import Fraction
 from math import lcm
@@ -104,12 +105,17 @@ def _integer_matrix(rng, diagonal):
 
 
 def test_solve_rejects_non_square_systems():
+    # a ragged row would otherwise be packed into the modular LU unnoticed,
+    # and zip would drop a surplus right-hand side
     one = QQ.one()
     for A, b in (([[1, 2, 3]], [5]),
                  ([[one, one], [one]], [one, one]),
-                 ([[one, one], [one, -one]], [one])):
-        with pytest.raises(MathDomainError):
-            solve(QQ, A, b)
+                 ([[one, one], [one, -one]], [one]),
+                 ([[one]], [one, one])):
+        for call in (lambda: solve(QQ, A, b), lambda: solve_integer(A, b)):
+            with pytest.raises(MathDomainError, match="^solve needs a square system") as info:
+                call()
+            assert "\n" not in str(info.value)
 
 
 def test_padic_solve_matches_gauss_jordan(any_field):
@@ -146,6 +152,134 @@ def test_singular_modulo_listed_primes(singular_mod):
     x = [random_element(rng, QQ) for _ in A]
     b = _apply(A, x)
     assert solve(QQ, A, b) == x == solve_gauss_jordan(QQ, A, b)
+
+
+# -- the modular LU against the list-of-rows elimination -----------------------
+
+
+def _reference_lu(M, p):
+    """(perm, lower, upper, pivot_inverses) of P M = L U mod p by row
+    operations on lists, pivoting on the first row nonzero mod p; the oracle
+    of the packed `_ModularLU`."""
+    n = len(M)
+    a = [[x % p for x in row] for row in M]
+    perm = list(range(n))
+    inverses = []
+    for c in range(n):
+        r = next((i for i in range(c, n) if a[i][c]), None)
+        if r is None:
+            raise SingularError(f"singular modulo {p}")
+        a[c], a[r] = a[r], a[c]
+        perm[c], perm[r] = perm[r], perm[c]
+        inverses.append(pow(a[c][c], -1, p))
+        tail = a[c][c + 1:]
+        for row in a[c + 1:]:
+            # the multiplier takes the eliminated slot, so swaps carry it along
+            f = row[c] * inverses[-1] % p
+            if f:
+                row[c + 1:] = [(x - f * y) % p for x, y in zip(row[c + 1:], tail)]
+            row[c] = f
+    return (perm, [row[:i] for i, row in enumerate(a)],
+            [row[i + 1:] for i, row in enumerate(a)], inverses)
+
+
+def _packed_lu(M, p):
+    lu = linalg._ModularLU(M, p)
+    return lu.perm, lu.lower, lu.upper, lu.pivot_inverses
+
+
+def _outcome(factor, M, p):
+    """factor(M, p), or the message of the SingularError it raises."""
+    try:
+        return factor(M, p)
+    except SingularError as exc:
+        return str(exc)
+
+
+def _lu_test_matrix(rng, n, p):
+    """A seeded n x n integer matrix of one of four kinds (n mod 4): dense;
+    dense with column 0 divisible by p in its top half (a swap at step 0);
+    upper triangular mod p with its rows shuffled (a swap at nearly every
+    step); dense with its last row congruent to its first (singular mod p
+    for n > 1).  Entries are 0 to 1024 bits with either sign, one in eight
+    a multiple of p."""
+    bits = rng.choice([0, 1, 8, 60, 61, 62, 64, 122, 123, 256, 1024])
+
+    def entry():
+        if rng.random() < 0.125:
+            return rng.randint(-3, 3) * p
+        return rng.choice([-1, 1]) * rng.getrandbits(bits)
+
+    kind = n % 4
+    M = [[entry() for _ in range(n)] for _ in range(n)]
+    if kind == 1:
+        for row in M[:n // 2 + 1]:
+            row[0] = rng.randint(-3, 3) * p
+    elif kind == 2:
+        M = [[(rng.randrange(1, p) if i == j else entry() % p if j > i else 0)
+              + rng.randint(-2, 2) * p for j in range(n)] for i in range(n)]
+        rng.shuffle(M)
+    elif kind == 3:
+        M[-1] = [x + rng.randint(-2, 2) * p for x in M[0]]
+    return M
+
+
+@pytest.mark.parametrize("p", [PRIMES[0], PRIMES[3]])
+def test_modular_lu_matches_list_reference(p):
+    rng = random.Random(p)
+    outcomes = set()
+    for n in range(1, 65):
+        M = _lu_test_matrix(rng, n, p)
+        want = _outcome(_reference_lu, M, p)
+        assert _outcome(_packed_lu, M, p) == want, n
+        if isinstance(want, str):
+            outcomes.add("singular")
+        else:
+            outcomes.add("swapped" if want[0] != sorted(want[0]) else "in order")
+    assert outcomes == {"singular", "swapped", "in order"}
+
+
+@pytest.mark.parametrize("n", [127, 128])
+@pytest.mark.parametrize("upper", ["zero", "near p - 1"])
+def test_modular_lu_slot_growth(n, upper):
+    # M = L U mod p with every multiplier p - 1 or p - 2.  With U zero off
+    # the diagonal each elimination adds f p, at least (p - 2) p, to every
+    # slot of every row below: the largest growth the slot width allows for
+    # (a width without its bitlen(n) term overflows here).  The second case
+    # takes U's entries near p - 1 as well.  n = 127 and 128 lie either side
+    # of the step in bitlen(n) that sets the width
+    p = PRIMES[0]
+    rng = random.Random(n)
+    L = [[p - 1 - rng.randrange(2) if j < i else int(i == j) for j in range(n)]
+         for i in range(n)]
+    if upper == "zero":
+        U = [[p - 1 - rng.randrange(4) if i == j else 0 for j in range(n)] for i in range(n)]
+    else:
+        U = [[p - 1 - rng.randrange(4) if j >= i else 0 for j in range(n)] for i in range(n)]
+    columns = list(zip(*U))
+    M = [[sum(map(operator.mul, row, col)) % p for col in columns] for row in L]
+    factors = _packed_lu(M, p)
+    assert factors == _reference_lu(M, p)
+    perm, lower, upper_rows, _ = factors
+    assert perm == list(range(n))
+    assert lower == [row[:i] for i, row in enumerate(L)]
+    assert upper_rows == [row[i + 1:] for i, row in enumerate(U)]
+
+
+def test_modular_lu_solve_inverts_mod_p():
+    rng = random.Random(17)
+    p = PRIMES[0]
+    for n in (1, 2, 5, 9, 16, 33):
+        M = [[rng.choice([-1, 1]) * rng.getrandbits(rng.choice([8, 64, 300]))
+              for _ in range(n)] for _ in range(n)]
+        if n > 1:
+            M[0][0] = 2 * p  # a pivot swap at step 0
+        lu = linalg._ModularLU(M, p)
+        for _ in range(3):
+            v = [rng.randrange(p) for _ in range(n)]
+            x = lu.solve(v)
+            assert all(0 <= c < p for c in x)
+            assert [sum(map(operator.mul, row, x)) % p for row in M] == v
 
 
 # -- the integer core ---------------------------------------------------------
