@@ -234,7 +234,7 @@ def _knot_from_file(args) -> int:
 def _load_values_csv(path, field: NumberField):
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -242,6 +242,9 @@ def _load_values_csv(path, field: NumberField):
             unit = cells[-1].strip() == "sqrt(-3)"
             if unit:
                 cells = cells[:-1]
+            if not 1 <= len(cells) - 1 <= field.degree:
+                raise ParseError(f"{path} line {number} {line!r}: need n and 1 to "
+                                 f"{field.degree} coordinates")
             try:
                 n = int(cells[0])
             except ValueError as exc:

@@ -40,108 +40,56 @@ FlowAssignment = Tuple[int, ...]  # one residue per edge, aligned with .edges
 
 
 class FeynmanDiagram:
-    """Connected multigraph with oriented edges, loops and multi-edges allowed."""
+    """Connected multigraph with oriented edges, loops and multi-edges allowed.
+
+    Construction walks the graph once, breadth-first from vertex 0, and keeps
+    the flow lattice: `tree_edges` are the indices of the edges that reach a
+    new vertex, `free_edges` the others, and `exponents[i]` is the exponent
+    vector of edge i's flow value as a monomial in the free-edge values.
+    Free edge k carries the unit vector e_k; a tree edge carries the signed
+    count of fundamental cycles through it, in {-1, 0, 1}.
+    """
 
     def __init__(self, n_vertices: int, edges: Sequence[Tuple[int, int]],
                  symmetry_factor=Fraction(1)):
-        self.n_vertices = int(n_vertices)
+        self.n_vertices = n_v = int(n_vertices)
         self.edges = [(int(u), int(v)) for u, v in edges]
         self.symmetry_factor = parse_rational(symmetry_factor)
         if self.symmetry_factor <= 0:
             raise ValidationError("symmetry factor must be positive")
         for u, v in self.edges:
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
+            if not (0 <= u < n_v and 0 <= v < n_v):
                 raise ValidationError("edge endpoint out of range")
-        if not self._connected():
-            raise ValidationError("diagram must be connected")
-        self.degrees = [0] * self.n_vertices
-        for u, v in self.edges:
-            self.degrees[u] += 1
-            self.degrees[v] += 1
-        self.first_betti = len(self.edges) - self.n_vertices + 1
-        self._tree_cache = None
-
-    def _connected(self) -> bool:
-        if self.n_vertices == 0:
-            return False
-        adj = [set() for _ in range(self.n_vertices)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            w = stack.pop()
-            for x in adj[w]:
-                if x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-        return len(seen) == self.n_vertices
-
-    # -- spanning tree and the flow lattice -----------------------------------
-
-    def _tree_data(self):
-        """Spanning tree and, per edge, its exponent vector in the free-edge
-        coordinates: free edge i carries the unit vector e_i, a tree edge
-        carries the signed count of fundamental cycles through it."""
-        if self._tree_cache is not None:
-            return self._tree_cache
-        n_v = self.n_vertices
-        parent_edge: Dict[int, int] = {}
-        in_tree = [False] * len(self.edges)
-        seen = {0}
-        frontier = [0]
+        self.degrees = [0] * n_v
         adj: List[List[Tuple[int, int]]] = [[] for _ in range(n_v)]
         for idx, (u, v) in enumerate(self.edges):
+            self.degrees[u] += 1
+            self.degrees[v] += 1
             adj[u].append((v, idx))
             adj[v].append((u, idx))
-        while frontier:
-            w = frontier.pop(0)
+        # paths[w]: the signed tree edges of the path from vertex 0 to w,
+        # +1 where the edge points away from vertex 0
+        paths: Dict[int, Dict[int, int]] = {0: {}}
+        order = [0] if n_v else []
+        tree = set()
+        for w in order:
             for x, idx in adj[w]:
-                if x not in seen:
-                    seen.add(x)
-                    in_tree[idx] = True
-                    parent_edge[x] = idx
-                    frontier.append(x)
-        tree_idx = [i for i, t in enumerate(in_tree) if t]
-        free_idx = [i for i, t in enumerate(in_tree) if not t]
-        d = len(free_idx)
-        # signed tree-edge coefficients of the path root -> w
-        path_vecs: List[Dict[int, int]] = [dict() for _ in range(n_v)]
-        order = [0]
-        done = {0}
-        while len(done) < n_v:
-            for w in range(n_v):
-                if w in done or w not in parent_edge:
-                    continue
-                idx = parent_edge[w]
-                u, v = self.edges[idx]
-                other = v if w == u else u
-                if other in done:
-                    vec = dict(path_vecs[other])
-                    sign = 1 if w == v else -1  # +1 when edge points toward w
-                    vec[idx] = vec.get(idx, 0) + sign
-                    path_vecs[w] = vec
-                    done.add(w)
-        exponents: List[Tuple[int, ...]] = [()] * len(self.edges)
-        for pos, idx in enumerate(free_idx):
-            vec = [0] * d
-            vec[pos] = 1
-            exponents[idx] = tuple(vec)
-        for idx in tree_idx:
-            vec = []
-            for pos, free in enumerate(free_idx):
-                u, v = self.edges[free]
-                coeff = path_vecs[u].get(idx, 0) - path_vecs[v].get(idx, 0)
-                vec.append(coeff)
-            exponents[idx] = tuple(vec)
-        self._tree_cache = (tree_idx, free_idx, exponents)
-        return self._tree_cache
-
-    def edge_exponents(self) -> List[Tuple[int, ...]]:
-        """Exponent vector of each edge's flow value as a monomial in the
-        free-edge values; tree-edge entries lie in {-1, 0, 1}."""
-        return self._tree_data()[2]
+                if x not in paths:
+                    paths[x] = {**paths[w], idx: 1 if x == self.edges[idx][1] else -1}
+                    tree.add(idx)
+                    order.append(x)
+        # without vertices, vertex 0 itself is not in the graph
+        if len(paths) != n_v:
+            raise ValidationError("diagram must be connected")
+        self.tree_edges = sorted(tree)
+        self.free_edges = [i for i in range(len(self.edges)) if i not in tree]
+        self.first_betti = len(self.free_edges)
+        # edge i's signed count in the cycle of free edge f, closed by the
+        # tree path from f's head back to its tail
+        self.exponents: List[Tuple[int, ...]] = [
+            tuple(int(i == f) + paths[self.edges[f][0]].get(i, 0)
+                  - paths[self.edges[f][1]].get(i, 0) for f in self.free_edges)
+            for i in range(len(self.edges))]
 
     # -- serialization ----------------------------------------------------------
 
@@ -178,7 +126,7 @@ class FeynmanDiagram:
 def enumerate_flows(G: FeynmanDiagram, n: int) -> Iterator[FlowAssignment]:
     """Yield all n^d flows; free edges range over Z/nZ, tree edges follow."""
     check_cover_order(n)
-    exponents = G.edge_exponents()
+    exponents = G.exponents
     for idx in itertools.product(range(n), repeat=G.first_betti):
         yield tuple(sum(c * x for c, x in zip(vec, idx)) % n for vec in exponents)
 
@@ -288,7 +236,7 @@ def _contract(G: FeynmanDiagram, table: VertexFactorTable, N: int,
     n, field, ring = images.n, images.field, images.ring
     mul, add = ring.mul, ring.add
     zero_entries = images.zero_entries()
-    tree_idx, free_idx, exponents = G._tree_data()
+    tree_idx, free_idx, exponents = G.tree_edges, G.free_edges, G.exponents
     bridges = [G.edges[idx] for idx in tree_idx if not any(exponents[idx])]
     cycle_tree = [idx for idx in tree_idx if any(exponents[idx])]
     # residues of k * (exponent vector) for k in Z/nZ, per cycle tree edge

@@ -1,7 +1,7 @@
 """Small exact linear algebra helpers over FieldElement matrices.
 
-Matrices are plain lists of lists.  The inverse and the consistent solve of a
-rank-deficient system run one Gauss-Jordan routine with exact field division.
+Matrices are plain lists of lists.  The consistent solve of a rank-deficient
+system runs one Gauss-Jordan routine with exact field division.
 The square solve lifts p-adically instead (Dixon, Numer. Math. 40, 1982): it
 writes the system over Z through the regular representation of the field
 (`integer_system`), and `solve_integer` factors the integer matrix once
@@ -30,11 +30,6 @@ from .numberfield import FieldElement, NumberField, bareiss
 #: Moduli of the p-adic solve.  The later ones are used only when the integer
 #: system is singular modulo every one before them.
 PRIMES = ((1 << 61) - 1, (1 << 61) - 31, (1 << 61) - 45, (1 << 61) - 229)
-
-
-def identity(field: NumberField, n: int):
-    return [[field.one() if i == j else field.zero() for j in range(n)]
-            for i in range(n)]
 
 
 def mat_mul(A, B):
@@ -85,15 +80,6 @@ def _gauss_jordan(aug, cols: int):
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
         pivots.append(c)
     return pivots
-
-
-def mat_inv(field: NumberField, A):
-    """Inverse by Gauss-Jordan; raises SingularError on rank deficiency."""
-    n = len(A)
-    aug = [list(row) + unit for row, unit in zip(A, identity(field, n))]
-    if len(_gauss_jordan(aug, n)) < n:
-        raise SingularError("singular matrix")
-    return [row[n:] for row in aug]
 
 
 def solve(field: NumberField, A, b):
@@ -153,7 +139,7 @@ def solve_integer(M, rhs):
 
 def solve_gauss_jordan(field: NumberField, A, b):
     """The square solve by Gauss-Jordan over the field; the oracle of `solve`."""
-    n = len(A)
+    n = _check_square(A, b)
     aug = [list(row) + [b[i]] for i, row in enumerate(A)]
     if len(_gauss_jordan(aug, n)) < n:
         raise SingularError("singular linear system")

@@ -13,10 +13,9 @@ import json
 from typing import List, Optional
 
 from .circulant import BlockCirculant
-from .errors import (NotDivisible, ParseError, SingularAtRoot, SingularError,
+from .errors import (NotDivisible, ParseError, SingularAtRoot, SingularMatrix,
                      ValidationError, check_cover_order)
 from .laurent import LaurentMatrix, LaurentPolynomial
-from .linalg import mat_inv, mat_mul
 from .numberfield import FieldElement, NumberField, parse_int
 
 
@@ -96,15 +95,15 @@ class TwistedNZData:
 
     # -- twisted one-loop polynomial -----------------------------------------
 
-    def _gluing_matrix(self) -> LaurentMatrix:
-        """A(t) - B(t) Delta_{z'} as a Laurent matrix."""
+    def _gluing_matrix(self, A: LaurentMatrix, B: LaurentMatrix) -> LaurentMatrix:
+        """A - B Delta_{z'}."""
         N = self.N
-        scaled = [[self.B.entries[i][j] * self.zp[j] for j in range(N)]
+        scaled = [[B.entries[i][j] * self.zp[j] for j in range(N)]
                   for i in range(N)]
-        return self.A - LaurentMatrix(self.field, scaled)
+        return A - LaurentMatrix(self.field, scaled)
 
     def one_loop_determinant(self) -> LaurentPolynomial:
-        return self._gluing_matrix().det()
+        return self._gluing_matrix(self.A, self.B).det()
 
     def twisted_one_loop(self) -> LaurentPolynomial:
         """det(A(t) - B(t) Delta_{z'}) / (t - 1), unit-normalized.
@@ -132,7 +131,7 @@ class TwistedNZData:
         of a Laurent matrix.
         """
         if self._pi_symbolic is None:
-            self._pi_symbolic = self._gluing_matrix().solve(-self.B)
+            self._pi_symbolic = self._gluing_matrix(self.A, self.B).solve(-self.B)
         return self._pi_symbolic
 
     def propagator_at(self, t_val):
@@ -163,7 +162,9 @@ class TwistedNZData:
         return self._pi1
 
     def propagator_meridian(self):
-        """Pi_mu from the bordered matrices (B(1) + O[b_mu])^{-1}(A(1) + O[a_mu])."""
+        """Pi_mu = (-B_mu^{-1} A_mu + Delta_{z'})^{-1} for the bordered
+        matrices A_mu = A(1) + O[a_mu] and B_mu = B(1) + O[b_mu], computed as
+        (A_mu - B_mu Delta_{z'})^{-1} (-B_mu) like `propagator_symbolic`."""
         if self.peripheral is None or self.peripheral.a_mu is None:
             raise ParseError("no meridian rows supplied")
         one = self.field.one()
@@ -176,17 +177,15 @@ class TwistedNZData:
         for j in range(N):
             A1[row][j] = A1[row][j] + self.field.element(self.peripheral.a_mu[j])
             B1[row][j] = B1[row][j] + self.field.element(self.peripheral.b_mu[j])
+        A_mu = LaurentMatrix.from_rows(self.field, A1)
+        B_mu = LaurentMatrix.from_rows(self.field, B1)
+        if B_mu.det().is_zero():
+            raise SingularAtRoot("bordered B matrix singular")
         try:
-            Binv = mat_inv(self.field, B1)
-        except SingularError as exc:
-            raise SingularAtRoot("bordered B matrix singular") from exc
-        BA = mat_mul(Binv, A1)
-        G = [[-BA[i][j] + (self.zp[i] if i == j else self.field.zero())
-              for j in range(N)] for i in range(N)]
-        try:
-            return mat_inv(self.field, G)
-        except SingularError as exc:
+            pi = self._gluing_matrix(A_mu, B_mu).solve(-B_mu)
+        except SingularMatrix as exc:
             raise SingularAtRoot("meridian propagator singular") from exc
+        return [[e.eval(one) for e in row] for row in pi]
 
     # -- cyclic covers --------------------------------------------------------------
 

@@ -63,7 +63,7 @@ def random_nz_data(rng: random.Random, N: int, check: bool = True,
     must avoid n-th roots of unity (so the cover propagator exists there);
     random palindromic polynomials do hit cyclotomic roots occasionally.
     """
-    from .rootsum import fold_mod_cyclic, invert_mod_cyclic
+    from .rootsum import cyclic_resultant
     field = QQ
     t_minus_1 = LaurentPolynomial(field, {1: 1, 0: -1})
     for _ in range(200):
@@ -89,13 +89,9 @@ def random_nz_data(rng: random.Random, N: int, check: bool = True,
             delta = data.twisted_one_loop()
             if delta.is_zero():
                 continue
-            ok = True
-            for n in regular_orders:
-                folded = fold_mod_cyclic(delta, n)
-                if invert_mod_cyclic(folded, n, field) is None:
-                    ok = False
-                    break
-            if ok:
+            # t^n - 1 is squarefree, so delta avoids the n-th roots of unity
+            # exactly when its cyclic resultant is nonzero
+            if not any(cyclic_resultant(delta, n).is_zero() for n in regular_orders):
                 return data
         except Exception:
             continue

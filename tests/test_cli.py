@@ -485,3 +485,21 @@ def test_reconstruct_roots_not_a_list_exit_1(tmp_path, capsys):
     code, _, err = _reconstruct_with_roots(tmp_path, capsys, obj)
     _one_line_usage_error(code, err)
     assert "'roots' must be a list" in err
+
+
+@pytest.mark.parametrize("bad", ["2,sqrt(-3)", "2", "2,1,0,1,sqrt(-3)", "2,1,0,1",
+                                 "sqrt(-3)"])
+def test_reconstruct_row_without_one_to_degree_values_exit_1(bad, tmp_path, capsys):
+    # a row with no value once read as 0; the field Q(sqrt21) has degree 2
+    fx = fixture("4_1")
+    rows = [f"{n},{fx.phi_average(2, n).value.coords[0]},0,sqrt(-3)" for n in (1, 2, 3)]
+    rows[1] = bad
+    values = tmp_path / "values.csv"
+    values.write_text("# n, value, unit\n" + "\n".join(rows) + "\n")
+    code, _, err = run(["reconstruct", "--values", str(values),
+                        "--roots", os.path.join(DATA, "roots_4_1.json"),
+                        "--ell", "2", "--r", "1", "--out", str(tmp_path / "p.json")],
+                       capsys)
+    _one_line_usage_error(code, err)
+    assert str(values) in err and f"line 3 {bad!r}" in err
+    assert not (tmp_path / "p.json").exists()

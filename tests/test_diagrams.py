@@ -1,5 +1,7 @@
 """Flow enumeration, Feynman weights, and the flow = direct oracle identity."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -56,7 +58,7 @@ def test_flows_conserved_everywhere(rng):
 
 def test_tree_edge_exponents_in_unit_range():
     for g in connected_multigraphs(3):
-        for vec in g.edge_exponents():
+        for vec in g.exponents:
             assert all(c in (-1, 0, 1) for c in vec)
 
 
@@ -303,7 +305,7 @@ def distinct_denominator_propagator(rng, N):
 def test_contraction_shapes_cover_cycle_tree_and_free_edges():
     # (cycle tree edges m, free edges d): the closing by lookup sees m, d >= 2
     for g, m, d in ((K4, 3, 3), (CYCLE4, 3, 1), (CHORDED4, 3, 2), (DUMBBELL, 0, 2)):
-        tree_idx, free_idx, exponents = g._tree_data()
+        tree_idx, free_idx, exponents = g.tree_edges, g.free_edges, g.exponents
         assert len(free_idx) == d
         assert sum(1 for idx in tree_idx if any(exponents[idx])) == m
 
@@ -609,3 +611,53 @@ def test_catalogue_over_number_fields_equals_direct(request, fixture):
             for g, table in diags:
                 assert weight_flow(g, n, data.pi, table, 2, pi0=pi0, field=field) \
                     == weight_direct(g, n, cover, table, 2, field=field), (g, n)
+
+
+# -- the spanning tree and the flow lattice: golden and validation ----------------
+
+
+def _random_multigraph(rng):
+    """Connected by construction (each vertex after the first is joined to an
+    earlier one), then extra edges with self-loops and parallel edges; the
+    vertices are relabeled and the edge order and orientations shuffled."""
+    n_v = rng.randint(1, 7)
+    edges = [(v, rng.randrange(v)) for v in range(1, n_v)]
+    edges += [(rng.randrange(n_v), rng.randrange(n_v)) for _ in range(rng.randint(0, 5))]
+    if rng.random() < 0.5:
+        u = rng.randrange(n_v)
+        edges += [(u, u)] * rng.randint(1, 2)
+    if edges and rng.random() < 0.5:
+        edges.append(rng.choice(edges))
+    if not edges:
+        edges = [(0, 0)]
+    perm = list(range(n_v))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])
+             for u, v in edges]
+    rng.shuffle(edges)
+    return FeynmanDiagram(n_v, edges)
+
+
+def test_tree_data_golden():
+    # recorded before the spanning tree and the exponents came from one walk
+    rng = random.Random(314)
+    graphs = connected_multigraphs(4) + [_random_multigraph(rng) for _ in range(600)]
+    assert len(graphs) == 647
+    text = json.dumps([[g.tree_edges, g.free_edges, g.exponents] for g in graphs])
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "8911d307c048b437f670d2d8feef03931fd3c17176e65d3a493d9d7d78f2a871"
+
+
+@pytest.mark.parametrize("n_vertices, edges, message", [
+    (0, [], "diagram must be connected"),
+    (4, [(0, 1), (2, 3), (3, 3)], "diagram must be connected"),
+    (2, [(0, 2)], "edge endpoint out of range"),
+    (2, [(-1, 0)], "edge endpoint out of range"),
+    (0, [(0, 0)], "edge endpoint out of range"),
+    # both faults: the endpoint check comes first
+    (4, [(0, 1), (2, 7)], "edge endpoint out of range"),
+    (3, [(5, 5)], "edge endpoint out of range"),
+])
+def test_invalid_diagrams_raise_validation_error(n_vertices, edges, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        FeynmanDiagram(n_vertices, edges)

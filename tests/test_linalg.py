@@ -1,5 +1,5 @@
-"""Exact linear algebra: Gauss-Jordan inverse and consistent solve, and the
-p-adic square solve checked against the Gauss-Jordan oracle."""
+"""Exact linear algebra: the Gauss-Jordan consistent solve, and the p-adic
+square solve checked against the Gauss-Jordan oracle."""
 
 import operator
 import random
@@ -12,8 +12,8 @@ from conftest import random_element
 from looptool import linalg
 from looptool.errors import CrossCheckError, MathDomainError, SingularError
 from looptool.knots import FIELD_52
-from looptool.linalg import (PRIMES, identity, mat_inv, mat_mul, solve,
-                             solve_consistent, solve_gauss_jordan, solve_integer)
+from looptool.linalg import (PRIMES, mat_mul, solve, solve_consistent,
+                             solve_gauss_jordan, solve_integer)
 from looptool.numberfield import QQ, NumberField
 from looptool.rootsum import _unit_system
 
@@ -36,7 +36,7 @@ def _apply(A, x):
     return [row[0] for row in mat_mul(A, [[c] for c in x])]
 
 
-def test_inverse_and_solve(field):
+def test_solve(field):
     rng = random.Random(5)
     for n in (1, 2, 4, 6):
         A = _random_matrix(rng, field, n, n)
@@ -44,7 +44,6 @@ def test_inverse_and_solve(field):
             # a zero in the top-left corner forces a row swap
             A[0][0] = field.zero()
         b = [random_element(rng, field) for _ in range(n)]
-        assert mat_mul(mat_inv(field, A), A) == identity(field, n)
         assert _apply(A, solve(field, A, b)) == b
 
 
@@ -53,8 +52,6 @@ def test_singular_matrix_raises(any_field):
     A = _random_matrix(rng, any_field, 3, 3)
     A[2] = [a + b for a, b in zip(A[0], A[1])]
     b = [random_element(rng, any_field) for _ in range(3)]
-    with pytest.raises(SingularError):
-        mat_inv(any_field, A)
     with pytest.raises(SingularError):
         solve(any_field, A, b)
 
@@ -112,7 +109,8 @@ def test_solve_rejects_non_square_systems():
                  ([[one, one], [one]], [one, one]),
                  ([[one, one], [one, -one]], [one]),
                  ([[one]], [one, one])):
-        for call in (lambda: solve(QQ, A, b), lambda: solve_integer(A, b)):
+        for call in (lambda: solve(QQ, A, b), lambda: solve_integer(A, b),
+                     lambda: solve_gauss_jordan(QQ, A, b)):
             with pytest.raises(MathDomainError, match="^solve needs a square system") as info:
                 call()
             assert "\n" not in str(info.value)

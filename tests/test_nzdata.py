@@ -9,10 +9,10 @@ from fractions import Fraction
 import pytest
 
 from looptool.circulant import BlockCirculant, block_diagonalize_check
-from looptool.errors import SingularAtRoot, ValidationError
+from looptool.errors import SingularAtRoot, SingularError, ValidationError
 from looptool.laurent import (LaurentMatrix, LaurentPolynomial,
                               RationalFunction, proportional_up_to_unit)
-from looptool.linalg import mat_mul
+from looptool.linalg import mat_mul, solve_gauss_jordan
 from looptool.numberfield import QQ
 from looptool.nzdata import (TwistedNZData, is_palindromic_up_to_unit,
                              normalize_unit)
@@ -289,3 +289,78 @@ def test_propagator_solves_its_defining_identity(field_sqrt21):
                     g = data.A.entries[i][k] - data.B.entries[i][k] * data.zp[k]
                     acc = acc + g * pi[k][j]
                 assert acc == RationalFunction.from_poly(-data.B.entries[i][j])
+
+
+# -- the meridian propagator: golden and its defining identity -----------------
+
+
+def _meridian_draws():
+    """150 seeded datasets with N = 1, 2, 3 in turn and random meridian rows."""
+    from looptool.nzdata import PeripheralRows
+    draws = []
+    for seed in range(150):
+        rng = random.Random(seed)
+        N = 1 + seed % 3
+        data = random_nz_data(rng, N)
+        data.peripheral = PeripheralRows(a_mu=[rng.randint(-2, 2) for _ in range(N)],
+                                         b_mu=[rng.randint(-2, 2) for _ in range(N)],
+                                         replaced_row=rng.randrange(-1, N))
+        draws.append(data)
+    return draws
+
+
+def _bordered(data):
+    """A(1) and B(1) with the meridian rows added to the replaced row."""
+    one = data.field.one()
+    A1, B1 = data.A.eval(one), data.B.eval(one)
+    row = data.peripheral.replaced_row
+    if row < 0:
+        row = data.N - 1
+    for j in range(data.N):
+        A1[row][j] = A1[row][j] + data.peripheral.a_mu[j]
+        B1[row][j] = B1[row][j] + data.peripheral.b_mu[j]
+    return A1, B1
+
+
+def test_meridian_propagator_golden():
+    # recorded before Pi_mu came from the elimination of the symbolic propagator
+    out = []
+    for data in _meridian_draws():
+        try:
+            out.append([[e.to_json() for e in row] for row in data.propagator_meridian()])
+        except SingularAtRoot as exc:
+            out.append(str(exc))
+    assert sum(isinstance(v, list) for v in out) == 92
+    assert out.count("bordered B matrix singular") == 54
+    assert out.count("meridian propagator singular") == 4
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == \
+        "0413f14274937665d9a9480c6e638e21b1ee94fe45781ce10a805cdc700c969f"
+
+
+def test_meridian_propagator_inverts_its_defining_matrix():
+    # Pi_mu (-B(1)^-1 A(1) + Delta_{z'}) = I on the bordered matrices, with
+    # B(1)^-1 A(1) formed column by column by Gauss-Jordan
+    checked = 0
+    for data in _meridian_draws():
+        field, N = data.field, data.N
+        A1, B1 = _bordered(data)
+        try:
+            cols = [solve_gauss_jordan(field, B1, [row[j] for row in A1])
+                    for j in range(N)]
+        except SingularError:
+            with pytest.raises(SingularAtRoot, match="^bordered B matrix singular$"):
+                data.propagator_meridian()
+            continue
+        G = [[-cols[j][i] + (data.zp[i] if i == j else 0) for j in range(N)]
+             for i in range(N)]
+        try:
+            pi_mu = data.propagator_meridian()
+        except SingularAtRoot as exc:
+            assert str(exc) == "meridian propagator singular"
+            with pytest.raises(SingularError):
+                solve_gauss_jordan(field, G, [field.one()] + [field.zero()] * (N - 1))
+            continue
+        identity = [[int(i == j) for j in range(N)] for i in range(N)]
+        assert mat_mul(pi_mu, G) == identity
+        checked += 1
+    assert checked == 92

@@ -1,13 +1,16 @@
 """Every module of the package compiles with warnings turned into errors and
 contains no `assert` statement: runtime checks raise typed errors instead,
 since `python -O` strips asserts.  Every name the benchmark harness in
-`bench/` and its tests take from the package still exists."""
+`bench/` and its tests take from the package still exists, and every
+module-level function and class of the package is named somewhere."""
 
 import ast
 import glob
 import importlib
 import os
+import re
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -15,6 +18,7 @@ import looptool
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "looptool")
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
 @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SRC, "*.py"))),
@@ -103,3 +107,25 @@ def test_bench_hooks_resolve():
     missing.extend(f"looptool.__all__: {name}" for name in looptool.__all__
                    if not hasattr(looptool, name))
     assert not missing, missing
+
+
+def test_no_dead_module_level_helpers():
+    """Each module-level function and class of src/looptool is named outside
+    its own def line: in src/, tests/, scripts/, bench/ (read, never
+    imported) or looptool.__all__."""
+    words = Counter()
+    for part in ("src", "tests", "scripts", "bench"):
+        for path in glob.glob(os.path.join(ROOT, part, "**", "*.py"), recursive=True):
+            with open(path) as fh:
+                words.update(re.findall(r"\w+", fh.read()))
+    dead = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            text = fh.read()
+        lines = text.splitlines()
+        for node in ast.parse(text, path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = re.findall(r"\w+", lines[node.lineno - 1]).count(node.name)
+                if words[node.name] == own:
+                    dead.append(f"{os.path.basename(path)}:{node.lineno} {node.name}")
+    assert not dead, dead
