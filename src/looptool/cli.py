@@ -16,17 +16,20 @@ import argparse
 import json
 import os
 import sys
+from math import comb
 from typing import List, Optional
 
 import mpmath
 
 from .errors import (CrossCheckError, HoldoutMismatchError, MathDomainError,
                      ParseError, SingularError)
-from .knots import KnotFixture, fixture, phi_integrand, phi_numerators
+from .diagrams import FeynmanDiagram, VertexFactorTable, loop_invariant
+from .knots import KnotFixture, fixture
 from .laurent import LaurentPolynomial, RationalFunction
 from .numberfield import FieldElement, NumberField, QQ, parse_rational
+from .nzdata import TwistedNZData
 from .powersum import reconstruct_p
-from .rootsum import av_exact
+from .rootsum import ResidueForm, av_exact
 from .verify import SUITES, run_suites
 
 
@@ -97,7 +100,7 @@ def _load_json(path):
 # ---------------------------------------------------------------------------
 
 def _load_avg_input(path):
-    """A rational function of t, possibly with 1/n-graded delta-power terms.
+    """A rational function of t as a `ResidueForm`, and its sqrt(-3) unit flag.
 
     Plain form: {"field": {...}, "num": {...}, "den": {...}, "unit": ...}.
     Phi form: {"field": {...}, "delta": {...}, "delta_powers":
@@ -127,12 +130,11 @@ def _load_avg_input(path):
             if not isinstance(coeffs, list):
                 raise ParseError(f"delta_powers[{k!r}] must be a list of coefficients")
             table[k_int] = [FieldElement.from_json(c, field) for c in coeffs]
-        numerators = phi_numerators(delta, table)
-        return (lambda n: phi_integrand(numerators, n)), field, unit
+        return ResidueForm.from_table(delta, table), unit
     if "num" not in obj or "den" not in obj:
         raise ParseError("rational-function file needs num/den or delta_powers")
     rf = RationalFunction.from_json(obj, field)
-    return (lambda n: rf), field, unit
+    return ResidueForm([rf.num], rf.den), unit
 
 
 def _format_value(value: FieldElement, unit: bool) -> str:
@@ -148,12 +150,12 @@ def cmd_avg(args) -> int:
         raise ParseError("--n must be >= 1")
     if args.numeric_check is not None and args.numeric_check < 1:
         raise ParseError(f"--numeric-check must be at least 1, got {args.numeric_check}")
-    build, field, unit = _load_avg_input(args.f)
-    rf = build(args.n)
-    value = av_exact(rf, args.n)
+    form, unit = _load_avg_input(args.f)
+    value = av_exact(form, args.n)
     print(_format_value(value, unit))
     if args.numeric_check:
         digits = args.numeric_check
+        rf = RationalFunction(form.numerator(args.n), form.den)
         with mpmath.workdps(digits + 10):
             brute = mpmath.mpc(0)
             for k in range(args.n):
@@ -208,8 +210,6 @@ def cmd_knot(args) -> int:
 
 
 def _knot_from_file(args) -> int:
-    from .diagrams import FeynmanDiagram, VertexFactorTable, loop_invariant
-    from .nzdata import TwistedNZData
     obj = _load_json(args.knot)
     if "nz" not in obj or "diagrams" not in obj:
         raise ParseError("knot file needs 'nz' and 'diagrams' sections")
@@ -217,10 +217,8 @@ def _knot_from_file(args) -> int:
             and all(isinstance(d, dict) for d in obj["diagrams"])):
         raise ParseError("'diagrams' must be a list of objects")
     data = TwistedNZData.from_json(obj["nz"])
-    diagrams = []
-    for d in obj["diagrams"]:
-        diagrams.append((FeynmanDiagram.from_json(d),
-                         VertexFactorTable.from_json(d, data.field)))
+    diagrams = [(FeynmanDiagram.from_json(d), VertexFactorTable.from_json(d, data.field))
+                for d in obj["diagrams"]]
     for n in range(1, args.nmax + 1):
         value = loop_invariant(data, n, diagrams, args.loop)
         print(f"{n},{_format_value(value, False)}")
@@ -277,7 +275,6 @@ def cmd_reconstruct(args) -> int:
     if len(roots) != args.r:
         raise ParseError(f"roots file has {len(roots)} roots, --r says {args.r}")
     values, unit = _load_values_csv(args.values, field)
-    from math import comb
     needed = (args.ell - 1) * comb(args.r + 2 * args.ell - 2, args.r)
     holdout = len(values) - needed
     if holdout < args.holdout:
@@ -313,6 +310,8 @@ def cmd_verify(args, prec: int) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # exact values outgrow 4300 digits
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

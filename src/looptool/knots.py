@@ -12,9 +12,10 @@ is what the test suite leans on.
 
 The average route sums phi_ell^c(t, n) = (P_0 + P_1/n + P_2/n^2)/delta^kmax
 over the n-th roots of unity.  A fixture caches one `rootsum.ResidueForm`
-per ell, built on first use from P_0, P_1, P_2 and delta^kmax: their
-polynomial parts and residue functionals are prepared once, and a row is
-one solve and one dot product per numerator; no integrand is built per row.
+per ell, built on first use by `ResidueForm.from_table` from the phi-table:
+the polynomial parts and residue functionals of P_0, P_1, P_2 are prepared
+once, and a row is one solve and one dot product per numerator; no
+integrand is built per row.
 The generating-series route keeps a prefix of series coefficients that at
 least doubles when it grows.
 """
@@ -30,6 +31,7 @@ import mpmath
 from .errors import ParseError
 from .laurent import LaurentPolynomial, RationalFunction
 from .numberfield import FieldElement, NumberField, QQ, poly_divmod
+from .powersum import series_coefficients
 from .rootsum import ResidueForm, av_exact
 
 #: Real quadratic field Q(sqrt 21); root_index 1 is the positive square root.
@@ -89,28 +91,6 @@ def _el52(c0="0", c1="0", c2="0") -> FieldElement:
     return FIELD_52.element([_q(str(c0)), _q(str(c1)), _q(str(c2))])
 
 
-def phi_numerators(delta: LaurentPolynomial,
-                   table: Dict[int, List[FieldElement]]):
-    """([P_0, P_1, ...], delta^kmax) with sum_k c_k(n) delta(t)^(-k) equal to
-    sum_i P_i n^(-i) / delta^kmax for every n; table maps k to [c0, c1, ...]
-    with c_k(n) = sum_i c_i n^(-i), and kmax is the largest k or 0."""
-    kmax = max([0, *table])
-    nums = [LaurentPolynomial.zero(delta.field)] * max(map(len, table.values()), default=0)
-    for k, coeffs in table.items():
-        for i, ci in enumerate(coeffs):
-            nums[i] = nums[i] + delta ** (kmax - k) * ci
-    return nums, delta ** kmax
-
-
-def phi_integrand(numerators, n: int, reduce: bool = True) -> RationalFunction:
-    """sum_i P_i n^(-i) / delta^kmax for fixed n, from `phi_numerators`; in
-    lowest terms unless `reduce` is false."""
-    nums, den = numerators
-    num = sum((p * Fraction(1, n ** i) for i, p in enumerate(nums)),
-              LaurentPolynomial.zero(den.field))
-    return RationalFunction(num, den, reduce=reduce)
-
-
 class KnotFixture:
     """One knot's exact data: delta, phi tables, closed forms, asymptotics.
 
@@ -134,14 +114,14 @@ class KnotFixture:
         if ell not in self.phi:
             raise ParseError(f"no phi table for ell = {ell}")
         if ell not in self._forms:
-            self._forms[ell] = ResidueForm(*phi_numerators(self.delta, self.phi[ell]))
+            self._forms[ell] = ResidueForm.from_table(self.delta, self.phi[ell])
         return self._forms[ell]
 
     def phi_rational_function(self, ell: int, n: int) -> RationalFunction:
         """phi_ell^c(t, n) for fixed n, over the fixture field, as the
         unreduced fraction over delta^kmax; `phi_average` does not build it."""
         form = self.phi_form(ell)
-        return phi_integrand((form.numerators, form.den), n, reduce=False)
+        return RationalFunction(form.numerator(n), form.den, reduce=False)
 
     def phi_average(self, ell: int, n: int) -> TaggedValue:
         """Av_n(phi_ell^c(t, n)), exact."""
@@ -221,7 +201,6 @@ class FigureEightFixture(KnotFixture):
 
     def series_value(self, ell: int, n: int) -> TaggedValue:
         """Recover Phi^c_ell(n) from the t^n series coefficient."""
-        from .powersum import series_coefficients
         if ell not in self.series:
             raise ParseError(f"no series for ell = {ell}")
         cache = self._series_coeff_cache.setdefault(ell, [])

@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 from typing import List, Optional
 
-from .circulant import BlockCirculant
+from .circulant import BlockCirculant, cover_blocks_from_symbolic
 from .errors import (NotDivisible, ParseError, SingularAtRoot, SingularMatrix,
                      ValidationError, check_cover_order)
-from .laurent import LaurentMatrix, LaurentPolynomial
+from .laurent import LaurentMatrix, LaurentPolynomial, proportional_up_to_unit
 from .numberfield import FieldElement, NumberField, parse_int
 
 
@@ -76,6 +76,7 @@ class TwistedNZData:
         self._delta = None
         self._pi_symbolic = None
         self._pi1 = None
+        self._pi_mu = None
         if check:
             self.validate()
 
@@ -164,7 +165,10 @@ class TwistedNZData:
     def propagator_meridian(self):
         """Pi_mu = (-B_mu^{-1} A_mu + Delta_{z'})^{-1} for the bordered
         matrices A_mu = A(1) + O[a_mu] and B_mu = B(1) + O[b_mu], computed as
-        (A_mu - B_mu Delta_{z'})^{-1} (-B_mu) like `propagator_symbolic`."""
+        (A_mu - B_mu Delta_{z'})^{-1} (-B_mu) like `propagator_symbolic`,
+        kept per `PeripheralRows` object: a new `peripheral` gives a new one."""
+        if self._pi_mu is not None and self._pi_mu[0] is self.peripheral:
+            return self._pi_mu[1]
         if self.peripheral is None or self.peripheral.a_mu is None:
             raise ParseError("no meridian rows supplied")
         one = self.field.one()
@@ -185,7 +189,8 @@ class TwistedNZData:
             pi = self._gluing_matrix(A_mu, B_mu).solve(-B_mu)
         except SingularMatrix as exc:
             raise SingularAtRoot("meridian propagator singular") from exc
-        return [[e.eval(one) for e in row] for row in pi]
+        self._pi_mu = (self.peripheral, [[e.eval(one) for e in row] for row in pi])
+        return self._pi_mu[1]
 
     # -- cyclic covers --------------------------------------------------------------
 
@@ -202,7 +207,6 @@ class TwistedNZData:
         F[t]/(t^n - 1); an optional Pi_0 override (meridian case) adds
         (Pi_0 - Pi(1))/n to every block.
         """
-        from .circulant import cover_blocks_from_symbolic
         pi1 = None
         if pi0 is not None:
             try:
@@ -301,5 +305,4 @@ def normalize_unit(p: LaurentPolynomial) -> LaurentPolynomial:
 
 
 def is_palindromic_up_to_unit(p: LaurentPolynomial) -> bool:
-    from .laurent import proportional_up_to_unit
     return proportional_up_to_unit(p.invert_variable(), p)

@@ -25,11 +25,10 @@ import mpmath
 from .errors import (CrossCheckError, HoldoutMismatchError, ParseError,
                      RecursionMismatch, ResonantRoot, SingularError,
                      SingularSystem, UnitCircleRoot)
-from .knots import phi_integrand, phi_numerators
 from .laurent import LaurentPolynomial, RationalFunction
 from .linalg import solve
 from .numberfield import FieldElement, NumberField, QQ, poly_series
-from .rootsum import av_exact, delta_basis_inverse, one_minus_u_power
+from .rootsum import ResidueForm, av_exact, delta_basis_inverse, one_minus_u_power
 
 
 class GeneralizedPowerSum:
@@ -80,13 +79,11 @@ def check_recurrence(values: Sequence[FieldElement], s: LaurentPolynomial) -> bo
     coeffs, shift = s.as_poly_coeffs()
     if shift != 0 or coeffs[0] != 1:
         raise ParseError("characteristic polynomial must have constant term 1")
-    d = len(coeffs) - 1
-    for n in range(d, len(values)):
-        acc = values[n]
-        for i in range(1, d + 1):
-            acc = acc + coeffs[i] * values[n - i]
-        if not acc.is_zero():
-            return False
+    try:
+        if len(values) >= len(coeffs) - 1:
+            series_from_values(values, s)
+    except RecursionMismatch:
+        return False
     return True
 
 
@@ -410,8 +407,8 @@ class DeltaForm:
     the monic palindromic quadratic with root lam.
 
     terms maps (i, j) to the coefficient of x^i y^j; read as a phi-table,
-    it is slot j of the row for delta^(-i), so the integrand of `average`
-    comes from `knots.phi_numerators`, built once per form.
+    it is slot j of the row for delta^(-i), and `average` sums the one
+    `ResidueForm.from_table` built with the form.
     """
 
     def __init__(self, field: NumberField, lam: FieldElement,
@@ -425,11 +422,11 @@ class DeltaForm:
             row.extend([field.zero()] * (j + 1 - len(row)))
             row[j] = c
         delta = LaurentPolynomial(field, {1: 1, 0: -(lam + lam.inverse()), -1: 1})
-        self._numerators = phi_numerators(delta, table)
+        self._form = ResidueForm.from_table(delta, table)
 
     def average(self, n: int) -> FieldElement:
         """Av_n(q(1/delta(t), 1/n)), exact."""
-        return av_exact(phi_integrand(self._numerators, n), n)
+        return av_exact(self._form, n)
 
 
 def quad_to_delta_form(p: CoverPolynomial) -> DeltaForm:

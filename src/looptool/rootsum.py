@@ -37,6 +37,16 @@ one numerator.  `av_residue_euclid`, an oracle, keeps one numerator in its
 own frame, takes (t^n - 1)^(-1) mod Q from the extended Euclidean algorithm
 and multiplies out r x mod Q, in O(d^2 log n) field operations.
 
+`ResidueForm.from_table` builds the form of a phi-table sum_k c_k(n)
+delta^(-k), c_k(n) = sum_i c_(k,i) n^(-i): P_i = sum_k c_(k,i) delta^(kmax-k)
+over Q = delta^kmax, kmax = max(0, k), unreduced.  For K the largest k with
+c_K(n) != 0, sum_(k <= K) c_k(n) delta^(K-k) = c_K(n) mod delta, so reducing
+at n removes delta^(kmax-K) only; that changes no sum and no pole unless
+K <= 0 (or no c_k(n) is left) and delta vanishes at an n-th root of unity.
+So once M_u turns out singular, `root_sum` sums the integrand as a Laurent
+polynomial when Q divides its numerator at n (a test of sum_i n^(-i) w_i = 0
+would miss the negative powers of t that the frame moves into the proper part).
+
 The oracle `av_trace` takes a second route: for the n x n cyclic-shift
 matrix C (the companion matrix of t^n - 1), whose eigenvalues are the n-th
 roots of unity, the sum is trace f(C).  f(C) lives in F[C] = F[t]/(t^n - 1):
@@ -401,6 +411,22 @@ class ResidueForm:
         self._modulus = ([c.coords[0].numerator for c in monic] if self._integral
                          else monic)
 
+    @classmethod
+    def from_table(cls, delta: LaurentPolynomial, table) -> "ResidueForm":
+        """The form of sum_k c_k(n) delta^(-k) for a table mapping k to
+        [c_(k,0), c_(k,1), ...] (see the module docstring)."""
+        kmax = max([0, *table])
+        nums = [LaurentPolynomial.zero(delta.field)] * max(map(len, table.values()), default=0)
+        for k, coeffs in table.items():
+            for i, ci in enumerate(coeffs):
+                nums[i] = nums[i] + delta ** (kmax - k) * ci
+        return cls(nums, delta ** kmax)
+
+    def numerator(self, n: int) -> LaurentPolynomial:
+        """sum_i P_i n^(-i), the numerator over Q at n."""
+        return sum((p * Fraction(1, n ** i) for i, p in enumerate(self.numerators)),
+                   LaurentPolynomial.zero(self.field))
+
     def root_sum(self, n: int) -> FieldElement:
         """sum over the n-th roots of unity w of sum_i P_i(w) n^(-i) / Q(w)."""
         check_cover_order(n)
@@ -412,7 +438,14 @@ class ResidueForm:
                 power, M_u = _unit_system(n, self._modulus, self.field.zero(),
                                           self.field.one())
                 M_u, power = integer_system(self.field, M_u, power)
-            x, x_den = _solve_unit(M_u, power, n)
+            try:
+                x, x_den = _solve_unit(M_u, power, n)
+            except RootOfUnityPole:
+                # unless Q divides the numerator at n
+                quo, rem = self.numerator(n).divmod_poly(self.den)
+                if not rem.is_zero():
+                    raise
+                return av_exact(quo, n)
         field = self.field
         total = field.zero()
         for i, quo, weights, scale in self._terms:
@@ -728,17 +761,6 @@ class TorusSumSpec:
     @property
     def s(self) -> int:
         return len(self.monomials)
-
-    def to_json(self) -> dict:
-        return {"d": self.d, "t0": list(self.t0),
-                "monomials": [list(m) for m in self.monomials],
-                "constants": [c.to_json() for c in self.constants]}
-
-    @classmethod
-    def from_json(cls, obj, field: NumberField) -> "TorusSumSpec":
-        consts = tuple(FieldElement.from_json(c, field) for c in obj["constants"])
-        return cls(int(obj["d"]), tuple(obj.get("t0", [0] * int(obj["d"]))),
-                   tuple(tuple(m) for m in obj["monomials"]), consts)
 
 
 def torus_sum_oracle(spec: TorusSumSpec, n: int) -> FieldElement:

@@ -14,6 +14,7 @@ from .diagrams import VertexFactorTable
 from .laurent import LaurentMatrix, LaurentPolynomial, RationalFunction
 from .numberfield import NumberField, QQ
 from .nzdata import TwistedNZData
+from .rootsum import cyclic_resultant
 
 
 def random_laurent_matrix(rng: random.Random, field: NumberField, n: int,
@@ -63,7 +64,6 @@ def random_nz_data(rng: random.Random, N: int, check: bool = True,
     must avoid n-th roots of unity (so the cover propagator exists there);
     random palindromic polynomials do hit cyclotomic roots occasionally.
     """
-    from .rootsum import cyclic_resultant
     field = QQ
     t_minus_1 = LaurentPolynomial(field, {1: 1, 0: -1})
     for _ in range(200):

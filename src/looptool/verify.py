@@ -13,8 +13,8 @@ from typing import List, Tuple
 import mpmath
 
 from .circulant import BlockCirculant, block_diagonalize_check, cover_blocks_from_symbolic
-from .diagrams import connected_multigraphs, enumerate_flows, is_conserved, \
-    weight_direct, weight_flow
+from .diagrams import FeynmanDiagram, connected_multigraphs, enumerate_flows, \
+    is_conserved, weight_direct, weight_flow
 from .errors import RootOfUnityPole
 from .knots import FIELD_SQRT21, fixture
 from .laurent import LaurentPolynomial, RationalFunction
@@ -22,8 +22,9 @@ from .linalg import mat_mul, solve, solve_gauss_jordan
 from .numberfield import QQ
 from .powersum import (CoverPolynomial, quad_to_delta_form, reconstruct_p,
                        reconstruction_matrix)
-from .rootsum import (av_exact, av_trace, cyclic_resultant, delta_basis_inverse,
-                      delta_power_sums, delta_sum_value, pole_sum_closed)
+from .rootsum import (TorusSumSpec, av_exact, av_trace, cyclic_resultant,
+                      delta_basis_inverse, delta_power_sums, delta_sum_value,
+                      fit_rational_shape, pole_sum_closed, torus_sum_oracle)
 from .synth import (random_laurent_matrix, random_nz_data,
                     random_symmetric_propagator, random_vertex_table)
 
@@ -118,7 +119,6 @@ def suite_feynman(seed: int = 0, prec: int = 50) -> List[Result]:
             edges = list(g.edges)
             u, v = edges[k]
             edges[k] = (v, u)
-            from .diagrams import FeynmanDiagram
             g2 = FeynmanDiagram(g.n_vertices, edges, g.symmetry_factor)
             if weight_flow(g2, n, pi, table, N) != base:
                 ok = False
@@ -194,7 +194,6 @@ def suite_identities(seed: int = 0, prec: int = 50) -> List[Result]:
         ok = False
     results.append(("cyclic resultants of the 4_1 polynomial", ok, repro))
     ok = True
-    from .rootsum import TorusSumSpec, fit_rational_shape, torus_sum_oracle
     triangle = TorusSumSpec(2, (0, 0), ((1, 0), (0, 1), (-1, -1)),
                             (QQ.element(2), QQ.element(3),
                              QQ.element(Fraction(5, 7))))

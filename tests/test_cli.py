@@ -372,6 +372,55 @@ def test_avg_phi_table_keeps_cancelling_root_of_unity_pole(tmp_path, capsys):
     assert code == 0 and out.strip() == "4"
 
 
+#: (delta, delta_powers) -> stdout or stderr line of `avg` at n = 1..6: delta
+#: vanishes at t = 1 (every n) or at t = -1 (even n); the rows with k > 0
+#: vanish at every n in the first table and at n = 2 in the second
+CANCELLING_TABLES = {
+    "delta-over-delta": ({"1": "1", "0": "-2", "-1": "1"}, {"1": ["0"], "0": ["1"]},
+                         ["1", "2", "3", "4", "5", "6"]),
+    "1-2/n-over-1+t": ({"0": "1", "1": "1"}, {"1": ["1", "-2"]},
+                       ["-1/2", "0", "1/2", "!4", "3/2", "!6"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANCELLING_TABLES))
+def test_avg_phi_table_rows_cancelling_at_n(name, tmp_path, capsys):
+    # the sum is that of the integrand reduced at n: a Laurent polynomial
+    # where every row with k > 0 vanishes, a pole where one is left
+    delta, powers, expect = CANCELLING_TABLES[name]
+    path = tmp_path / "cancel.json"
+    path.write_text(json.dumps({"delta": delta, "delta_powers": powers}))
+    for n, line in enumerate(expect, 1):
+        code, out, err = run(["avg", "--f", str(path), "--n", str(n)], capsys)
+        if line.startswith("!"):
+            assert (code, out) == (2, "") and err == (
+                f"math domain error: denominator vanishes at an {line[1:]}-th "
+                f"root of unity\n"), n
+        else:
+            assert (code, out, err) == (0, line + "\n", ""), n
+
+
+def test_avg_prints_values_past_4300_digits(tmp_path, capsys):
+    # sum over the n-th roots of unity of 1/(1 - 3t) is n / (1 - 3^n)
+    path = tmp_path / "geometric.json"
+    path.write_text(json.dumps({"num": {"0": "1"}, "den": {"0": "1", "1": "-3"}}))
+    code, out, _ = run(["avg", "--f", str(path), "--n", "20000"], capsys)
+    expect = str(Fraction(20000, 1 - 3 ** 20000))
+    assert len(expect) == 9542
+    assert code == 0 and out == expect + "\n"
+
+
+def test_reconstruct_reads_coordinates_past_4300_digits(tmp_path, capsys):
+    # two rows where r = 1, ell = 2 needs three: the row count is the error
+    values = tmp_path / "values.csv"
+    values.write_text(f"1,{'7' * 5000}/3,0\n2,1,0\n")
+    code, _, err = run(["reconstruct", "--values", str(values),
+                        "--roots", os.path.join(DATA, "roots_4_1.json"),
+                        "--ell", "2", "--r", "1"], capsys)
+    _one_line_usage_error(code, err)
+    assert err == "error: need 3 + 0 values, got 2\n"
+
+
 def _avg_with_delta_powers(tmp_path, capsys, delta_powers):
     with open(os.path.join(DATA, "phi2_41.json")) as fh:
         obj = json.load(fh)

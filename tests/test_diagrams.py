@@ -15,9 +15,9 @@ from looptool.diagrams import (FeynmanDiagram, VertexFactorTable,
 from looptool.errors import (CoverOrderError, CrossCheckError, GradeMismatch,
                              MathDomainError, MissingVertexFactor, RootOfUnityPole,
                              SingularAtRoot, ValidationError)
-from looptool.laurent import LaurentPolynomial, RationalFunction
+from looptool.laurent import LaurentMatrix, LaurentPolynomial, RationalFunction
 from looptool.numberfield import QQ
-from looptool.nzdata import TwistedNZData
+from looptool.nzdata import PeripheralRows, TwistedNZData
 from looptool.rootsum import (CyclicMatrixImage, ResidueForm, TorusSumSpec, av_exact,
                               av_residue_euclid, av_trace, cyclic_resultant,
                               ratfun_mod_cyclic, torus_sum_oracle)
@@ -406,6 +406,38 @@ def test_loop_invariant_evaluates_pi_at_one_once_per_dataset(rng, monkeypatch):
     for n in (1, 2, 3, 5):
         assert loop_invariant(data, n, diags, 2) == expect[n]
     assert len(evaluated) == data.N ** 2 and all(a == 1 for a in evaluated)
+
+
+def test_meridian_table_eliminates_once(monkeypatch):
+    # Pi_mu is kept with its meridian rows: one Laurent elimination for a
+    # 10-row mu table once Pi(t) is built, and new rows give a new Pi_mu
+    rng = random.Random(7)
+    while True:
+        data = random_nz_data(rng, 2, regular_orders=range(1, 11))
+        data.peripheral = PeripheralRows(a_mu=[rng.randint(-2, 2) for _ in range(2)],
+                                         b_mu=[rng.randint(-2, 2) for _ in range(2)])
+        try:
+            fresh = TwistedNZData(data.field, data.A, data.B, data.shapes,
+                                  data.peripheral).propagator_meridian()
+            break
+        except SingularAtRoot:
+            continue
+    diags = _bench_diagrams(rng, 2, None)
+    data.propagator_symbolic()
+    solves = []
+    real = LaurentMatrix.solve
+    monkeypatch.setattr(LaurentMatrix, "solve",
+                        lambda self, rhs: solves.append(rhs) or real(self, rhs))
+    values = [loop_invariant(data, n, diags, 2, peripheral="mu") for n in range(1, 11)]
+    assert len(solves) == 1 and data.propagator_meridian() == fresh
+    for n, value in enumerate(values, 1):
+        cover = cover_blocks_from_symbolic(data.propagator_symbolic(), n, QQ, pi0=fresh,
+                                           pi1=data.propagator_at_one())
+        assert value == sum((weight_direct(g, n, cover, table, 2).get(1, QQ.zero())
+                             for g, table in diags), QQ.zero()), n
+    data.peripheral = PeripheralRows(a_mu=[0, 0], b_mu=[0, 0])
+    with pytest.raises(SingularAtRoot):
+        data.propagator_meridian()
 
 
 def test_loop_invariant_inverts_each_denominator_by_one_small_solve(rng, monkeypatch):

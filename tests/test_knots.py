@@ -5,9 +5,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from looptool import knots
 from looptool.knots import (FIELD_52, FIELD_SQRT21, FigureEightFixture,
-                            TaggedValue, fixture, phi_integrand,
-                            phi_numerators)
+                            FiveTwoFixture, TaggedValue, fixture)
 from looptool.laurent import LaurentPolynomial, RationalFunction
 from looptool.nzdata import is_palindromic_up_to_unit
 from looptool.numberfield import QQ
@@ -114,9 +114,8 @@ def test_unknown_fixture_rejected():
 
 @pytest.mark.parametrize("name", ["4_1", "5_2"])
 def test_phi_rational_function_is_the_phi_sum(name):
-    # the unreduced fraction over delta^kmax built from the cached numerators
-    # equals sum_k c_k(n) delta^(-k) assembled term by term, and its reduced
-    # form is what `phi_integrand` gives
+    # the unreduced fraction over delta^kmax built from the cached form
+    # equals sum_k c_k(n) delta^(-k) assembled term by term, and reduces to it
     fx = fixture(name)
     inv_delta = RationalFunction(LaurentPolynomial.one(fx.field), fx.delta)
     for ell, table in fx.phi.items():
@@ -129,20 +128,37 @@ def test_phi_rational_function_is_the_phi_sum(name):
             got = fx.phi_rational_function(ell, n)
             assert got.den.degree_span() == (fx.delta ** max(table)).degree_span()
             assert got.num * expect.den == expect.num * got.den, (ell, n)
-            reduced = phi_integrand(phi_numerators(fx.delta, table), n)
+            reduced = RationalFunction(got.num, got.den)
             assert (reduced.num, reduced.den) == (expect.num, expect.den)
 
 
+@pytest.mark.parametrize("make", [FigureEightFixture, FiveTwoFixture], ids=["4_1", "5_2"])
+def test_phi_form_is_built_from_the_table_once_per_ell(make, monkeypatch):
+    calls = []
+    real = knots.ResidueForm.from_table.__func__
+
+    def counted(cls, delta, table):
+        calls.append(table)
+        return real(cls, delta, table)
+
+    monkeypatch.setattr(knots.ResidueForm, "from_table", classmethod(counted))
+    fx = make()
+    for n in range(1, 6):
+        for ell in (2, 3):
+            fx.phi_average(ell, n)
+            fx.phi_rational_function(ell, n)
+    assert calls == [fx.phi[2], fx.phi[3]]
+
+
 def test_series_cache_grows_by_doubling(monkeypatch):
-    import looptool.powersum as powersum
     counts = []
-    real = powersum.series_coefficients
+    real = knots.series_coefficients
 
     def counted(rf, count):
         counts.append(count)
         return real(rf, count)
 
-    monkeypatch.setattr(powersum, "series_coefficients", counted)
+    monkeypatch.setattr(knots, "series_coefficients", counted)
     fx = FigureEightFixture()
     for n in range(1, 101):
         assert fx.series_value(2, n) == fx.phi_closed(2, n)

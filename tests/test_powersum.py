@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from looptool.errors import (HoldoutMismatchError, RecursionMismatch,
+from looptool.errors import (HoldoutMismatchError, ParseError, RecursionMismatch,
                              SingularSystem, UnitCircleRoot)
 from looptool.knots import FIELD_52, FIELD_SQRT21, fixture
 from looptool.laurent import LaurentPolynomial, RationalFunction
@@ -17,6 +17,7 @@ from looptool.powersum import (CoverPolynomial, GeneralizedPowerSum,
                                quad_to_delta_form, reconstruct_p,
                                reconstruction_matrix, series_coefficients,
                                series_from_values)
+from looptool.rootsum import ResidueForm
 
 LP = LaurentPolynomial
 
@@ -304,6 +305,35 @@ def test_quad_form_matches_41_table():
                        (0, 0): FIELD_SQRT21.element(Fraction(55, 1512))}
     for n in range(1, 31):
         assert q.average(n) == fx.phi_average(2, n).value
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_quad_form_average_builds_no_form_or_fraction_per_row(ell, monkeypatch):
+    # one ResidueForm per DeltaForm; a row is one sum of it
+    fx = fixture("4_1")
+    r = 1
+    needed = (ell - 1) * comb(r + 2 * ell - 2, r)
+    values = [(n, fx.phi_average(ell, n).value) for n in range(1, needed + 1)]
+    q = quad_to_delta_form(reconstruct_p(values, [fx.lam], ell, r))
+    built = []
+    for cls in (ResidueForm, RationalFunction):
+        real = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, real=real, **kw:
+                            built.append(self) or real(self, *args, **kw))
+    averages = [q.average(n) for n in range(1, 21)]
+    assert built == []
+    for n, value in enumerate(averages, 1):
+        assert value == fx.phi_average(ell, n).value
+
+
+def test_check_recurrence_edges():
+    s = LP(QQ, {0: 1, 1: -1, 2: -1})                     # a_n = a_(n-1) + a_(n-2)
+    fib = [QQ.element(v) for v in (1, 1, 2, 3, 5, 8)]
+    assert check_recurrence(fib, s) and check_recurrence(fib[:1], s)
+    assert check_recurrence([], s) and not check_recurrence(fib[:-1] + [QQ.element(9)], s)
+    for bad in (LP(QQ, {0: 2, 1: -1}), LP(QQ, {1: 1, 2: -1})):
+        with pytest.raises(ParseError, match="constant term 1"):
+            check_recurrence(fib, bad)
 
 
 def test_quad_form_zero():

@@ -1,6 +1,7 @@
 """Exact summation over roots of unity and the torus-sum oracle."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +10,7 @@ import pytest
 from conftest import random_element
 from looptool.errors import PoleOnTorus, ResonantRoot, RootOfUnityPole
 from looptool import rootsum
-from looptool.knots import FIELD_52, fixture, phi_integrand
+from looptool.knots import FIELD_52, fixture
 from looptool.laurent import LaurentMatrix, LaurentPolynomial, RationalFunction
 from looptool.numberfield import QQ, NumberField
 from looptool.rootsum import (ResidueForm, TorusSumSpec, _cyc_mul, av_exact,
@@ -245,8 +246,52 @@ def test_residue_route_41_tables_match_closed_form():
 def test_residue_form_matches_integrand_and_euclid_on_knot_tables(name, ell):
     form = fixture(name).phi_form(ell)
     for n in range(1, 41):
-        f = phi_integrand((form.numerators, form.den), n, reduce=False)
+        f = RationalFunction(form.numerator(n), form.den, reduce=False)
         assert av_exact(form, n) == av_exact(f, n) == av_residue_euclid(f, n), n
+
+
+def _reduced_integrand(delta, table, n):
+    """sum_k c_k(n) delta^(-k) summed term by term as reduced fractions."""
+    field = delta.field
+    f = RationalFunction.from_poly(LP.zero(field))
+    for k, coeffs in table.items():
+        c = sum((ci * Fraction(1, n ** i) for i, ci in enumerate(coeffs)), field.zero())
+        f = f + RationalFunction(LP.one(field), delta) ** k * c
+    return f
+
+
+def test_from_table_matches_the_reduced_integrand(any_field):
+    # seeded phi-tables with zero rows and negative k over a delta with a
+    # cyclotomic factor (or none); in every other draw each row with k > 0
+    # vanishes at a chosen n0, so that the integrand reduced at n0 is a
+    # Laurent polynomial though delta vanishes at an n0-th root of unity
+    field = any_field
+    rng = random.Random(1701 + field.degree)
+    factors = [(LP(field, {0: 1, 1: 1}), 2), (LP(field, {0: 1, 1: 1, 2: 1}), 3),
+               (LP(field, {-1: 1, 0: -2, 1: 1}), 1), (LP.one(field), 1)]
+    seen = Counter()
+    for draw in range(16 if field.degree == 1 else 8):
+        factor, order = factors[draw % len(factors)]
+        delta = factor * _random_poly(rng, field, rng.randint(-1, 0), rng.randint(0, 1))
+        n0 = order * rng.randint(1, 3)
+        table = {}
+        for k in rng.sample([-1, 0, 1, 2, 3], rng.randint(2, 4)):
+            row = [random_element(rng, field, -5, 5, 3) for _ in range(rng.randint(0, 2))]
+            if k > 0 and draw % 2 == 0:
+                # c_0 = -sum_(i >= 1) c_i n0^(-i); a row of one entry is zero
+                row.insert(0, -sum((c * Fraction(1, n0 ** i) for i, c in enumerate(row, 1)),
+                                   field.zero()))
+            else:
+                row.insert(0, random_element(rng, field, -5, 5, 3) * rng.randint(0, 1))
+            table[k] = row
+        form = ResidueForm.from_table(delta, table)
+        for n in range(1, 9):
+            got = _outcome(ResidueForm.root_sum, form, n)
+            expect = _outcome(av_trace, _reduced_integrand(delta, table, n), n)
+            assert got == expect, (delta, table, n)
+            seen[cyclic_resultant(delta, n).is_zero(), got == "pole"] += 1
+    # sums where delta vanishes at a root of unity, with and without a pole
+    assert seen[True, False] >= 4 and seen[True, True] >= 4 and seen[False, False] >= 20, seen
 
 
 def _form_outcomes(numerators, den, n):

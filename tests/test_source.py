@@ -1,6 +1,7 @@
 """Every module of the package compiles with warnings turned into errors and
 contains no `assert` statement: runtime checks raise typed errors instead,
-since `python -O` strips asserts.  Every name the benchmark harness in
+since `python -O` strips asserts.  Modules of the package import each other
+at module level only.  Every name the benchmark harness in
 `bench/` and its tests take from the package still exists, and every
 module-level function and class of the package is named somewhere."""
 
@@ -32,6 +33,20 @@ def test_module_compiles_without_warnings(path):
     asserts = [node.lineno for node in ast.walk(ast.parse(source, path))
                if isinstance(node, ast.Assert)]
     assert not asserts, f"assert statements at lines {asserts}"
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SRC, "*.py"))),
+                         ids=os.path.basename)
+def test_no_function_level_package_imports(path):
+    """Modules of the package import each other at module level only: no
+    import cycle needs a lazy import."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    lazy = sorted({node.lineno for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.ImportFrom) and node.level > 0})
+    assert not lazy, f"function-level relative imports at lines {lazy}"
 
 
 def _literal(tree, name):
