@@ -99,12 +99,38 @@ def _load_json(path):
 # avg
 # ---------------------------------------------------------------------------
 
+#: Largest span of the exponents of t (highest minus lowest) over the
+#: numerators and the denominator of an `avg` integrand.  The exact sum works
+#: on dense coefficient lists over that span and, for a denominator Q, a
+#: deg Q x deg Q integer solve, so a span of 10^9 exhausts memory before
+#: anything else fails; 4096 is far above every knot and sample input.
+MAX_EXPONENT_SPAN = 4096
+
+
+def _exponents(obj) -> list:
+    """The integer exponent keys of a Laurent-polynomial object; none for a
+    malformed one, which its parser then rejects."""
+    try:
+        return [int(k) for k in obj] if isinstance(obj, dict) else []
+    except ValueError:
+        return []
+
+
+def _check_span(what: str, low: int, high: int):
+    if high - low > MAX_EXPONENT_SPAN:
+        raise ParseError(f"{what} give exponents of t from {low} to {high}, a span "
+                         f"of {high - low} above the bound of {MAX_EXPONENT_SPAN}")
+
+
 def _load_avg_input(path):
     """A rational function of t as a `ResidueForm`, and its sqrt(-3) unit flag.
 
     Plain form: {"field": {...}, "num": {...}, "den": {...}, "unit": ...}.
     Phi form: {"field": {...}, "delta": {...}, "delta_powers":
     {"k": [c0, c1, c2...]}, "unit": ...}; coefficient i multiplies n^-i.
+    An integrand whose exponents span more than MAX_EXPONENT_SPAN is
+    rejected from the keys alone, before any dense list or power of delta
+    is built.
     """
     obj = _load_json(path)
     if not isinstance(obj, dict):
@@ -130,9 +156,17 @@ def _load_avg_input(path):
             if not isinstance(coeffs, list):
                 raise ParseError(f"delta_powers[{k!r}] must be a list of coefficients")
             table[k_int] = [FieldElement.from_json(c, field) for c in coeffs]
+        # the form is sum_k c_k delta^(kmax - k) over delta^kmax
+        kmax, low, high = max(0, *table), min(delta.coeffs), max(delta.coeffs)
+        powers = {kmax - k for k in table} | {kmax}
+        _check_span(f"delta_powers keys '{min(table)}' to '{max(table)}'",
+                    min(e * low for e in powers), max(e * high for e in powers))
         return ResidueForm.from_table(delta, table), unit
     if "num" not in obj or "den" not in obj:
         raise ParseError("rational-function file needs num/den or delta_powers")
+    exponents = _exponents(obj["num"]) + _exponents(obj["den"])
+    if exponents:
+        _check_span("'num' and 'den'", min(exponents), max(exponents))
     rf = RationalFunction.from_json(obj, field)
     return ResidueForm([rf.num], rf.den), unit
 

@@ -2,21 +2,29 @@
 
 Matrices are plain lists of lists.  The consistent solve of a rank-deficient
 system runs one Gauss-Jordan routine with exact field division.
-The square solve lifts p-adically instead (Dixon, Numer. Math. 40, 1982): it
-writes the system over Z through the regular representation of the field
-(`integer_system`), and `solve_integer` factors the integer matrix once
-modulo a 61-bit prime (LU, which serves as the inverse mod p) and recovers
-the solution from its p-adic digits by rational reconstruction.  The solve's
-cost grows with the bit size of the solution, not with that of the
-elimination's intermediate fractions.  The LU (`_ModularLU`) packs each row
-into one integer of fixed-width slots, one per column, wide enough
+The square solve writes the system over Z through the regular representation
+of the field (`integer_system`); `solve_integer` then takes one of two routes
+by size.  A system of at most FRACTION_FREE_MAX unknowns (knot-table rows,
+8 x 8 for 4_1 at loop 3; bundle denominators) is one fraction-free
+elimination with back substitution (`numberfield.bareiss`) over Z.  Its cost
+grows with the determinant, which is where the solutions of those systems
+live anyway: a row's solution has the cyclic resultant det M_u as its
+denominator.  A larger system lifts p-adically (Dixon, Numer. Math. 40,
+1982), which is output-sensitive: it factors the integer matrix once modulo
+a 61-bit prime (LU, which serves as the inverse mod p) and recovers the
+solution from its p-adic digits by rational reconstruction, so its cost
+grows with the bit size of the solution, not with that of the determinant.
+That wins on reconstruction systems (at least 10 unknowns, small planted
+solutions) and on the 24 x 24 rows of 5_2 at loop 3;
+`scripts/solve_sweep.py` times both routes.  The LU (`_ModularLU`) packs
+each row into one integer of fixed-width slots, one per column, wide enough
 (2 bitlen(p) + bitlen(n) + 1 bits) for the fewer than n unreduced updates of
 at most (p - 1) p that a slot starting below p takes before it is read; each
 row update is then one big-integer multiply-add.  Callers that already hold
-an integer system pass it to `solve_integer` directly.  The rare integer
-systems singular modulo every listed prime go to the package's fraction-free
-elimination (`numberfield.bareiss`) over Z.  Gauss-Jordan over the field
-stays the oracle of the square solve (`solve_gauss_jordan`).
+an integer system pass it to `solve_integer` directly.  The rare larger
+systems singular modulo every listed prime go to `bareiss` as well.  Either
+route's answer is checked exactly against M x = rhs.  Gauss-Jordan over the
+field stays the oracle of the square solve (`solve_gauss_jordan`).
 """
 
 from __future__ import annotations
@@ -30,6 +38,20 @@ from .numberfield import FieldElement, NumberField, bareiss
 #: Moduli of the p-adic solve.  The later ones are used only when the integer
 #: system is singular modulo every one before them.
 PRIMES = ((1 << 61) - 1, (1 << 61) - 31, (1 << 61) - 45, (1 << 61) - 229)
+
+#: Largest number of unknowns that `solve_integer` sends to `bareiss` instead
+#: of Dixon's lifting.  `scripts/solve_sweep.py` (seed 1, median of 5 calls on
+#: a shared 2-vCPU host, two runs; Dixon's time over that of `bareiss`): the
+#: 8 x 8 systems of 4_1 rows at loop 3 give 1.1-4.5 for n = 10..2000 and the
+#: 3- and 6-unknown reconstruction systems 1.4-2.8; the 10-unknown
+#: reconstruction systems give 0.84-0.94 and the 24-unknown 5_2 rows at
+#: loop 3 0.26-1.0 (the 12-unknown rows at loop 2 are mixed).  So 8 is the
+#: largest size at which `bareiss` wins on every system of the package
+#: measured.  Dense systems show why: with a solution as large as the
+#: determinant allows, `bareiss` wins at every m <= 16 and 16 to 1024 bits,
+#: but with a small planted solution Dixon stops early and wins from
+#: m = 12-13, 8-9, 5 and 2-3 at 16, 64, 256 and 1024 bits.
+FRACTION_FREE_MAX = 8
 
 
 def mat_mul(A, B):
@@ -85,8 +107,8 @@ def _gauss_jordan(aug, cols: int):
 def solve(field: NumberField, A, b):
     """Solve the square system A x = b exactly; raises SingularError.
 
-    Dixon's p-adic lifting, every candidate accepted only when it satisfies
-    the integer system exactly; see the module docstring.
+    `solve_integer` on the integer system, whose answer is checked exactly;
+    see the module docstring.
     """
     n = _check_square(A, b)
     num, den = solve_integer(*integer_system(field, A, b))
@@ -111,30 +133,43 @@ def solve_integer(M, rhs):
     """(numerators, common positive denominator) of the solution of the
     square integer system M x = rhs; raises SingularError.
 
-    Dixon's lifting modulo the first prime of PRIMES that leaves M
-    nonsingular, the answer checked exactly against M x = rhs; a system
-    singular modulo every listed prime goes to `bareiss` over Z, whose last
-    column is D x for the last pivot D.
+    A system of at most FRACTION_FREE_MAX unknowns, or one singular modulo
+    every prime of PRIMES, goes to `bareiss` over Z, whose last column is
+    D x for the last pivot D; any other to Dixon's lifting modulo the first
+    prime that leaves M nonsingular.  Either answer is checked exactly
+    against M x = rhs.
     """
-    _check_square(M, rhs)
-    for p in PRIMES:
-        try:
-            lu = _ModularLU(M, p)
-            break
-        except SingularError:
-            continue
-    else:
-        n = len(M)
-        aug = [list(row) + [v] for row, v in zip(M, rhs)]
-        pivots, den, _ = bareiss(aug, n, floordiv)
-        if len(pivots) < n:
-            raise SingularError("singular linear system")
-        num = [row[n] for row in aug]
-        g = gcd(den, *num)
-        if den < 0:
-            g = -g
-        return [v // g for v in num], den // g
-    return _dixon(M, rhs, lu)
+    n = _check_square(M, rhs)
+    if n > FRACTION_FREE_MAX:
+        for p in PRIMES:
+            try:
+                lu = _ModularLU(M, p)
+            except SingularError:
+                continue
+            return _dixon(M, rhs, lu)
+    return _fraction_free(M, rhs)
+
+
+def _fraction_free(M, rhs):
+    """`solve_integer` by one `bareiss` of [M | rhs] over Z: the last column
+    ends as D x, D the last pivot; the reduced answer is checked exactly."""
+    n = len(M)
+    if not n:
+        return [], 1
+    aug = [list(row) + [v] for row, v in zip(M, rhs)]
+    pivots, den, _ = bareiss(aug, n, floordiv)
+    if len(pivots) < n:
+        raise SingularError("singular linear system")
+    num = [row[n] for row in aug]
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    num, den = [v // g for v in num], den // g
+    for i, (row, v) in enumerate(zip(M, rhs)):
+        if sum(map(mul, row, num)) != den * v:
+            raise CrossCheckError(f"fraction-free solve of a {n}x{n} integer system "
+                                  f"fails the exact check at row {i}")
+    return num, den
 
 
 def solve_gauss_jordan(field: NumberField, A, b):

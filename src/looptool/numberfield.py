@@ -12,10 +12,11 @@ over Z with one scale (which covers monic minimal polynomials with
 non-integral coefficients), then one content gcd.  That integer product
 (`NumberField._mul_numerators`) also serves callers that keep many
 numerators over one denominator of their own.  An inverse is one run of
-`bareiss`, the package's one fraction-free Gauss-Jordan elimination, on the
-integer matrix of multiplication.  The Fraction coordinates (`coords`) are
-built on first use.  All values are immutable; arithmetic returns new
-objects, so elements are safe to share across threads.
+`bareiss`, the package's one fraction-free elimination (forward, then back
+substitution), on the integer matrix of multiplication.  The Fraction
+coordinates (`coords`) are built on first use.  All values are immutable;
+arithmetic returns new objects, so elements are safe to share across
+threads.
 
 Complex embeddings are certified: every approximate root of m carries an
 isolation radius r such that the disk of radius r around the approximation
@@ -184,37 +185,87 @@ def _poly_deriv(p):
 
 
 def bareiss(aug: list, cols: int, div):
-    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
-    of the first `cols` columns of the rows `aug`, in place (rows are
-    replaced, never mutated), over a ring whose exact division is `div`.  The pivot is the first nonzero entry at
-    or below the current row; a column without one is skipped.  Each other
-    row becomes (pivot * row - f * pivot row) / previous pivot, so row i
-    ends as D times the reduced row echelon form, D the last pivot (sign * det
-    for a nonsingular square block).  Returns (pivot columns, D or None, sign
-    of the row swaps)."""
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of the first
+    `cols` columns of the rows `aug`, in place (rows are replaced, never
+    mutated), over an integral domain whose exact division is `div`.  Returns
+    (pivot columns, D or None, sign of the row swaps), D the last pivot (sign
+    * det for a nonsingular square block); the pivot rows end as D times the
+    reduced row echelon form and the rows below them are zero in the first
+    `cols` columns.
+
+    Forward: the pivot is the first nonzero entry at or below the current
+    row, and a column without one is skipped.  Each row below becomes
+    (pivot * row - f * pivot row) / previous pivot in the columns right of
+    the pivot only; the division is exact because every entry is then a
+    minor of the input (Sylvester's identity), and the k-th pivot is the
+    leading k x k minor on the pivot rows and columns.
+
+    Back: with U the pivot rows on the pivot columns (upper triangular,
+    diagonal p_1, ..., p_r = D) and u a non-pivot column of the pivot rows,
+    y = D U^-1 u is that column of D times the echelon form, so
+    y_i = (D u_i - sum_(k > i) U_ik y_k) / p_i from the bottom row up
+    (y_r = u_r).  Each y_i is an r x r minor of the input, so this division
+    is exact too."""
     rows = len(aug)
     pivots, prev, sign = [], None, 1
+    base = 0  # rows r, r + 1, ... hold their entries from column `base` on
     for c in range(cols):
         r = len(pivots)
         if r == rows:
             break
-        p = next((i for i in range(r, rows) if aug[i][c]), None)
-        if p is None:
+        j = c - base
+        for p in range(r, rows):
+            if aug[p][j]:
+                break
+        else:
             continue
         if p != r:
             aug[r], aug[p] = aug[p], aug[r]
             sign = -sign
         top = aug[r]
-        pivot = top[c]
-        for i, row in enumerate(aug):
-            if i != r:
-                f = row[c]
-                if prev is None:
-                    aug[i] = [pivot * x - f * y for x, y in zip(row, top)]
-                else:
-                    aug[i] = [div(pivot * x - f * y, prev) for x, y in zip(row, top)]
+        pivot = top[j]
+        right = top[j + 1:]
+        for i in range(r + 1, rows):
+            row = aug[i]
+            f = row[j]
+            if prev is None:
+                aug[i] = [pivot * x - f * y for x, y in zip(row[j + 1:], right)]
+            else:
+                aug[i] = [div(pivot * x - f * y, prev) for x, y in zip(row[j + 1:], right)]
         pivots.append(c)
-        prev = pivot
+        base, prev = c + 1, pivot
+    if prev is None:
+        return pivots, prev, sign
+    rank, zero, order = len(pivots), prev - prev, None
+    if pivots[-1] != rank - 1:
+        # a column was skipped: put the pivot columns first.  Pivot row i
+        # holds its entries from column b = pivots[i - 1] + 1 on, and then from
+        # position i on, as when none is skipped; it is zero in the free
+        # columns left of its pivot, so y_i vanishes there
+        bases = [0] + [c + 1 for c in pivots[:-1]]
+        taken = set(pivots)
+        order = pivots + [j for j in range(bases[-1] + len(aug[rank - 1]))
+                          if j not in taken]
+        aug[:rank] = [[row[j - b] if j >= b else zero for j in order[i:]]
+                      for i, (row, b) in enumerate(zip(aug, bases))]
+    zeros, ys = [zero] * rank, []  # ys: the free entries of rows i + 1, i + 2, ...
+    for i in range(rank - 1, -1, -1):
+        row = aug[i]
+        if ys:
+            diag, upper = row[0], row[1:rank - i]
+            y = [div(prev * x - sum(map(mul, upper, col), zero), diag)
+                 for x, col in zip(row[rank - i:], zip(*ys))]
+        else:
+            y = row[1:]
+        ys.insert(0, y)
+        out = zeros + y
+        out[i] = prev
+        aug[i] = out
+    if order is not None:
+        back = sorted(range(len(order)), key=order.__getitem__)
+        aug[:rank] = [[row[k] for k in back] for row in aug[:rank]]
+    for i in range(rank, rows):
+        aug[i] = [zero] * base + aug[i]
     return pivots, prev, sign
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -459,6 +460,43 @@ def test_avg_delta_powers_negative_keys(tmp_path, capsys):
     # delta^1 = t - 5 + 1/t sums to 3 * (-5) over the cube roots of unity
     code, out, _ = _avg_with_delta_powers(tmp_path, capsys, {"-1": ["1"]})
     assert code == 0 and out.strip() == "-15 (unit sqrt(-3))"
+
+
+@pytest.mark.parametrize("num, den, span", [
+    ({"0": "1"}, {"1000000000": "1", "0": "-3"}, 1000000000),
+    ({"1000000000": "1"}, {"0": "1", "1": "-3"}, 1000000000),
+    ({"0": "1"}, {"1000000000": "1", "999999999": "-3"}, 1000000000),
+], ids=["den", "far-numerator", "far-denominator"])
+def test_avg_huge_exponent_span_exit_1(num, den, span, tmp_path, capsys):
+    # dense lists over 10^9 exponents would exhaust memory: the span of the
+    # integrand is rejected from the exponent keys, before anything is built
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"num": num, "den": den}))
+    start = time.perf_counter()
+    code, _, err = run(["avg", "--f", str(path), "--n", "3"], capsys)
+    assert time.perf_counter() - start < 1.0
+    _one_line_usage_error(code, err)
+    assert f"'num' and 'den' give exponents of t from 0 to {span}" in err
+    assert f"a span of {span} above the bound of 4096" in err
+
+
+@pytest.mark.parametrize("delta, powers, span", [
+    (None, {"-1000000": ["1"]}, 2000000),
+    ({"1000000000": "1", "1000000001": "1"}, {"1": ["1"]}, 1000000001),
+], ids=["negative-key", "far-delta"])
+def test_avg_delta_powers_huge_span_exit_1(delta, powers, span, tmp_path, capsys):
+    with open(os.path.join(DATA, "phi2_41.json")) as fh:
+        obj = json.load(fh)
+    obj["delta"] = delta or obj["delta"]
+    obj["delta_powers"] = powers
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    code, _, err = run(["avg", "--f", str(path), "--n", "3"], capsys)
+    assert time.perf_counter() - start < 1.0
+    _one_line_usage_error(code, err)
+    assert f"delta_powers keys '{min(powers)}' to" in err
+    assert f"a span of {span} above the bound of 4096" in err
 
 
 def _set(path, value):

@@ -9,12 +9,13 @@ from math import lcm
 import pytest
 
 from conftest import random_element
-from looptool import linalg
+from looptool import linalg, rootsum
 from looptool.errors import CrossCheckError, MathDomainError, SingularError
-from looptool.knots import FIELD_52
+from looptool.knots import FIELD_52, fixture
 from looptool.linalg import (PRIMES, mat_mul, solve, solve_consistent,
                              solve_gauss_jordan, solve_integer)
-from looptool.numberfield import QQ, NumberField
+from looptool.numberfield import QQ, FieldElement, NumberField, bareiss
+from looptool.powersum import reconstruction_matrix
 from looptool.rootsum import _unit_system
 
 
@@ -116,12 +117,23 @@ def test_solve_rejects_non_square_systems():
             assert "\n" not in str(info.value)
 
 
+def _dixon_solve(field, A, b):
+    """`solve` through Dixon's lifting modulo the first listed prime,
+    whatever the size of the system."""
+    M, rhs = linalg.integer_system(field, A, b)
+    num, den = linalg._dixon(M, rhs, linalg._ModularLU(M, PRIMES[0]))
+    d = field.degree
+    return [FieldElement._from_integers(field, num[k:k + d], den)
+            for k in range(0, len(num), d)]
+
+
 def test_padic_solve_matches_gauss_jordan(any_field):
     rng = random.Random(11)
     for n in (1, 2, 3, 5, 8):
         A = _random_matrix(rng, any_field, n, n)
         b = [random_element(rng, any_field) for _ in range(n)]
-        assert solve(any_field, A, b) == solve_gauss_jordan(any_field, A, b)
+        want = solve_gauss_jordan(any_field, A, b)
+        assert solve(any_field, A, b) == want == _dixon_solve(any_field, A, b)
 
 
 def test_padic_solve_recovers_large_solutions(any_field):
@@ -133,7 +145,7 @@ def test_padic_solve_recovers_large_solutions(any_field):
         A = _random_matrix(rng, any_field, n, n)
         x = [_big_element(rng, any_field, bits) for _ in range(n)]
         b = _apply(A, x)
-        assert solve(any_field, A, b) == x
+        assert solve(any_field, A, b) == x == _dixon_solve(any_field, A, b)
         assert solve_gauss_jordan(any_field, A, b) == x
 
 
@@ -331,12 +343,140 @@ def test_integer_solve_raises_on_a_singular_unit_matrix():
 
 
 def test_step_cap_reached_raises_cross_check(monkeypatch):
+    # more unknowns than FRACTION_FREE_MAX, so the solve lifts p-adically
     rng = random.Random(15)
-    A = [[QQ.element(3)]]
-    b = _apply(A, [_big_element(rng, QQ, 400)])
+    n = linalg.FRACTION_FREE_MAX + 1
+    A = _random_matrix(rng, QQ, n, n)
+    b = _apply(A, [_big_element(rng, QQ, 400) for _ in range(n)])
     monkeypatch.setattr(linalg, "_step_cap", lambda M, rhs, p: 2)
-    with pytest.raises(CrossCheckError):
+    with pytest.raises(CrossCheckError, match="within its Hadamard bound of 2 steps"):
         solve(QQ, A, b)
+
+
+def test_fraction_free_solve_is_checked_exactly(monkeypatch):
+    # a wrong last column out of `bareiss` is caught by the check M x = rhs
+    def perturbed(aug, cols, div):
+        out = bareiss(aug, cols, div)
+        aug[-1] = aug[-1][:-1] + [aug[-1][-1] + 1]
+        return out
+
+    monkeypatch.setattr(linalg, "bareiss", perturbed)
+    M = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    with pytest.raises(CrossCheckError, match="3x3 .* at row 1$"):
+        solve_integer(M, [1, 2, 3])
+
+
+def _integer_system_of_rank(rng, m, bits, rank):
+    """A seeded m x m integer matrix of the given rank, entries of about
+    `bits` bits: a product of m x rank and rank x m factors."""
+    half = max(1, bits // 2)
+    left = [[rng.getrandbits(half) - (1 << (half - 1)) for _ in range(rank)]
+            for _ in range(m)]
+    right = [[rng.getrandbits(half) - (1 << (half - 1)) for _ in range(m)]
+             for _ in range(rank)]
+    return [[sum(left[i][k] * right[k][j] for k in range(rank)) for j in range(m)]
+            for i in range(m)]
+
+
+def _three_routes(M, rhs):
+    """`solve_integer`, `_dixon` over `_ModularLU` and Gauss-Jordan over Q on
+    one integer system, each as its list of Fractions or "singular"."""
+    def dixon():
+        for p in PRIMES:
+            try:
+                lu = linalg._ModularLU(M, p)
+            except SingularError:
+                continue
+            return linalg._dixon(M, rhs, lu)
+        raise SingularError("singular modulo every listed prime")
+
+    def gauss_jordan():
+        return [c.coords[0] for c in solve_gauss_jordan(QQ, *_over_q(M, rhs))]
+
+    out = []
+    for route in (lambda: solve_integer(M, rhs), dixon):
+        try:
+            num, den = route()
+        except SingularError:
+            out.append("singular")
+            continue
+        assert den > 0
+        out.append([Fraction(v, den) for v in num])
+    try:
+        out.append(gauss_jordan())
+    except SingularError:
+        out.append("singular")
+    return out
+
+
+def test_integer_routes_agree_on_seeded_systems():
+    rng = random.Random(18)
+    singular = 0
+    for m in range(1, linalg.FRACTION_FREE_MAX + 1):
+        for bits in (8, 64, 256, 1024):
+            rank = m - 1 if (m + bits) % 3 == 0 else m
+            M = _integer_system_of_rank(rng, m, bits, rank)
+            rhs = [rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(m)]
+            fast, dixon, oracle = _three_routes(M, rhs)
+            assert fast == dixon == oracle, (m, bits)
+            singular += fast == "singular"
+    assert singular > 4
+
+
+def _row_systems(monkeypatch, knot, ell, ns):
+    """The integer systems that the rows of `knot` at loop `ell` solve,
+    captured at `rootsum.solve_integer`."""
+    captured = []
+
+    def capture(M, rhs):
+        captured.append((M, rhs))
+        return solve_integer(M, rhs)
+
+    fx = fixture(knot)
+    fx.phi_form(ell)
+    with monkeypatch.context() as patch:
+        patch.setattr(rootsum, "solve_integer", capture)
+        for n in ns:
+            fx.phi_average(ell, n)
+    return captured
+
+
+def test_integer_routes_agree_on_figure_eight_rows(monkeypatch):
+    systems = _row_systems(monkeypatch, "4_1", 3, [*range(1, 71), 1000])
+    assert len(systems) == 71 and {len(M) for M, _ in systems} == {8}
+    for M, rhs in systems:
+        fast, dixon, oracle = _three_routes(M, rhs)
+        assert fast == dixon == oracle != "singular"
+
+
+def test_small_systems_take_bareiss_and_large_ones_dixon(monkeypatch):
+    # one 4_1 row: one `bareiss`, no modular LU; a 10-unknown reconstruction
+    # system: no `bareiss`
+    fx = fixture("4_1")
+    fx.phi_form(3)
+    calls = {"bareiss": 0, "lu": 0}
+
+    def counted_bareiss(*args):
+        calls["bareiss"] += 1
+        return bareiss(*args)
+
+    class CountedLU(linalg._ModularLU):
+        def __init__(self, *args):
+            calls["lu"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(linalg, "bareiss", counted_bareiss)
+    monkeypatch.setattr(linalg, "_ModularLU", CountedLU)
+    assert fx.phi_average(3, 37) == fx.phi_closed(3, 37)
+    assert calls == {"bareiss": 1, "lu": 0}
+    rng = random.Random(19)
+    ns = range(1, 11)
+    A = reconstruction_matrix(QQ, [QQ.element(2)], 3, ns)
+    x = [random_element(rng, QQ) for _ in ns]
+    assert len(A) == len(A[0]) == 10 > linalg.FRACTION_FREE_MAX
+    calls.update(bareiss=0, lu=0)
+    assert solve(QQ, A, _apply(A, x)) == x
+    assert calls == {"bareiss": 0, "lu": 1}
 
 
 def _reference_integer_system(field, A, b):
