@@ -17,8 +17,9 @@ time).  This script times both routes on the same systems:
 2. the systems that 4_1 rows at loop 3 solve, n = 10 to 2000 (8 unknowns);
 3. the systems that 5_2 rows at loops 2 and 3 solve, n = 5 to 160 (12 and
    24 unknowns over Z, from 4 and 8 over the cubic field);
-4. seeded `powersum.reconstruction_matrix` systems over Q with planted small
-   solutions (3 to 30 unknowns).
+4. seeded reconstruction systems over Q with planted small solutions (3 to
+   30 unknowns), written over Z by `powersum.reconstruction_system` as
+   `powersum.reconstruct_p` solves them.
 
 Each figure is the median of `--repeat` calls after one untimed warm-up call.
 The row systems are captured at `rootsum.solve_integer` while the rows are
@@ -37,7 +38,7 @@ from fractions import Fraction
 from looptool import linalg, rootsum
 from looptool.knots import fixture
 from looptool.numberfield import QQ
-from looptool.powersum import reconstruction_matrix
+from looptool.powersum import CoverPolynomial, reconstruction_system
 
 
 def dense_system(seed: int, m: int, bits: int, planted: bool):
@@ -72,16 +73,17 @@ def row_systems(knot: str, ell: int, ns):
     return [(n, M, rhs) for n, (M, rhs) in zip(ns, captured)]
 
 
-def reconstruction_system(seed: int, roots, ell: int):
+def planted_reconstruction(seed: int, roots, ell: int):
     """The integer system of a reconstruction over Q with a planted solution
     of small fractions; its window is n = 1..(number of unknowns)."""
     rng = random.Random(f"{seed}-{roots}-{ell}")
     roots = [QQ.element(Fraction(r)) for r in roots]
-    size = len(reconstruction_matrix(QQ, roots, ell, [1])[0])
-    A = reconstruction_matrix(QQ, roots, ell, range(1, size + 1))
-    x = [QQ.element(Fraction(rng.randint(-99, 99), rng.randint(1, 99))) for _ in A]
-    b = [sum((a * v for a, v in zip(row, x)), QQ.zero()) for row in A]
-    return linalg.integer_system(QQ, A, b)
+    basis = CoverPolynomial.basis(len(roots), ell)
+    planted = CoverPolynomial(QQ, ell, roots, {
+        key: QQ.element(Fraction(rng.randint(-99, 99), rng.randint(1, 99)))
+        for key in basis})
+    window = [(n, planted.evaluate(n)) for n in range(1, len(basis) + 1)]
+    return reconstruction_system(QQ, roots, ell, window)
 
 
 def dixon(M, rhs):
@@ -143,7 +145,7 @@ def main(argv=None) -> int:
     for roots, ell in [((2,), 2), ((2, 3), 2), ((2,), 3), ((2, 3, 5), 2), ((2, 3), 3)]:
         package.append(compare(
             f"reconstruction roots {'/'.join(map(str, roots))} loop {ell}",
-            *reconstruction_system(args.seed, roots, ell), args.repeat))
+            *planted_reconstruction(args.seed, roots, ell), args.repeat))
     for (family, bits), m in dense.items():
         print(f"crossover, dense {family} at {bits} bits: m = {m}")
     print(f"crossover over the package's systems: m = {crossover(package)} "

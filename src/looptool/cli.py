@@ -29,7 +29,7 @@ from .laurent import LaurentPolynomial, RationalFunction
 from .numberfield import FieldElement, NumberField, QQ, parse_rational
 from .nzdata import TwistedNZData
 from .powersum import reconstruct_p
-from .rootsum import ResidueForm, av_exact
+from .rootsum import MAX_EXPONENT_SPAN, ResidueForm, av_exact
 from .verify import SUITES, run_suites
 
 
@@ -99,14 +99,6 @@ def _load_json(path):
 # avg
 # ---------------------------------------------------------------------------
 
-#: Largest span of the exponents of t (highest minus lowest) over the
-#: numerators and the denominator of an `avg` integrand.  The exact sum works
-#: on dense coefficient lists over that span and, for a denominator Q, a
-#: deg Q x deg Q integer solve, so a span of 10^9 exhausts memory before
-#: anything else fails; 4096 is far above every knot and sample input.
-MAX_EXPONENT_SPAN = 4096
-
-
 def _exponents(obj) -> list:
     """The integer exponent keys of a Laurent-polynomial object; none for a
     malformed one, which its parser then rejects."""
@@ -117,6 +109,8 @@ def _exponents(obj) -> list:
 
 
 def _check_span(what: str, low: int, high: int):
+    """The bound that `ResidueForm` enforces, checked from the keys alone:
+    `RationalFunction` builds dense lists before any form exists."""
     if high - low > MAX_EXPONENT_SPAN:
         raise ParseError(f"{what} give exponents of t from {low} to {high}, a span "
                          f"of {high - low} above the bound of {MAX_EXPONENT_SPAN}")

@@ -21,7 +21,11 @@ each row into one integer of fixed-width slots, one per column, wide enough
 (2 bitlen(p) + bitlen(n) + 1 bits) for the fewer than n unreduced updates of
 at most (p - 1) p that a slot starting below p takes before it is read; each
 row update is then one big-integer multiply-add.  Callers that already hold
-an integer system pass it to `solve_integer` directly.  The rare larger
+an integer system pass it to `solve_integer` directly: knot-table rows over
+Q (`rootsum`), and reconstruction, whose system
+`powersum.reconstruction_system` writes over Z from its monomials, so that
+no field-element matrix is built and `integer_system` does not run;
+`field_vector` reads an answer back over the field.  The rare larger
 systems singular modulo every listed prime go to `bareiss` as well.  Either
 route's answer is checked exactly against M x = rhs.  Gauss-Jordan over the
 field stays the oracle of the square solve (`solve_gauss_jordan`).
@@ -110,11 +114,17 @@ def solve(field: NumberField, A, b):
     `solve_integer` on the integer system, whose answer is checked exactly;
     see the module docstring.
     """
-    n = _check_square(A, b)
-    num, den = solve_integer(*integer_system(field, A, b))
+    _check_square(A, b)
+    return field_vector(field, *solve_integer(*integer_system(field, A, b)))
+
+
+def field_vector(field: NumberField, num, den: int):
+    """The field elements whose coordinate j of element k is
+    num[k d + j] / den: a solution of `solve_integer` read back over the
+    field, in the unknown order of `integer_system`."""
     d = field.degree
     return [FieldElement._from_integers(field, num[k:k + d], den)
-            for k in range(0, d * n, d)]
+            for k in range(0, len(num), d)]
 
 
 def _check_square(A, b) -> int:
@@ -193,8 +203,7 @@ def integer_system(field: NumberField, A, b):
     equation is scaled to coprime integers.  Unknown k*d + j is coordinate j
     of x_k."""
     d = field.degree
-    # column j of a multiplication matrix is over scale^j: bring all to d - 1
-    lift = [field._scale ** (d - 1 - j) for j in range(d)]
+    lift = field._scale ** (d - 1)
     M, rhs = [], []
     for row, rhs_i in zip(A, b):
         row = [_in_field(a, field) for a in row]
@@ -202,11 +211,9 @@ def integer_system(field: NumberField, A, b):
         den = lcm(target.den, *(a.den for a in row))
         cols = []
         for a in row:
-            f = den // a.den
-            for col, u in zip(field._mult_columns(a.num), lift):
-                cols.append([v * (f * u) for v in col])
-        top = den // target.den * lift[0]
-        common = den * lift[0]
+            cols.extend(field._int_columns(a.num, den // a.den))
+        top = den // target.den * lift
+        common = den * lift
         for c in range(d):
             eq = [col[c] for col in cols]
             eq.append(target.num[c] * top)

@@ -459,6 +459,17 @@ class NumberField:
             out.append(col)
         return out
 
+    def _int_columns(self, num, f: int) -> list:
+        """Column j of `_mult_columns(num)` times f _scale^(d-1-j): the
+        matrix of multiplication by the element num / den with every entry
+        over the one denominator den _scale^(d-1) / f."""
+        cols = self._mult_columns(num)
+        if self._scale == 1:
+            return cols if f == 1 else [[v * f for v in col] for col in cols]
+        d = self.degree
+        return [[v * (f * self._scale ** (d - 1 - j)) for v in col]
+                for j, col in enumerate(cols)]
+
     def _mul_numerators(self, x, y) -> list:
         """Numerators over _scale of the product of the elements with
         numerators x and y over 1: one integer convolution, the powers

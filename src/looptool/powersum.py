@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from math import comb
+from math import comb, gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath
@@ -26,7 +26,7 @@ from .errors import (CrossCheckError, HoldoutMismatchError, ParseError,
                      RecursionMismatch, ResonantRoot, SingularError,
                      SingularSystem, UnitCircleRoot)
 from .laurent import LaurentPolynomial, RationalFunction
-from .linalg import solve
+from .linalg import field_vector, solve_integer
 from .numberfield import FieldElement, NumberField, QQ, poly_series
 from .rootsum import ResidueForm, av_exact, delta_basis_inverse, one_minus_u_power
 
@@ -179,10 +179,15 @@ class CoverPolynomial:
         return [(alpha, beta) for beta in range(1, ell) for alpha in alphas]
 
     def evaluate(self, n: int) -> FieldElement:
+        """p at x_j = 1/(1 - lam_j^n), y = n: for each alpha the sum over
+        beta of c_(alpha,beta) n^beta, times the monomial x^alpha once."""
         tables = _x_power_tables(self.field, self.roots, n, 2 * self.ell - 2)
-        acc = self.field.zero()
+        by_alpha: Dict[Tuple[int, ...], FieldElement] = {}
         for (alpha, beta), c in self.terms.items():
             v = c * n ** beta
+            by_alpha[alpha] = by_alpha[alpha] + v if alpha in by_alpha else v
+        acc = self.field.zero()
+        for alpha, v in by_alpha.items():
             x = _monomial(tables, alpha)
             acc = acc + (v if x is None else v * x)
         return acc
@@ -291,6 +296,43 @@ def reconstruction_matrix(field: NumberField, roots: Sequence[FieldElement],
     return rows
 
 
+def reconstruction_system(field: NumberField, roots: Sequence[FieldElement],
+                          ell: int, window: Sequence[Tuple[int, FieldElement]]):
+    """The square system of `reconstruction_matrix` at the window's n with
+    the window's values on the right, written over Z as
+    `linalg.solve_integer` takes it (unknown k*d + j is coordinate j of
+    basis coefficient k).  Each n gives d integer equations over one row
+    denominator L = lcm(value den, monomial dens); the integer
+    multiplication matrix of each monomial x^alpha over L is built once and
+    times n^beta serves every beta, and each equation is made primitive."""
+    basis = CoverPolynomial.basis(len(roots), ell)
+    alphas = sorted({alpha for alpha, _ in basis})
+    one = field.one()
+    lift = field._scale ** (field.degree - 1)
+    M, rhs = [], []
+    for n, value in window:
+        if not (isinstance(value, FieldElement) and value.field is field):
+            value = field.zero() + value
+        tables = _x_power_tables(field, roots, n, 2 * ell - 2)
+        monomials = [_monomial(tables, alpha) for alpha in alphas]
+        monomials = [one if x is None else x for x in monomials]
+        den = lcm(value.den, *(x.den for x in monomials))
+        # row c of the columns of every alpha, in basis order
+        rows = zip(*[col for x in monomials
+                     for col in field._int_columns(x.num, den // x.den)])
+        powers = [n ** beta for beta in range(1, ell)]
+        top = den // value.den * lift
+        for row, v in zip(rows, value.num):
+            eq = [a * p for p in powers for a in row]
+            eq.append(v * top)
+            g = gcd(*eq)
+            if g > 1:
+                eq = [a // g for a in eq]
+            rhs.append(eq.pop())
+            M.append(eq)
+    return M, rhs
+
+
 def reconstruct_p(values: Sequence[Tuple[int, FieldElement]],
                   roots: Sequence[FieldElement], ell: int, r: int) -> CoverPolynomial:
     """Solve for the cover polynomial from consecutive sequence values.
@@ -308,15 +350,13 @@ def reconstruct_p(values: Sequence[Tuple[int, FieldElement]],
                               f"says {needed}")
     if len(values) < needed:
         raise ParseError(f"need {needed} values, got {len(values)}")
-    window = values[:needed]
-    A = reconstruction_matrix(field, roots, ell, [n for n, _ in window])
-    b = [field.element(v.coords[0]) if isinstance(v, FieldElement) and v.field.degree == 1
-         else v for _, v in window]
     try:
-        coeffs = solve(field, A, b)
+        num, den = solve_integer(*reconstruction_system(field, roots, ell,
+                                                        values[:needed]))
     except SingularError as exc:
         raise SingularSystem("reconstruction system is singular "
                              "(resonance or bad window)") from exc
+    coeffs = field_vector(field, num, den)
     terms = {key: c for key, c in zip(basis, coeffs) if not c.is_zero()}
     p = CoverPolynomial(field, ell, list(roots), terms)
     for n, v in values[needed:]:

@@ -89,13 +89,21 @@ from math import comb, gcd, lcm
 from operator import add, mul, truediv
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import (CrossCheckError, ParseError, PoleOnTorus, ResonantRoot,
-                     RootOfUnityPole, SingularError, check_cover_order)
+from .errors import (CrossCheckError, MathDomainError, ParseError, PoleOnTorus,
+                     ResonantRoot, RootOfUnityPole, SingularError,
+                     check_cover_order)
 from .laurent import LaurentMatrix, LaurentPolynomial, RationalFunction, partial_fractions
 from .linalg import integer_system, solve_consistent, solve_integer, transpose
 from .numberfield import (QQ, FieldElement, NumberField, bareiss, poly_divmod,
                           poly_invmod, poly_mulmod, poly_series, poly_t_power_mod,
                           poly_trim)
+
+#: Largest span of the exponents of t (highest minus lowest) over the
+#: numerators and the denominator of a `ResidueForm`.  The form works on dense
+#: coefficient lists over that span and, for a denominator Q, a
+#: deg Q x deg Q integer solve, so a span of 10^9 exhausts memory before
+#: anything else fails; 4096 is far above every knot and sample integrand.
+MAX_EXPONENT_SPAN = 4096
 
 # ---------------------------------------------------------------------------
 # Images in F[t]/(t^n - 1) and sums by residues in F[t]/(Q), elements as
@@ -372,6 +380,14 @@ class ResidueForm:
             raise ZeroDivisionError("zero denominator")
         self.numerators = list(numerators)
         self.den = den
+        # the frame spans every exponent; bound it before any list is built
+        frame = [den] + [p for p in self.numerators if not p.is_zero()]
+        low = min(p.min_exp() for p in frame)
+        high = max(p.max_exp() for p in frame)
+        if high - low > MAX_EXPONENT_SPAN:
+            raise MathDomainError(f"integrand exponents of t run from {low} to "
+                                  f"{high}, a span of {high - low} above the "
+                                  f"bound of {MAX_EXPONENT_SPAN}")
         field = self.field = den.field
         zero = field.zero()
         dpoly, dshift = den.as_poly_coeffs()

@@ -18,10 +18,11 @@ from .diagrams import FeynmanDiagram, connected_multigraphs, enumerate_flows, \
 from .errors import RootOfUnityPole
 from .knots import FIELD_SQRT21, fixture
 from .laurent import LaurentPolynomial, RationalFunction
-from .linalg import mat_mul, solve, solve_gauss_jordan
+from .linalg import (field_vector, mat_mul, solve, solve_gauss_jordan,
+                     solve_integer)
 from .numberfield import QQ
 from .powersum import (CoverPolynomial, quad_to_delta_form, reconstruct_p,
-                       reconstruction_matrix)
+                       reconstruction_matrix, reconstruction_system)
 from .rootsum import (TorusSumSpec, av_exact, av_trace, cyclic_resultant,
                       delta_basis_inverse, delta_power_sums, delta_sum_value,
                       fit_rational_shape, pole_sum_closed, torus_sum_oracle)
@@ -208,12 +209,16 @@ def suite_identities(seed: int = 0, prec: int = 50) -> List[Result]:
                                (FIELD_SQRT21, [[Fraction(3, 2), Fraction(1, 2)]], 3)):
         roots = [field.element(c) for c in coords]
         size = len(CoverPolynomial.basis(len(roots), ell))
-        A = reconstruction_matrix(field, roots, ell, range(1, size + 1))
+        ns = range(1, size + 1)
+        A = reconstruction_matrix(field, roots, ell, ns)
         b = [field.element([Fraction(rng.randint(-99, 99), rng.randint(1, 9))
                             for _ in range(field.degree)]) for _ in A]
-        if solve(field, A, b) != solve_gauss_jordan(field, A, b):
+        direct = field_vector(field, *solve_integer(
+            *reconstruction_system(field, roots, ell, list(zip(ns, b)))))
+        if not solve(field, A, b) == direct == solve_gauss_jordan(field, A, b):
             ok = False
-    results.append(("p-adic solve matches Gauss-Jordan", ok, repro))
+    results.append(("reconstruction: direct integer system and p-adic solve "
+                    "match Gauss-Jordan", ok, repro))
     return results
 
 

@@ -5,18 +5,19 @@ from math import comb
 
 import pytest
 
+from looptool import linalg, powersum
 from looptool.errors import (HoldoutMismatchError, ParseError, RecursionMismatch,
                              SingularSystem, UnitCircleRoot)
 from looptool.knots import FIELD_52, FIELD_SQRT21, fixture
 from looptool.laurent import LaurentPolynomial, RationalFunction
-from looptool.linalg import solve, solve_gauss_jordan
-from looptool.numberfield import QQ
+from looptool.linalg import field_vector, solve, solve_gauss_jordan, solve_integer
+from looptool.numberfield import QQ, NumberField
 from looptool.powersum import (CoverPolynomial, GeneralizedPowerSum,
                                asymptotic_fit_check, check_recurrence,
                                gps_to_series, leading_asymptotic,
                                quad_to_delta_form, reconstruct_p,
-                               reconstruction_matrix, series_coefficients,
-                               series_from_values)
+                               reconstruction_matrix, reconstruction_system,
+                               series_coefficients, series_from_values)
 from looptool.rootsum import ResidueForm
 
 LP = LaurentPolynomial
@@ -161,19 +162,115 @@ def test_singular_window_detected():
                       [QQ.element(1)], 2, 1)
 
 
-#: Two non-resonant roots per field, neither the inverse of the other.
+#: xi^2 = 1/2: a monic field whose integer rows need a scale (_scale = 2),
+#: so the integer systems carry its lift factors.
+FIELD_HALF = NumberField([Fraction(-1, 2), 0, 1])
+
+#: Three non-resonant roots per field, none the inverse of another.
 RECONSTRUCTION_ROOTS = {
-    "QQ": (QQ, [[Fraction(3, 2)], [-3]]),
+    "QQ": (QQ, [[Fraction(3, 2)], [-3], [Fraction(5, 7)]]),
     "sqrt21": (FIELD_SQRT21, [[Fraction(3, 2), Fraction(1, 2)],
-                              [Fraction(-3, 2), Fraction(1, 2)]]),
-    "FIELD_52": (FIELD_52, [[1, 1], [2, 0, 1]]),
+                              [Fraction(-3, 2), Fraction(1, 2)], [2, Fraction(1, 3)]]),
+    "FIELD_52": (FIELD_52, [[1, 1], [2, 0, 1], [0, 1, 1]]),
+    "half": (FIELD_HALF, [[1, 1], [-3, Fraction(1, 2)], [Fraction(1, 3), 2]]),
 }
 
 
-def _both_solves(field, roots, ell, window):
+def _three_routes(field, roots, ell, window):
+    """The reconstruction solve of the window by the integer system written
+    directly, by `solve` on the field-element matrix and by Gauss-Jordan."""
+    direct = field_vector(field, *solve_integer(
+        *reconstruction_system(field, roots, ell, window)))
     A = reconstruction_matrix(field, roots, ell, [n for n, _ in window])
-    b = [v for _, v in window]
-    return solve(field, A, b), solve_gauss_jordan(field, A, b)
+    b = [field.zero() + v for _, v in window]
+    return direct, solve(field, A, b), solve_gauss_jordan(field, A, b)
+
+
+def _planted(rng, field, roots, ell, bits=8):
+    basis = CoverPolynomial.basis(len(roots), ell)
+    terms = {key: field.element([Fraction(rng.getrandbits(bits) - (1 << (bits - 1)),
+                                          rng.getrandbits(bits) | 1)
+                                 for _ in range(field.degree)])
+             for key in basis}
+    return CoverPolynomial(field, ell, roots, terms), [terms[key] for key in basis]
+
+
+@pytest.mark.parametrize("name", ["QQ", "sqrt21", "FIELD_52"])
+def test_evaluate_matches_the_ungrouped_sum(name, rng):
+    """`evaluate` groups its terms by alpha; the value is the plain sum of
+    c n^beta prod_j x_j^alpha_j over the terms."""
+    field, coords = RECONSTRUCTION_ROOTS[name]
+    roots = [field.element(c) for c in coords]
+    for r, ell in ((1, 3), (2, 3), (3, 2), (1, 5)):
+        planted, _ = _planted(rng, field, roots[:r], ell)
+        sparse = CoverPolynomial(field, ell, roots[:r], {
+            key: c for key, c in planted.terms.items() if rng.random() < 0.6})
+        for p in (planted, sparse):
+            for n in (1, 2, 7, 12):
+                xs = [(field.one() - lam ** n).inverse() for lam in roots[:r]]
+                expect = field.zero()
+                for (alpha, beta), c in p.terms.items():
+                    term = c * n ** beta
+                    for x, a in zip(xs, alpha):
+                        term = term * x ** a
+                    expect = expect + term
+                assert p.evaluate(n) == expect
+
+
+@pytest.mark.parametrize("name", sorted(RECONSTRUCTION_ROOTS))
+def test_reconstruction_routes_agree_on_planted_windows(name, rng):
+    """Zero tolerance: on seeded planted systems with non-consecutive windows
+    the three routes return the planted coefficients exactly."""
+    field, coords = RECONSTRUCTION_ROOTS[name]
+    roots = [field.element(c) for c in coords]
+    shapes = [(1, 2), (1, 3), (1, 4), (2, 2), (3, 2)] + [(1, 5)] * (field is QQ)
+    for r, ell in shapes:
+        planted, coeffs = _planted(rng, field, roots[:r], ell)
+        ns = sorted(rng.sample(range(1, 2 * len(coeffs) + 4), len(coeffs)))
+        window = [(n, planted.evaluate(n)) for n in ns]
+        direct, fast, oracle = _three_routes(field, roots[:r], ell, window)
+        assert direct == fast == oracle == coeffs, (r, ell, ns)
+
+
+@pytest.mark.parametrize("name", ["sqrt21", "FIELD_52", "half"])
+def test_reconstruction_routes_agree_on_rational_values(name, rng):
+    """Values in Q given for a larger field are coerced as `reconstruct_p`
+    coerces them."""
+    field, coords = RECONSTRUCTION_ROOTS[name]
+    roots = [field.element(c) for c in coords]
+    for r, ell in ((1, 3), (2, 2)):
+        size = len(CoverPolynomial.basis(r, ell))
+        ns = sorted(rng.sample(range(2, 3 * size), size))
+        window = [(n, QQ.element(Fraction(rng.randint(-99, 99), rng.randint(1, 9))))
+                  for n in ns]
+        direct, fast, oracle = _three_routes(field, roots[:r], ell, window)
+        assert direct == fast == oracle
+        planted = CoverPolynomial(field, ell, roots[:r], dict(zip(
+            CoverPolynomial.basis(r, ell), direct)))
+        assert all(planted.evaluate(n) == v for n, v in window)
+
+
+def test_reconstruct_p_builds_no_field_element_matrix(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the field-element route ran")
+
+    monkeypatch.setattr(powersum, "reconstruction_matrix", forbidden)
+    monkeypatch.setattr(linalg, "integer_system", forbidden)
+    fx = fixture("4_1")
+    values = [(n, fx.phi_average(3, n).value) for n in range(1, 14)]
+    p = reconstruct_p(values, [fx.lam], 3, 1)
+    assert all(p.evaluate(n) == fx.phi_average(3, n).value for n in (20, 31))
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_resonant_window_is_singular(ell):
+    # lam = -1 gives x = 1/2 at every odd n, so on a window of odd n the
+    # columns of every alpha are proportional
+    size = len(CoverPolynomial.basis(1, ell))
+    values = [(n, QQ.element(n)) for n in range(1, 2 * size + 1, 2)]
+    for field in (QQ, FIELD_SQRT21):
+        with pytest.raises(SingularSystem):
+            reconstruct_p(values, [field.element(-1)], ell, 1)
 
 
 @pytest.mark.parametrize("name", sorted(RECONSTRUCTION_ROOTS))
@@ -181,23 +278,18 @@ def test_reconstruction_solve_matches_gauss_jordan(name, rng):
     field, coords = RECONSTRUCTION_ROOTS[name]
     roots = [field.element(c) for c in coords]
     for r, ell, bits in ((1, 3, 8), (2, 2, 8), (1, 3, 300)):
-        basis = CoverPolynomial.basis(r, ell)
-        terms = {key: field.element([Fraction(rng.getrandbits(bits) - (1 << (bits - 1)),
-                                              rng.getrandbits(bits) | 1)
-                                     for _ in range(field.degree)])
-                 for key in basis}
-        planted = CoverPolynomial(field, ell, roots[:r], terms)
-        values = [(n, planted.evaluate(n)) for n in range(1, len(basis) + 3)]
-        fast, oracle = _both_solves(field, roots[:r], ell, values[:len(basis)])
-        assert fast == oracle == [terms[key] for key in basis]
+        planted, coeffs = _planted(rng, field, roots[:r], ell, bits)
+        values = [(n, planted.evaluate(n)) for n in range(1, len(coeffs) + 3)]
+        direct, fast, oracle = _three_routes(field, roots[:r], ell, values[:len(coeffs)])
+        assert direct == fast == oracle == coeffs
         assert reconstruct_p(values, roots[:r], ell, r) == planted
 
 
 def test_41_ell3_solve_matches_gauss_jordan():
     fx = fixture("4_1")
     values = [(n, fx.phi_average(3, n).value) for n in range(1, 11)]
-    fast, oracle = _both_solves(fx.lam.field, [fx.lam], 3, values)
-    assert fast == oracle
+    direct, fast, oracle = _three_routes(fx.lam.field, [fx.lam], 3, values)
+    assert direct == fast == oracle
 
 
 def test_reciprocal_pair_window_is_singular():

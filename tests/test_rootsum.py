@@ -1,6 +1,7 @@
 """Exact summation over roots of unity and the torus-sum oracle."""
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import mpmath
 import pytest
 
 from conftest import random_element
-from looptool.errors import PoleOnTorus, ResonantRoot, RootOfUnityPole
+from looptool.errors import MathDomainError, PoleOnTorus, ResonantRoot, RootOfUnityPole
 from looptool import rootsum
 from looptool.knots import FIELD_52, fixture
 from looptool.laurent import LaurentMatrix, LaurentPolynomial, RationalFunction
@@ -356,6 +357,28 @@ def test_residue_form_edge_cases():
         av_exact(ResidueForm([big], den), 0)
     with pytest.raises(ZeroDivisionError):
         ResidueForm([big], LP.zero(QQ))
+
+
+@pytest.mark.parametrize("numerators, den, low, high", [
+    ([LP(QQ, {10 ** 9: 1})], LP(QQ, {0: 1, 1: -3}), 0, 10 ** 9),
+    ([LP(QQ, {0: 1})], LP(QQ, {10 ** 9: 1, 10 ** 9 + 1: -3}), 0, 10 ** 9 + 1),
+    ([LP.zero(QQ), LP(QQ, {-3: 1, 4094: 2})], LP.one(QQ), -3, 4094),
+])
+def test_residue_form_bounds_its_frame(numerators, den, low, high):
+    # dense lists over 10^9 exponents would exhaust memory: the span is
+    # checked from the exponents before any list is built
+    start = time.perf_counter()
+    with pytest.raises(MathDomainError) as exc:
+        ResidueForm(numerators, den)
+    assert time.perf_counter() - start < 0.5
+    assert (f"from {low} to {high}, a span of {high - low} above the bound of "
+            f"{rootsum.MAX_EXPONENT_SPAN}") in str(exc.value)
+
+
+def test_residue_form_at_the_span_bound():
+    # span 4096 is allowed, and t^4096 sums to n exactly when n | 4096
+    form = ResidueForm([LP(QQ, {4096: 1})], LP.one(QQ))
+    assert [av_exact(form, n) for n in (2, 3, 4096)] == [2, 0, 4096]
 
 
 @pytest.mark.parametrize("field", [QQ, FIELD_52], ids=["QQ", "cubic"])
