@@ -191,32 +191,15 @@ def solve_gauss_jordan(field: NumberField, A, b):
     return [row[n] for row in aug]
 
 
-def _in_field(x, field: NumberField) -> FieldElement:
-    if isinstance(x, FieldElement) and (x.field is field or x.field == field):
-        return x
-    return field.zero() + x
-
-
 def integer_system(field: NumberField, A, b):
     """A x = b as a (d n) x (d n) system over Z: each field equation becomes
-    d rational ones through the regular representation, and each rational
-    equation is scaled to coprime integers.  Unknown k*d + j is coordinate j
-    of x_k."""
-    d = field.degree
-    lift = field._scale ** (d - 1)
+    d rational ones through the regular representation
+    (`NumberField.integer_rows`), and each rational equation is scaled to
+    coprime integers.  Unknown k*d + j is coordinate j of x_k."""
     M, rhs = [], []
-    for row, rhs_i in zip(A, b):
-        row = [_in_field(a, field) for a in row]
-        target = _in_field(rhs_i, field)
-        den = lcm(target.den, *(a.den for a in row))
-        cols = []
-        for a in row:
-            cols.extend(field._int_columns(a.num, den // a.den))
-        top = den // target.den * lift
-        common = den * lift
-        for c in range(d):
-            eq = [col[c] for col in cols]
-            eq.append(target.num[c] * top)
+    for row, target in zip(A, b):
+        rows, common = field.integer_rows(row, target)
+        for eq in rows:
             g = gcd(common, *eq)
             if g > 1:
                 eq = [v // g for v in eq]

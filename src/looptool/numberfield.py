@@ -13,7 +13,9 @@ non-integral coefficients), then one content gcd.  That integer product
 (`NumberField._mul_numerators`) also serves callers that keep many
 numerators over one denominator of their own.  An inverse is one run of
 `bareiss`, the package's one fraction-free elimination (forward, then back
-substitution), on the integer matrix of multiplication.  The Fraction
+substitution), on the integer matrix of multiplication.  The same matrices,
+side by side over one denominator (`NumberField.integer_rows`), are the one
+encoding over Z of every system over the field.  The Fraction
 coordinates (`coords`) are built on first use.  All values are immutable;
 arithmetic returns new objects, so elements are safe to share across
 threads.
@@ -459,16 +461,33 @@ class NumberField:
             out.append(col)
         return out
 
-    def _int_columns(self, num, f: int) -> list:
-        """Column j of `_mult_columns(num)` times f _scale^(d-1-j): the
-        matrix of multiplication by the element num / den with every entry
-        over the one denominator den _scale^(d-1) / f."""
-        cols = self._mult_columns(num)
-        if self._scale == 1:
-            return cols if f == 1 else [[v * f for v in col] for col in cols]
-        d = self.degree
-        return [[v * (f * self._scale ** (d - 1 - j)) for v in col]
-                for j, col in enumerate(cols)]
+    def integer_rows(self, elements, target=None) -> tuple:
+        """(rows, den): the d integer rows of the block row
+        [M(e_1) | ... | M(e_k)] over one positive denominator den, with the
+        coordinate column of `target` last when one is given.  M(e) is the
+        matrix of multiplication by e in the power basis (column j holds the
+        coordinates of e xi^j).  Elements may be ints, Fractions or elements
+        of Q."""
+        zero, k = self._zero, len(elements)
+        items = [e if e.__class__ is FieldElement and e.field is self else zero + e
+                 for e in (elements if target is None else [*elements, target])]
+        den = lcm(*(e.den for e in items))
+        # column j of _mult_columns is over _scale^j; lift it to _scale^(d-1)
+        d, scale = self.degree, self._scale
+        lifts = [scale ** (d - 1 - j) for j in range(d)]
+        columns = []
+        for e in items[:k]:
+            f = den // e.den
+            cols = self._mult_columns(e.num)
+            if scale == 1:
+                columns.extend(cols if f == 1 else [[v * f for v in col] for col in cols])
+            else:
+                columns.extend([v * (f * lift) for v in col] for col, lift in zip(cols, lifts))
+        if target is not None:
+            top = den // items[k].den * lifts[0]
+            columns.append([v * top for v in items[k].num])
+        rows = [list(row) for row in zip(*columns)] if columns else [[] for _ in range(d)]
+        return rows, den * lifts[0]
 
     def _mul_numerators(self, x, y) -> list:
         """Numerators over _scale of the product of the elements with

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath
@@ -301,34 +301,27 @@ def reconstruction_system(field: NumberField, roots: Sequence[FieldElement],
     """The square system of `reconstruction_matrix` at the window's n with
     the window's values on the right, written over Z as
     `linalg.solve_integer` takes it (unknown k*d + j is coordinate j of
-    basis coefficient k).  Each n gives d integer equations over one row
-    denominator L = lcm(value den, monomial dens); the integer
-    multiplication matrix of each monomial x^alpha over L is built once and
+    basis coefficient k).  Each n gives the d rows of
+    `NumberField.integer_rows` of the monomials x^alpha with the value as
+    target: the multiplication matrix of each monomial is built once and
     times n^beta serves every beta, and each equation is made primitive."""
     basis = CoverPolynomial.basis(len(roots), ell)
     alphas = sorted({alpha for alpha, _ in basis})
     one = field.one()
-    lift = field._scale ** (field.degree - 1)
     M, rhs = [], []
     for n, value in window:
-        if not (isinstance(value, FieldElement) and value.field is field):
-            value = field.zero() + value
         tables = _x_power_tables(field, roots, n, 2 * ell - 2)
         monomials = [_monomial(tables, alpha) for alpha in alphas]
-        monomials = [one if x is None else x for x in monomials]
-        den = lcm(value.den, *(x.den for x in monomials))
-        # row c of the columns of every alpha, in basis order
-        rows = zip(*[col for x in monomials
-                     for col in field._int_columns(x.num, den // x.den)])
+        # row c of the columns of every alpha, in basis order, the value last
+        rows, _ = field.integer_rows([one if x is None else x for x in monomials], value)
         powers = [n ** beta for beta in range(1, ell)]
-        top = den // value.den * lift
-        for row, v in zip(rows, value.num):
+        for row in rows:
+            v = row.pop()
             eq = [a * p for p in powers for a in row]
-            eq.append(v * top)
-            g = gcd(*eq)
+            g = gcd(v, *eq)
             if g > 1:
-                eq = [a // g for a in eq]
-            rhs.append(eq.pop())
+                eq, v = [a // g for a in eq], v // g
+            rhs.append(v)
             M.append(eq)
     return M, rhs
 

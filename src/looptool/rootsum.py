@@ -17,8 +17,8 @@ r t^j / Q, so the expansion of P/Q there holds w_j at t^(-1-j) below the
 quotient q at t^0 and up.  A `ResidueForm` holds numerators P_0, P_1, ...
 over one Q and stands for sum_i P_i n^(-i) / Q; it expands each P_i/Q at
 infinity once, as one power series (`numberfield.poly_series`) of the
-reversed polynomials, and keeps q_i and w_i, scaled to integers.  Its sum
-at n is then
+reversed polynomials, and keeps q_i and w_i, the latter as the integer
+rows of `NumberField.integer_rows`.  Its sum at n is then
 
     n sum_i n^(-i) (sum_{k = 0 mod n} q_(i,k) - w_i.x),
 
@@ -26,16 +26,15 @@ and a row costs t^(n-1) mod Q, the matrix M_u, one solve and one dot product
 per numerator.  x solves M_u x = t^(n-1) mod Q, where M_u, with columns
 u t^j mod Q, is multiplication by u = t^n - 1 in F[t]/(Q) (von zur Gathen and
 Gerhard, Modern Computer Algebra, ch. 4-5); `linalg.solve_integer` solves it
-by p-adic lifting with an exact check.  When Q is over Q and Q / lc(Q) is
-integral, t^(n-1) and M_u are built over Z and go to it as they are;
-otherwise `linalg.integer_system` writes them over Z first.  M_u is singular
-exactly when Q vanishes at an n-th root of unity.  The numerators share one
-frame: when some P_i reaches below the lowest power of t in Q, that power
-of t moves into Q; t^n - 1 stays a unit modulo a power of t.  `av_exact`
-takes a form, or a `RationalFunction` or `LaurentPolynomial` as a form with
-one numerator.  `av_residue_euclid`, an oracle, keeps one numerator in its
-own frame, takes (t^n - 1)^(-1) mod Q from the extended Euclidean algorithm
-and multiplies out r x mod Q, in O(d^2 log n) field operations.
+with an exact check, by one fraction-free elimination (`numberfield.bareiss`)
+when d is at most `linalg.FRACTION_FREE_MAX` and by p-adic lifting
+otherwise.  When Q is over Q and Q / lc(Q) is integral, t^(n-1) and M_u are
+built over Z and go to it as they are; otherwise `linalg.integer_system`
+writes them over Z first.  M_u is singular exactly when Q vanishes at an
+n-th root of unity.  The numerators share one frame: when some P_i reaches
+below the lowest power of t in Q, that power of t moves into Q; t^n - 1
+stays a unit modulo a power of t.  `av_exact` takes a form, or a
+`RationalFunction` or `LaurentPolynomial` as a form with one numerator.
 
 `ResidueForm.from_table` builds the form of a phi-table sum_k c_k(n)
 delta^(-k), c_k(n) = sum_i c_(k,i) n^(-i): P_i = sum_k c_(k,i) delta^(kmax-k)
@@ -95,8 +94,7 @@ from .errors import (CrossCheckError, MathDomainError, ParseError, PoleOnTorus,
 from .laurent import LaurentMatrix, LaurentPolynomial, RationalFunction, partial_fractions
 from .linalg import integer_system, solve_consistent, solve_integer, transpose
 from .numberfield import (QQ, FieldElement, NumberField, bareiss, poly_divmod,
-                          poly_invmod, poly_mulmod, poly_series, poly_t_power_mod,
-                          poly_trim)
+                          poly_invmod, poly_series, poly_t_power_mod, poly_trim)
 
 #: Largest span of the exponents of t (highest minus lowest) over the
 #: numerators and the denominator of a `ResidueForm`.  The form works on dense
@@ -246,14 +244,16 @@ def _rational_inverse(q: List[FieldElement], n: int, where: str) -> Tuple[List[i
 
 
 def _norm(q: List[FieldElement], field: NumberField):
-    """N(Q) in Q[t], over Q, and the cofactor N(Q) / Q over the field
-    for Q = sum q_k t^k: N(Q) is the determinant over Q[t] of multiplication
-    by Q on F[t], and a root of unity is a root of N(Q) exactly when it is
-    one of Q."""
-    basis = [field.element([0] * j + [1]) for j in range(field.degree)]
-    columns = [[(c * b).coords for c in q] for b in basis]
-    det = LaurentMatrix(QQ, [[LaurentPolynomial(QQ, dict(enumerate(c[i] for c in col)))
-                              for col in columns] for i in range(field.degree)]).det()
+    """c N(Q) in Q[t], over Q, for a constant c > 0, and the cofactor
+    c N(Q) / Q over the field for Q = sum q_k t^k: N(Q) is the determinant
+    over Q[t] of multiplication by Q on F[t], and a root of unity is a root
+    of N(Q) exactly when it is one of Q.  The matrix is that of
+    `NumberField.integer_rows(q)`, entry (i, j) = sum_k row_i[k d + j] t^k,
+    so c = den^d for its denominator den."""
+    d = field.degree
+    rows = field.integer_rows(q)[0]
+    det = LaurentMatrix(QQ, [[LaurentPolynomial(QQ, dict(enumerate(row[j::d])))
+                              for j in range(d)] for row in rows]).det()
     norm = det.as_poly_coeffs()[0]
     cofactor = poly_divmod([field.zero() + c for c in norm], q, field.zero(),
                            field.one())[0]
@@ -398,7 +398,6 @@ class ResidueForm:
         monic = [zero] * lift + [c * lc_inv for c in dpoly]
         d = self._d = len(monic) - 1
         reversed_monic = poly_trim(monic[::-1])
-        basis = [field.element([0] * k + [1]) for k in range(field.degree)]
         self._terms = []
         for i, p in enumerate(self.numerators):
             if p.is_zero():
@@ -414,18 +413,10 @@ class ResidueForm:
             quo = series[:split][::-1]
             # w as the matrix of x -> w.x on the coordinates of x: column
             # j*deg + k holds those of w_j xi^k
-            columns = []
-            for e in series[split:]:
-                w = e * lc_inv
-                columns.extend((w * b).coords for b in basis)
-            scale = lcm(*(q.denominator for col in columns for q in col))
-            weights = [[col[c].numerator * (scale // col[c].denominator)
-                        for col in columns] for c in range(field.degree)]
+            weights, scale = field.integer_rows([e * lc_inv for e in series[split:]])
             self._terms.append((i, [c * lc_inv for c in quo], weights, scale))
-        self._integral = (field.degree == 1
-                          and all(c.coords[0].denominator == 1 for c in monic))
-        self._modulus = ([c.coords[0].numerator for c in monic] if self._integral
-                         else monic)
+        self._integral = field.degree == 1 and all(c.den == 1 for c in monic)
+        self._modulus = [c.num[0] for c in monic] if self._integral else monic
 
     @classmethod
     def from_table(cls, delta: LaurentPolynomial, table) -> "ResidueForm":
@@ -506,40 +497,6 @@ def av_exact(f: ResidueForm | RationalFunction | LaurentPolynomial,
     elif isinstance(f, RationalFunction):
         f = ResidueForm([f.num], f.den)
     return f.root_sum(n)
-
-
-def av_residue_euclid(f: RationalFunction | LaurentPolynomial, n: int) -> FieldElement:
-    """The residue route for one numerator in its own frame, with
-    (t^n - 1)^(-1) mod Q from the extended Euclidean algorithm and the full
-    product r x mod Q: the oracle for av_exact."""
-    check_cover_order(n)
-    if isinstance(f, LaurentPolynomial):
-        f = RationalFunction.from_poly(f)
-    zero, one = f.field.zero(), f.field.one()
-    num, num_shift = f.num.as_poly_coeffs()
-    den, den_shift = f.den.as_poly_coeffs()
-    shift = num_shift - den_shift
-    if shift < 0:
-        den = [zero] * -shift + den
-    else:
-        num = [zero] * shift + num
-    quo, rem = poly_divmod(num, den, zero, one)
-    total = zero
-    for k in range(0, len(quo), n):
-        total = total + quo[k]
-    d = len(den) - 1
-    if d:
-        u = poly_t_power_mod(n, den, zero, one) or [zero]
-        u[0] = u[0] - one
-        inv = poly_invmod(u, den, zero, one)
-        if inv is None:
-            raise RootOfUnityPole(
-                f"denominator vanishes at an {n}-th root of unity")
-        x = poly_mulmod(poly_t_power_mod(n - 1, den, zero, one), inv, den, zero, one)
-        residue = poly_mulmod(rem, x, den, zero, one)
-        if len(residue) == d:
-            total = total - residue[d - 1] * den[d].inverse()
-    return total * n
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,13 @@ def field_cubic():
     return NumberField([-1, -1, 0, 1], root_index=0)
 
 
+@pytest.fixture(scope="session")
+def field_nonintegral():
+    # xi^2 = 3/4: a minimal polynomial that is not integral (_scale = 4), so
+    # integer rows of field elements carry lift factors
+    return NumberField([Fraction(-3, 4), 0, 1])
+
+
 def random_element(rng, field, lo=-9, hi=9, den=7):
     return field.element([Fraction(rng.randint(lo, hi), rng.randint(1, den))
                           for _ in range(field.degree)])

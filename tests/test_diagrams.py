@@ -19,8 +19,8 @@ from looptool.laurent import LaurentMatrix, LaurentPolynomial, RationalFunction
 from looptool.numberfield import QQ
 from looptool.nzdata import PeripheralRows, TwistedNZData
 from looptool.rootsum import (CyclicMatrixImage, ResidueForm, TorusSumSpec, av_exact,
-                              av_residue_euclid, av_trace, cyclic_resultant,
-                              ratfun_mod_cyclic, torus_sum_oracle)
+                              av_trace, cyclic_resultant, ratfun_mod_cyclic,
+                              torus_sum_oracle)
 from looptool.synth import (random_nz_data, random_symmetric_matrix,
                             random_symmetric_propagator, random_vertex_table)
 
@@ -201,7 +201,6 @@ def _cover_order_entry_points():
     spec = TorusSumSpec(1, (0,), ((1,),), (QQ.element(2),))
     return {
         "av_exact": lambda n: av_exact(f, n),
-        "av_residue_euclid": lambda n: av_residue_euclid(f, n),
         "av_trace": lambda n: av_trace(f, n),
         "cyclic_resultant": lambda n: cyclic_resultant(f.den, n),
         "torus_sum_oracle": lambda n: torus_sum_oracle(spec, n),
@@ -552,7 +551,7 @@ def _field_matrix(rng, field, N):
              for _ in range(N)] for _ in range(N)]
 
 
-@pytest.mark.parametrize("fixture", ["field_sqrt21", "field_cubic"])
+@pytest.mark.parametrize("fixture", ["field_sqrt21", "field_cubic", "field_nonintegral"])
 def test_cyclic_images_equal_ratfun_mod_cyclic_over_number_fields(request, fixture):
     from looptool.rootsum import CyclicMatrixImage
     field = request.getfixturevalue(fixture)

@@ -15,7 +15,7 @@ from looptool.knots import FIELD_52, fixture
 from looptool.laurent import LaurentMatrix, LaurentPolynomial, RationalFunction
 from looptool.numberfield import QQ, NumberField
 from looptool.rootsum import (ResidueForm, TorusSumSpec, _cyc_mul, av_exact,
-                              av_residue_euclid, av_trace, cyclic_resultant,
+                              av_trace, cyclic_resultant,
                               delta_basis_inverse, delta_power_sums, delta_sum_value,
                               fit_rational_shape, fold_mod_cyclic,
                               invert_mod_cyclic, pole_sum_closed,
@@ -155,14 +155,16 @@ def test_both_routes_raise_on_cyclotomic_factor():
                 assert av_exact(h, n) == av_trace(h, n)
 
 
-# -- the linear solve against M_u, with the Euclid and trace routes as oracles --
+# -- the linear solve against M_u, with the trace route (extended Euclid
+# against t^n - 1) as oracle --
 
-ROUTES = (av_exact, av_residue_euclid, av_trace)
+ROUTES = (av_exact, av_trace)
 
 
-@pytest.fixture(params=["QQ", "sqrt21", "FIELD_52"])
-def any_field(request, field_sqrt21):
-    return {"QQ": QQ, "sqrt21": field_sqrt21, "FIELD_52": FIELD_52}[request.param]
+@pytest.fixture(params=["QQ", "sqrt21", "FIELD_52", "nonintegral"])
+def any_field(request, field_sqrt21, field_nonintegral):
+    return {"QQ": QQ, "sqrt21": field_sqrt21, "FIELD_52": FIELD_52,
+            "nonintegral": field_nonintegral}[request.param]
 
 
 def test_solve_route_matches_euclid_and_trace(any_field):
@@ -180,7 +182,7 @@ def test_solve_route_matches_euclid_and_trace(any_field):
         f = RationalFunction(num, den, reduce=False)
         for n in (1, 2, 3, 4, 7, 12):
             outcomes = [_outcome(route, f, n) for route in ROUTES]
-            assert outcomes[0] == outcomes[1] == outcomes[2], (f, n)
+            assert outcomes[0] == outcomes[1], (f, n)
             compared += outcomes[0] != "pole"
     assert compared >= 12
 
@@ -190,9 +192,7 @@ def test_solve_route_on_a_hand_case():
     f = RationalFunction(LP(QQ, {-2: 1, 5: 3}), LP(QQ, {0: 1, 1: -2}) ** 2)
     assert av_exact(f, 1) == f.eval(QQ.one()) == 4
     for n in range(1, 9):
-        assert av_exact(f, n) == av_residue_euclid(f, n) == av_trace(f, n)
-    with pytest.raises(ValueError):
-        av_residue_euclid(f, 0)
+        assert av_exact(f, n) == av_trace(f, n)
 
 
 @pytest.mark.parametrize("den", [DELTA_41 ** 3 * 11, LP(QQ, {0: 1, 1: 3, 2: -1}) ** 3],
@@ -204,7 +204,7 @@ def test_solve_route_on_large_coefficients(den):
     f = RationalFunction(LP(QQ, {-3: 2, 1: -7, 6: 1}), den)
     for n in (40, 97):
         value = av_exact(f, n)
-        assert value == av_residue_euclid(f, n) == av_trace(f, n)
+        assert value == av_trace(f, n)
         assert value.coords[0].denominator.bit_length() > 100
 
 
@@ -222,9 +222,9 @@ def test_all_routes_raise_on_cyclotomic_factors(any_field):
             for n in range(1, 7):
                 outcomes = [_outcome(route, f, n) for route in ROUTES]
                 if n % order == 0:
-                    assert outcomes == ["pole"] * 3, (order, n)
+                    assert outcomes == ["pole"] * 2, (order, n)
                 else:
-                    assert outcomes[0] == outcomes[1] == outcomes[2], (order, n)
+                    assert outcomes[0] == outcomes[1], (order, n)
 
 
 def test_both_routes_reject_n_below_one():
@@ -240,7 +240,7 @@ def test_residue_route_41_tables_match_closed_form():
             assert fx.phi_average(ell, n) == fx.phi_closed(ell, n), (ell, n)
 
 
-# -- residue forms: the functional route against the integrand and Euclid --
+# -- residue forms: the functional route against the integrand and the trace --
 
 
 @pytest.mark.parametrize("name, ell", [("4_1", 2), ("4_1", 3), ("5_2", 2), ("5_2", 3)])
@@ -248,7 +248,7 @@ def test_residue_form_matches_integrand_and_euclid_on_knot_tables(name, ell):
     form = fixture(name).phi_form(ell)
     for n in range(1, 41):
         f = RationalFunction(form.numerator(n), form.den, reduce=False)
-        assert av_exact(form, n) == av_exact(f, n) == av_residue_euclid(f, n), n
+        assert av_exact(form, n) == av_exact(f, n) == av_trace(f, n), n
 
 
 def _reduced_integrand(delta, table, n):
@@ -297,19 +297,19 @@ def test_from_table_matches_the_reduced_integrand(any_field):
 
 def _form_outcomes(numerators, den, n):
     """The form's sum at n, the sum of its one-numerator integrand and the
-    Euclid route on each numerator, each a value or "pole"."""
+    trace route on each numerator in its own frame, each a value or "pole"."""
     field = den.field
     integrand = sum((p * Fraction(1, n ** i) for i, p in enumerate(numerators)),
                     LP.zero(field))
     try:
-        euclid = sum((av_residue_euclid(RationalFunction(p, den, reduce=False), n)
-                      * Fraction(1, n ** i) for i, p in enumerate(numerators)),
-                     field.zero())
+        trace = sum((av_trace(RationalFunction(p, den, reduce=False), n)
+                     * Fraction(1, n ** i) for i, p in enumerate(numerators)),
+                    field.zero())
     except RootOfUnityPole:
-        euclid = "pole"
+        trace = "pole"
     return (_outcome(av_exact, ResidueForm(numerators, den), n),
             _outcome(av_exact, RationalFunction(integrand, den, reduce=False), n),
-            euclid)
+            trace)
 
 
 @pytest.mark.parametrize("field, integral", [(QQ, True), (QQ, False), (FIELD_52, False)],

@@ -2,8 +2,10 @@
 contains no `assert` statement: runtime checks raise typed errors instead,
 since `python -O` strips asserts.  Modules of the package import each other
 at module level only.  Every name the benchmark harness in
-`bench/` and its tests take from the package still exists, and every
-module-level function and class of the package is named somewhere."""
+`bench/` and its tests take from the package still exists, every
+module-level function and class of the package is named somewhere, and
+every module-level import is used.  Only numberfield names the encoders
+behind `NumberField.integer_rows`."""
 
 import ast
 import glob
@@ -47,6 +49,41 @@ def test_no_function_level_package_imports(path):
                    for node in ast.walk(fn)
                    if isinstance(node, ast.ImportFrom) and node.level > 0})
     assert not lazy, f"function-level relative imports at lines {lazy}"
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SRC, "*.py"))),
+                         ids=os.path.basename)
+def test_no_unused_module_level_imports(path):
+    """Every name a module imports at module level is used in that module
+    (or listed in its __all__)."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    try:
+        used.update(_literal(tree, "__all__"))
+    except LookupError:
+        pass
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items()
+                    if name not in used)
+    assert not unused, f"unused imports: {unused}"
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(glob.glob(os.path.join(SRC, "*.py")))
+                                  if os.path.basename(p) != "numberfield.py"],
+                         ids=os.path.basename)
+def test_regular_representation_stays_in_numberfield(path):
+    """Only numberfield builds multiplication matrices from numerators; the
+    other modules take integer rows from `NumberField.integer_rows`."""
+    with open(path) as fh:
+        words = set(re.findall(r"\w+", fh.read()))
+    assert not words & {"_int_columns", "_mult_columns"}
 
 
 def _literal(tree, name):
