@@ -14,9 +14,10 @@ time).  This script times both routes on the same systems:
    (the solution has the size of the determinant, as in knot rows), and
    "planted", whose right-hand side is M x for integers |x| < 100 (a small
    solution, as in reconstruction; Dixon's lifting stops early there);
-2. the systems that 4_1 rows at loop 3 solve, n = 10 to 2000 (8 unknowns);
-3. the systems that 5_2 rows at loops 2 and 3 solve, n = 5 to 160 (12 and
-   24 unknowns over Z, from 4 and 8 over the cubic field);
+2. the systems that the residue route (`KnotFixture.phi_residue`) solves
+   for 4_1 rows at loop 3, n = 10 to 2000 (8 unknowns);
+3. the systems that it solves for 5_2 rows at loops 2 and 3, n = 5 to 160
+   (12 and 24 unknowns over Z, from 4 and 8 over the cubic field);
 4. seeded reconstruction systems over Q with planted small solutions (3 to
    30 unknowns), written over Z by `powersum.reconstruction_system` as
    `powersum.reconstruct_p` solves them.
@@ -55,7 +56,8 @@ def dense_system(seed: int, m: int, bits: int, planted: bool):
 
 
 def row_systems(knot: str, ell: int, ns):
-    """(n, M, rhs) of the integer system each row of `knot` solves."""
+    """(n, M, rhs) of the integer system each residue-route row of `knot`
+    solves."""
     captured = []
     solve_integer = rootsum.solve_integer
 
@@ -67,7 +69,7 @@ def row_systems(knot: str, ell: int, ns):
     rootsum.solve_integer = capture
     try:
         for n in ns:
-            fx.phi_average(ell, n)
+            fx.phi_residue(ell, n)
     finally:
         rootsum.solve_integer = solve_integer
     return [(n, M, rhs) for n, (M, rhs) in zip(ns, captured)]

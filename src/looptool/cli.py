@@ -205,7 +205,8 @@ def cmd_avg(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _knot_methods(fx: KnotFixture, mode: str, ell: int):
-    methods = {"average": lambda n: fx.phi_average(ell, n)}
+    methods = {"average": lambda n: fx.phi_average(ell, n),
+               "residue": lambda n: fx.phi_residue(ell, n)}
     if hasattr(fx, "phi_closed"):
         methods["closed"] = lambda n: fx.phi_closed(ell, n)
         methods["series"] = lambda n: fx.series_value(ell, n)

@@ -6,32 +6,37 @@ all arithmetic stays in real quadratic fields.  The 5_2 data lives in the
 cubic field of discriminant -23 generated by the complex root
 xi ~ -0.662 - 0.562i of xi^3 - xi - 1.
 
-Three independent routes to the same numbers exist for 4_1 (average over
-roots of unity, generalized-power-sum closed form, generating series), which
-is what the test suite leans on.
+The average route sums phi_ell^c(t, n) = sum_k c_k(n) delta^(-k) over the
+n-th roots of unity.  Both one-loop polynomials are palindromic quadratics
+delta = A(t + 1/t) + B, so that sum is the cover polynomial p(x, n) of the
+phi-table at x = 1/(1 - lam^n), lam a root of delta
+(`powersum.CoverPolynomial.from_table`).  lam lives in Q(sqrt 21) for 4_1
+and in the sextic field of `LAMBDA_52_SEXTIC` for 5_2.  A fixture builds p
+once per ell, on first use, and a row is lam^n, one inverse of 1 - lam^n,
+a Horner pass in x and the map back into delta's field by a fixed left
+inverse of its embedding (`numberfield.FieldEmbedding`), which checks
+membership exactly.
 
-The average route sums phi_ell^c(t, n) = (P_0 + P_1/n + P_2/n^2)/delta^kmax
-over the n-th roots of unity.  A fixture caches one `rootsum.ResidueForm`
-per ell, built on first use by `ResidueForm.from_table` from the phi-table:
-the polynomial parts and residue functionals of P_0, P_1, P_2 are prepared
-once, and a row is one solve and one dot product per numerator; no
-integrand is built per row.
-The generating-series route keeps a prefix of series coefficients that at
-least doubles when it grows.
+The residue route (`phi_residue`) sums the same table by residues: one
+`rootsum.ResidueForm` per ell, and a row is one deg Q x deg Q integer solve
+against M_u.  It is the average route's oracle, and `looptool knot --mode
+all` compares the two on every row.  4_1 has two more routes, a
+generalized-power-sum closed form and a generating series; the latter keeps
+a prefix of series coefficients that at least doubles when it grows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import mpmath
 
-from .errors import ParseError
+from .errors import CrossCheckError, ParseError, check_cover_order
 from .laurent import LaurentPolynomial, RationalFunction
-from .numberfield import FieldElement, NumberField, QQ, poly_divmod
-from .powersum import series_coefficients
+from .numberfield import FieldElement, FieldEmbedding, NumberField, QQ, poly_divmod
+from .powersum import CoverPolynomial, delta_embedding, series_coefficients
 from .rootsum import ResidueForm, av_exact
 
 #: Real quadratic field Q(sqrt 21); root_index 1 is the positive square root.
@@ -95,27 +100,43 @@ class KnotFixture:
     """One knot's exact data: delta, phi tables, closed forms, asymptotics.
 
     phi[ell] maps the delta-power k to the coefficient list [c0, c1, c2]
-    meaning c0 + c1/n + c2/n^2 multiplying delta(t)^(-k).
+    meaning c0 + c1/n + c2/n^2 multiplying delta(t)^(-k).  lam is a root of
+    delta, in a field that delta's field embeds into.
     """
 
     def __init__(self, name: str, field: NumberField,
                  delta: LaurentPolynomial,
                  phi: Dict[int, Dict[int, List[FieldElement]]],
-                 phi_units: Dict[int, bool]):
+                 phi_units: Dict[int, bool], lam: FieldElement):
         self.name = name
         self.field = field
         self.delta = delta
         self.phi = phi
         self.phi_units = phi_units
+        self.lam = lam
         self._forms: Dict[int, ResidueForm] = {}
+        self._covers: Dict[int, CoverPolynomial] = {}
+        self._embedding: Optional[FieldEmbedding] = None
+
+    def _check_ell(self, ell: int) -> None:
+        if ell not in self.phi:
+            raise ParseError(f"no phi table for ell = {ell}")
 
     def phi_form(self, ell: int) -> ResidueForm:
         """phi_ell^c as a residue form over delta^kmax, built once per ell."""
-        if ell not in self.phi:
-            raise ParseError(f"no phi table for ell = {ell}")
+        self._check_ell(ell)
         if ell not in self._forms:
             self._forms[ell] = ResidueForm.from_table(self.delta, self.phi[ell])
         return self._forms[ell]
+
+    def cover(self, ell: int) -> CoverPolynomial:
+        """The cover polynomial of phi_ell^c in x = 1/(1 - lam^n), over the
+        field of lam, built once per ell."""
+        self._check_ell(ell)
+        if ell not in self._covers:
+            self._covers[ell] = CoverPolynomial.from_table(self.delta, self.phi[ell],
+                                                           self.lam)
+        return self._covers[ell]
 
     def phi_rational_function(self, ell: int, n: int) -> RationalFunction:
         """phi_ell^c(t, n) for fixed n, over the fixture field, as the
@@ -124,9 +145,22 @@ class KnotFixture:
         return RationalFunction(form.numerator(n), form.den, reduce=False)
 
     def phi_average(self, ell: int, n: int) -> TaggedValue:
-        """Av_n(phi_ell^c(t, n)), exact."""
-        value = av_exact(self.phi_form(ell), n)
+        """Av_n(phi_ell^c(t, n)), exact: the cover polynomial at n, mapped
+        back into the fixture field."""
+        check_cover_order(n)
+        value = self.cover(ell).evaluate(n)
+        if self._embedding is None:
+            self._embedding = delta_embedding(self.delta, self.lam)
+        try:
+            value = self._embedding.restrict(value)
+        except CrossCheckError as exc:
+            raise CrossCheckError(f"{self.name} ell = {ell}, n = {n}: {exc}") from None
         return TaggedValue(value, self.phi_units.get(ell, False))
+
+    def phi_residue(self, ell: int, n: int) -> TaggedValue:
+        """Av_n(phi_ell^c(t, n)) by residues, one solve against M_u: the
+        oracle of `phi_average`."""
+        return TaggedValue(av_exact(self.phi_form(ell), n), self.phi_units.get(ell, False))
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +184,10 @@ class FigureEightFixture(KnotFixture):
     """4_1: everything lives in Q or Q(sqrt 21), 2-loop values carry sqrt(-3)."""
 
     def __init__(self):
-        super().__init__("4_1", QQ, _DELTA_41, _PHI_41, {2: True, 3: False})
         s21 = FIELD_SQRT21.generator()
+        super().__init__("4_1", QQ, _DELTA_41, _PHI_41, {2: True, 3: False},
+                         (5 + s21) / 2)
         self.sqrt21 = s21
-        self.lam = (5 + s21) / 2
         self.lam_inv = (5 - s21) / 2
         self.psi = {
             2: TaggedValue(FIELD_SQRT21.element(_q("55/1512")), True),
@@ -268,6 +302,10 @@ _PHI_52 = {
 #: Minimal polynomial over Q of the root lambda of delta_52 (degree 6).
 LAMBDA_52_SEXTIC = [8, -28, 270, -109, 270, -28, 8][::-1]
 
+#: Q(lambda) for LAMBDA_52_SEXTIC / 8; root_index 0 is the root inside the
+#: unit disk, lambda ~ 0.0502 - 0.1704i, the one `lambda_numeric` takes.
+FIELD_LAMBDA_52 = NumberField([Fraction(c, 8) for c in LAMBDA_52_SEXTIC], root_index=0)
+
 _PSI_52_NUM = {
     2: ([-16601383280, 239466164328, -30998500743, 51073175277,
          -2600093877, 384393303], 1160480993280),
@@ -282,7 +320,8 @@ class FiveTwoFixture(KnotFixture):
     """5_2: values in the cubic field; asymptotics via the degree-6 lambda."""
 
     def __init__(self):
-        super().__init__("5_2", FIELD_52, _DELTA_52, _PHI_52, {2: False, 3: False})
+        super().__init__("5_2", FIELD_52, _DELTA_52, _PHI_52, {2: False, 3: False},
+                         FIELD_LAMBDA_52.generator())
         self.lam_quadratic = (_DELTA_52_COEFF, _el52(-5, -2, 3))  # a t^2 + b t + a
 
     def lambda_sextic_residue(self) -> List[FieldElement]:

@@ -36,12 +36,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import gcd, lcm
-from operator import floordiv, mul
+from operator import floordiv, mul, truediv
 from typing import Iterable, Sequence
 
 import mpmath
 
-from .errors import ParseError, PrecisionUnreachable, ZeroInverse
+from .errors import CrossCheckError, ParseError, PrecisionUnreachable, ZeroInverse
 
 Rational = Fraction
 
@@ -768,6 +768,13 @@ class FieldElement:
     def __mul__(self, other):
         if other.__class__ is FieldElement and other.field is self.field:
             o = other
+        elif other.__class__ is int:
+            # the numerators have no factor in common with den, so only
+            # g = gcd(other, den) can cancel
+            g = gcd(other, self.den)
+            if g > 1:
+                other //= g
+            return _make(self.field, tuple([v * other for v in self.num]), self.den // g)
         else:
             o = self._coerce(other)
             if o is NotImplemented:
@@ -955,6 +962,80 @@ class FieldElement:
         if "coords" not in obj:
             raise ParseError("element needs 'coords'")
         return fld.element(obj["coords"])
+
+
+class FieldEmbedding:
+    """The embedding of the field F of `source` into the field K of `target`
+    that sends source to target, for a source that generates F.
+
+    The generator xi of F is a rational polynomial r in source, found by one
+    d x d solve (d = deg F); it maps to r(target), and F's minimal polynomial
+    must vanish there.  Both directions are integer matrices over one
+    denominator: `__call__` maps F into K, and `restrict`, a fixed left
+    inverse read off d independent coordinates of the image, maps K back
+    and re-embeds its answer as an exact membership check.  Construction
+    raises ParseError when no such embedding exists."""
+
+    def __init__(self, source: "FieldElement", target: "FieldElement"):
+        F, K = self.source, self.target = source.field, target.field
+        d = F.degree
+        if d == 1:
+            images = [K.one()]
+        elif F == K and source == target:
+            images = _powers(K.generator(), d)
+        else:
+            # xi = sum_i r_i source^i: solve for r on the coordinates
+            aug = [[p.coords[i] for p in _powers(source, d)] + [Fraction(int(i == 1))]
+                   for i in range(d)]
+            pivots, last, _ = bareiss(aug, d, truediv)
+            if len(pivots) < d:
+                raise ParseError(f"{source!r} does not generate its field")
+            xi = sum((p * (row[d] / last) for p, row in zip(_powers(target, d), aug)),
+                     K.zero())
+            images = _powers(xi, d + 1)
+            if sum((p * c for p, c in zip(images, F.minpoly)), K.zero()):
+                raise ParseError(f"no embedding of {F!r} sends {source!r} to "
+                                 f"{target!r}")
+            images.pop()
+        self._den = lcm(*(e.den for e in images))
+        # column m holds the numerators of xi^m over self._den
+        self._image = [list(row) for row in zip(*(
+            [v * (self._den // e.den) for v in e.num] for e in images))]
+        if self(source) != target:
+            raise ParseError(f"no embedding of {F!r} sends {source!r} to {target!r}")
+        # d independent rows of the image and the inverse of that block
+        rows = bareiss([list(col) for col in zip(*self._image)], K.degree, floordiv)[0]
+        aug = [self._image[p] + [int(i == j) for j in range(d)] for i, p in enumerate(rows)]
+        last = bareiss(aug, d, floordiv)[1]
+        self._rows = rows
+        self._left = [[v * self._den for v in row[d:]] for row in aug]
+        self._left_den = last
+
+    def __call__(self, x: "FieldElement") -> "FieldElement":
+        """The image of x in K."""
+        num = x.num
+        return FieldElement._from_integers(
+            self.target, [sum(map(mul, row, num)) for row in self._image],
+            self._den * x.den)
+
+    def restrict(self, y: "FieldElement") -> "FieldElement":
+        """The element x of F with image y; CrossCheckError when y does not
+        lie in the image of F."""
+        num = [y.num[p] for p in self._rows]
+        x = FieldElement._from_integers(
+            self.source, [sum(map(mul, row, num)) for row in self._left],
+            self._left_den * y.den)
+        if self(x) != y:
+            raise CrossCheckError(f"value does not lie in the image of {self.source!r}")
+        return x
+
+
+def _powers(x: "FieldElement", count: int) -> list:
+    """[1, x, ..., x^(count - 1)]."""
+    out = [x.field.one()]
+    for _ in range(count - 1):
+        out.append(out[-1] * x)
+    return out
 
 
 #: The rationals as a degree-1 field (minpoly xi, i.e. xi = 0).

@@ -10,7 +10,10 @@ canonical coefficient basis uses one variable per root pair (total degree
 at most 2*ell - 2, y-degree 1..ell-1), which has exactly
 (ell-1) * C(r + 2ell - 2, r) coefficients; inputs written in the redundant
 two-variables-per-pair form are folded through 1/(1 - lam^{-n}) =
-1 - 1/(1 - lam^n).
+1 - 1/(1 - lam^n).  For a palindromic quadratic delta with root lam,
+`CoverPolynomial.from_table` maps a phi-table sum_k c_k(n) delta^(-k) to the
+one-root-pair p of its sums over the roots of unity, and
+`quad_to_delta_form` maps p back.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 from math import comb, gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import mpmath
 
@@ -27,8 +30,9 @@ from .errors import (CrossCheckError, HoldoutMismatchError, ParseError,
                      SingularSystem, UnitCircleRoot)
 from .laurent import LaurentPolynomial, RationalFunction
 from .linalg import field_vector, solve_integer
-from .numberfield import FieldElement, NumberField, QQ, poly_series
-from .rootsum import ResidueForm, av_exact, delta_basis_inverse, one_minus_u_power
+from .numberfield import FieldElement, FieldEmbedding, NumberField, QQ, poly_series
+from .rootsum import (ResidueForm, av_exact, delta_basis_inverse, delta_power_sums,
+                      one_minus_u_power)
 
 
 class GeneralizedPowerSum:
@@ -178,15 +182,73 @@ class CoverPolynomial:
         alphas.sort()
         return [(alpha, beta) for beta in range(1, ell) for alpha in alphas]
 
+    @classmethod
+    def from_table(cls, delta: LaurentPolynomial, table,
+                   lam: FieldElement) -> "CoverPolynomial":
+        """The one-root-pair p with p(1/(1 - lam^n), n) the sum over the n-th
+        roots of unity of sum_k c_k(n) delta^(-k), the inverse of
+        `quad_to_delta_form`.
+
+        delta = A(t + 1/t) + B is a palindromic quadratic over a field F,
+        lam a root of it in a field K that F embeds into
+        (`delta_embedding`), and the table maps k >= 0 to
+        [c_(k,0), c_(k,1), ...] over F with c_k(n) = sum_j c_(k,j) n^(-j).
+        With x = 1/(1 - lam^n), row k of `rootsum.delta_power_sums` gives
+        sum delta^(-k) = A^(-k) sum_i alpha_(k,i)(n) x^i for k >= 1, and
+        delta^0 sums to n.  ell is the least that holds the result.  Raises
+        ParseError for a row k < 0 and when powers n^e with e <= 0 survive,
+        which puts p outside the canonical basis; ResonantRoot when
+        lam^2 = 1."""
+        if any(k < 0 for k in table):
+            raise ParseError("cover polynomials take delta-power rows k >= 0 only")
+        embed = delta_embedding(delta, lam)
+        field = lam.field
+        zero = field.zero()
+        a_inv = delta.coefficient(1).inverse()
+        alpha = delta_power_sums(lam, max(table, default=0))
+        n_itself = [LaurentPolynomial(field, {1: 1})]
+        acc: Dict[Tuple[int, int], FieldElement] = {}
+        for k, coeffs in table.items():
+            row = alpha[k] if k else n_itself
+            scale = a_inv ** k
+            for j, cj in enumerate(coeffs):
+                if cj.is_zero():
+                    continue
+                c = embed(cj * scale)
+                for i, poly in enumerate(row):
+                    for e, a in poly.coeffs.items():
+                        key = (i, e - j)
+                        acc[key] = acc[key] + c * a if key in acc else c * a
+        terms = {key: v for key, v in acc.items() if not v.is_zero()}
+        bad = sorted(key for key in terms if key[1] < 1)
+        if bad:
+            raise ParseError(f"powers n^e with e <= 0 survive at (x-degree, e) "
+                             f"= {bad}")
+        ell = max([2] + [e + 1 for _, e in terms] + [(i + 1) // 2 + 1 for i, _ in terms])
+        return cls(field, ell, [lam], {((i,), e): v for (i, e), v in terms.items()})
+
     def evaluate(self, n: int) -> FieldElement:
-        """p at x_j = 1/(1 - lam_j^n), y = n: for each alpha the sum over
-        beta of c_(alpha,beta) n^beta, times the monomial x^alpha once."""
-        tables = _x_power_tables(self.field, self.roots, n, 2 * self.ell - 2)
+        """p at x_j = 1/(1 - lam_j^n), y = n."""
+        return self._evaluate(n, next(_x_steps(self.field, self.roots, [n])))
+
+    def _evaluate(self, n: int, xs: Sequence[FieldElement]) -> FieldElement:
+        """p at the values xs of x_j for n: for each alpha the sum over beta
+        of c_(alpha,beta) n^beta, times the monomial x^alpha once, or by
+        Horner's rule in x when there is one root pair."""
         by_alpha: Dict[Tuple[int, ...], FieldElement] = {}
         for (alpha, beta), c in self.terms.items():
             v = c * n ** beta
             by_alpha[alpha] = by_alpha[alpha] + v if alpha in by_alpha else v
-        acc = self.field.zero()
+        zero = self.field.zero()
+        if self.r == 1:
+            x = xs[0]
+            top = max((a for a, in by_alpha), default=0)
+            acc = by_alpha.get((top,), zero)
+            for a in range(top - 1, -1, -1):
+                acc = acc * x + by_alpha.get((a,), zero)
+            return acc
+        tables = _x_power_tables(xs, 2 * self.ell - 2)
+        acc = zero
         for alpha, v in by_alpha.items():
             x = _monomial(tables, alpha)
             acc = acc + (v if x is None else v * x)
@@ -254,21 +316,47 @@ class CoverPolynomial:
             return cls.from_json(json.load(fh), field)
 
 
-def _x_power_tables(field: NumberField, roots: Sequence[FieldElement], n: int,
-                    top: int) -> List[List[FieldElement]]:
-    """[1, x, ..., x^top] for x = 1/(1 - lam^n) and each root lam."""
+def _x_steps(field: NumberField, roots: Sequence[FieldElement],
+             ns: Sequence[int]) -> Iterator[List[FieldElement]]:
+    """For each n of ns in turn, [x_j = 1/(1 - lam_j^n) for each root lam_j].
+    lam^n is one product by lam from the previous n when n follows it, and
+    binary powering otherwise."""
     one = field.one()
+    powers, last = None, None
+    for n in ns:
+        if last is not None and n == last + 1:
+            powers = [p * lam for p, lam in zip(powers, roots)]
+        else:
+            powers = [lam ** n for lam in roots]
+        last = n
+        xs = []
+        for p in powers:
+            diff = one - p
+            if diff.is_zero():
+                raise ResonantRoot(f"lam^{n} = 1 for a root")
+            xs.append(diff.inverse())
+        yield xs
+
+
+def _x_power_tables(xs: Sequence[FieldElement], top: int) -> List[List[FieldElement]]:
+    """[1, x, ..., x^top] for each x of xs."""
     tables = []
-    for lam in roots:
-        diff = one - lam ** n
-        if diff.is_zero():
-            raise ResonantRoot(f"lam^{n} = 1 for a root")
-        x = diff.inverse()
-        table = [one, x]
+    for x in xs:
+        table = [x.field.one(), x]
         for _ in range(top - 1):
             table.append(table[-1] * x)
         tables.append(table)
     return tables
+
+
+def delta_embedding(delta: LaurentPolynomial, lam: FieldElement) -> FieldEmbedding:
+    """The embedding of the field of delta = A(t + 1/t) + B into the field
+    of its root lam: -B/A = lam + 1/lam.  ParseError when delta is not a
+    palindromic quadratic or lam is not its root."""
+    A = delta.coefficient(1)
+    if set(delta.coeffs) - {-1, 0, 1} or A.is_zero() or delta.coefficient(-1) != A:
+        raise ParseError("delta must be a palindromic quadratic A(t + 1/t) + B")
+    return FieldEmbedding(-delta.coefficient(0) / A, lam + lam.inverse())
 
 
 def _monomial(tables: Sequence[Sequence[FieldElement]], alpha: Tuple[int, ...]):
@@ -287,8 +375,8 @@ def reconstruction_matrix(field: NumberField, roots: Sequence[FieldElement],
     basis = CoverPolynomial.basis(len(roots), ell)
     alphas = sorted({alpha for alpha, _ in basis})
     rows = []
-    for n in ns:
-        tables = _x_power_tables(field, roots, n, 2 * ell - 2)
+    for n, xs in zip(ns, _x_steps(field, roots, ns)):
+        tables = _x_power_tables(xs, 2 * ell - 2)
         monomials = {alpha: _monomial(tables, alpha) for alpha in alphas}
         n_powers = [field.element(n ** beta) for beta in range(ell)]
         rows.append([n_powers[beta] if monomials[alpha] is None
@@ -297,20 +385,25 @@ def reconstruction_matrix(field: NumberField, roots: Sequence[FieldElement],
 
 
 def reconstruction_system(field: NumberField, roots: Sequence[FieldElement],
-                          ell: int, window: Sequence[Tuple[int, FieldElement]]):
+                          ell: int, window: Sequence[Tuple[int, FieldElement]],
+                          steps: Optional[Iterator[List[FieldElement]]] = None):
     """The square system of `reconstruction_matrix` at the window's n with
     the window's values on the right, written over Z as
     `linalg.solve_integer` takes it (unknown k*d + j is coordinate j of
     basis coefficient k).  Each n gives the d rows of
     `NumberField.integer_rows` of the monomials x^alpha with the value as
     target: the multiplication matrix of each monomial is built once and
-    times n^beta serves every beta, and each equation is made primitive."""
+    times n^beta serves every beta, and each equation is made primitive.
+    `steps`, an iterator of `_x_steps` that starts at the window, lets a
+    caller go on stepping lam^n past it."""
     basis = CoverPolynomial.basis(len(roots), ell)
     alphas = sorted({alpha for alpha, _ in basis})
     one = field.one()
+    if steps is None:
+        steps = _x_steps(field, roots, [n for n, _ in window])
     M, rhs = [], []
-    for n, value in window:
-        tables = _x_power_tables(field, roots, n, 2 * ell - 2)
+    for (n, value), xs in zip(window, steps):
+        tables = _x_power_tables(xs, 2 * ell - 2)
         monomials = [_monomial(tables, alpha) for alpha in alphas]
         # row c of the columns of every alpha, in basis order, the value last
         rows, _ = field.integer_rows([one if x is None else x for x in monomials], value)
@@ -343,17 +436,19 @@ def reconstruct_p(values: Sequence[Tuple[int, FieldElement]],
                               f"says {needed}")
     if len(values) < needed:
         raise ParseError(f"need {needed} values, got {len(values)}")
+    # one stepping of lam^n serves the window and then the hold-outs
+    steps = _x_steps(field, roots, [n for n, _ in values])
     try:
         num, den = solve_integer(*reconstruction_system(field, roots, ell,
-                                                        values[:needed]))
+                                                        values[:needed], steps))
     except SingularError as exc:
         raise SingularSystem("reconstruction system is singular "
                              "(resonance or bad window)") from exc
     coeffs = field_vector(field, num, den)
     terms = {key: c for key, c in zip(basis, coeffs) if not c.is_zero()}
     p = CoverPolynomial(field, ell, list(roots), terms)
-    for n, v in values[needed:]:
-        got = p.evaluate(n)
+    for (n, v), xs in zip(values[needed:], steps):
+        got = p._evaluate(n, xs)
         if got != v:
             raise HoldoutMismatchError(
                 f"reconstruction fails at held-out n = {n}: recovered polynomial "

@@ -91,7 +91,7 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import (CrossCheckError, MathDomainError, ParseError, PoleOnTorus,
                      ResonantRoot, RootOfUnityPole, SingularError,
                      check_cover_order)
-from .laurent import LaurentMatrix, LaurentPolynomial, RationalFunction, partial_fractions
+from .laurent import LaurentMatrix, LaurentPolynomial, RationalFunction
 from .linalg import integer_system, solve_consistent, solve_integer, transpose
 from .numberfield import (QQ, FieldElement, NumberField, bareiss, poly_divmod,
                           poly_invmod, poly_series, poly_t_power_mod, poly_trim)
@@ -621,39 +621,47 @@ def delta_power_sums(lam: FieldElement, k: int) -> List[List[LaurentPolynomial]]
 def _delta_power_row(field: NumberField, coords: tuple,
                      j: int) -> Tuple[LaurentPolynomial, ...]:
     """Row j of `delta_power_sums` for lam with these coordinates, from the
-    exact partial fraction decomposition of delta^(-j) and the universal
-    pole-sum polynomials; the basis 1/(1 - lam^{-n})^i is rewritten through
-    1/(1 - lam^{-n}) = 1 - 1/(1 - lam^n).  Keyed by field and coordinates,
+    principal parts of delta^(-j) at its two poles (`_principal_part`) and
+    the universal pole-sum polynomials; the basis 1/(1 - lam^{-n})^i is
+    rewritten through 1/(1 - lam^{-n}) = 1 - 1/(1 - lam^n).  delta^(-j) is
+    proper, so it has no polynomial part.  Keyed by field and coordinates,
     since equal elements of different fields give rows over different
     fields."""
     if j == 0:
         return (LaurentPolynomial.one(field),)
     lam = FieldElement(field, coords)
-    lam_inv = lam.inverse()
-    fac_lam = LaurentPolynomial(field, {0: 1, 1: -lam})
-    fac_inv = LaurentPolynomial(field, {0: 1, 1: -lam_inv})
-    # delta^(-j) = t^j / ((1-lam t)^j (1-lam^{-1} t)^j)
-    num = LaurentPolynomial(field, {j: 1})
-    f = RationalFunction(num, (fac_lam ** j) * (fac_inv ** j))
-    poly_part, terms = partial_fractions(f, [(lam, j), (lam_inv, j)])
     row = [LaurentPolynomial.zero(field)] * (j + 1)
-    if not poly_part.is_zero():
-        # a Laurent monomial t^e sums to n*[e = 0 mod n]; for the proper
-        # fractions handled here the polynomial part is always zero
-        raise SingularError("unexpected polynomial part in delta power sum")
-    for (root_idx, m), c in terms.items():
-        if c.is_zero():
-            continue
-        for i, poly in enumerate(pole_sum_polynomials(m)):
-            base = LaurentPolynomial.from_coeff_list(field, [c * q for q in poly])
-            if root_idx == 0:
-                # pole lam: basis 1/(1 - lam^n)^i directly
-                row[i] = row[i] + base
-            else:
-                # pole 1/lam: (1 - lam^{-n})^{-i} = (1 - u)^i, u = 1/(1-lam^n)
-                for p_idx, bc in enumerate(one_minus_u_power(i)):
-                    row[p_idx] = row[p_idx] + base * bc
+    for pole, a in enumerate((lam, lam.inverse())):
+        for m, c in enumerate(_principal_part(a, j), 1):
+            if c.is_zero():
+                continue
+            for i, poly in enumerate(pole_sum_polynomials(m)):
+                base = LaurentPolynomial.from_coeff_list(field, [c * q for q in poly])
+                if pole == 0:
+                    # pole at 1/lam: basis 1/(1 - lam^n)^i directly
+                    row[i] = row[i] + base
+                else:
+                    # pole at lam: (1 - lam^{-n})^{-i} = (1 - u)^i, u = 1/(1-lam^n)
+                    for p_idx, bc in enumerate(one_minus_u_power(i)):
+                        row[p_idx] = row[p_idx] + base * bc
     return tuple(row)
+
+
+def _principal_part(a: FieldElement, j: int) -> List[FieldElement]:
+    """[c_1, ..., c_j] with delta^(-j) = sum_m c_m / (1 - a t)^m plus a part
+    regular at t = 1/a, for delta(t) = t - (a + 1/a) + 1/t and a^2 != 1.
+
+    With u = 1 - a t, delta^(-j) = t^j / (u^j (1 - t/a)^j) and
+    u^j delta^(-j) = g(u) = a^j (1 - u)^j / (a^2 - 1 + u)^j, so c_m is the
+    coefficient of u^(j-m) in g: one power series of length j
+    (`numberfield.poly_series`), where `laurent.partial_fractions`, its
+    test oracle, subtracts rational functions pole by pole."""
+    field = a.field
+    a_j, shift = a ** j, a * a - 1
+    num = [a_j * b for b in one_minus_u_power(j)]
+    den = [shift ** (j - i) * comb(j, i) for i in range(j + 1)]
+    inv0 = den[0].inverse()
+    return poly_series(num, den, j, field.zero(), lambda x, _: x * inv0)[::-1]
 
 
 def delta_sum_value(lam: FieldElement, j: int, n: int) -> FieldElement:

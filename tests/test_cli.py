@@ -320,7 +320,11 @@ def test_seeded_bundle_table_golden(tmp_path, capsys, seed, N, digest):
      "1636f6b4711efc3a137184069544eb6fbbb65f32cf6debcbf5314b29e367abf3"),
     (["--knot", "4_1", "--loop", "3", "--nmax", "60", "--mode", "all"],
      "a71ad6cd123753308f242513ace5c22daa6efb42c5870cda89b21961e3d1f8cc"),
-], ids=["5_2-average", "4_1-all"])
+    (["--knot", "5_2", "--loop", "3", "--nmax", "80", "--mode", "average"],
+     "91ed99d0e5337464b6d66a914e2b96399a6f1f7df54820e0ca2669f407ffe8b2"),
+    (["--knot", "4_1", "--loop", "3", "--nmax", "200", "--mode", "average"],
+     "ba0f867107a5f39c32af914824ddce2d4c2ad17de1699ef5a1a2886dce1d9457"),
+], ids=["5_2-average", "4_1-all", "5_2-average-80", "4_1-average-200"])
 def test_knot_table_golden(argv, digest, capsys):
     code, out, _ = run(["knot"] + argv, capsys)
     assert code == 0
@@ -362,6 +366,26 @@ def test_knot_cross_check_failure_names_routes_and_values(monkeypatch, capsys):
     assert err.strip().splitlines() == [
         f"cross-check failure: average and series disagree at n = 3: "
         f"average = {good.coords[0]}, series = {(good * 2).coords[0]}"]
+
+
+def test_knot_all_compares_the_residue_route_on_every_row(monkeypatch, capsys):
+    # 5_2 has two routes; --mode all checks the cover polynomial against the
+    # M_u solve at each n
+    fx = fixture("5_2")
+    real = fx.phi_residue
+    rows = []
+
+    def off_at_four(ell, n):
+        rows.append(n)
+        value = real(ell, n)
+        return value.scale(2) if n == 4 else value
+
+    monkeypatch.setattr(fx, "phi_residue", off_at_four)
+    code, out, err = run(["knot", "--knot", "5_2", "--loop", "2",
+                          "--nmax", "6", "--mode", "all"], capsys)
+    assert code == 3 and rows == [1, 2, 3, 4]
+    assert len(out.strip().splitlines()) == 3
+    assert err.startswith("cross-check failure: average and residue disagree at n = 4")
 
 
 def test_avg_phi_table_keeps_cancelling_root_of_unity_pole(tmp_path, capsys):

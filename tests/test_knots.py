@@ -6,11 +6,13 @@ import mpmath
 import pytest
 
 from looptool import knots
-from looptool.knots import (FIELD_52, FIELD_SQRT21, FigureEightFixture,
+from looptool.errors import CrossCheckError
+from looptool.knots import (FIELD_52, FIELD_LAMBDA_52, FIELD_SQRT21, FigureEightFixture,
                             FiveTwoFixture, TaggedValue, fixture)
 from looptool.laurent import LaurentPolynomial, RationalFunction
 from looptool.nzdata import is_palindromic_up_to_unit
 from looptool.numberfield import QQ
+from looptool.powersum import CoverPolynomial, leading_asymptotic
 
 
 def test_tagged_value_arithmetic():
@@ -163,3 +165,62 @@ def test_series_cache_grows_by_doubling(monkeypatch):
     for n in range(1, 101):
         assert fx.series_value(2, n) == fx.phi_closed(2, n)
     assert len(counts) <= 7 and all(b >= 2 * a for a, b in zip(counts, counts[1:]))
+
+
+@pytest.mark.parametrize("name, ell", [("4_1", 2), ("4_1", 3), ("5_2", 2), ("5_2", 3)])
+def test_cover_rows_equal_residue_rows(name, ell):
+    # the cover polynomial route against its oracle, the M_u solve
+    fx = fixture(name)
+    sampled = (257, 640, 1000, 2000) if name == "4_1" else (257, 640, 1000)
+    for n in [*range(1, 201), *sampled]:
+        assert fx.phi_average(ell, n) == fx.phi_residue(ell, n), n
+
+
+@pytest.mark.parametrize("make", [FigureEightFixture, FiveTwoFixture], ids=["4_1", "5_2"])
+def test_cover_is_built_once_per_ell_on_first_use(make, monkeypatch):
+    built, evaluated = [], []
+    real = CoverPolynomial.from_table.__func__
+    real_evaluate = CoverPolynomial.evaluate
+
+    def counted(cls, delta, table, lam):
+        built.append(table)
+        return real(cls, delta, table, lam)
+
+    monkeypatch.setattr(knots.CoverPolynomial, "from_table", classmethod(counted))
+    monkeypatch.setattr(CoverPolynomial, "evaluate",
+                        lambda self, n: evaluated.append(n) or real_evaluate(self, n))
+    fx = make()
+    assert built == []
+    for n in (1, 2, 2, 3):
+        for ell in (2, 3):
+            fx.phi_average(ell, n)
+    assert built == [fx.phi[2], fx.phi[3]]
+    # no row is kept: a repeated n is evaluated again
+    assert evaluated == [1, 1, 2, 2, 2, 2, 3, 3]
+
+
+def test_phi_average_checks_the_map_back_exactly(monkeypatch):
+    fx = FiveTwoFixture()
+    monkeypatch.setattr(CoverPolynomial, "evaluate", lambda self, n: fx.lam)
+    with pytest.raises(CrossCheckError, match="5_2 ell = 2, n = 4"):
+        fx.phi_average(2, 4)
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_41_exact_asymptotics_from_the_cover_polynomial(ell):
+    # |lam| > 1, so x = 1/(1 - lam^n) tends to 0
+    fx = fixture("4_1")
+    assert leading_asymptotic(fx.cover(ell)) == fx.psi[ell].value
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_52_exact_asymptotics_from_the_cover_polynomial(ell):
+    # the tabulated psi is a polynomial in 2 lam over one denominator, and
+    # lam is the root inside the unit disk, so x tends to 1
+    fx = fixture("5_2")
+    assert fx.lam.field == FIELD_LAMBDA_52
+    assert abs(fx.lam.to_mpc(30) - fx.lambda_numeric(30)) < 1e-12
+    coeffs, den = knots._PSI_52_NUM[ell]
+    mu = 2 * fx.lam
+    psi = sum((c * mu ** i for i, c in enumerate(coeffs)), FIELD_LAMBDA_52.zero()) / den
+    assert leading_asymptotic(fx.cover(ell)) == psi

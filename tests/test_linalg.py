@@ -424,8 +424,8 @@ def test_integer_routes_agree_on_seeded_systems():
 
 
 def _row_systems(monkeypatch, knot, ell, ns):
-    """The integer systems that the rows of `knot` at loop `ell` solve,
-    captured at `rootsum.solve_integer`."""
+    """The integer systems that the residue route solves for the rows of
+    `knot` at loop `ell`, captured at `rootsum.solve_integer`."""
     captured = []
 
     def capture(M, rhs):
@@ -437,7 +437,7 @@ def _row_systems(monkeypatch, knot, ell, ns):
     with monkeypatch.context() as patch:
         patch.setattr(rootsum, "solve_integer", capture)
         for n in ns:
-            fx.phi_average(ell, n)
+            fx.phi_residue(ell, n)
     return captured
 
 
@@ -450,8 +450,8 @@ def test_integer_routes_agree_on_figure_eight_rows(monkeypatch):
 
 
 def test_small_systems_take_bareiss_and_large_ones_dixon(monkeypatch):
-    # one 4_1 row: one `bareiss`, no modular LU; a 10-unknown reconstruction
-    # system: no `bareiss`
+    # one 4_1 row by the residue route: one `bareiss`, no modular LU; a
+    # 10-unknown reconstruction system: no `bareiss`
     fx = fixture("4_1")
     fx.phi_form(3)
     calls = {"bareiss": 0, "lu": 0}
@@ -467,7 +467,7 @@ def test_small_systems_take_bareiss_and_large_ones_dixon(monkeypatch):
 
     monkeypatch.setattr(linalg, "bareiss", counted_bareiss)
     monkeypatch.setattr(linalg, "_ModularLU", CountedLU)
-    assert fx.phi_average(3, 37) == fx.phi_closed(3, 37)
+    assert fx.phi_residue(3, 37) == fx.phi_closed(3, 37)
     assert calls == {"bareiss": 1, "lu": 0}
     rng = random.Random(19)
     ns = range(1, 11)

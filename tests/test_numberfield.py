@@ -10,11 +10,11 @@ import pytest
 
 from conftest import random_element
 from looptool import laurent, linalg, numberfield, powersum, rootsum
-from looptool.errors import ParseError, SingularError, ZeroInverse
-from looptool.knots import FIELD_52
+from looptool.errors import CrossCheckError, ParseError, SingularError, ZeroInverse
+from looptool.knots import FIELD_52, FIELD_LAMBDA_52, FIELD_SQRT21
 from looptool.laurent import LaurentPolynomial, RationalFunction
 from looptool.synth import random_nz_data
-from looptool.numberfield import (ComplexBall, FieldElement, NumberField, QQ,
+from looptool.numberfield import (ComplexBall, FieldElement, FieldEmbedding, NumberField, QQ,
                                   bareiss, parse_rational, poly_divmod, poly_invmod,
                                   poly_mul, poly_mulmod, poly_series, poly_trim, sqrt_lower,
                                   sqrt_upper)
@@ -558,3 +558,27 @@ def test_one_series_loop_serves_every_power_series(monkeypatch):
     calls.clear()
     rootsum.ResidueForm([f.num, t * t], f.den)
     assert len(calls) == 2
+
+
+def test_field_embedding_is_a_homomorphism_with_an_exact_left_inverse(rng):
+    # the cubic field into the sextic through c = lam + 1/lam, Q into
+    # Q(sqrt 21), and a field into itself
+    lam = FIELD_LAMBDA_52.generator()
+    a, b = FIELD_52.element([2, 4, 2]), FIELD_52.element([-5, -2, 3])
+    s21 = FIELD_SQRT21.generator()
+    cases = [(-b / a, lam + lam.inverse()), (QQ.element(5), s21 * 0 + 5),
+             (s21, s21), (FIELD_52.generator(), FIELD_52.generator())]
+    for source, target in cases:
+        embed = FieldEmbedding(source, target)
+        assert embed(source) == target
+        for _ in range(4):
+            x, y = random_element(rng, source.field), random_element(rng, source.field)
+            assert embed(x * y + y) == embed(x) * embed(y) + embed(y)
+            assert embed.restrict(embed(x)) == x
+    embed = FieldEmbedding(-b / a, lam + lam.inverse())
+    with pytest.raises(CrossCheckError, match="does not lie in the image"):
+        embed.restrict(lam)
+    with pytest.raises(ParseError, match="no embedding"):
+        FieldEmbedding(-b / a, lam)
+    with pytest.raises(ParseError, match="does not generate"):
+        FieldEmbedding(FIELD_52.element(2), lam)

@@ -6,19 +6,20 @@ from math import comb
 import pytest
 
 from looptool import linalg, powersum
+from conftest import random_element
 from looptool.errors import (HoldoutMismatchError, ParseError, RecursionMismatch,
-                             SingularSystem, UnitCircleRoot)
+                             ResonantRoot, SingularSystem, UnitCircleRoot)
 from looptool.knots import FIELD_52, FIELD_SQRT21, fixture
 from looptool.laurent import LaurentPolynomial, RationalFunction
 from looptool.linalg import field_vector, solve, solve_gauss_jordan, solve_integer
-from looptool.numberfield import QQ, NumberField
+from looptool.numberfield import QQ, FieldElement, NumberField
 from looptool.powersum import (CoverPolynomial, GeneralizedPowerSum,
                                asymptotic_fit_check, check_recurrence,
-                               gps_to_series, leading_asymptotic,
+                               delta_embedding, gps_to_series, leading_asymptotic,
                                quad_to_delta_form, reconstruct_p,
                                reconstruction_matrix, reconstruction_system,
                                series_coefficients, series_from_values)
-from looptool.rootsum import ResidueForm
+from looptool.rootsum import ResidueForm, av_exact, av_trace
 
 LP = LaurentPolynomial
 
@@ -451,3 +452,105 @@ def test_quad_form_coeffs_invariant_under_root_swap():
     # coefficients land in the rational subfield
     for c in q1.terms.values():
         assert c.is_rational()
+
+
+# -- cover polynomials of delta-tables --------------------------------------------
+
+
+def _seeded_delta_table(rng, field):
+    """A palindromic quadratic delta = A(t + 1/t) + B over `field` with its
+    root lam in the field, a planted loop-2 cover polynomial p over it and
+    the phi-table of p over delta (`quad_to_delta_form` is over delta / A,
+    so row k is scaled by A^k)."""
+    while True:
+        lam = random_element(rng, field)
+        if not lam.is_zero() and not (lam * lam - 1).is_zero():
+            break
+    a = random_element(rng, field, 1, 9)
+    delta = LP(field, {1: a, 0: -a * (lam + lam.inverse()), -1: a})
+    p = CoverPolynomial(field, 2, [lam], {key: random_element(rng, field, 1, 9)
+                                          for key in CoverPolynomial.basis(1, 2)})
+    table = {}
+    for (k, j), c in quad_to_delta_form(p).terms.items():
+        table.setdefault(k, [field.zero(), field.zero()])[j] = c * a ** k
+    return delta, table, lam, p
+
+
+@pytest.mark.parametrize("field", [QQ, FIELD_SQRT21, FIELD_52], ids=["Q", "sqrt21", "cubic"])
+def test_from_table_agrees_with_both_root_sums_on_seeded_tables(field, rng):
+    for _ in range(3):
+        delta, table, lam, planted = _seeded_delta_table(rng, field)
+        assert 0 in table and CoverPolynomial.from_table(delta, table, lam) == planted
+        # plus random rows k = 0..4 with an n^0 entry only: delta^(-k) sums
+        # to n times a polynomial in n of degree k - 1 for k >= 1, and
+        # delta^0 to n, so every power of n stays positive
+        for k in range(5):
+            row = table.setdefault(k, [field.zero(), field.zero()])
+            row[0] = row[0] + random_element(rng, field, 1, 9)
+        p = CoverPolynomial.from_table(delta, table, lam)
+        assert p.field == field and p.roots == [lam] and p.ell == 5
+        form = ResidueForm.from_table(delta, table)
+        for n in range(1, 6):
+            value = p.evaluate(n)
+            assert value == av_exact(form, n), n
+            assert value == av_trace(RationalFunction(form.numerator(n), form.den), n), n
+        # the inverse map gives the table back, over delta / A
+        a = delta.coefficient(1)
+        assert quad_to_delta_form(p).terms == {
+            (k, j): c / a ** k for k, row in table.items()
+            for j, c in enumerate(row) if not c.is_zero()}
+
+
+@pytest.mark.parametrize("name", ["4_1", "5_2"])
+@pytest.mark.parametrize("ell", [2, 3])
+def test_from_table_round_trips_the_knot_tables(name, ell):
+    fx = fixture(name)
+    p = CoverPolynomial.from_table(fx.delta, fx.phi[ell], fx.lam)
+    assert p.field == fx.lam.field and p.roots == [fx.lam] and p.ell == ell
+    embed = delta_embedding(fx.delta, fx.lam)
+    a = fx.delta.coefficient(1)
+    assert quad_to_delta_form(p).terms == {
+        (k, j): embed(c / a ** k) for k, row in fx.phi[ell].items()
+        for j, c in enumerate(row) if not c.is_zero()}
+    # reconstruction from the route's own values recovers the same p
+    needed = (ell - 1) * (2 * ell - 1)
+    values = [(n, embed(fx.phi_average(ell, n).value)) for n in range(1, needed + 4)]
+    assert reconstruct_p(values, [fx.lam], ell, 1) == p
+
+
+def test_from_table_rejects_what_it_cannot_map():
+    fx = fixture("4_1")
+    table = fx.phi[2]
+    with pytest.raises(ParseError, match="k >= 0"):
+        CoverPolynomial.from_table(fx.delta, {**table, -1: [QQ.one()]}, fx.lam)
+    for delta in (LP(QQ, {1: 1, 0: -5, -1: 2}), LP(QQ, {2: 1, 0: -5}),
+                  LP(QQ, {0: 1, 1: -5, 2: 1}), LP(QQ, {0: 3})):
+        with pytest.raises(ParseError, match="palindromic quadratic"):
+            CoverPolynomial.from_table(delta, table, fx.lam)
+    with pytest.raises(ParseError, match="no embedding"):
+        CoverPolynomial.from_table(LP(QQ, {1: 1, 0: -6, -1: 1}), table, fx.lam)
+    # delta = t - 2 + 1/t has the double root 1
+    with pytest.raises(ResonantRoot):
+        CoverPolynomial.from_table(LP(QQ, {1: 1, 0: -2, -1: 1}), {1: [QQ.one()]},
+                                   QQ.one())
+    # 1/n delta^(-1) sums to a multiple of x with no power of n
+    with pytest.raises(ParseError, match="e <= 0 survive"):
+        CoverPolynomial.from_table(fx.delta, {1: [QQ.zero(), QQ.one()]}, fx.lam)
+
+
+def test_lam_n_steps_along_consecutive_n(monkeypatch):
+    roots = [FIELD_SQRT21.element([Fraction(5, 2), Fraction(1, 2)]), FIELD_SQRT21.element(3)]
+    ns = [1, 2, 3, 7, 8, 20, 21, 22]
+    stepped = list(powersum._x_steps(FIELD_SQRT21, roots, ns))
+    assert stepped == [[1 / (1 - lam ** n) for lam in roots] for n in ns]
+    # one window and its hold-outs: one power of each root in all
+    fx = fixture("4_1")
+    values = [(n, FIELD_SQRT21.zero() + fx.phi_average(3, n).value) for n in range(1, 14)]
+    powers = []
+    real = FieldElement.__pow__
+    monkeypatch.setattr(FieldElement, "__pow__",
+                        lambda self, e: powers.append(e) or real(self, e))
+    p = reconstruct_p(values, [fx.lam], 3, 1)
+    assert powers == [1]
+    monkeypatch.undo()
+    assert p == fx.cover(3)

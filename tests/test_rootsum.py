@@ -11,8 +11,9 @@ import pytest
 from conftest import random_element
 from looptool.errors import MathDomainError, PoleOnTorus, ResonantRoot, RootOfUnityPole
 from looptool import rootsum
-from looptool.knots import FIELD_52, fixture
-from looptool.laurent import LaurentMatrix, LaurentPolynomial, RationalFunction
+from looptool.knots import FIELD_52, FIELD_LAMBDA_52, FIELD_SQRT21, fixture
+from looptool.laurent import (LaurentMatrix, LaurentPolynomial, RationalFunction,
+                              partial_fractions)
 from looptool.numberfield import QQ, NumberField
 from looptool.rootsum import (ResidueForm, TorusSumSpec, _cyc_mul, av_exact,
                               av_trace, cyclic_resultant,
@@ -413,6 +414,28 @@ def test_delta_sum_value_builds_each_row_once():
     # equal elements of different fields give rows over their own fields
     s21 = NumberField([-21, 0, 1], root_index=1)
     assert delta_power_sums(s21.element(3), 1)[1][0].field == s21
+
+
+@pytest.mark.parametrize("field", [QQ, FIELD_SQRT21, FIELD_LAMBDA_52],
+                         ids=["Q", "sqrt21", "sextic"])
+def test_principal_parts_match_partial_fractions(field, rng):
+    # one power series against the pole-by-pole decomposition, at both poles
+    lams = [field.generator() if field.degree > 1 else QQ.element(Fraction(3, 2))]
+    while len(lams) < (3 if field.degree < 6 else 2):
+        # in the sextic field a dense random element makes the oracle slow
+        lam = (random_element(rng, field, den=5) if field.degree < 6 else
+               field.generator() * rng.randint(2, 5) + rng.randint(-3, 3))
+        if not lam.is_zero() and not (lam * lam - 1).is_zero():
+            lams.append(lam)
+    for lam in lams:
+        inv = lam.inverse()
+        for j in range(1, 7):
+            f = RationalFunction(LP(field, {j: 1}),
+                                 LP(field, {0: 1, 1: -lam}) ** j * LP(field, {0: 1, 1: -inv}) ** j)
+            poly, terms = partial_fractions(f, [(lam, j), (inv, j)])
+            assert poly.is_zero()
+            for pole, a in enumerate((lam, inv)):
+                assert rootsum._principal_part(a, j) == [terms[pole, m] for m in range(1, j + 1)]
 
 
 def test_linearity(rng):
