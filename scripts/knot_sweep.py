@@ -1,13 +1,25 @@
-"""Time the two exact routes of a knot-table row against each other.
+"""Time the two exact routes of a knot-table row against each other, and
+the number-field kernels beneath them.
 
     PYTHONPATH=src python3 scripts/knot_sweep.py [--repeat 5]
         [--n41 10 20 ... 2000] [--n52 5 10 ... 320]
+        [--sections kernel build row table]
 
 `KnotFixture.phi_average` evaluates the cover polynomial of the phi-table
 (`powersum.CoverPolynomial.from_table`) at x = 1/(1 - lam^n) and maps the
 value back into the fixture field; `KnotFixture.phi_residue` sums the same
 table by residues, one deg Q x deg Q integer solve against M_u per row.
-For 4_1 and 5_2 at loops 2 and 3 this script prints:
+It prints, each section on request (all by default):
+
+0. `kernel`: the number-field kernels beneath a row,
+   `NumberField._mul_numerators` and `FieldElement.inverse`, in the fields
+   of degree 1 (Q), 2 (Q(sqrt 21)), 3 (the cubic field of 5_2) and 6 (the
+   sextic field of its lambda, `_scale` 128), on seeded operands whose
+   numerators (and the inverse's denominators) have 8 to 4096 bits: the
+   best of `--repeat` runs of the microseconds per call, each run one pass
+   over 32 operands;
+
+and for 4_1 and 5_2 at loops 2 and 3:
 
 1. the cold build of each route's per-loop object: the cover polynomial,
    with the delta-power rows it needs built afresh, and the residue form;
@@ -27,13 +39,37 @@ the 800-row table), each on a new fixture whose construction is not timed.
 
 import argparse
 import math
+import random
 import statistics
 import sys
 import time
 
 from looptool import knots, rootsum
+from looptool.numberfield import QQ, FieldElement
 
 TABLES = [("4_1", 3, 70), ("4_1", 3, 800), ("5_2", 3, 160)]
+KERNEL_FIELDS = {1: QQ, 2: knots.FIELD_SQRT21, 3: knots.FIELD_52,
+                 6: knots.FIELD_LAMBDA_52}
+KERNEL_BITS = (8, 64, 512, 4096)
+SECTIONS = ("kernel", "build", "row", "table")
+
+
+def kernel_us(field, bits: int, repeat: int, rng: random.Random):
+    """Best microseconds per `_mul_numerators` and per `inverse` call."""
+    def numerators():
+        return [rng.choice((-1, 1)) * (rng.getrandbits(bits - 1) | 1 << (bits - 1))
+                for _ in range(field.degree)]
+
+    pairs = [(numerators(), numerators()) for _ in range(32)]
+    elements = [FieldElement._from_integers(field, numerators(),
+                                            rng.getrandbits(bits) | 1 << (bits - 1))
+                for _ in range(32)]
+    mul = field._mul_numerators
+    out = []
+    for batch in (lambda: [mul(x, y) for x, y in pairs],
+                  lambda: [e.inverse() for e in elements]):
+        out.append(best_ms(lambda _: batch(), repeat) * 1e3 / 32)
+    return out
 
 
 def fresh(knot: str):
@@ -81,17 +117,38 @@ def main(argv=None) -> int:
     parser.add_argument("--n41", type=int, nargs="+",
                         default=[10, 20, 40, 70, 160, 400, 1000, 2000])
     parser.add_argument("--n52", type=int, nargs="+", default=[5, 10, 20, 40, 80, 160, 320])
+    parser.add_argument("--sections", nargs="+", choices=SECTIONS, default=SECTIONS)
     args = parser.parse_args(argv)
     sys.set_int_max_str_digits(0)
+    if "kernel" in args.sections:
+        print("kernel,degree,bits,mul_numerators_us,inverse_us")
+        rng = random.Random(1)
+        for degree, field in KERNEL_FIELDS.items():
+            for b in KERNEL_BITS:
+                mul_us, inverse_us = kernel_us(field, b, args.repeat, rng)
+                print(f"kernel,{degree},{b},{mul_us:.2f},{inverse_us:.2f}")
+    if "build" in args.sections:
+        build(args.repeat)
+    if "row" in args.sections:
+        rows(args.n41, args.n52, args.repeat)
+    if "table" in args.sections:
+        tables(args.repeat)
+    return 0
+
+
+def build(repeat: int) -> None:
     print("build,knot,loop,cover_ms,residue_ms")
     for knot in ("4_1", "5_2"):
         for ell in (2, 3):
-            cover = best_ms(lambda fx: fx.cover(ell), args.repeat, lambda: fresh(knot))
-            form = best_ms(lambda fx: fx.phi_form(ell), args.repeat, lambda: fresh(knot))
+            cover = best_ms(lambda fx: fx.cover(ell), repeat, lambda: fresh(knot))
+            form = best_ms(lambda fx: fx.phi_form(ell), repeat, lambda: fresh(knot))
             print(f"build,{knot},{ell},{cover:.2f},{form:.2f}")
+
+
+def rows(n41, n52, repeat: int) -> None:
     print("row,knot,loop,n,bits,cover_ms,residue_ms,residue_over_cover")
     fits = []
-    for knot, ns in (("4_1", args.n41), ("5_2", args.n52)):
+    for knot, ns in (("4_1", n41), ("5_2", n52)):
         fx = fresh(knot)
         for ell in (2, 3):
             cover, residue = [], []
@@ -99,14 +156,17 @@ def main(argv=None) -> int:
                 value = fx.phi_average(ell, n)
                 if value != fx.phi_residue(ell, n):
                     raise SystemExit(f"{knot} loop {ell} n = {n}: the two routes disagree")
-                cover.append(median_ms(lambda: fx.phi_average(ell, n), args.repeat))
-                residue.append(median_ms(lambda: fx.phi_residue(ell, n), args.repeat))
+                cover.append(median_ms(lambda: fx.phi_average(ell, n), repeat))
+                residue.append(median_ms(lambda: fx.phi_residue(ell, n), repeat))
                 print(f"row,{knot},{ell},{n},{bits(value.value)},{cover[-1]:.3f},"
                       f"{residue[-1]:.3f},{residue[-1] / cover[-1]:.1f}")
             fits.append((knot, ell, ns, slope(ns, cover), slope(ns, residue)))
     for knot, ell, ns, a, b in fits:
         print(f"scaling,{knot} loop {ell}, n = {ns[0]}..{ns[-1]}: time ~ n^{a:.2f} by "
               f"the cover polynomial, n^{b:.2f} by residues")
+
+
+def tables(repeat: int) -> None:
     print("table,knot,loop,nmax,cover_ms,residue_ms")
     for knot, ell, nmax in TABLES:
         routes = []
@@ -114,11 +174,9 @@ def main(argv=None) -> int:
             def table(fx):
                 for n in range(1, nmax + 1):
                     getattr(fx, route)(ell, n)
-            routes.append(best_ms(table, args.repeat if nmax <= 160 else 1,
+            routes.append(best_ms(table, repeat if nmax <= 160 else 1,
                                   lambda: fresh(knot)))
         print(f"table,{knot},{ell},{nmax},{routes[0]:.1f},{routes[1]:.1f}")
-    return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

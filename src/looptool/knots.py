@@ -13,9 +13,10 @@ phi-table at x = 1/(1 - lam^n), lam a root of delta
 (`powersum.CoverPolynomial.from_table`).  lam lives in Q(sqrt 21) for 4_1
 and in the sextic field of `LAMBDA_52_SEXTIC` for 5_2.  A fixture builds p
 once per ell, on first use, and a row is lam^n, one inverse of 1 - lam^n,
-a Horner pass in x and the map back into delta's field by a fixed left
-inverse of its embedding (`numberfield.FieldEmbedding`), which checks
-membership exactly.
+then one homogenized Horner pass on integer numerators, normalized once
+(`CoverPolynomial._evaluate`), and the map back into delta's field by a
+fixed left inverse of its embedding (`numberfield.FieldEmbedding`), which
+checks membership exactly.
 
 The residue route (`phi_residue`) sums the same table by residues: one
 `rootsum.ResidueForm` per ell, and a row is one deg Q x deg Q integer solve

@@ -309,9 +309,12 @@ def _dixon(M, rhs, lu: _ModularLU):
     M = L U mod p.  Step k adds the digit x_k = M^-1 r_k mod p and updates
     the residue r_{k+1} = (r_k - M x_k) / p, exact over Z, so that
     M (x_0 + ... + x_k p^k) = rhs - p^(k+1) r_{k+1}.  The digits are combined
-    and reconstructed only at step counts 1, 2, 4, ... and at the cap."""
+    and reconstructed only at step counts 1, 2, 4, ... and at the cap.  The
+    residue is updated only when another digit is needed, and the cap
+    (`_step_cap`) is computed only when the first attempt fails, so a
+    system whose solution is read off its first digit pays for neither."""
     p = lu.p
-    cap = _step_cap(M, rhs, p)
+    cap = None
     r = list(rhs)
     X = [0] * len(M)
     modulus = 1
@@ -319,27 +322,28 @@ def _dixon(M, rhs, lu: _ModularLU):
     steps, attempt = 0, 1
     while True:
         x = lu.solve([v % p for v in r])
-        r = [(v - sum(map(mul, row, x))) // p for v, row in zip(r, M)]
         digits.append(x)
         steps += 1
-        if steps < min(attempt, cap):
-            continue
-        shift = p ** len(digits)
-        block = digits.pop()
-        while digits:
-            block = [u * p + v for u, v in zip(block, digits.pop())]
-        X = [u + modulus * v for u, v in zip(X, block)]
-        modulus *= shift
-        candidate = _rational_vector(X, modulus)
-        if candidate is not None:
-            num, den = candidate
-            if all(sum(map(mul, row, num)) == den * v for row, v in zip(M, rhs)):
-                return num, den
-        if steps >= cap:
-            raise CrossCheckError(f"p-adic solve of a {len(M)}x{len(M)} integer "
-                                  f"system found no exact solution within its "
-                                  f"Hadamard bound of {cap} steps mod {p}")
-        attempt = min(2 * steps, cap)
+        if steps >= attempt:
+            shift = p ** len(digits)
+            block = digits.pop()
+            while digits:
+                block = [u * p + v for u, v in zip(block, digits.pop())]
+            X = [u + modulus * v for u, v in zip(X, block)]
+            modulus *= shift
+            candidate = _rational_vector(X, modulus)
+            if candidate is not None:
+                num, den = candidate
+                if all(sum(map(mul, row, num)) == den * v for row, v in zip(M, rhs)):
+                    return num, den
+            if cap is None:
+                cap = _step_cap(M, rhs, p)
+            if steps >= cap:
+                raise CrossCheckError(f"p-adic solve of a {len(M)}x{len(M)} integer "
+                                      f"system found no exact solution within its "
+                                      f"Hadamard bound of {cap} steps mod {p}")
+            attempt = min(2 * steps, cap)
+        r = [(v - sum(map(mul, row, x))) // p for v, row in zip(r, M)]
 
 
 def _rational_vector(X, modulus: int):

@@ -11,9 +11,12 @@ convolution, folded back through the rows of xi^d, ..., xi^(2d-2) written
 over Z with one scale (which covers monic minimal polynomials with
 non-integral coefficients), then one content gcd.  That integer product
 (`NumberField._mul_numerators`) also serves callers that keep many
-numerators over one denominator of their own.  An inverse is one run of
-`bareiss`, the package's one fraction-free elimination (forward, then back
-substitution), on the integer matrix of multiplication.  The same matrices,
+numerators over one denominator of their own.  An inverse is the adjugate
+kernel (`NumberField._adjugate`: the numerators of det y^-1 and det), one
+run of `bareiss`, the package's one fraction-free elimination (forward,
+then back substitution), on the integer matrix of multiplication.  A
+quadratic field replaces the product and the adjugate with closed forms,
+chosen once when the field is built.  The same matrices,
 side by side over one denominator (`NumberField.integer_rows`), are the one
 encoding over Z of every system over the field.  The Fraction
 coordinates (`coords`) are built on first use.  All values are immutable;
@@ -431,6 +434,10 @@ class NumberField:
         self._pad = (0,) * (self.degree - 1)
         self._zero = _make(self, (0,) + self._pad, 1)
         self._one = _make(self, (1,) + self._pad, 1)
+        if self.degree == 2:
+            # closed forms replace the generic product and adjugate methods
+            self._mul_numerators, self._adjugate = _quadratic_kernels(
+                self._scale, *self._int_rows[0])
 
     def _build_reduction(self):
         # coordinate rows of xi^(d+k) for k = 0..d-2, so products reduce by
@@ -492,7 +499,9 @@ class NumberField:
     def _mul_numerators(self, x, y) -> list:
         """Numerators over _scale of the product of the elements with
         numerators x and y over 1: one integer convolution, the powers
-        xi^d ... xi^(2d-2) folded back through the integer rows."""
+        xi^d ... xi^(2d-2) folded back through the integer rows.  A
+        quadratic field replaces it with a closed form
+        (`_quadratic_kernels`)."""
         d = self.degree
         conv = [0] * (2 * d - 1)
         for i, a in enumerate(x):
@@ -506,6 +515,23 @@ class NumberField:
                 for i, r in enumerate(row):
                     out[i] += v * r
         return out
+
+    def _adjugate(self, y) -> tuple:
+        """(w, D) with w / D the inverse of the element with numerators y
+        over 1, for D != 0: one `bareiss` of [M | e_0] for the integer
+        matrix M of multiplication by y, whose last column ends as D times
+        the solution, D the last pivot.  Column j of M is over _scale^j, so
+        coordinate j of the inverse is _scale^j times that of the solution.
+        ZeroInverse when M is singular.  A quadratic field replaces it with
+        a closed form (`_quadratic_kernels`)."""
+        d = self.degree
+        cols = self._mult_columns(y)
+        aug = [[col[i] for col in cols] + [int(i == 0)] for i in range(d)]
+        pivots, last, _ = bareiss(aug, d, floordiv)
+        if len(pivots) < d:
+            raise ZeroInverse("element not invertible; minpoly not squarefree?")
+        scale = self._scale
+        return [row[d] * scale ** j for j, row in enumerate(aug)], last
 
     # -- identity ------------------------------------------------------------
 
@@ -616,6 +642,30 @@ class NumberField:
         if not isinstance(obj, dict) or not isinstance(obj.get("minpoly"), list):
             raise ParseError("field description needs a 'minpoly' list")
         return cls(obj["minpoly"], parse_int(obj.get("root_index", 0), "root_index"))
+
+
+def _quadratic_kernels(scale: int, c0: int, c1: int) -> tuple:
+    """`_mul_numerators` and `_adjugate` of a quadratic field with
+    xi^2 = (c0 + c1 xi) / scale, in closed form.  The product of a0 + a1 xi
+    and b0 + b1 xi is a0 b0 + (a0 b1 + a1 b0) xi + a1 b1 xi^2; and
+    (a + b xi)(scale a + c1 b - scale b xi) = scale a^2 + c1 a b - c0 b^2,
+    a rational, so that pair is the adjugate and the determinant."""
+
+    def mul_numerators(x, y) -> list:
+        a0, a1 = x
+        b0, b1 = y
+        t = a1 * b1
+        return [a0 * b0 * scale + c0 * t, (a0 * b1 + a1 * b0) * scale + c1 * t]
+
+    def adjugate(y) -> tuple:
+        a, b = y
+        sa, sb = scale * a, scale * b
+        det = sa * a + (c1 * a - c0 * b) * b
+        if not det:
+            raise ZeroInverse("element not invertible; minpoly not squarefree?")
+        return [sa + c1 * b, -sb], det
+
+    return mul_numerators, adjugate
 
 
 _new = object.__new__
@@ -823,18 +873,10 @@ class FieldElement:
         if field.degree == 1:
             a = num[0]
             return _make(field, (self.den,), a) if a > 0 else _make(field, (-self.den,), -a)
-        # Solve M y = e_0 for the integer matrix M of multiplication by num:
-        # after `bareiss` the last column is D y, D the last pivot.
-        d = field.degree
-        cols = field._mult_columns(num)
-        aug = [[col[i] for col in cols] + [int(i == 0)] for i in range(d)]
-        pivots, last, _ = bareiss(aug, d, floordiv)
-        if len(pivots) < d:
-            raise ZeroInverse("element not invertible; minpoly not squarefree?")
-        # column j of M is over scale^j, so 1/a = den * (scale^j y_j)_j
-        scale, den = field._scale, self.den
-        return FieldElement._from_integers(
-            field, [row[d] * den * scale ** j for j, row in enumerate(aug)], last)
+        # 1/(num / den) = den w / D for the adjugate (w, D) of num
+        w, det = field._adjugate(num)
+        den = self.den
+        return FieldElement._from_integers(field, [v * den for v in w], det)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -852,16 +894,24 @@ class FieldElement:
         if exponent < 0:
             base = self.inverse()
             exponent = -exponent
-        if self.field.degree == 1:
+        field = self.field
+        if field.degree == 1:
             # powers of coprime integers stay coprime
-            return _make(self.field, (base.num[0] ** exponent,), base.den ** exponent)
-        result = self.field.one()
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+            return _make(field, (base.num[0] ** exponent,), base.den ** exponent)
+        if not exponent:
+            return field.one()
+        # left-to-right binary powering on numerators, so that every product
+        # but the squarings is by the base; each bit ends with one content gcd
+        mul_numerators, scale = field._mul_numerators, field._scale
+        num, den = base.num, base.den
+        for bit in bin(exponent)[3:]:
+            num, den = mul_numerators(num, num), den * den * scale
+            if bit == "1":
+                num, den = mul_numerators(num, base.num), den * base.den * scale
+            g = gcd(den, *num)
+            if g > 1:
+                num, den = [v // g for v in num], den // g
+        return _make(field, tuple(num), den)
 
     # -- predicates --------------------------------------------------------------
 

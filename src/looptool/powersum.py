@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from math import comb, gcd
+from math import comb, gcd, lcm, prod
+from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import mpmath
@@ -73,22 +74,6 @@ class GeneralizedPowerSum:
             factor = LaurentPolynomial(self.field, {0: 1, 1: -root})
             s = s * factor ** len(coeffs)
         return s
-
-
-def check_recurrence(values: Sequence[FieldElement], s: LaurentPolynomial) -> bool:
-    """Do the values satisfy the recurrence with characteristic s(t)?
-
-    s(t) = 1 - s_1 t - ... - s_d t^d encodes a_{n+d} = sum s_i a_{n+d-i}.
-    """
-    coeffs, shift = s.as_poly_coeffs()
-    if shift != 0 or coeffs[0] != 1:
-        raise ParseError("characteristic polynomial must have constant term 1")
-    try:
-        if len(values) >= len(coeffs) - 1:
-            series_from_values(values, s)
-    except RecursionMismatch:
-        return False
-    return True
 
 
 def gps_to_series(gps: GeneralizedPowerSum, order: int):
@@ -173,6 +158,7 @@ class CoverPolynomial:
             if not c.is_zero():
                 clean[(alpha, int(beta))] = c
         self.terms = clean
+        self._compiled = None
 
     @classmethod
     def basis(cls, r: int, ell: int):
@@ -231,28 +217,75 @@ class CoverPolynomial:
         """p at x_j = 1/(1 - lam_j^n), y = n."""
         return self._evaluate(n, next(_x_steps(self.field, self.roots, [n])))
 
-    def _evaluate(self, n: int, xs: Sequence[FieldElement]) -> FieldElement:
-        """p at the values xs of x_j for n: for each alpha the sum over beta
-        of c_(alpha,beta) n^beta, times the monomial x^alpha once, or by
-        Horner's rule in x when there is one root pair."""
-        by_alpha: Dict[Tuple[int, ...], FieldElement] = {}
-        for (alpha, beta), c in self.terms.items():
-            v = c * n ** beta
-            by_alpha[alpha] = by_alpha[alpha] + v if alpha in by_alpha else v
+    def _compile(self):
+        """The integer form of p that `_evaluate` runs on, built on first
+        use: the common denominator D of the coefficients and, per alpha,
+        d rows (d the field degree) whose row i holds coordinate i of the
+        numerators over D of c_(alpha,1), ..., c_(alpha,ell-1)."""
         zero = self.field.zero()
+        terms = {key: zero + c for key, c in self.terms.items()}
+        den = lcm(*(c.den for c in terms.values()))
+        blocks: Dict[Tuple[int, ...], List[List[int]]] = {}
+        for (alpha, beta), c in terms.items():
+            block = blocks.setdefault(alpha, [[0] * (self.ell - 1) for _ in c.num])
+            f = den // c.den
+            for row, v in zip(block, c.num):
+                row[beta - 1] = v * f
+        self._compiled = den, blocks
+        return self._compiled
+
+    def _evaluate(self, n: int, xs: Sequence[FieldElement]) -> FieldElement:
+        """p at the values xs of x_j for n, on integer numerators and
+        normalized once.  P_alpha = sum_beta c_(alpha,beta) n^beta is a
+        numerator vector over D.  With x_j = X_j / E_j and S the field's
+        `_scale` (a product of numerators by `_mul_numerators` is over one
+        more S), one root pair is a homogenized Horner pass
+        acc <- acc X + P_a (E S)^(top - a), over D (E S)^top; more root
+        pairs are one sum of P_alpha prod_j X_j^alpha_j times
+        S^(K - |alpha|) prod_j E_j^(K_j - alpha_j), over
+        D S^K prod_j E_j^K_j, with K_j the largest alpha_j and K the
+        largest |alpha|."""
+        field = self.field
+        den, blocks = self._compiled or self._compile()
+        if not blocks:
+            return field.zero()
+        powers = [n ** beta for beta in range(1, self.ell)]
+        by_alpha = {alpha: [sum(map(mul, row, powers)) for row in block]
+                    for alpha, block in blocks.items()}
+        mul_numerators, scale = field._mul_numerators, field._scale
         if self.r == 1:
             x = xs[0]
-            top = max((a for a, in by_alpha), default=0)
-            acc = by_alpha.get((top,), zero)
+            X, ES = x.num, x.den * scale
+            top = max(a for a, in by_alpha)
+            acc, f = by_alpha[(top,)], 1
             for a in range(top - 1, -1, -1):
-                acc = acc * x + by_alpha.get((a,), zero)
-            return acc
-        tables = _x_power_tables(xs, 2 * self.ell - 2)
-        acc = zero
-        for alpha, v in by_alpha.items():
-            x = _monomial(tables, alpha)
-            acc = acc + (v if x is None else v * x)
-        return acc
+                acc = mul_numerators(acc, X)
+                f *= ES
+                p = by_alpha.get((a,))
+                if p is not None:
+                    acc = [u + v * f for u, v in zip(acc, p)]
+            return FieldElement._from_integers(field, acc, den * f)
+        tops = [max(alpha[j] for alpha in by_alpha) for j in range(self.r)]
+        top = max(map(sum, by_alpha))
+        # X^a over S^(a - 1), and the powers of E, per root pair
+        x_powers, e_powers = [], []
+        for x, t in zip(xs, tops):
+            table, e = [None, x.num], [1, x.den]
+            for _ in range(t - 1):
+                table.append(mul_numerators(table[-1], x.num))
+                e.append(e[-1] * x.den)
+            x_powers.append(table)
+            e_powers.append(e)
+        acc = [0] * field.degree
+        for alpha, p in by_alpha.items():
+            f = scale ** (top - sum(alpha))
+            for a, t, table, e in zip(alpha, tops, x_powers, e_powers):
+                f *= e[t - a]
+                if a:
+                    p = mul_numerators(p, table[a])
+            acc = [u + v * f for u, v in zip(acc, p)]
+        return FieldElement._from_integers(
+            field, acc, den * scale ** top * prod(e[t] for e, t in zip(e_powers, tops)))
 
     def __eq__(self, other):
         return (isinstance(other, CoverPolynomial) and self.ell == other.ell

@@ -353,6 +353,37 @@ def test_step_cap_reached_raises_cross_check(monkeypatch):
         solve(QQ, A, b)
 
 
+def test_dixon_reads_a_one_digit_solution_before_the_cap(monkeypatch):
+    """A solution that the first p-adic digit already determines is returned
+    before the step cap is computed; one with a large denominator still
+    lifts several steps, computes the cap once and gets the exact answer."""
+    rng = random.Random(16)
+    n = linalg.FRACTION_FREE_MAX + 2
+    M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    num = [rng.randint(-99, 99) for _ in range(n)]
+    scaled = [[7 * v for v in row] for row in M]
+    rhs = [sum(map(operator.mul, row, num)) for row in M]
+    caps = []
+    real_cap = linalg._step_cap
+
+    def forbidden(*args):
+        raise AssertionError("the step cap was computed")
+
+    monkeypatch.setattr(linalg, "_step_cap", forbidden)
+    got, den = solve_integer(scaled, rhs)
+    assert [Fraction(v, den) for v in got] == [Fraction(v, 7) for v in num]
+    monkeypatch.setattr(linalg, "_step_cap",
+                        lambda *args: caps.append(1) or real_cap(*args))
+    big = [[rng.getrandbits(200) - (1 << 199) for _ in range(n)] for _ in range(n)]
+    rhs = [rng.getrandbits(200) for _ in range(n)]
+    lu = linalg._ModularLU(big, PRIMES[0])
+    digits = []
+    real_solve = lu.solve
+    lu.solve = lambda v: digits.append(1) or real_solve(v)
+    assert linalg._dixon(big, rhs, lu) == linalg._fraction_free(big, rhs)
+    assert len(digits) > 8 and caps == [1]
+
+
 def test_fraction_free_solve_is_checked_exactly(monkeypatch):
     # a wrong last column out of `bareiss` is caught by the check M x = rhs
     def perturbed(aug, cols, div):

@@ -146,6 +146,41 @@ def test_inverse_with_large_coordinates(field_sqrt21, field_cubic, bits):
             assert x * x.inverse() == 1
 
 
+@pytest.mark.parametrize("minpoly", [[-21, 0, 1], [Fraction(-1, 2), 0, 1],
+                                     [Fraction(-3, 4), 0, 1], [Fraction(-5, 7), Fraction(1, 3), 1]])
+def test_quadratic_kernels_equal_the_generic_route(minpoly):
+    """At degree 2 the closed-form product and adjugate equal the generic
+    convolution and `bareiss` route on seeded elements, the inverse among
+    them; zero, and a zero divisor of a split minimal polynomial, still
+    raise ZeroInverse."""
+    field = NumberField(minpoly)
+    assert {"_mul_numerators", "_adjugate"} <= vars(field).keys()
+    assert not {"_mul_numerators", "_adjugate"} & vars(FIELD_52).keys()
+    rng = random.Random(22)
+    for bits in (4, 40, 400):
+        for _ in range(25):
+            x, y = ([rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(2)]
+                    for _ in range(2))
+            assert field._mul_numerators(x, y) == NumberField._mul_numerators(field, x, y)
+            if not any(x):
+                continue
+            w, det = field._adjugate(x)
+            v, last = NumberField._adjugate(field, x)
+            assert [Fraction(a, det) for a in w] == [Fraction(a, last) for a in v]
+            e = FieldElement._from_integers(field, x, rng.getrandbits(bits) | 1)
+            v, last = NumberField._adjugate(field, e.num)
+            assert e.inverse() == FieldElement._from_integers(
+                field, [a * e.den for a in v], last)
+            assert e * e.inverse() == 1
+    with pytest.raises(ZeroInverse):
+        field.zero().inverse()
+    split = NumberField([-1, 0, 1])
+    with pytest.raises(ZeroInverse):
+        split.element([1, 1]).inverse()
+    with pytest.raises(ZeroInverse):
+        NumberField._adjugate(split, [1, 1])
+
+
 def test_minpoly_must_be_monic():
     with pytest.raises(ParseError):
         NumberField([-21, 0, 2])

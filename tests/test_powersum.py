@@ -9,12 +9,12 @@ from looptool import linalg, powersum
 from conftest import random_element
 from looptool.errors import (HoldoutMismatchError, ParseError, RecursionMismatch,
                              ResonantRoot, SingularSystem, UnitCircleRoot)
-from looptool.knots import FIELD_52, FIELD_SQRT21, fixture
+from looptool.knots import FIELD_52, FIELD_LAMBDA_52, FIELD_SQRT21, fixture
 from looptool.laurent import LaurentPolynomial, RationalFunction
 from looptool.linalg import field_vector, solve, solve_gauss_jordan, solve_integer
 from looptool.numberfield import QQ, FieldElement, NumberField
 from looptool.powersum import (CoverPolynomial, GeneralizedPowerSum,
-                               asymptotic_fit_check, check_recurrence,
+                               asymptotic_fit_check,
                                delta_embedding, gps_to_series, leading_asymptotic,
                                quad_to_delta_form, reconstruct_p,
                                reconstruction_matrix, reconstruction_system,
@@ -22,6 +22,22 @@ from looptool.powersum import (CoverPolynomial, GeneralizedPowerSum,
 from looptool.rootsum import ResidueForm, av_exact, av_trace
 
 LP = LaurentPolynomial
+
+
+def check_recurrence(values, s: LaurentPolynomial) -> bool:
+    """Do the values satisfy the recurrence with characteristic s(t)?
+
+    s(t) = 1 - s_1 t - ... - s_d t^d encodes a_{n+d} = sum s_i a_{n+d-i}.
+    """
+    coeffs, shift = s.as_poly_coeffs()
+    if shift != 0 or coeffs[0] != 1:
+        raise ParseError("characteristic polynomial must have constant term 1")
+    try:
+        if len(values) >= len(coeffs) - 1:
+            series_from_values(values, s)
+    except RecursionMismatch:
+        return False
+    return True
 
 
 def test_gps_linear_sequence():
@@ -196,13 +212,20 @@ def _planted(rng, field, roots, ell, bits=8):
     return CoverPolynomial(field, ell, roots, terms), [terms[key] for key in basis]
 
 
-@pytest.mark.parametrize("name", ["QQ", "sqrt21", "FIELD_52"])
+EVALUATION_ROOTS = {**RECONSTRUCTION_ROOTS, "sextic": (FIELD_LAMBDA_52, [
+    [0, 1], [1, 0, 0, Fraction(1, 2)], [Fraction(-2, 3), 0, 1, 0, 0, 1]])}
+
+
+@pytest.mark.parametrize("name", ["QQ", "sqrt21", "FIELD_52", "half", "sextic"])
 def test_evaluate_matches_the_ungrouped_sum(name, rng):
-    """`evaluate` groups its terms by alpha; the value is the plain sum of
-    c n^beta prod_j x_j^alpha_j over the terms."""
-    field, coords = RECONSTRUCTION_ROOTS[name]
+    """`evaluate` runs on integer numerators, normalized once; the value is
+    the plain sum of c n^beta prod_j x_j^alpha_j over the terms in field
+    arithmetic, for r = 1, 2, 3 root pairs, over fields whose minimal
+    polynomials are not integral (x^2 - 1/2, and the sextic with _scale
+    128) as well."""
+    field, coords = EVALUATION_ROOTS[name]
     roots = [field.element(c) for c in coords]
-    for r, ell in ((1, 3), (2, 3), (3, 2), (1, 5)):
+    for r, ell in ((1, 3), (2, 3), (3, 2), (1, 5), (3, 3)):
         planted, _ = _planted(rng, field, roots[:r], ell)
         sparse = CoverPolynomial(field, ell, roots[:r], {
             key: c for key, c in planted.terms.items() if rng.random() < 0.6})
@@ -536,6 +559,24 @@ def test_from_table_rejects_what_it_cannot_map():
     # 1/n delta^(-1) sums to a multiple of x with no power of n
     with pytest.raises(ParseError, match="e <= 0 survive"):
         CoverPolynomial.from_table(fx.delta, {1: [QQ.zero(), QQ.one()]}, fx.lam)
+
+
+def test_evaluate_raises_resonant_root_when_lam_n_is_one():
+    """x = 1/(1 - lam^n) does not exist when lam^n = 1: ResonantRoot, over Q
+    and in a quadratic field (a primitive sixth root of unity), while the
+    n with lam^n != 1 evaluate."""
+    terms = {((1,), 1): QQ.one(), ((0,), 1): QQ.element(2)}
+    p = CoverPolynomial(QQ, 2, [QQ.element(-1)], terms)
+    assert p.evaluate(3) == Fraction(3, 2) + 6
+    with pytest.raises(ResonantRoot):
+        p.evaluate(2)
+    K = NumberField([1, -1, 1])
+    zeta = K.generator()
+    q = CoverPolynomial(K, 2, [zeta], {((a,), 1): K.element(a + 1) for a in range(3)})
+    assert q.evaluate(3) == (1 + 2 * Fraction(1, 2) + 3 * Fraction(1, 4)) * 3
+    for n in (6, 12):
+        with pytest.raises(ResonantRoot):
+            q.evaluate(n)
 
 
 def test_lam_n_steps_along_consecutive_n(monkeypatch):
