@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import List
 
-import mpmath
-
 from .errors import ParseError, check_cover_order
 from .laurent import LaurentMatrix, LaurentPolynomial, RationalFunction
 from .linalg import mat_add, mat_mul
@@ -168,6 +166,7 @@ def block_diagonalize_check(C: BlockCirculant, precision_digits: int = 50):
     value outside the n diagonal N x N blocks of V C V^{-1}, and the largest
     deviation of diagonal block k from the representer evaluated at w^k.
     """
+    import mpmath
     n, N = C.n, C.block_size
     with mpmath.workdps(precision_digits + 10):
         w = mpmath.e ** (2j * mpmath.pi / n)

@@ -19,8 +19,6 @@ import sys
 from math import comb
 from typing import List, Optional
 
-import mpmath
-
 from .errors import (CrossCheckError, HoldoutMismatchError, MathDomainError,
                      ParseError, SingularError)
 from .diagrams import FeynmanDiagram, VertexFactorTable, loop_invariant
@@ -182,6 +180,7 @@ def cmd_avg(args) -> int:
     value = av_exact(form, args.n)
     print(_format_value(value, unit))
     if args.numeric_check:
+        import mpmath
         digits = args.numeric_check
         rf = RationalFunction(form.numerator(args.n), form.den)
         with mpmath.workdps(digits + 10):

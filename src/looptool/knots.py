@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-import mpmath
-
 from .errors import CrossCheckError, ParseError, check_cover_order
 from .laurent import LaurentPolynomial, RationalFunction
 from .numberfield import FieldElement, FieldEmbedding, NumberField, QQ, poly_divmod
@@ -79,6 +77,7 @@ class TaggedValue:
         return TaggedValue(self.value * c, self.sqrt_m3)
 
     def to_mpc(self, precision_digits: int = 30):
+        import mpmath
         with mpmath.workdps(precision_digits + 10):
             base = self.value.to_mpc(precision_digits)
             if self.sqrt_m3:
@@ -337,6 +336,7 @@ class FiveTwoFixture(KnotFixture):
 
     def lambda_numeric(self, precision_digits: int = 60):
         """The root of delta inside the unit disk, numerically."""
+        import mpmath
         with mpmath.workdps(precision_digits + 15):
             a = self.lam_quadratic[0].to_mpc(precision_digits + 10)
             b = self.lam_quadratic[1].to_mpc(precision_digits + 10)
@@ -356,6 +356,7 @@ class FiveTwoFixture(KnotFixture):
         """
         if ell not in _PSI_52_NUM:
             raise ParseError(f"no asymptotic value for ell = {ell}")
+        import mpmath
         coeffs, den = _PSI_52_NUM[ell]
         with mpmath.workdps(precision_digits + 15):
             mu = 2 * self.lambda_numeric(precision_digits + 10)

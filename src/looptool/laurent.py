@@ -524,17 +524,6 @@ def partial_fractions(f: RationalFunction, roots):
     return remainder.as_polynomial(), terms
 
 
-def recombine_partial_fractions(poly_part: LaurentPolynomial, terms, roots) -> RationalFunction:
-    field = poly_part.field
-    total = RationalFunction.from_poly(poly_part)
-    for (j, m), c in terms.items():
-        lam = _as_element(field, roots[j][0])
-        total = total + RationalFunction(
-            LaurentPolynomial(field, {0: c}),
-            LaurentPolynomial(field, {0: 1, 1: -lam}) ** m)
-    return total
-
-
 class LaurentMatrix:
     """Dense rectangular matrix with LaurentPolynomial entries."""
 
@@ -682,4 +671,3 @@ class LaurentMatrix:
     def from_json(cls, obj, field: NumberField) -> "LaurentMatrix":
         return cls(field, [[LaurentPolynomial.from_json(e, field) for e in row]
                            for row in obj])
-

@@ -31,7 +31,8 @@ contains exactly one root of m.  The radius bound used is the classical
 
 which is evaluated in exact rational arithmetic on dyadic approximations
 (mpmath floats convert to Fraction without rounding), so the enclosures are
-rigorous, not heuristic.
+rigorous, not heuristic.  `certified_roots` and `ComplexBall.to_mpc` import
+mpmath in their own bodies, so exact arithmetic never loads it.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import floordiv, mul, truediv
 from typing import Iterable, Sequence
-
-import mpmath
 
 from .errors import CrossCheckError, ParseError, PrecisionUnreachable, ZeroInverse
 
@@ -383,6 +382,7 @@ class ComplexBall:
         return gap >= 0 and d2 <= gap * gap
 
     def to_mpc(self):
+        import mpmath
         return mpmath.mpc(mpmath.mpf(self.re.numerator) / self.re.denominator,
                           mpmath.mpf(self.im.numerator) / self.im.denominator)
 
@@ -579,6 +579,7 @@ class NumberField:
         adequate = [p for p in self._roots_cache if p >= precision_digits]
         if adequate:
             return self._roots_cache[min(adequate)]
+        import mpmath
         target = Fraction(1, 10 ** precision_digits)
         dps = max(30, 2 * precision_digits + 20)
         d = self.degree
@@ -1022,9 +1023,12 @@ class FieldEmbedding:
     d x d solve (d = deg F); it maps to r(target), and F's minimal polynomial
     must vanish there.  Both directions are integer matrices over one
     denominator: `__call__` maps F into K, and `restrict`, a fixed left
-    inverse read off d independent coordinates of the image, maps K back
-    and re-embeds its answer as an exact membership check.  Construction
-    raises ParseError when no such embedding exists."""
+    inverse read off d independent coordinates of the image, maps K back.
+    On those d coordinates the image of its answer agrees by construction;
+    membership is checked exactly on the other deg K - d, through the
+    composite of the left inverse with those rows of the embedding, as one
+    cross-multiplied integer identity per coordinate.  Construction raises
+    ParseError when no such embedding exists."""
 
     def __init__(self, source: "FieldElement", target: "FieldElement"):
         F, K = self.source, self.target = source.field, target.field
@@ -1060,6 +1064,15 @@ class FieldEmbedding:
         self._rows = rows
         self._left = [[v * self._den for v in row[d:]] for row in aug]
         self._left_den = last
+        # coordinate q outside the rows: y_q / y.den = (_image[q] . x_num) /
+        # (_den * x_den) with x_num = _left . y_rows over last * y.den, so
+        # y lies in the image iff (_image[q] . _left) . y_rows equals
+        # _den * last * y_q; each such identity is kept primitive
+        self._outside = []
+        for q in sorted(set(range(K.degree)) - set(rows)):
+            row = [sum(a * b for a, b in zip(self._image[q], col)) for col in zip(*self._left)]
+            g = gcd(*row, self._den * last)
+            self._outside.append((q, [v // g for v in row], self._den * last // g))
 
     def __call__(self, x: "FieldElement") -> "FieldElement":
         """The image of x in K."""
@@ -1071,13 +1084,14 @@ class FieldEmbedding:
     def restrict(self, y: "FieldElement") -> "FieldElement":
         """The element x of F with image y; CrossCheckError when y does not
         lie in the image of F."""
-        num = [y.num[p] for p in self._rows]
-        x = FieldElement._from_integers(
+        y_num = y.num
+        num = [y_num[p] for p in self._rows]
+        for q, row, scale in self._outside:
+            if sum(map(mul, row, num)) != scale * y_num[q]:
+                raise CrossCheckError(f"value does not lie in the image of {self.source!r}")
+        return FieldElement._from_integers(
             self.source, [sum(map(mul, row, num)) for row in self._left],
             self._left_den * y.den)
-        if self(x) != y:
-            raise CrossCheckError(f"value does not lie in the image of {self.source!r}")
-        return x
 
 
 def _powers(x: "FieldElement", count: int) -> list:

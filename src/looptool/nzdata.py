@@ -15,7 +15,7 @@ from typing import List, Optional
 from .circulant import BlockCirculant, cover_blocks_from_symbolic
 from .errors import (NotDivisible, ParseError, SingularAtRoot, SingularMatrix,
                      ValidationError, check_cover_order)
-from .laurent import LaurentMatrix, LaurentPolynomial, proportional_up_to_unit
+from .laurent import LaurentMatrix, LaurentPolynomial
 from .numberfield import FieldElement, NumberField, parse_int
 
 
@@ -302,7 +302,3 @@ def normalize_unit(p: LaurentPolynomial) -> LaurentPolynomial:
         if c < 0:
             return -p
     return p
-
-
-def is_palindromic_up_to_unit(p: LaurentPolynomial) -> bool:
-    return proportional_up_to_unit(p.invert_variable(), p)

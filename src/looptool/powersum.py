@@ -24,8 +24,6 @@ from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-import mpmath
-
 from .errors import (CrossCheckError, HoldoutMismatchError, ParseError,
                      RecursionMismatch, ResonantRoot, SingularError,
                      SingularSystem, UnitCircleRoot)
@@ -538,6 +536,7 @@ def asymptotic_fit_check(values: Sequence[Tuple[int, FieldElement]],
     """
     if len(values) < 4:
         raise ParseError("need at least 4 values")
+    import mpmath
     with mpmath.workdps(precision_digits + 10):
         psi_c = psi.to_mpc(precision_digits)
         lam_abs = abs(lam_max.to_mpc(precision_digits))

@@ -787,27 +787,6 @@ def torus_sum_oracle(spec: TorusSumSpec, n: int) -> FieldElement:
     return total * denom.inverse() * scale
 
 
-def torus_sum_numeric(spec: TorusSumSpec, n: int, precision_digits: int = 40):
-    """Brute complex summation at the given precision (cross-check only)."""
-    import mpmath
-    with mpmath.workdps(precision_digits + 10):
-        cs = [c.to_mpc(precision_digits + 10) for c in spec.constants]
-        total = mpmath.mpc(0)
-        for idx in itertools.product(range(n), repeat=spec.d):
-            ws = [mpmath.e ** (2j * mpmath.pi * k / n) for k in idx]
-            t0 = mpmath.mpc(1)
-            for i, e in enumerate(spec.t0):
-                t0 *= ws[i] ** e
-            denom = mpmath.mpc(1)
-            for m, c in zip(spec.monomials, cs):
-                tv = mpmath.mpc(1)
-                for i, e in enumerate(m):
-                    tv *= ws[i] ** e
-                denom *= (1 - c * tv)
-            total += t0 / denom
-        return total
-
-
 def fit_rational_shape(values, constants: Sequence[FieldElement], d: int,
                        y_degree: int):
     """Fit torus-sum values to n^d * p(1/(1-c_i^n), ..., n).

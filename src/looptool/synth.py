@@ -33,13 +33,6 @@ def random_symmetric_propagator(rng: random.Random, N: int, span: int = 2):
             for i in range(N)]
 
 
-def random_symmetric_matrix(rng: random.Random, N: int):
-    """Random symmetric rational matrix (a stand-in Pi_0 for meridian tests)."""
-    vals = [[QQ.element(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-             for _ in range(N)] for _ in range(N)]
-    return [[vals[min(i, j)][max(i, j)] for j in range(N)] for i in range(N)]
-
-
 def _unimodular(rng: random.Random, field: NumberField, n: int,
                 steps: int = 4) -> LaurentMatrix:
     M = LaurentMatrix.identity(field, n)

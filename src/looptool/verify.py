@@ -10,8 +10,6 @@ import random
 from fractions import Fraction
 from typing import List, Tuple
 
-import mpmath
-
 from .circulant import BlockCirculant, block_diagonalize_check, cover_blocks_from_symbolic
 from .diagrams import FeynmanDiagram, connected_multigraphs, enumerate_flows, \
     is_conserved, weight_direct, weight_flow
@@ -37,6 +35,7 @@ def _repro(suite: str, seed: int, prec: int) -> str:
 
 
 def suite_circulant(seed: int = 0, prec: int = 50) -> List[Result]:
+    import mpmath
     rng = random.Random(seed)
     repro = _repro("circulant", seed, prec)
     results = []
@@ -140,6 +139,7 @@ def _root_sum_or_pole(route, f, n):
 
 
 def suite_identities(seed: int = 0, prec: int = 50) -> List[Result]:
+    import mpmath
     rng = random.Random(seed)
     repro = _repro("identities", seed, prec)
     results = []

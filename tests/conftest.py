@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from looptool.laurent import LaurentPolynomial, proportional_up_to_unit
 from looptool.numberfield import NumberField, QQ
 
 
@@ -32,3 +33,8 @@ def field_nonintegral():
 def random_element(rng, field, lo=-9, hi=9, den=7):
     return field.element([Fraction(rng.randint(lo, hi), rng.randint(1, den))
                           for _ in range(field.degree)])
+
+
+def is_palindromic_up_to_unit(p: LaurentPolynomial) -> bool:
+    """p(1/t) = p(t) up to a unit +-t^k, as a one-loop polynomial is."""
+    return proportional_up_to_unit(p.invert_variable(), p)

@@ -21,12 +21,18 @@ from looptool.nzdata import PeripheralRows, TwistedNZData
 from looptool.rootsum import (CyclicMatrixImage, ResidueForm, TorusSumSpec, av_exact,
                               av_trace, cyclic_resultant, ratfun_mod_cyclic,
                               torus_sum_oracle)
-from looptool.synth import (random_nz_data, random_symmetric_matrix,
-                            random_symmetric_propagator, random_vertex_table)
+from looptool.synth import random_nz_data, random_symmetric_propagator, random_vertex_table
 
 THETA = FeynmanDiagram(2, [(0, 1), (0, 1), (0, 1)], Fraction(8))
 BOUQUET = FeynmanDiagram(1, [(0, 0), (0, 0)])
 TREE = FeynmanDiagram(3, [(0, 1), (1, 2)])
+
+
+def random_symmetric_matrix(rng: random.Random, N: int):
+    """Random symmetric rational matrix (a stand-in Pi_0 for meridian tests)."""
+    vals = [[QQ.element(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+             for _ in range(N)] for _ in range(N)]
+    return [[vals[min(i, j)][max(i, j)] for j in range(N)] for i in range(N)]
 
 
 def test_degrees_and_betti():

@@ -1,16 +1,17 @@
 """Bundled knot data: cross-method agreement and tabulated constants."""
 
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from looptool import knots
+from conftest import is_palindromic_up_to_unit
+from looptool import cli, knots
 from looptool.errors import CrossCheckError
 from looptool.knots import (FIELD_52, FIELD_LAMBDA_52, FIELD_SQRT21, FigureEightFixture,
                             FiveTwoFixture, TaggedValue, fixture)
 from looptool.laurent import LaurentPolynomial, RationalFunction
-from looptool.nzdata import is_palindromic_up_to_unit
 from looptool.numberfield import QQ
 from looptool.powersum import CoverPolynomial, leading_asymptotic
 
@@ -224,3 +225,24 @@ def test_52_exact_asymptotics_from_the_cover_polynomial(ell):
     mu = 2 * fx.lam
     psi = sum((c * mu ** i for i, c in enumerate(coeffs)), FIELD_LAMBDA_52.zero()) / den
     assert leading_asymptotic(fx.cover(ell)) == psi
+
+
+def test_41_row_past_20000_digits_matches_closed_form_and_prints():
+    # the 4_1 ell = 3 row at n = 15000 has a numerator and a denominator of
+    # over 20000 digits, past CPython's 4300-digit int <-> str limit, which
+    # cli.main lifts so that such a row prints
+    fx = fixture("4_1")
+    row = fx.phi_average(3, 15000)
+    assert row == fx.phi_closed(3, 15000)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ValueError, match="limit"):
+            cli._format_value(row.value, row.sqrt_m3)
+        sys.set_int_max_str_digits(0)  # as cli.main does
+        text = cli._format_value(row.value, row.sqrt_m3)
+        num, den = text.split("/")
+        assert min(len(num.lstrip("-")), len(den)) > 20000
+        assert Fraction(text) == row.value.rational_value()
+    finally:
+        sys.set_int_max_str_digits(limit)

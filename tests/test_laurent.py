@@ -9,8 +9,7 @@ from looptool.errors import (IncompleteFactorization, LoopToolError,
                              ZeroBase)
 from looptool.laurent import (LaurentMatrix, LaurentPolynomial,
                               RationalFunction, partial_fractions,
-                              proportional_up_to_unit,
-                              recombine_partial_fractions)
+                              proportional_up_to_unit)
 from looptool.linalg import mat_mul
 from looptool.numberfield import QQ
 
@@ -175,6 +174,17 @@ def test_bareiss_det_matches_cofactor(rng):
         rows = [[LP(QQ, {k: rng.randint(-3, 3) for k in range(0, 2)})
                  for _ in range(n)] for _ in range(n)]
         assert LaurentMatrix(QQ, rows).det() == cof(rows, n)
+
+
+def recombine_partial_fractions(poly_part, terms, roots):
+    """The rational function poly_part + sum c / (1 - lam_j t)^m that
+    `partial_fractions` splits into (poly_part, {(j, m): c})."""
+    field = poly_part.field
+    total = RationalFunction.from_poly(poly_part)
+    for (j, m), c in terms.items():
+        total = total + RationalFunction(
+            LP(field, {0: c}), LP(field, {0: 1, 1: -roots[j][0]}) ** m)
+    return total
 
 
 def test_partial_fractions_two_simple_poles():

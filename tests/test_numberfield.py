@@ -11,7 +11,7 @@ import pytest
 from conftest import random_element
 from looptool import laurent, linalg, numberfield, powersum, rootsum
 from looptool.errors import CrossCheckError, ParseError, SingularError, ZeroInverse
-from looptool.knots import FIELD_52, FIELD_LAMBDA_52, FIELD_SQRT21
+from looptool.knots import FIELD_52, FIELD_LAMBDA_52, FIELD_SQRT21, fixture
 from looptool.laurent import LaurentPolynomial, RationalFunction
 from looptool.synth import random_nz_data
 from looptool.numberfield import (ComplexBall, FieldElement, FieldEmbedding, NumberField, QQ,
@@ -617,3 +617,41 @@ def test_field_embedding_is_a_homomorphism_with_an_exact_left_inverse(rng):
         FieldEmbedding(-b / a, lam)
     with pytest.raises(ParseError, match="does not generate"):
         FieldEmbedding(FIELD_52.element(2), lam)
+
+
+def _in_image_by_reembedding(embed, y):
+    """The former membership check of `restrict`, kept as its oracle: map y
+    back through the left inverse, embed the answer and compare."""
+    num = [y.num[p] for p in embed._rows]
+    x = FieldElement._from_integers(
+        embed.source, [sum(a * b for a, b in zip(row, num)) for row in embed._left],
+        embed._left_den * y.den)
+    return embed(x) == y
+
+
+@pytest.mark.parametrize("knot", ["4_1", "5_2"])
+def test_restrict_checks_membership_off_the_rows_like_reembedding(rng, knot):
+    # both fixture embeddings: Q into Q(sqrt 21) and the cubic field into
+    # the sextic, each through delta_embedding
+    fx = fixture(knot)
+    embed = powersum.delta_embedding(fx.delta, fx.lam)
+    K = embed.target
+    assert len(embed._outside) == K.degree - embed.source.degree
+    outside = 0
+    for _ in range(30):
+        x = random_element(rng, embed.source, -99, 99, 50)
+        y = embed(x)
+        assert _in_image_by_reembedding(embed, y)
+        assert embed.restrict(y) == x
+        # off the image: a random element, and y moved along one coordinate
+        # outside the rows
+        q = rng.choice(sorted(set(range(K.degree)) - set(embed._rows)))
+        step = K.element([int(i == q) for i in range(K.degree)]) * rng.randint(1, 9)
+        for z in (random_element(rng, K), y + step, step):
+            if _in_image_by_reembedding(embed, z):
+                assert embed(embed.restrict(z)) == z
+            else:
+                outside += 1
+                with pytest.raises(CrossCheckError, match="does not lie in the image"):
+                    embed.restrict(z)
+    assert outside >= 60

@@ -8,14 +8,14 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import is_palindromic_up_to_unit
 from looptool.circulant import BlockCirculant, block_diagonalize_check
 from looptool.errors import SingularAtRoot, SingularError, ValidationError
 from looptool.laurent import (LaurentMatrix, LaurentPolynomial,
                               RationalFunction, proportional_up_to_unit)
 from looptool.linalg import mat_mul, solve_gauss_jordan
 from looptool.numberfield import QQ
-from looptool.nzdata import (TwistedNZData, is_palindromic_up_to_unit,
-                             normalize_unit)
+from looptool.nzdata import TwistedNZData, normalize_unit
 from looptool.synth import random_nz_data
 
 LP = LaurentPolynomial

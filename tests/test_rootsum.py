@@ -1,5 +1,6 @@
 """Exact summation over roots of unity and the torus-sum oracle."""
 
+import itertools
 import random
 import time
 from collections import Counter
@@ -20,7 +21,7 @@ from looptool.rootsum import (ResidueForm, TorusSumSpec, _cyc_mul, av_exact,
                               delta_basis_inverse, delta_power_sums, delta_sum_value,
                               fit_rational_shape, fold_mod_cyclic,
                               invert_mod_cyclic, pole_sum_closed,
-                              torus_sum_numeric, torus_sum_oracle)
+                              torus_sum_oracle)
 
 LP = LaurentPolynomial
 DELTA_41 = LP(QQ, {1: 1, 0: -5, -1: 1})
@@ -598,6 +599,26 @@ def test_torus_d1_reduces_to_av():
     f = geometric(Fraction(2))
     for n in range(1, 9):
         assert torus_sum_oracle(spec, n) == av_exact(f, n)
+
+
+def torus_sum_numeric(spec: TorusSumSpec, n: int, precision_digits: int = 40):
+    """Brute complex summation at the given precision (cross-check only)."""
+    with mpmath.workdps(precision_digits + 10):
+        cs = [c.to_mpc(precision_digits + 10) for c in spec.constants]
+        total = mpmath.mpc(0)
+        for idx in itertools.product(range(n), repeat=spec.d):
+            ws = [mpmath.e ** (2j * mpmath.pi * k / n) for k in idx]
+            t0 = mpmath.mpc(1)
+            for i, e in enumerate(spec.t0):
+                t0 *= ws[i] ** e
+            denom = mpmath.mpc(1)
+            for m, c in zip(spec.monomials, cs):
+                tv = mpmath.mpc(1)
+                for i, e in enumerate(m):
+                    tv *= ws[i] ** e
+                denom *= (1 - c * tv)
+            total += t0 / denom
+        return total
 
 
 TRIANGLE = TorusSumSpec(2, (0, 0), ((1, 0), (0, 1), (-1, -1)),

@@ -5,13 +5,18 @@ at module level only.  Every name the benchmark harness in
 `bench/` and its tests take from the package still exists, every
 module-level function and class of the package is named somewhere, and
 every module-level import is used.  Only numberfield names the encoders
-behind `NumberField.integer_rows`."""
+behind `NumberField.integer_rows`.  mpmath stays off the exact path's import
+graph: no module imports it at module level, and importing the package,
+computing knot rows, a reconstruction and a bundle invariant leave it
+unloaded until a certified embedding asks for it."""
 
 import ast
 import glob
 import importlib
 import os
 import re
+import subprocess
+import sys
 import warnings
 from collections import Counter
 
@@ -73,6 +78,74 @@ def test_no_unused_module_level_imports(path):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in used)
     assert not unused, f"unused imports: {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SRC, "*.py"))),
+                         ids=os.path.basename)
+def test_no_module_level_mpmath_import(path):
+    """Floating point stays off the exact path: a function that computes in
+    floating point imports mpmath in its own body.  Statements that run on
+    import (module and class bodies, their branches) import no mpmath."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    eager, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            names = []
+        if any(name.split(".")[0] == "mpmath" for name in names):
+            eager.append(node.lineno)
+        stack.extend(ast.iter_child_nodes(node))
+    assert not eager, f"module-level mpmath imports at lines {sorted(eager)}"
+
+
+_EXACT_RUN = """
+import json, sys
+from fractions import Fraction
+import looptool, looptool.cli
+from looptool.diagrams import FeynmanDiagram, VertexFactorTable, loop_invariant
+from looptool.knots import FIELD_SQRT21, fixture
+from looptool.numberfield import ComplexBall
+from looptool.nzdata import TwistedNZData
+from looptool.powersum import reconstruct_p
+
+fx = fixture("4_1")
+assert fx.phi_average(3, 40) == fx.phi_closed(3, 40)
+p = reconstruct_p([(n, fx.phi_average(2, n).value) for n in (1, 2, 3, 4)], [fx.lam], 2, 1)
+assert p.evaluate(9) == fx.phi_average(2, 9).value
+with open(sys.argv[1]) as fh:
+    obj = json.load(fh)
+data = TwistedNZData.from_json(obj["nz"])
+diagrams = [(FeynmanDiagram.from_json(d), VertexFactorTable.from_json(d, data.field))
+            for d in obj["diagrams"]]
+loop_invariant(data, 5, diagrams, 2)
+assert "mpmath" not in sys.modules, "an exact path loaded mpmath"
+ball = FIELD_SQRT21.generator().embed(None, 20)
+assert isinstance(ball, ComplexBall) and ball.radius <= Fraction(1, 10 ** 20)
+assert abs(ball.re * ball.re - 21) < Fraction(1, 10 ** 18) and ball.im == 0
+assert "mpmath" in sys.modules
+print("ok")
+"""
+
+
+def test_exact_paths_leave_mpmath_unloaded():
+    """In a fresh interpreter: import the package and its CLI, compute one
+    4_1 row, one reconstruction and one bundle invariant, and mpmath is
+    still not loaded; a certified embedding then loads it and still
+    returns a ball of the asked radius."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(looptool.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    bundle = os.path.join(ROOT, "data", "synthetic_theta_bundle.json")
+    done = subprocess.run([sys.executable, "-c", _EXACT_RUN, bundle],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stdout == "ok\n", done.stderr
 
 
 @pytest.mark.parametrize("path", [p for p in sorted(glob.glob(os.path.join(SRC, "*.py")))
