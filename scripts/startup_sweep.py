@@ -1,7 +1,7 @@
 """Cold-start cost of the package: wall time, peak memory and import time of
 fresh interpreters.
 
-    python3 scripts/startup_sweep.py [--repeat 11] [--top 8]
+    python3 scripts/startup_sweep.py
 
 Each case runs in a new child process of this interpreter, with the
 package on PYTHONPATH from a fresh copy of `src/` in a temporary directory:
@@ -9,10 +9,10 @@ package on PYTHONPATH from a fresh copy of `src/` in a temporary directory:
 runs through `cli.main` (4_1 at loop 3 to n = 70, and the theta bundle
 file `data/synthetic_theta_bundle.json` at loop 2 to n = 40), their tables
 discarded.  For each case it prints the median and the minimum wall time
-of `--repeat` runs, the median of the child's own peak RSS (`ru_maxrss`),
+of REPEAT runs, the median of the child's own peak RSS (`ru_maxrss`),
 whether mpmath, dataclasses and inspect were loaded, and, from one more run
 under `-X importtime`, the total self import time, the part of it spent in
-looptool and in mpmath, and the `--top` modules by self time.
+looptool and in mpmath, and the TOP modules by self time.
 
 Both bytecode states are measured.  `cold`: the package compiles from
 source on every run (PYTHONDONTWRITEBYTECODE=1 on a tree with no
@@ -22,7 +22,6 @@ PYTHONPYCACHEPREFIX points at a temporary directory that one untimed run
 fills, so every module loads from bytecode.
 """
 
-import argparse
 import os
 import shutil
 import statistics
@@ -32,6 +31,8 @@ import tempfile
 import time
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+REPEAT = 11
+TOP = 8
 WATCH = ("mpmath", "dataclasses", "inspect")
 KNOT = "from looptool.cli import main; main({!r})"
 CASES = [
@@ -68,12 +69,12 @@ def import_self_us(stderr):
     return out
 
 
-def sweep(state, env, repeat, top):
+def sweep(state, env):
     for label, code in CASES:
         if state == "warm":
             run(code, env)
         walls, rss = [], []
-        for _ in range(repeat):
+        for _ in range(REPEAT):
             wall, err = run(code, env)
             report = err.splitlines()[-1].split()
             walls.append(wall)
@@ -89,24 +90,19 @@ def sweep(state, env, repeat, top):
         print(f"      self import {sum(times.values()) / 1e3:6.1f} ms: looptool "
               f"{part['looptool'] / 1e3:.1f}, mpmath {part['mpmath'] / 1e3:.1f}; top: "
               + ", ".join(f"{name} {us / 1e3:.1f}" for name, us in
-                          sorted(times.items(), key=lambda kv: -kv[1])[:top]))
+                          sorted(times.items(), key=lambda kv: -kv[1])[:TOP]))
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=11)
-    parser.add_argument("--top", type=int, default=8)
-    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(os.path.join(ROOT, "src", "looptool"), os.path.join(tmp, "src", "looptool"),
                         ignore=shutil.ignore_patterns("__pycache__"))
         base = {k: v for k, v in os.environ.items()
                 if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
         base["PYTHONPATH"] = os.path.join(tmp, "src")
-        print(f"python {sys.version.split()[0]}, {args.repeat} runs per case")
-        sweep("cold", dict(base, PYTHONDONTWRITEBYTECODE="1"), args.repeat, args.top)
-        sweep("warm", dict(base, PYTHONPYCACHEPREFIX=os.path.join(tmp, "pycache")),
-              args.repeat, args.top)
+        print(f"python {sys.version.split()[0]}, {REPEAT} runs per case")
+        sweep("cold", dict(base, PYTHONDONTWRITEBYTECODE="1"))
+        sweep("warm", dict(base, PYTHONPYCACHEPREFIX=os.path.join(tmp, "pycache")))
 
 
 if __name__ == "__main__":
