@@ -11,7 +11,7 @@ from .diagrams import (FeynmanDiagram, FlowAssignment, VertexFactorTable,
                        weight_direct, weight_flow)
 from .rootsum import (TorusSumSpec, av_exact, cyclic_resultant,
                       delta_basis_inverse, delta_power_sums, torus_sum_oracle)
-from .powersum import (CoverPolynomial, DeltaForm, GeneralizedPowerSum,
+from .powersum import (CoverPolynomial, GeneralizedPowerSum,
                        asymptotic_fit_check, gps_to_series, leading_asymptotic,
                        quad_to_delta_form, reconstruct_p)
 from .knots import TaggedValue, fixture
@@ -19,8 +19,8 @@ from .knots import TaggedValue, fixture
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockCirculant", "ComplexBall", "CoverPolynomial", "DeltaForm",
-    "FeynmanDiagram", "FieldElement", "FlowAssignment", "GeneralizedPowerSum",
+    "BlockCirculant", "ComplexBall", "CoverPolynomial", "FeynmanDiagram",
+    "FieldElement", "FlowAssignment", "GeneralizedPowerSum",
     "LaurentMatrix", "LaurentPolynomial", "NumberField", "PeripheralRows",
     "QQ", "Rational", "RationalFunction", "TaggedValue", "TorusSumSpec",
     "TwistedNZData", "VertexFactorTable", "asymptotic_fit_check", "av_exact",

@@ -85,12 +85,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_json(path):
+def _read_text(path) -> str:
+    """The text of a file; ParseError naming it when it does not decode."""
     with open(path) as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not readable as text: {exc}") from exc
+
+
+def _load_json(path):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -259,24 +267,23 @@ def _knot_from_file(args) -> int:
 
 def _load_values_csv(path, field: NumberField):
     rows = []
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            unit = cells[-1].strip() == "sqrt(-3)"
-            if unit:
-                cells = cells[:-1]
-            if not 1 <= len(cells) - 1 <= field.degree:
-                raise ParseError(f"{path} line {number} {line!r}: need n and 1 to "
-                                 f"{field.degree} coordinates")
-            try:
-                n = int(cells[0])
-            except ValueError as exc:
-                raise ParseError(f"bad n {cells[0]!r} in {path}") from exc
-            coords = [parse_rational(c) for c in cells[1:]]
-            rows.append((n, field.element(coords), unit))
+    for number, line in enumerate(_read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        cells = line.split(",")
+        unit = cells[-1].strip() == "sqrt(-3)"
+        if unit:
+            cells = cells[:-1]
+        if not 1 <= len(cells) - 1 <= field.degree:
+            raise ParseError(f"{path} line {number} {line!r}: need n and 1 to "
+                             f"{field.degree} coordinates")
+        try:
+            n = int(cells[0])
+        except ValueError as exc:
+            raise ParseError(f"bad n {cells[0]!r} in {path}") from exc
+        coords = [parse_rational(c) for c in cells[1:]]
+        rows.append((n, field.element(coords), unit))
     if not rows:
         raise ParseError("no value rows found")
     units = {u for _, _, u in rows}
@@ -370,7 +377,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SingularError as exc:
         print(f"singular system: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,7 +28,6 @@ a prefix of series coefficients that at least doubles when it grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -45,11 +44,13 @@ FIELD_SQRT21 = NumberField([-21, 0, 1], root_index=1)
 FIELD_52 = NumberField([-1, -1, 0, 1], root_index=0)
 
 
-@dataclass(frozen=True)
 class TaggedValue:
     """A field value optionally carrying a formal sqrt(-3) unit."""
-    value: FieldElement
-    sqrt_m3: bool = False
+
+    __slots__ = ("value", "sqrt_m3")
+
+    def __init__(self, value: FieldElement, sqrt_m3: bool = False):
+        self.value, self.sqrt_m3 = value, sqrt_m3
 
     def __add__(self, other: "TaggedValue") -> "TaggedValue":
         if self.sqrt_m3 != other.sqrt_m3:
@@ -72,6 +73,10 @@ class TaggedValue:
         if self.value.is_zero() and other.value.is_zero():
             return True
         return self.value == other.value and self.sqrt_m3 == other.sqrt_m3
+
+    def __hash__(self):
+        # equal values hash alike: a zero equals its twin of the other unit
+        return hash(self.value)
 
     def scale(self, c) -> "TaggedValue":
         return TaggedValue(self.value * c, self.sqrt_m3)

@@ -30,8 +30,7 @@ from .errors import (CrossCheckError, HoldoutMismatchError, ParseError,
 from .laurent import LaurentPolynomial, RationalFunction
 from .linalg import field_vector, solve_integer
 from .numberfield import FieldElement, FieldEmbedding, NumberField, QQ, poly_series
-from .rootsum import (ResidueForm, av_exact, delta_basis_inverse, delta_power_sums,
-                      one_minus_u_power)
+from .rootsum import delta_basis_inverse, delta_power_sums, one_minus_u_power
 
 
 class GeneralizedPowerSum:
@@ -187,7 +186,6 @@ class CoverPolynomial:
             raise ParseError("cover polynomials take delta-power rows k >= 0 only")
         embed = delta_embedding(delta, lam)
         field = lam.field
-        zero = field.zero()
         a_inv = delta.coefficient(1).inverse()
         alpha = delta_power_sums(lam, max(table, default=0))
         n_itself = [LaurentPolynomial(field, {1: 1})]
@@ -562,41 +560,18 @@ def asymptotic_fit_check(values: Sequence[Tuple[int, FieldElement]],
 # Quadratic-delta change of basis
 # ---------------------------------------------------------------------------
 
-class DeltaForm:
-    """q(x, y) with x standing for 1/delta(t) and y for 1/n, where delta is
-    the monic palindromic quadratic with root lam.
-
-    terms maps (i, j) to the coefficient of x^i y^j; read as a phi-table,
-    it is slot j of the row for delta^(-i), and `average` sums the one
-    `ResidueForm.from_table` built with the form.
-    """
-
-    def __init__(self, field: NumberField, lam: FieldElement,
-                 terms: Dict[Tuple[int, int], FieldElement]):
-        self.field = field
-        self.lam = lam
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
-        table: Dict[int, List[FieldElement]] = {}
-        for (i, j), c in self.terms.items():
-            row = table.setdefault(i, [])
-            row.extend([field.zero()] * (j + 1 - len(row)))
-            row[j] = c
-        delta = LaurentPolynomial(field, {1: 1, 0: -(lam + lam.inverse()), -1: 1})
-        self._form = ResidueForm.from_table(delta, table)
-
-    def average(self, n: int) -> FieldElement:
-        """Av_n(q(1/delta(t), 1/n)), exact."""
-        return av_exact(self._form, n)
-
-
-def quad_to_delta_form(p: CoverPolynomial) -> DeltaForm:
-    """Rewrite a one-root-pair cover polynomial as a sum over roots of unity
-    of q(1/delta(t), 1/n).
+def quad_to_delta_form(p: CoverPolynomial
+                       ) -> Tuple[LaurentPolynomial, Dict[int, List[FieldElement]]]:
+    """(delta, table): the monic delta = t - (lam + 1/lam) + 1/t over p's
+    field, lam = p.roots[0], and the phi-table of p over it, the exact
+    inverse of `CoverPolynomial.from_table`:
+    `from_table(delta, table, lam) == p`.  Row k is [c_(k,0), c_(k,1), ...]
+    up to its last nonzero slot; a row with no nonzero slot is left out.
 
     Uses the triangular basis inverse: u^a = sum_i beta_{a,i}(1/n) S_i with
     S_0 = 1 = sum_{t^n=1} (1/n) and S_i the delta power sums; positive
-    powers of n must cancel in the assembled q (they do for sequences with
-    linear leading asymptotics), otherwise the input is rejected.
+    powers of n must cancel in the assembled table (they do for sequences
+    with linear leading asymptotics), otherwise the input is rejected.
     """
     if p.r != 1:
         raise ParseError("quadratic form needs exactly one root pair")
@@ -608,7 +583,7 @@ def quad_to_delta_form(p: CoverPolynomial) -> DeltaForm:
     out: Dict[Tuple[int, int], FieldElement] = {}
     for (alpha, beta), c in p.terms.items():
         a = alpha[0]
-        # n^beta * u^a -> integrand sum_i [beta_{a,i}(1/n) adjusted] x^i
+        # n^beta * u^a -> sum_i [beta_{a,i}(1/n) adjusted] delta^(-i)
         row = beta_rows[a]
         for i in range(a + 1):
             entry = row[i]
@@ -620,7 +595,14 @@ def quad_to_delta_form(p: CoverPolynomial) -> DeltaForm:
                 n_power = exp + beta - (1 if i == 0 else 0)
                 key = (i, -n_power)
                 out[key] = out.get(key, field.zero()) + c * coeff
-    bad = {k: v for k, v in out.items() if k[1] < 0 and not v.is_zero()}
+    out = {k: v for k, v in out.items() if not v.is_zero()}
+    bad = sorted(k for k in out if k[1] < 0)
     if bad:
-        raise ParseError(f"positive powers of n survive: {sorted(bad)}")
-    return DeltaForm(field, lam, {k: v for k, v in out.items() if not v.is_zero()})
+        raise ParseError(f"positive powers of n survive: {bad}")
+    table: Dict[int, List[FieldElement]] = {}
+    for (i, j), c in out.items():
+        row = table.setdefault(i, [])
+        row.extend([field.zero()] * (j + 1 - len(row)))
+        row[j] = c
+    delta = LaurentPolynomial(field, {1: 1, 0: -(lam + lam.inverse()), -1: 1})
+    return delta, table

@@ -81,7 +81,6 @@ takes the determinant at O(d^2 log n + d^3).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -664,23 +663,6 @@ def _principal_part(a: FieldElement, j: int) -> List[FieldElement]:
     return poly_series(num, den, j, field.zero(), lambda x, _: x * inv0)[::-1]
 
 
-def delta_sum_value(lam: FieldElement, j: int, n: int) -> FieldElement:
-    """Evaluate sum_{t^n=1} delta(t)^(-j) from row j of the alpha table."""
-    _check_quadratic_root(lam)
-    row = _delta_power_row(lam.field, lam.coords, j)
-    lam_n = lam ** n
-    one_minus = lam.field.one() - lam_n
-    if one_minus.is_zero():
-        raise RootOfUnityPole("lambda is an n-th root of unity")
-    u = one_minus.inverse()
-    acc = lam.field.zero()
-    upow = lam.field.one()
-    for poly in row:
-        acc = acc + upow * poly.at(n)
-        upow = upow * u
-    return acc
-
-
 def delta_basis_inverse(lam: FieldElement, k: int) -> List[List[LaurentPolynomial]]:
     """Inverse beta of the lower-triangular alpha matrix of delta_power_sums.
 
@@ -709,20 +691,19 @@ def delta_basis_inverse(lam: FieldElement, k: int) -> List[List[LaurentPolynomia
 # Multivariate torus sums (geometric-expansion oracle)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class TorusSumSpec:
     """Sum of T0 / prod_i (1 - c_i T_i) over the n-torus of roots of unity.
 
     T_i for i = 1..d must be the coordinate monomials t_i; the remaining
     monomials T_{d+1}..T_s may only use exponents 0, +1, -1.  T0 is an
-    arbitrary integer monomial.
+    arbitrary integer monomial.  monomials is the tuple of exponent tuples
+    of T_1..T_s, constants the tuple of FieldElements c_1..c_s.
     """
-    d: int
-    t0: tuple
-    monomials: tuple          # tuple of exponent tuples for T_1..T_s
-    constants: tuple          # tuple of FieldElement c_1..c_s
 
-    def __post_init__(self):
+    __slots__ = ("d", "t0", "monomials", "constants")
+
+    def __init__(self, d: int, t0: tuple, monomials: tuple, constants: tuple):
+        self.d, self.t0, self.monomials, self.constants = d, t0, monomials, constants
         if self.d < 0:
             raise ParseError("torus dimension must be >= 0")
         if len(self.monomials) != len(self.constants):

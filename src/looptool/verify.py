@@ -21,9 +21,9 @@ from .linalg import (field_vector, mat_mul, solve, solve_gauss_jordan,
 from .numberfield import QQ
 from .powersum import (CoverPolynomial, quad_to_delta_form, reconstruct_p,
                        reconstruction_matrix, reconstruction_system)
-from .rootsum import (TorusSumSpec, av_exact, av_trace, cyclic_resultant,
-                      delta_basis_inverse, delta_power_sums, delta_sum_value,
-                      fit_rational_shape, pole_sum_closed, torus_sum_oracle)
+from .rootsum import (ResidueForm, TorusSumSpec, av_exact, av_trace, cyclic_resultant,
+                      delta_basis_inverse, delta_power_sums, fit_rational_shape,
+                      pole_sum_closed, torus_sum_oracle)
 from .synth import (random_laurent_matrix, random_nz_data,
                     random_symmetric_propagator, random_vertex_table)
 
@@ -236,10 +236,12 @@ def suite_quadratic(seed: int = 0, prec: int = 50) -> List[Result]:
     results.append(("top alpha coefficient 2 lam^k (lam^2-1)^-k x^k", ok, repro))
     ok = True
     dmon = LaurentPolynomial(QQ, {1: 1, 0: -Fraction(5, 2), -1: 1})
+    # S_k = sum_{t^n=1} dmon^(-k), row k of the alpha table as a cover polynomial
+    S = {k: CoverPolynomial.from_table(dmon, {k: [QQ.one()]}, lam) for k in range(1, 5)}
     for k in range(1, 5):
         fk = RationalFunction(LaurentPolynomial.one(QQ), dmon) ** k
         for n in range(1, 21):
-            if delta_sum_value(lam, k, n) != av_exact(fk, n):
+            if S[k].evaluate(n) != av_exact(fk, n):
                 ok = False
     results.append(("alpha expansion matches residue route (k<=4, n<=20)", ok, repro))
     ok = True
@@ -251,7 +253,7 @@ def suite_quadratic(seed: int = 0, prec: int = 50) -> List[Result]:
             for i in range(5):
                 if beta[a][i].is_zero():
                     continue
-                Si = QQ.one() if i == 0 else delta_sum_value(lam, i, n)
+                Si = QQ.one() if i == 0 else S[i].evaluate(n)
                 rhs = rhs + beta[a][i].at(n) * Si
             if lhs != rhs:
                 ok = False
@@ -260,9 +262,9 @@ def suite_quadratic(seed: int = 0, prec: int = 50) -> List[Result]:
     fx = fixture("4_1")
     vals = [(n, fx.phi_average(2, n).value) for n in range(1, 4)]
     p2 = reconstruct_p(vals, [fx.lam], ell=2, r=1)
-    q = quad_to_delta_form(p2)
+    form = ResidueForm.from_table(*quad_to_delta_form(p2))
     for n in range(1, 16):
-        if q.average(n) != fx.phi_average(2, n).value:
+        if av_exact(form, n) != fx.phi_average(2, n).value:
             ok = False
     results.append(("quadratic form reproduces 4_1 averages (n<=15)", ok, repro))
     return results

@@ -22,9 +22,8 @@ from looptool.numberfield import QQ
 from looptool.powersum import (CoverPolynomial, asymptotic_fit_check,
                                leading_asymptotic, quad_to_delta_form,
                                reconstruct_p)
-from looptool.rootsum import (TorusSumSpec, av_exact, delta_basis_inverse,
-                              delta_sum_value, fit_rational_shape,
-                              pole_sum_closed, torus_sum_oracle)
+from looptool.rootsum import (ResidueForm, TorusSumSpec, av_exact, delta_basis_inverse,
+                              fit_rational_shape, pole_sum_closed, torus_sum_oracle)
 from looptool.synth import (random_laurent_matrix, random_symmetric_propagator,
                             random_vertex_table)
 
@@ -208,10 +207,12 @@ def test_criterion_8_quadratic_pipeline():
     """Alpha/beta tables against the trace oracle; 4_1 delta form."""
     lam = QQ.element(2)
     dmon = LP(QQ, {1: 1, 0: -Fraction(5, 2), -1: 1})
+    # S_k = sum_{t^n=1} dmon^(-k), row k of the alpha table
+    S = {k: CoverPolynomial.from_table(dmon, {k: [QQ.one()]}, lam) for k in range(1, 5)}
     for k in range(1, 5):
         fk = RationalFunction(LP.one(QQ), dmon) ** k
         for n in range(1, 21):
-            assert delta_sum_value(lam, k, n) == av_exact(fk, n), (k, n)
+            assert S[k].evaluate(n) == av_exact(fk, n), (k, n)
     beta = delta_basis_inverse(lam, 4)
     for a_pow in range(5):
         for n in range(1, 21):
@@ -220,15 +221,15 @@ def test_criterion_8_quadratic_pipeline():
             for i in range(5):
                 if beta[a_pow][i].is_zero():
                     continue
-                Si = QQ.one() if i == 0 else delta_sum_value(lam, i, n)
+                Si = QQ.one() if i == 0 else S[i].evaluate(n)
                 rhs = rhs + beta[a_pow][i].at(n) * Si
             assert lhs == rhs, (a_pow, n)
     fx = fixture("4_1")
     p2 = reconstruct_p([(n, fx.phi_average(2, n).value) for n in range(1, 4)],
                        [fx.lam], 2, 1)
-    q = quad_to_delta_form(p2)
+    form = ResidueForm.from_table(*quad_to_delta_form(p2))
     for n in range(1, 31):
-        assert q.average(n) == fx.phi_average(2, n).value, n
+        assert av_exact(form, n) == fx.phi_average(2, n).value, n
     _report(8, "alpha/beta exact for k <= 4, n <= 20; "
                "Av_n(q) = Phi_2 for n = 1..30")
 

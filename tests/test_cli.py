@@ -228,6 +228,33 @@ def test_invalid_json_exit_1(tmp_path, capsys):
         assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize("case", ["avg-directory", "knot-directory", "avg-binary",
+                                  "reconstruct-binary", "reconstruct-out-directory"])
+def test_unreadable_input_or_output_exit_1(case, tmp_path, capsys):
+    """A directory where a file is read or written, or a file that does not
+    decode as text, ends in one `error:` line naming it, not a traceback."""
+    binary = tmp_path / "binary.dat"
+    binary.write_bytes(b"\xff\xfe{}\n")
+    fx = fixture("4_1")
+    values = tmp_path / "values.csv"
+    values.write_text("".join(f"{n},{fx.phi_average(2, n).value.coords[0]},0,sqrt(-3)\n"
+                              for n in (1, 2, 3)))
+    reconstruct = ["reconstruct", "--roots", os.path.join(DATA, "roots_4_1.json"),
+                   "--ell", "2", "--r", "1", "--values"]
+    argv, named = {
+        "avg-directory": (["avg", "--f", str(tmp_path), "--n", "3"], tmp_path),
+        "knot-directory": (["knot", "--knot", str(tmp_path), "--loop", "2",
+                            "--nmax", "3"], tmp_path),
+        "avg-binary": (["avg", "--f", str(binary), "--n", "3"], binary),
+        "reconstruct-binary": (reconstruct + [str(binary)], binary),
+        "reconstruct-out-directory": (reconstruct + [str(values), "--out", str(tmp_path)],
+                                      tmp_path),
+    }[case]
+    code, out, err = run(argv, capsys)
+    _one_line_usage_error(code, err)
+    assert str(named) in err and out == ""
+
+
 def test_avg_zero_denominator_exit_1(tmp_path, capsys):
     for den in ({}, {"0": "0"}):
         path = tmp_path / "zero_den.json"

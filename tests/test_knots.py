@@ -26,6 +26,18 @@ def test_tagged_value_arithmetic():
         a + TaggedValue(QQ.one(), False)
 
 
+def test_equal_tagged_values_hash_alike():
+    # a zero equals a zero of either unit and field, so a set keeps one
+    zeros = [TaggedValue(QQ.zero(), True), TaggedValue(QQ.zero(), False),
+             TaggedValue(FIELD_SQRT21.zero(), True)]
+    assert all(z == zeros[0] for z in zeros)
+    assert {hash(z) for z in zeros} == {hash(zeros[0])} and len(set(zeros)) == 1
+    half = TaggedValue(QQ.element(Fraction(1, 2)), True)
+    twin = TaggedValue(FIELD_SQRT21.element(Fraction(1, 2)), True)
+    assert half == twin and hash(half) == hash(twin)
+    assert len({half, twin, TaggedValue(QQ.element(Fraction(1, 2)))}) == 2
+
+
 def test_41_delta_and_lambda():
     fx = fixture("4_1")
     assert fx.delta.coeffs == {1: QQ.one(), 0: QQ.element(-5), -1: QQ.one()}

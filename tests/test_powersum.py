@@ -411,32 +411,53 @@ def test_asymptotic_fit_check_cases():
 # -- quadratic delta form -------------------------------------------------------
 
 
+def _monic_delta(lam):
+    """t - (lam + 1/lam) + 1/t over the field of lam."""
+    return LP(lam.field, {1: 1, 0: -(lam + lam.inverse()), -1: 1})
+
+
+def _trimmed(table):
+    """The table with each row cut after its last nonzero slot and the rows
+    with none dropped, as `quad_to_delta_form` writes it."""
+    out = {}
+    for k, row in table.items():
+        row = list(row)
+        while row and row[-1].is_zero():
+            row.pop()
+        if row:
+            out[k] = row
+    return out
+
+
 def test_quad_form_matches_41_table():
     fx = fixture("4_1")
     p = reconstruct_p([(n, fx.phi_average(2, n).value) for n in range(1, 4)],
                       [fx.lam], 2, 1)
-    q = quad_to_delta_form(p)
-    assert q.terms == {(2, 1): FIELD_SQRT21.element(Fraction(4, 3)),
-                       (1, 1): FIELD_SQRT21.element(Fraction(20, 63)),
-                       (0, 0): FIELD_SQRT21.element(Fraction(55, 1512))}
+    delta, table = quad_to_delta_form(p)
+    assert delta.field == FIELD_SQRT21 and delta == fx.delta
+    zero = FIELD_SQRT21.zero()
+    assert table == {2: [zero, FIELD_SQRT21.element(Fraction(4, 3))],
+                     1: [zero, FIELD_SQRT21.element(Fraction(20, 63))],
+                     0: [FIELD_SQRT21.element(Fraction(55, 1512))]}
+    form = ResidueForm.from_table(delta, table)
     for n in range(1, 31):
-        assert q.average(n) == fx.phi_average(2, n).value
+        assert av_exact(form, n) == fx.phi_average(2, n).value
 
 
 @pytest.mark.parametrize("ell", [2, 3])
 def test_quad_form_average_builds_no_form_or_fraction_per_row(ell, monkeypatch):
-    # one ResidueForm per DeltaForm; a row is one sum of it
+    # one ResidueForm for the table; a row is one sum of it
     fx = fixture("4_1")
     r = 1
     needed = (ell - 1) * comb(r + 2 * ell - 2, r)
     values = [(n, fx.phi_average(ell, n).value) for n in range(1, needed + 1)]
-    q = quad_to_delta_form(reconstruct_p(values, [fx.lam], ell, r))
+    form = ResidueForm.from_table(*quad_to_delta_form(reconstruct_p(values, [fx.lam], ell, r)))
     built = []
     for cls in (ResidueForm, RationalFunction):
         real = cls.__init__
         monkeypatch.setattr(cls, "__init__", lambda self, *args, real=real, **kw:
                             built.append(self) or real(self, *args, **kw))
-    averages = [q.average(n) for n in range(1, 21)]
+    averages = [av_exact(form, n) for n in range(1, 21)]
     assert built == []
     for n, value in enumerate(averages, 1):
         assert value == fx.phi_average(ell, n).value
@@ -454,16 +475,16 @@ def test_check_recurrence_edges():
 
 def test_quad_form_zero():
     p = CoverPolynomial(QQ, 2, [QQ.element(2)], {})
-    assert quad_to_delta_form(p).terms == {}
+    assert quad_to_delta_form(p) == (LP(QQ, {1: 1, 0: -Fraction(5, 2), -1: 1}), {})
 
 
 def test_quad_form_planted_oracle(rng):
     lam = QQ.element(2)
     p = CoverPolynomial(QQ, 2, [lam], {((1,), 1): QQ.element(Fraction(3, 7)),
                                        ((2,), 1): QQ.element(Fraction(-2, 5))})
-    q = quad_to_delta_form(p)
+    form = ResidueForm.from_table(*quad_to_delta_form(p))
     for n in range(1, 16):
-        assert q.average(n) == p.evaluate(n)
+        assert av_exact(form, n) == p.evaluate(n)
 
 
 def test_quad_form_coeffs_invariant_under_root_swap():
@@ -471,31 +492,27 @@ def test_quad_form_coeffs_invariant_under_root_swap():
     values = [(n, fx.phi_average(2, n).value) for n in range(1, 4)]
     q1 = quad_to_delta_form(reconstruct_p(values, [fx.lam], 2, 1))
     q2 = quad_to_delta_form(reconstruct_p(values, [fx.lam_inv], 2, 1))
-    assert q1.terms == q2.terms
+    assert q1 == q2
     # coefficients land in the rational subfield
-    for c in q1.terms.values():
-        assert c.is_rational()
+    for row in q1[1].values():
+        for c in row:
+            assert c.is_rational()
 
 
 # -- cover polynomials of delta-tables --------------------------------------------
 
 
 def _seeded_delta_table(rng, field):
-    """A palindromic quadratic delta = A(t + 1/t) + B over `field` with its
-    root lam in the field, a planted loop-2 cover polynomial p over it and
-    the phi-table of p over delta (`quad_to_delta_form` is over delta / A,
-    so row k is scaled by A^k)."""
+    """A root lam in `field`, the monic palindromic quadratic delta with root
+    lam, a planted loop-2 cover polynomial p over it and the phi-table of p
+    over delta."""
     while True:
         lam = random_element(rng, field)
         if not lam.is_zero() and not (lam * lam - 1).is_zero():
             break
-    a = random_element(rng, field, 1, 9)
-    delta = LP(field, {1: a, 0: -a * (lam + lam.inverse()), -1: a})
     p = CoverPolynomial(field, 2, [lam], {key: random_element(rng, field, 1, 9)
                                           for key in CoverPolynomial.basis(1, 2)})
-    table = {}
-    for (k, j), c in quad_to_delta_form(p).terms.items():
-        table.setdefault(k, [field.zero(), field.zero()])[j] = c * a ** k
+    delta, table = quad_to_delta_form(p)
     return delta, table, lam, p
 
 
@@ -503,12 +520,17 @@ def _seeded_delta_table(rng, field):
 def test_from_table_agrees_with_both_root_sums_on_seeded_tables(field, rng):
     for _ in range(3):
         delta, table, lam, planted = _seeded_delta_table(rng, field)
-        assert 0 in table and CoverPolynomial.from_table(delta, table, lam) == planted
+        assert delta.field == field and delta == _monic_delta(lam)
+        assert table == _trimmed(table) and 0 in table
+        # the exact round trip both ways
+        assert CoverPolynomial.from_table(delta, table, lam) == planted
+        assert quad_to_delta_form(CoverPolynomial.from_table(delta, table, lam)) == \
+            (delta, table)
         # plus random rows k = 0..4 with an n^0 entry only: delta^(-k) sums
         # to n times a polynomial in n of degree k - 1 for k >= 1, and
         # delta^0 to n, so every power of n stays positive
         for k in range(5):
-            row = table.setdefault(k, [field.zero(), field.zero()])
+            row = table.setdefault(k, [field.zero()])
             row[0] = row[0] + random_element(rng, field, 1, 9)
         p = CoverPolynomial.from_table(delta, table, lam)
         assert p.field == field and p.roots == [lam] and p.ell == 5
@@ -517,11 +539,9 @@ def test_from_table_agrees_with_both_root_sums_on_seeded_tables(field, rng):
             value = p.evaluate(n)
             assert value == av_exact(form, n), n
             assert value == av_trace(RationalFunction(form.numerator(n), form.den), n), n
-        # the inverse map gives the table back, over delta / A
-        a = delta.coefficient(1)
-        assert quad_to_delta_form(p).terms == {
-            (k, j): c / a ** k for k, row in table.items()
-            for j, c in enumerate(row) if not c.is_zero()}
+        # the inverse map gives the table back
+        assert quad_to_delta_form(p) == (delta, _trimmed(table))
+        assert CoverPolynomial.from_table(*quad_to_delta_form(p), lam) == p
 
 
 @pytest.mark.parametrize("name", ["4_1", "5_2"])
@@ -530,11 +550,15 @@ def test_from_table_round_trips_the_knot_tables(name, ell):
     fx = fixture(name)
     p = CoverPolynomial.from_table(fx.delta, fx.phi[ell], fx.lam)
     assert p.field == fx.lam.field and p.roots == [fx.lam] and p.ell == ell
+    # the table over the monic delta of lam, in the field of lam
     embed = delta_embedding(fx.delta, fx.lam)
     a = fx.delta.coefficient(1)
-    assert quad_to_delta_form(p).terms == {
-        (k, j): embed(c / a ** k) for k, row in fx.phi[ell].items()
-        for j, c in enumerate(row) if not c.is_zero()}
+    delta = _monic_delta(fx.lam)
+    table = _trimmed({k: [embed(c / a ** k) for c in row] for k, row in fx.phi[ell].items()})
+    assert quad_to_delta_form(p) == (delta, table)
+    assert CoverPolynomial.from_table(*quad_to_delta_form(p), fx.lam) == p
+    assert quad_to_delta_form(CoverPolynomial.from_table(delta, table, fx.lam)) == \
+        (delta, table)
     # reconstruction from the route's own values recovers the same p
     needed = (ell - 1) * (2 * ell - 1)
     values = [(n, embed(fx.phi_average(ell, n).value)) for n in range(1, needed + 4)]

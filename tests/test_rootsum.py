@@ -16,9 +16,10 @@ from looptool.knots import FIELD_52, FIELD_LAMBDA_52, FIELD_SQRT21, fixture
 from looptool.laurent import (LaurentMatrix, LaurentPolynomial, RationalFunction,
                               partial_fractions)
 from looptool.numberfield import QQ, NumberField
+from looptool.powersum import CoverPolynomial
 from looptool.rootsum import (ResidueForm, TorusSumSpec, _cyc_mul, av_exact,
                               av_trace, cyclic_resultant,
-                              delta_basis_inverse, delta_power_sums, delta_sum_value,
+                              delta_basis_inverse, delta_power_sums,
                               fit_rational_shape, fold_mod_cyclic,
                               invert_mod_cyclic, pole_sum_closed,
                               torus_sum_oracle)
@@ -398,12 +399,11 @@ def test_residue_form_raises_on_cyclotomic_factor(field):
             assert outcomes[0] == outcomes[1] == outcomes[2] != "pole", n
 
 
-def test_delta_sum_value_builds_each_row_once():
+def test_delta_power_sums_builds_each_row_once():
     lam = QQ.element(3)
     rootsum._delta_power_row.cache_clear()
-    for n in range(1, 6):
-        for j in range(4):
-            delta_sum_value(lam, j, n)
+    for _ in range(5):
+        delta_power_sums(lam, 3)
     info = rootsum._delta_power_row.cache_info()
     assert (info.misses, info.hits) == (4, 16)
     # the returned table is fresh: changing it leaves the next one intact
@@ -548,17 +548,19 @@ def test_alpha_matches_trace_oracle():
     dmon = LP(QQ, {1: 1, 0: -Fraction(5, 2), -1: 1})
     for k in range(1, 5):
         fk = RationalFunction(LP.one(QQ), dmon) ** k
+        # S_k = sum_{t^n=1} dmon^(-k), row k of the alpha table
+        sk = CoverPolynomial.from_table(dmon, {k: [QQ.one()]}, lam)
         for n in range(1, 21):
-            assert delta_sum_value(lam, k, n) == av_exact(fk, n)
+            assert sk.evaluate(n) == av_exact(fk, n)
 
 
 def test_alpha_in_extension_field(field_sqrt21):
     lam = (5 + field_sqrt21.generator()) / 2
-    f = RationalFunction(LP(field_sqrt21, {0: 1}),
-                         LP(field_sqrt21, DELTA_41.coeffs))
+    delta = LP(field_sqrt21, DELTA_41.coeffs)
+    f = RationalFunction(LP(field_sqrt21, {0: 1}), delta)
+    s1 = CoverPolynomial.from_table(delta, {1: [field_sqrt21.one()]}, lam)
     for n in (1, 2, 5):
-        got = delta_sum_value(lam, 1, n)
-        assert got == av_exact(f, n)
+        assert s1.evaluate(n) == av_exact(f, n)
 
 
 def test_resonant_root_rejected():
@@ -570,6 +572,8 @@ def test_resonant_root_rejected():
 
 def test_beta_inverts_alpha():
     lam = QQ.element(2)
+    dmon = LP(QQ, {1: 1, 0: -Fraction(5, 2), -1: 1})
+    S = {i: CoverPolynomial.from_table(dmon, {i: [QQ.one()]}, lam) for i in range(1, 5)}
     beta = delta_basis_inverse(lam, 4)
     for a in range(5):
         for n in (3, 5, 9):
@@ -578,7 +582,7 @@ def test_beta_inverts_alpha():
             for i in range(5):
                 if beta[a][i].is_zero():
                     continue
-                Si = QQ.one() if i == 0 else delta_sum_value(lam, i, n)
+                Si = QQ.one() if i == 0 else S[i].evaluate(n)
                 rhs = rhs + beta[a][i].at(n) * Si
             assert lhs == rhs
 
