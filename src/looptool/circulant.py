@@ -94,12 +94,6 @@ class BlockCirculant:
                 out[(a + b) % n] = mat_add(out[(a + b) % n], prod)
         return BlockCirculant(self.field, out)
 
-    def add(self, other: "BlockCirculant") -> "BlockCirculant":
-        if (self.n, self.block_size) != (other.n, other.block_size):
-            raise ParseError("size mismatch")
-        return BlockCirculant(self.field,
-                              [mat_add(a, b) for a, b in zip(self.blocks, other.blocks)])
-
     def to_full(self):
         """Expand into the (nN) x (nN) field matrix."""
         n, N = self.n, self.block_size
@@ -117,17 +111,6 @@ class BlockCirculant:
         a, i = divmod(row, N)
         b, j = divmod(col, N)
         return self.blocks[(b - a) % self.n][i][j]
-
-    def is_symmetric(self) -> bool:
-        n, N = self.n, self.block_size
-        for c in range(n):
-            other = self.blocks[(-c) % n]
-            blk = self.blocks[c]
-            for i in range(N):
-                for j in range(N):
-                    if blk[i][j] != other[j][i]:
-                        return False
-        return True
 
 
 def cover_blocks_from_symbolic(pi_matrix, n: int, field: NumberField,

@@ -6,8 +6,10 @@ invariants for the bundled knots or an NZ+diagram file), `reconstruct`
 suites).  Exit codes: 1 parse/usage, 2 mathematical domain error, 3
 cross-method disagreement, 4 singular system, 5 holdout mismatch.
 
-Default working precision for numeric checks is 100 digits, overridable by
---prec or the LOOPTOOL_PREC environment variable.
+--prec (default 100, or the LOOPTOOL_PREC environment variable) is read by
+`verify` only, which caps it at 60 digits for its numeric checks;
+`avg --numeric-check DIGITS` takes its own digits, and every other output is
+exact.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="looptool",
                      description="exact loop invariants of cyclic covers")
     parser.add_argument("--prec", type=int, default=None,
-                        help="working precision in digits (default 100 or "
-                             "LOOPTOOL_PREC)")
+                        help="digits of verify's numeric checks, capped at 60 "
+                             "(default 100 or LOOPTOOL_PREC)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_avg = sub.add_parser("avg", help="exact sum of a rational function "

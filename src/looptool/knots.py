@@ -211,7 +211,6 @@ class FigureEightFixture(KnotFixture):
                     9: -15565, 10: 343}),
                 (tm1 ** 3) * (quad2 ** 2) * (quad ** 3) * 588),
         }
-        self.series_units = {2: True, 3: False}
         self._series_coeff_cache: Dict[int, List[FieldElement]] = {}
 
     # -- closed forms in Q(sqrt 21) -------------------------------------------
@@ -224,7 +223,7 @@ class FigureEightFixture(KnotFixture):
         if ell == 2:
             num = (lam_n * 55 + 82 + lam_mn * 55) * Fraction(-n, 1512)
             value = num / resultant
-            return TaggedValue(value, True)
+            return TaggedValue(value, self.phi_units[ell])
         if ell == 3:
             sq = resultant * resultant
             part_n2 = (lam_n * _q("32/1323") + _q("32/441") + lam_mn * _q("32/1323")) \
@@ -233,7 +232,7 @@ class FigureEightFixture(KnotFixture):
                    + lam_mn * _q("1985/166698") + lam_mn * lam_mn * _q("317/238140"))
             part_n1 = self.sqrt21 * sym * n
             value = (part_n2 + part_n1) / sq
-            return TaggedValue(value, False)
+            return TaggedValue(value, self.phi_units[ell])
         raise ParseError(f"no closed form for ell = {ell}")
 
     # -- generating series ---------------------------------------------------------
@@ -250,7 +249,7 @@ class FigureEightFixture(KnotFixture):
         one = FIELD_SQRT21.one()
         resultant = (one - self.lam ** n) * (one - self.lam_inv ** n)
         value = a_n / resultant ** (ell - 1)
-        return TaggedValue(value, self.series_units[ell])
+        return TaggedValue(value, self.phi_units[ell])
 
 
 # ---------------------------------------------------------------------------

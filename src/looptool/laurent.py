@@ -59,10 +59,6 @@ class LaurentPolynomial:
         return cls(field, {0: field.one()})
 
     @classmethod
-    def monomial(cls, field: NumberField, exponent: int, coeff=1) -> "LaurentPolynomial":
-        return cls(field, {exponent: coeff})
-
-    @classmethod
     def from_coeff_list(cls, field: NumberField, coeffs: Sequence, shift: int = 0):
         return cls(field, {i + shift: c for i, c in enumerate(coeffs)})
 
@@ -175,9 +171,6 @@ class LaurentPolynomial:
     def shift(self, k: int) -> "LaurentPolynomial":
         return LaurentPolynomial(self.field, {e + k: v for e, v in self.coeffs.items()})
 
-    def scale(self, c) -> "LaurentPolynomial":
-        return self * c
-
     def invert_variable(self) -> "LaurentPolynomial":
         """Substitute t -> 1/t."""
         return LaurentPolynomial(self.field, {-k: v for k, v in self.coeffs.items()})
@@ -214,9 +207,6 @@ class LaurentPolynomial:
 
     # -- evaluation -----------------------------------------------------------
 
-    def __call__(self, a):
-        return self.eval(a)
-
     def eval(self, a) -> FieldElement:
         """Exact value sum c_k a^k; a may live in an extension field."""
         if self.is_zero():
@@ -240,9 +230,6 @@ class LaurentPolynomial:
             term = power(k) * c
             acc = acc + term
         return acc
-
-    #: Evaluation at x = n, for Laurent polynomials in the cover degree.
-    at = eval
 
     # -- division --------------------------------------------------------------
 
@@ -467,8 +454,6 @@ class RationalFunction:
         if d.is_zero():
             raise ZeroDivisionError(f"denominator vanishes at {a!r}")
         return self.num.eval(a) / d
-
-    __call__ = eval
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}

@@ -376,11 +376,6 @@ class ComplexBall:
         lo = sqrt_lower(_c_abs2((self.re, self.im))) - self.radius
         return lo if lo > 0 else Fraction(0)
 
-    def contains_ball(self, other: "ComplexBall") -> bool:
-        d2 = _c_abs2((self.re - other.re, self.im - other.im))
-        gap = self.radius - other.radius
-        return gap >= 0 and d2 <= gap * gap
-
     def to_mpc(self):
         import mpmath
         return mpmath.mpc(mpmath.mpf(self.re.numerator) / self.re.denominator,

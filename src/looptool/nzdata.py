@@ -14,7 +14,7 @@ from typing import List, Optional
 
 from .circulant import BlockCirculant, cover_blocks_from_symbolic
 from .errors import (NotDivisible, ParseError, SingularAtRoot, SingularMatrix,
-                     ValidationError, check_cover_order)
+                     ValidationError)
 from .laurent import LaurentMatrix, LaurentPolynomial
 from .numberfield import FieldElement, NumberField, parse_int
 
@@ -57,8 +57,7 @@ class TwistedNZData:
 
     def __init__(self, field: NumberField, A: LaurentMatrix, B: LaurentMatrix,
                  shapes: List[FieldElement],
-                 peripheral: Optional[PeripheralRows] = None,
-                 check: bool = True):
+                 peripheral: Optional[PeripheralRows] = None):
         self.field = field
         self.N = len(shapes)
         if A.rows != self.N or A.cols != self.N or B.rows != self.N or B.cols != self.N:
@@ -77,8 +76,7 @@ class TwistedNZData:
         self._pi_symbolic = None
         self._pi1 = None
         self._pi_mu = None
-        if check:
-            self.validate()
+        self.validate()
 
     # -- validation ---------------------------------------------------------
 
@@ -135,25 +133,6 @@ class TwistedNZData:
             self._pi_symbolic = self._gluing_matrix(self.A, self.B).solve(-self.B)
         return self._pi_symbolic
 
-    def propagator_at(self, t_val):
-        """Exact N x N propagator value at a field point t_val.
-
-        Evaluates the symbolic entries, which stay regular at t = 1 even
-        though A - B Delta and B both degenerate there.
-        """
-        if not isinstance(t_val, FieldElement):
-            t_val = self.field.element(t_val)
-        Pi = self.propagator_symbolic()
-        out = []
-        for row in Pi:
-            vals = []
-            for entry in row:
-                if entry.den.eval(t_val).is_zero():
-                    raise SingularAtRoot(f"propagator singular at t = {t_val!r}")
-                vals.append(entry.eval(t_val))
-            out.append(vals)
-        return out
-
     def propagator_at_one(self):
         """Pi(1), evaluated once per dataset.  An entry whose denominator
         vanishes at t = 1 raises ZeroDivisionError, and nothing is kept."""
@@ -193,12 +172,6 @@ class TwistedNZData:
         return self._pi_mu[1]
 
     # -- cyclic covers --------------------------------------------------------------
-
-    def cover_matrices(self, n: int):
-        """(A^(n), B^(n)) as block circulants; n = 1 gives the 1 x 1 block X(1)."""
-        check_cover_order(n)
-        return (BlockCirculant.from_representer(self.A, n),
-                BlockCirculant.from_representer(self.B, n))
 
     def cover_propagator(self, n: int, pi0=None) -> BlockCirculant:
         """Exact block circulant cover propagator.

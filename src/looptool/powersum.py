@@ -287,10 +287,6 @@ class CoverPolynomial:
         return (isinstance(other, CoverPolynomial) and self.ell == other.ell
                 and self.roots == other.roots and self.terms == other.terms)
 
-    def scale(self, c) -> "CoverPolynomial":
-        return CoverPolynomial(self.field, self.ell, self.roots,
-                               {k: v * c for k, v in self.terms.items()})
-
     # -- serialization: alpha emitted in paired (a_j, 0) form ------------------
 
     def to_json(self) -> dict:

@@ -610,7 +610,7 @@ def delta_power_sums(lam: FieldElement, k: int) -> List[List[LaurentPolynomial]]
 
     where delta(t) = t - (lam + 1/lam) + 1/t.  Row j has j+1 entries, each a
     Laurent polynomial in x = n with non-negative exponents (evaluated by
-    `at`).  Each row is built once per (lam, j); see `_delta_power_row`.
+    `eval`).  Each row is built once per (lam, j); see `_delta_power_row`.
     """
     _check_quadratic_root(lam)
     return [list(_delta_power_row(lam.field, lam.coords, j)) for j in range(k + 1)]
@@ -670,7 +670,7 @@ def delta_basis_inverse(lam: FieldElement, k: int) -> List[List[LaurentPolynomia
 
         sum_i beta_{a,i}(1/n) * S_i(n),   S_0 = 1, S_i = sum_{t^n=1} delta(t)^(-i),
 
-    with beta entries Laurent polynomials in x = n (evaluated by `at`)
+    with beta entries Laurent polynomials in x = n (evaluated by `eval`)
     carrying only non-positive exponents (i.e. genuine polynomials in 1/n).
     """
     _check_quadratic_root(lam)

@@ -49,8 +49,7 @@ def _unimodular(rng: random.Random, field: NumberField, n: int,
     return LaurentMatrix(field, entries)
 
 
-def random_nz_data(rng: random.Random, N: int, check: bool = True,
-                   regular_orders=()) -> TwistedNZData:
+def random_nz_data(rng: random.Random, N: int, regular_orders=()) -> TwistedNZData:
     """Random valid twisted gluing data with rational shapes.
 
     `regular_orders` lists cover degrees n at which the one-loop polynomial
@@ -78,7 +77,7 @@ def random_nz_data(rng: random.Random, N: int, check: bool = True,
                     shapes.append(field.element(z))
                     break
         try:
-            data = TwistedNZData(field, A, B, shapes, check=check)
+            data = TwistedNZData(field, A, B, shapes)
             delta = data.twisted_one_loop()
             if delta.is_zero():
                 continue

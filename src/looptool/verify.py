@@ -254,7 +254,7 @@ def suite_quadratic(seed: int = 0, prec: int = 50) -> List[Result]:
                 if beta[a][i].is_zero():
                     continue
                 Si = QQ.one() if i == 0 else S[i].evaluate(n)
-                rhs = rhs + beta[a][i].at(n) * Si
+                rhs = rhs + beta[a][i].eval(n) * Si
             if lhs != rhs:
                 ok = False
     results.append(("triangular basis inverse (k<=4)", ok, repro))

@@ -76,7 +76,7 @@ def test_random_data_invariants(rng):
         for i in range(N):
             for j in range(N):
                 assert Pi[i][j].invert_variable() == Pi[j][i]
-        P1 = data.propagator_at(1)
+        P1 = data.propagator_at_one()
         assert all(P1[i][j] == P1[j][i] for i in range(N) for j in range(N))
         delta = data.twisted_one_loop()
         assert is_palindromic_up_to_unit(delta)
@@ -87,13 +87,6 @@ def test_random_data_invariants(rng):
             for j in range(N):
                 den = Pi[i][j].den
                 assert den.degree_span() == 0 or den.divides(big)
-
-
-def test_propagator_at_root_of_delta_raises(field_sqrt21):
-    data = one_tet_data(FIG8_A, T_MINUS_1, Fraction(1, 2))
-    lam = (5 + field_sqrt21.generator()) / 2
-    with pytest.raises(SingularAtRoot):
-        data.propagator_at(lam)
 
 
 def test_propagator_n1_scalar():
@@ -107,12 +100,10 @@ def test_propagator_n1_scalar():
 def test_cover_matrices_fold(rng):
     data = random_nz_data(rng, 2)
     # n = 1 gives X(1)
-    A1, B1 = data.cover_matrices(1)
-    assert A1.blocks[0] == data.A.eval(QQ.one())
+    assert BlockCirculant.from_representer(data.A, 1).blocks[0] == data.A.eval(QQ.one())
     # representer roundtrip
     for n in (2, 3, 5):
-        An, Bn = data.cover_matrices(n)
-        assert An == BlockCirculant.from_representer(data.A, n)
+        An = BlockCirculant.from_representer(data.A, n)
         assert BlockCirculant.from_representer(An.representer(), n) == An
 
 
@@ -132,8 +123,8 @@ def test_cover_propagator_defining_identity(rng):
         N = rng.randint(1, 2)
         n = rng.randint(1, 4)
         data = random_nz_data(rng, N, regular_orders=(n,))
-        An, Bn = data.cover_matrices(n)
-        Af, Bf = An.to_full(), Bn.to_full()
+        Af = BlockCirculant.from_representer(data.A, n).to_full()
+        Bf = BlockCirculant.from_representer(data.B, n).to_full()
         size = n * N
         lhs = [[Bf[i][j] * data.zp[j % N] - Af[i][j] for j in range(size)]
                for i in range(size)]

@@ -583,7 +583,7 @@ def test_beta_inverts_alpha():
                 if beta[a][i].is_zero():
                     continue
                 Si = QQ.one() if i == 0 else S[i].evaluate(n)
-                rhs = rhs + beta[a][i].at(n) * Si
+                rhs = rhs + beta[a][i].eval(n) * Si
             assert lhs == rhs
 
 

@@ -4,7 +4,9 @@ since `python -O` strips asserts.  Modules of the package import each other
 at module level only.  Every name the benchmark harness in
 `bench/` and its tests take from the package still exists, every
 module-level function and class of the package is named in src/,
-scripts/ or bench/, and every module-level import is used.  Only
+scripts/ or bench/, every method, property and class-level alias of those
+classes is used there as `.name` (two test-only checks of the 5_2 fixture
+aside), and every module-level import is used.  Only
 numberfield names the encoders behind `NumberField.integer_rows`.  mpmath
 stays off the exact path's import graph: no module imports it at module
 level, and importing the package, computing knot rows, a reconstruction
@@ -256,4 +258,45 @@ def test_no_dead_module_level_helpers():
                 own = re.findall(r"\w+", lines[node.lineno - 1]).count(node.name)
                 if words[node.name] == own:
                     dead.append(f"{os.path.basename(path)}:{node.lineno} {node.name}")
+    assert not dead, dead
+
+
+#: Test-only members kept on purpose, each with the reason it stays.
+KEPT_MEMBERS = {
+    "FiveTwoFixture.psi_numeric": "criterion 9's numeric check of the 5_2 asymptotics",
+    "FiveTwoFixture.lambda_sextic_residue": "the certificate that lambda is a root "
+                                            "of the sextic defining its field",
+}
+
+
+def test_no_dead_members():
+    """Each method, property and class-level alias of a module-level class
+    of src/looptool, dunders aside, is used as `.name` in src/, scripts/ or
+    bench/ (read, never imported); a string such as the tracer's
+    "KnotFixture.phi_rational_function" counts.  Members that only tests
+    use are dead unless KEPT_MEMBERS names them.  The check goes by name
+    only, so a member whose name another object also uses goes unseen."""
+    used = set()
+    for part in ("src", "scripts", "bench"):
+        for path in glob.glob(os.path.join(ROOT, part, "**", "*.py"), recursive=True):
+            with open(path) as fh:
+                used.update(re.findall(r"\.(\w+)", fh.read()))
+    dead = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                else:
+                    names = []
+                dead.extend(f"{cls.name}.{name}" for name in names
+                            if not (name.startswith("__") and name.endswith("__"))
+                            and name not in used
+                            and f"{cls.name}.{name}" not in KEPT_MEMBERS)
     assert not dead, dead
