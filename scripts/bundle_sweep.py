@@ -8,9 +8,7 @@ median wall time of `--repeat` calls (the symbolic propagator and Pi(1) are
 built beforehand), then the share of one profiled call spent in the
 denominator inverses, in the rest of the cyclic images and in the
 contraction, and finally the least-squares exponent of wall time in n.
-The split reads cProfile's cumulative times of the image builders by name,
-so it also runs on trees where those are `CyclicMatrixImage.entry` and
-`_den_inverse_mod_cyclic`.
+The split reads cProfile's cumulative times of the image builders by name.
 """
 
 import argparse
@@ -29,8 +27,8 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 import inputs  # noqa: E402
 from looptool import diagrams, nzdata  # noqa: E402
 
-INVERSES = {"_den_inverse", "_den_inverse_mod_cyclic"}
-IMAGES = {"image", "entry"}
+INVERSES = {"_den_inverse"}
+IMAGES = {"image"}
 
 
 def load(seed: int):

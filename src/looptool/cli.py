@@ -6,17 +6,15 @@ invariants for the bundled knots or an NZ+diagram file), `reconstruct`
 suites).  Exit codes: 1 parse/usage, 2 mathematical domain error, 3
 cross-method disagreement, 4 singular system, 5 holdout mismatch.
 
---prec (default 100, or the LOOPTOOL_PREC environment variable) is read by
-`verify` only, which caps it at 60 digits for its numeric checks;
-`avg --numeric-check DIGITS` takes its own digits, and every other output is
-exact.
+`verify --prec DIGITS` (default 100, capped at 60) sets the digits of the
+suites' numeric checks and `avg --numeric-check DIGITS` those of its one
+numeric check; every other output is exact.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from math import comb
 from typing import List, Optional
@@ -38,22 +36,9 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _default_precision() -> int:
-    env = os.environ.get("LOOPTOOL_PREC")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ParseError(f"bad LOOPTOOL_PREC value {env!r}")
-    return 100
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="looptool",
                      description="exact loop invariants of cyclic covers")
-    parser.add_argument("--prec", type=int, default=None,
-                        help="digits of verify's numeric checks, capped at 60 "
-                             "(default 100 or LOOPTOOL_PREC)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_avg = sub.add_parser("avg", help="exact sum of a rational function "
@@ -84,6 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", default="all",
                        choices=tuple(SUITES) + ("all",))
     p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--prec", type=int, default=100,
+                       help="digits of the numeric checks, capped at 60 (default 100)")
     return parser
 
 
@@ -334,9 +321,11 @@ def cmd_reconstruct(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def cmd_verify(args, prec: int) -> int:
+def cmd_verify(args) -> int:
+    if args.prec < 1:
+        raise ParseError("--prec must be >= 1")
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    results = run_suites(names, seed=args.seed, prec=min(prec, 60))
+    results = run_suites(names, seed=args.seed, prec=min(args.prec, 60))
     failed = [r for r in results if not r[1]]
     for name, ok, repro in results:
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
@@ -352,9 +341,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        prec = args.prec if args.prec is not None else _default_precision()
-        if prec < 1:
-            raise ParseError("--prec must be >= 1")
         if args.command == "avg":
             return cmd_avg(args)
         if args.command == "knot":
@@ -362,7 +348,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "reconstruct":
             return cmd_reconstruct(args)
         if args.command == "verify":
-            return cmd_verify(args, prec)
+            return cmd_verify(args)
         raise ParseError(f"unknown command {args.command!r}")
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

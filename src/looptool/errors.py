@@ -50,10 +50,6 @@ class SingularMatrix(SingularError):
     pass
 
 
-class IncompleteFactorization(MathDomainError):
-    pass
-
-
 # -- nz ---------------------------------------------------------------------
 
 class ValidationError(ParseError):
@@ -106,10 +102,6 @@ def check_cover_order(n: int) -> None:
 
 
 # -- powersum ---------------------------------------------------------------
-
-class RecursionMismatch(CrossCheckError):
-    pass
-
 
 class SingularSystem(SingularError):
     pass

@@ -52,21 +52,6 @@ class TaggedValue:
     def __init__(self, value: FieldElement, sqrt_m3: bool = False):
         self.value, self.sqrt_m3 = value, sqrt_m3
 
-    def __add__(self, other: "TaggedValue") -> "TaggedValue":
-        if self.sqrt_m3 != other.sqrt_m3:
-            if self.value.is_zero():
-                return other
-            if other.value.is_zero():
-                return self
-            raise ValueError("cannot add values with different units")
-        return TaggedValue(self.value + other.value, self.sqrt_m3)
-
-    def __mul__(self, other: "TaggedValue") -> "TaggedValue":
-        value = self.value * other.value
-        if self.sqrt_m3 and other.sqrt_m3:
-            return TaggedValue(value * (-3), False)
-        return TaggedValue(value, self.sqrt_m3 or other.sqrt_m3)
-
     def __eq__(self, other):
         if not isinstance(other, TaggedValue):
             return NotImplemented
@@ -77,9 +62,6 @@ class TaggedValue:
     def __hash__(self):
         # equal values hash alike: a zero equals its twin of the other unit
         return hash(self.value)
-
-    def scale(self, c) -> "TaggedValue":
-        return TaggedValue(self.value * c, self.sqrt_m3)
 
     def to_mpc(self, precision_digits: int = 30):
         import mpmath

@@ -15,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
-from .errors import (IncompleteFactorization, MathDomainError, NotDivisible,
-                     ParseError, SingularMatrix, ZeroBase)
+from .errors import (MathDomainError, NotDivisible, ParseError, SingularMatrix,
+                     ZeroBase)
 from .numberfield import (FieldElement, NumberField, bareiss, parse_rational,
                           poly_divmod)
 
@@ -306,21 +306,6 @@ class _Promote(Exception):
         self.field = field
 
 
-def proportional_up_to_unit(p: LaurentPolynomial, q: LaurentPolynomial) -> bool:
-    """True when p = c * t^k * q for some nonzero field scalar c and k in Z."""
-    if p.is_zero() or q.is_zero():
-        return p.is_zero() and q.is_zero()
-    pk = sorted(p.coeffs)
-    qk = sorted(q.coeffs)
-    if len(pk) != len(qk):
-        return False
-    shift = pk[0] - qk[0]
-    if any(a - b != shift for a, b in zip(pk, qk)):
-        return False
-    ratio = p.coeffs[pk[0]] / q.coeffs[qk[0]]
-    return all(p.coeffs[k + shift] == ratio * q.coeffs[k] for k in qk)
-
-
 class RationalFunction:
     """Reduced quotient of Laurent polynomials with canonical normalization."""
 
@@ -466,47 +451,6 @@ class RationalFunction:
         if den.is_zero():
             raise ParseError("rational function has a zero denominator")
         return cls(LaurentPolynomial.from_json(obj["num"], field), den)
-
-
-def partial_fractions(f: RationalFunction, roots):
-    """Decompose f = poly_part + sum c_{j,m} / (1 - lam_j t)^m.
-
-    `roots` lists (lam_j, multiplicity) pairs that must account exactly for
-    the non-monomial part of the denominator.  Returns (poly_part, terms)
-    where terms maps (j, m) to the coefficient c_{j,m}.
-    """
-    field = f.field
-    for lam, _ in roots:
-        if isinstance(lam, FieldElement) and lam.field.degree > field.degree:
-            field = lam.field
-    one = LaurentPolynomial.one(field)
-    # check the supplied roots multiply back to the denominator (up to unit)
-    prod = one
-    for lam, mult in roots:
-        factor = LaurentPolynomial(field, {0: 1, 1: -(_as_element(field, lam))})
-        prod = prod * factor ** mult
-    den = LaurentPolynomial(field, f.den.coeffs)
-    if not proportional_up_to_unit(prod, den):
-        raise IncompleteFactorization("roots do not multiply back to the denominator")
-
-    remainder = RationalFunction(LaurentPolynomial(field, f.num.coeffs), den)
-    terms = {}
-    for j, (lam, mult) in enumerate(roots):
-        lam = _as_element(field, lam)
-        inv_lam = lam.inverse()
-        factor = RationalFunction.from_poly(
-            LaurentPolynomial(field, {0: 1, 1: -lam}))
-        for m in range(mult, 0, -1):
-            cleared = remainder * factor ** m
-            c = cleared.eval(inv_lam)
-            terms[(j, m)] = c
-            if not c.is_zero():
-                remainder = remainder - RationalFunction(
-                    LaurentPolynomial(field, {0: c}),
-                    LaurentPolynomial(field, {0: 1, 1: -lam}) ** m)
-    if not remainder.is_polynomial():
-        raise IncompleteFactorization("leftover non-polynomial part")
-    return remainder.as_polynomial(), terms
 
 
 class LaurentMatrix:

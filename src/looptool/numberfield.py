@@ -45,8 +45,6 @@ from typing import Iterable, Sequence
 
 from .errors import CrossCheckError, ParseError, PrecisionUnreachable, ZeroInverse
 
-Rational = Fraction
-
 
 def parse_rational(text) -> Fraction:
     """Parse a decimal-free "p/q" string (or int) into a Fraction."""

@@ -9,7 +9,6 @@ symbolic propagator) are computed once and cached on the instance.
 
 from __future__ import annotations
 
-import json
 from typing import List, Optional
 
 from .circulant import BlockCirculant, cover_blocks_from_symbolic
@@ -227,11 +226,6 @@ class TwistedNZData:
         if len(shapes) != N:
             raise ParseError("number of shapes disagrees with N")
         return cls(field, A, B, shapes, peripheral)
-
-    @classmethod
-    def load(cls, path) -> "TwistedNZData":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 def _int_or_str(e: FieldElement):

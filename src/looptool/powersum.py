@@ -1,8 +1,6 @@
-"""Generalized power sums and polynomial forms of cover invariant sequences.
+"""Polynomial forms of cover invariant sequences.
 
-A sequence sum_j A_j(n) lam_j^n with polynomial coefficients satisfies the
-constant-coefficient linear recurrence with characteristic polynomial
-s(t) = prod (1 - lam_j t)^{deg A_j + 1} and has a rational generating series.
+`series_coefficients` expands a rational generating series.
 
 CoverPolynomial is the polynomial p(x_1..x_r, y) whose evaluation at
 x_j = 1/(1 - lam_j^n), y = n gives the invariant of the n-cover.  The
@@ -19,95 +17,16 @@ one-root-pair p of its sums over the roots of unity, and
 from __future__ import annotations
 
 import itertools
-import json
 from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (CrossCheckError, HoldoutMismatchError, ParseError,
-                     RecursionMismatch, ResonantRoot, SingularError,
-                     SingularSystem, UnitCircleRoot)
+                     ResonantRoot, SingularError, SingularSystem, UnitCircleRoot)
 from .laurent import LaurentPolynomial, RationalFunction
 from .linalg import field_vector, solve_integer
 from .numberfield import FieldElement, FieldEmbedding, NumberField, QQ, poly_series
 from .rootsum import delta_basis_inverse, delta_power_sums, one_minus_u_power
-
-
-class GeneralizedPowerSum:
-    """Terms (root, coefficient polynomial in n), roots pairwise distinct."""
-
-    def __init__(self, terms: Sequence[Tuple[FieldElement, Sequence[FieldElement]]]):
-        if not terms:
-            raise ParseError("need at least one term")
-        self.terms = []
-        seen = set()
-        for root, coeffs in terms:
-            key = root.coords
-            if key in seen:
-                raise ParseError("roots must be pairwise distinct")
-            seen.add(key)
-            coeffs = list(coeffs)
-            while coeffs and coeffs[-1].is_zero():
-                coeffs.pop()
-            if not coeffs:
-                raise ParseError("zero coefficient polynomial")
-            self.terms.append((root, coeffs))
-        self.field = self.terms[0][0].field
-        self.order = sum(len(c) for _, c in self.terms)
-
-    def value(self, n: int) -> FieldElement:
-        acc = self.field.zero()
-        for root, coeffs in self.terms:
-            poly = self.field.zero()
-            for c in reversed(coeffs):
-                poly = poly * n + c
-            acc = acc + poly * root ** n
-        return acc
-
-    def characteristic(self) -> LaurentPolynomial:
-        """s(t) = prod_j (1 - lam_j t)^{d_j}."""
-        s = LaurentPolynomial.one(self.field)
-        for root, coeffs in self.terms:
-            factor = LaurentPolynomial(self.field, {0: 1, 1: -root})
-            s = s * factor ** len(coeffs)
-        return s
-
-
-def gps_to_series(gps: GeneralizedPowerSum, order: int):
-    """Rational generating series r(t)/s(t) of the sequence, plus the first
-    `order` sequence values (starting at n = 0).
-
-    s(t) comes from the roots; r(t) is the truncation of s * (sum a_n t^n)
-    below degree d, and the recurrence is verified on the remaining values
-    (RecursionMismatch flags an inconsistent sequence).
-    """
-    d = gps.order
-    if order < d:
-        raise ParseError(f"order must be at least the GPS order {d}")
-    values = [gps.value(n) for n in range(order)]
-    return series_from_values(values, gps.characteristic()), values
-
-
-def series_from_values(values: Sequence[FieldElement], s: LaurentPolynomial
-                       ) -> RationalFunction:
-    field = s.field
-    coeffs, shift = s.as_poly_coeffs()
-    if shift != 0:
-        raise ParseError("characteristic polynomial must start at t^0")
-    d = len(coeffs) - 1
-    if len(values) < d:
-        raise ParseError("not enough values")
-    num: Dict[int, FieldElement] = {}
-    for k in range(len(values)):
-        acc = field.zero()
-        for i in range(0, min(k, d) + 1):
-            acc = acc + coeffs[i] * values[k - i]
-        if k < d:
-            if not acc.is_zero():
-                num[k] = acc
-        elif not acc.is_zero():
-            raise RecursionMismatch(f"sequence violates its recurrence at n = {k}")
-    return RationalFunction(LaurentPolynomial(field, num), s)
 
 
 def series_coefficients(rf: RationalFunction, count: int) -> List[FieldElement]:
@@ -334,11 +253,6 @@ class CoverPolynomial:
                 terms[key] = terms.get(key, field.zero()) + c
         return cls(field, ell, roots, {k: v for k, v in terms.items()
                                        if not v.is_zero()})
-
-    @classmethod
-    def load(cls, path, field: Optional[NumberField] = None) -> "CoverPolynomial":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh), field)
 
 
 def _x_steps(field: NumberField, roots: Sequence[FieldElement],

@@ -290,8 +290,7 @@ class CyclicMatrixImage:
     """Images in F[t]/(t^n - 1) of the entries of a square matrix of rational
     functions (or Laurent polynomials): the cover propagator of an n-fold
     cyclic cover.  `image` gives the n integer numerators of an entry (see
-    `Numerators`) over one positive denominator, `entry` the same image as
-    field elements.
+    `Numerators`) over one positive denominator.
 
     Each image is built on first use and kept, so an entry whose denominator
     vanishes at an n-th root of unity raises RootOfUnityPole only when it is
@@ -352,10 +351,6 @@ class CyclicMatrixImage:
                 den = common
             image = self._images[(i, j)] = ring.reduce(out, den)
         return image
-
-    def entry(self, i: int, j: int) -> List[FieldElement]:
-        nums, den = self.image(i, j)
-        return [self.ring.element(x, den) for x in nums]
 
 
 def av_trace(f: RationalFunction | LaurentPolynomial, n: int) -> FieldElement:
@@ -653,8 +648,9 @@ def _principal_part(a: FieldElement, j: int) -> List[FieldElement]:
     With u = 1 - a t, delta^(-j) = t^j / (u^j (1 - t/a)^j) and
     u^j delta^(-j) = g(u) = a^j (1 - u)^j / (a^2 - 1 + u)^j, so c_m is the
     coefficient of u^(j-m) in g: one power series of length j
-    (`numberfield.poly_series`), where `laurent.partial_fractions`, its
-    test oracle, subtracts rational functions pole by pole."""
+    (`numberfield.poly_series`).  Its oracle, the partial-fraction
+    decomposition in tests/conftest.py, subtracts rational functions pole by
+    pole."""
     field = a.field
     a_j, shift = a ** j, a * a - 1
     num = [a_j * b for b in one_minus_u_power(j)]

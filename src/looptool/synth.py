@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from .diagrams import VertexFactorTable
+from .errors import LoopToolError, MathDomainError
 from .laurent import LaurentMatrix, LaurentPolynomial, RationalFunction
 from .numberfield import NumberField, QQ
 from .nzdata import TwistedNZData
@@ -54,7 +55,9 @@ def random_nz_data(rng: random.Random, N: int, regular_orders=()) -> TwistedNZDa
 
     `regular_orders` lists cover degrees n at which the one-loop polynomial
     must avoid n-th roots of unity (so the cover propagator exists there);
-    random palindromic polynomials do hit cyclotomic roots occasionally.
+    random palindromic polynomials do hit cyclotomic roots occasionally.  A
+    draw that the package rejects is redrawn; MathDomainError when 200 draws
+    give no valid data.
     """
     field = QQ
     t_minus_1 = LaurentPolynomial(field, {1: 1, 0: -1})
@@ -85,9 +88,9 @@ def random_nz_data(rng: random.Random, N: int, regular_orders=()) -> TwistedNZDa
             # exactly when its cyclic resultant is nonzero
             if not any(cyclic_resultant(delta, n).is_zero() for n in regular_orders):
                 return data
-        except Exception:
+        except LoopToolError:
             continue
-    raise RuntimeError("could not generate valid data")
+    raise MathDomainError(f"no valid data with N = {N} in 200 draws")
 
 
 def random_vertex_table(rng: random.Random, N: int, degrees,

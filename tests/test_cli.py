@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
+from looptool import verify
 from looptool.cli import main
-from looptool.knots import FIELD_SQRT21, fixture
+from looptool.knots import FIELD_SQRT21, TaggedValue, fixture
 from looptool.synth import random_nz_data, random_vertex_table
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
@@ -173,10 +174,30 @@ def test_verify_all_release_gate(capsys):
 
 
 def test_precision_env_var(capsys, monkeypatch):
+    # precision is verify's --prec alone: avg ignores the environment
     monkeypatch.setenv("LOOPTOOL_PREC", "not-a-number")
-    code, _, _ = run(["avg", "--f", os.path.join(DATA, "const_one.json"),
-                      "--n", "2"], capsys)
-    assert code == 1
+    code, out, _ = run(["avg", "--f", os.path.join(DATA, "const_one.json"),
+                        "--n", "2"], capsys)
+    assert code == 0 and out == "2\n"
+    code, _, err = run(["verify", "--suite", "quadratic", "--prec", "0"], capsys)
+    _one_line_usage_error(code, err)
+
+
+def test_verify_repro_line_runs(capsys, monkeypatch):
+    real = verify.SUITES["quadratic"]
+
+    def first_fails(seed, prec):
+        (name, _, repro), *rest = real(seed, prec)
+        return [(name, False, repro)] + rest
+
+    monkeypatch.setitem(verify.SUITES, "quadratic", first_fails)
+    code, out, _ = run(["verify", "--suite", "quadratic", "--seed", "3",
+                        "--prec", "40"], capsys)
+    repro = [line.split("repro: ")[1] for line in out.splitlines() if "repro: " in line]
+    assert code == 1 and repro == ["looptool verify --suite quadratic --seed 3 --prec 40"]
+    monkeypatch.undo()
+    code, out, _ = run(repro[0].split()[1:], capsys)
+    assert code == 0 and "FAIL" not in out
 
 
 def test_deterministic_output(capsys):
@@ -382,7 +403,7 @@ def test_knot_cross_check_failure_names_routes_and_values(monkeypatch, capsys):
 
     def off_at_three(ell, n):
         value = real(ell, n)
-        return value.scale(2) if n == 3 else value
+        return TaggedValue(value.value * 2, value.sqrt_m3) if n == 3 else value
 
     monkeypatch.setattr(fx, "series_value", off_at_three)
     code, out, err = run(["knot", "--knot", "4_1", "--loop", "3",
@@ -405,7 +426,7 @@ def test_knot_all_compares_the_residue_route_on_every_row(monkeypatch, capsys):
     def off_at_four(ell, n):
         rows.append(n)
         value = real(ell, n)
-        return value.scale(2) if n == 4 else value
+        return TaggedValue(value.value * 2, value.sqrt_m3) if n == 4 else value
 
     monkeypatch.setattr(fx, "phi_residue", off_at_four)
     code, out, err = run(["knot", "--knot", "5_2", "--loop", "2",

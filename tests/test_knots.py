@@ -16,16 +16,6 @@ from looptool.numberfield import QQ
 from looptool.powersum import CoverPolynomial, leading_asymptotic
 
 
-def test_tagged_value_arithmetic():
-    a = TaggedValue(QQ.element(Fraction(1, 2)), True)
-    b = TaggedValue(QQ.element(Fraction(1, 3)), True)
-    assert (a + b).value == Fraction(5, 6) and (a + b).sqrt_m3
-    prod = a * b
-    assert prod.value == Fraction(-1, 2) and not prod.sqrt_m3
-    with pytest.raises(ValueError):
-        a + TaggedValue(QQ.one(), False)
-
-
 def test_equal_tagged_values_hash_alike():
     # a zero equals a zero of either unit and field, so a set keeps one
     zeros = [TaggedValue(QQ.zero(), True), TaggedValue(QQ.zero(), False),

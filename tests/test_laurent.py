@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from looptool.errors import (IncompleteFactorization, LoopToolError,
-                             MathDomainError, NotDivisible, SingularMatrix,
-                             ZeroBase)
-from looptool.laurent import (LaurentMatrix, LaurentPolynomial,
-                              RationalFunction, partial_fractions,
-                              proportional_up_to_unit)
+from conftest import (IncompleteFactorization, partial_fractions,
+                      proportional_up_to_unit)
+from looptool.errors import (LoopToolError, MathDomainError, NotDivisible,
+                             SingularMatrix, ZeroBase)
+from looptool.laurent import LaurentMatrix, LaurentPolynomial, RationalFunction
 from looptool.linalg import mat_mul
 from looptool.numberfield import QQ
 

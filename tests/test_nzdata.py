@@ -8,11 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import is_palindromic_up_to_unit
+from conftest import is_palindromic_up_to_unit, proportional_up_to_unit
 from looptool.circulant import BlockCirculant, block_diagonalize_check
 from looptool.errors import SingularAtRoot, SingularError, ValidationError
-from looptool.laurent import (LaurentMatrix, LaurentPolynomial,
-                              RationalFunction, proportional_up_to_unit)
+from looptool.laurent import LaurentMatrix, LaurentPolynomial, RationalFunction
 from looptool.linalg import mat_mul, solve_gauss_jordan
 from looptool.numberfield import QQ
 from looptool.nzdata import TwistedNZData, normalize_unit
@@ -222,9 +221,8 @@ def test_json_roundtrip(tmp_path, rng):
     data.peripheral = PeripheralRows(a_mu=[1, 0], b_mu=[0, 2],
                                      a_lambda=[1, 1], b_lambda=[2, -1])
     path = tmp_path / "nz.json"
-    import json
     path.write_text(json.dumps(data.to_json()))
-    back = TwistedNZData.load(path)
+    back = TwistedNZData.from_json(json.loads(path.read_text()))
     assert back.A == data.A and back.B == data.B
     assert back.shapes == data.shapes
     assert back.peripheral.a_mu == [1, 0] and back.peripheral.b_lambda == [2, -1]
@@ -244,7 +242,9 @@ def _lifted(data, field, shapes):
 def _propagator_inputs():
     with open(os.path.join(DATA, "synthetic_theta_bundle.json")) as fh:
         theta = TwistedNZData.from_json(json.load(fh)["nz"])
-    return {"fig8": TwistedNZData.load(os.path.join(DATA, "nz_synthetic_fig8.json")),
+    with open(os.path.join(DATA, "nz_synthetic_fig8.json")) as fh:
+        fig8 = TwistedNZData.from_json(json.load(fh))
+    return {"fig8": fig8,
             "theta": theta,
             "N2": random_nz_data(random.Random(5), 2),
             "N3": random_nz_data(random.Random(6), 3)}

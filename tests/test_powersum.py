@@ -1,4 +1,4 @@
-"""Generalized power sums, series, reconstruction, asymptotics, delta form."""
+"""Generating series, reconstruction, asymptotics, delta form."""
 
 from fractions import Fraction
 from math import comb
@@ -7,18 +7,17 @@ import pytest
 
 from looptool import linalg, powersum
 from conftest import random_element
-from looptool.errors import (HoldoutMismatchError, ParseError, RecursionMismatch,
+from looptool.errors import (HoldoutMismatchError, ParseError,
                              ResonantRoot, SingularSystem, UnitCircleRoot)
 from looptool.knots import FIELD_52, FIELD_LAMBDA_52, FIELD_SQRT21, fixture
 from looptool.laurent import LaurentPolynomial, RationalFunction
 from looptool.linalg import field_vector, solve, solve_gauss_jordan, solve_integer
 from looptool.numberfield import QQ, FieldElement, NumberField
-from looptool.powersum import (CoverPolynomial, GeneralizedPowerSum,
-                               asymptotic_fit_check,
-                               delta_embedding, gps_to_series, leading_asymptotic,
+from looptool.powersum import (CoverPolynomial, asymptotic_fit_check,
+                               delta_embedding, leading_asymptotic,
                                quad_to_delta_form, reconstruct_p,
                                reconstruction_matrix, reconstruction_system,
-                               series_coefficients, series_from_values)
+                               series_coefficients)
 from looptool.rootsum import ResidueForm, av_exact, av_trace
 
 LP = LaurentPolynomial
@@ -32,62 +31,22 @@ def check_recurrence(values, s: LaurentPolynomial) -> bool:
     coeffs, shift = s.as_poly_coeffs()
     if shift != 0 or coeffs[0] != 1:
         raise ParseError("characteristic polynomial must have constant term 1")
-    try:
-        if len(values) >= len(coeffs) - 1:
-            series_from_values(values, s)
-    except RecursionMismatch:
-        return False
-    return True
+    zero = s.field.zero()
+    return all(sum((c * values[k - i] for i, c in enumerate(coeffs)), zero).is_zero()
+               for k in range(len(coeffs) - 1, len(values)))
 
 
-def test_gps_linear_sequence():
-    gps = GeneralizedPowerSum([(QQ.one(), [QQ.zero(), QQ.one()])])
-    series, values = gps_to_series(gps, 10)
-    assert values[:5] == [QQ.element(k) for k in range(5)]
-    t = LP(QQ, {1: 1})
-    assert series == RationalFunction(t, LP(QQ, {0: 1, 1: -1}) ** 2)
-
-
-def test_gps_geometric():
-    gps = GeneralizedPowerSum([(QQ.element(2), [QQ.one()])])
-    series, _ = gps_to_series(gps, 6)
-    assert series == RationalFunction(LP.one(QQ), LP(QQ, {0: 1, 1: -2}))
-
-
-def test_series_roundtrip_regenerates(rng):
+def test_series_roundtrip_regenerates():
+    # a_n = 2 + (1 - n/3) lam^n has the generating series
+    # 2/(1 - t) + 1/(1 - lam t) - (lam t/3)/(1 - lam t)^2
     lam = QQ.element(Fraction(3, 2))
-    gps = GeneralizedPowerSum([
-        (QQ.one(), [QQ.element(2)]),
-        (lam, [QQ.element(1), QQ.element(Fraction(-1, 3))]),
-    ])
-    series, values = gps_to_series(gps, gps.order)
-    coeffs = series_coefficients(series, gps.order + 20)
+    one_minus = LP(QQ, {0: 1, 1: -lam})
+    series = (RationalFunction(LP(QQ, {0: 2}), LP(QQ, {0: 1, 1: -1}))
+              + RationalFunction(LP.one(QQ), one_minus)
+              - RationalFunction(LP(QQ, {1: lam / 3}), one_minus ** 2))
+    coeffs = series_coefficients(series, 24)
     for n, c in enumerate(coeffs):
-        assert c == gps.value(n)
-
-
-def test_recursion_mismatch_detected():
-    values = [QQ.element(v) for v in (1, 2, 4, 8, 17)]  # breaks a_n = 2a_{n-1}
-    s = LP(QQ, {0: 1, 1: -2})
-    with pytest.raises(RecursionMismatch):
-        series_from_values(values, s)
-    assert not check_recurrence(values, s)
-
-
-def test_41_generating_series_matches_printed(field_sqrt21):
-    fx = fixture("4_1")
-    terms = [
-        (field_sqrt21.one(), [field_sqrt21.zero(),
-                              field_sqrt21.element(Fraction(-82, 1512))]),
-        (fx.lam, [field_sqrt21.zero(), field_sqrt21.element(Fraction(-55, 1512))]),
-        (fx.lam_inv, [field_sqrt21.zero(), field_sqrt21.element(Fraction(-55, 1512))]),
-    ]
-    gps = GeneralizedPowerSum(terms)
-    series, _ = gps_to_series(gps, 12)
-    printed = fx.series[2]
-    lifted = RationalFunction(LP(field_sqrt21, printed.num.coeffs),
-                              LP(field_sqrt21, printed.den.coeffs))
-    assert series == lifted
+        assert c == 2 + (1 - Fraction(n, 3)) * lam ** n
 
 
 def test_41_series_coefficients_match_averages():

@@ -9,12 +9,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from conftest import random_element
+from conftest import partial_fractions, random_element
 from looptool.errors import MathDomainError, PoleOnTorus, ResonantRoot, RootOfUnityPole
 from looptool import rootsum
 from looptool.knots import FIELD_52, FIELD_LAMBDA_52, FIELD_SQRT21, fixture
-from looptool.laurent import (LaurentMatrix, LaurentPolynomial, RationalFunction,
-                              partial_fractions)
+from looptool.laurent import LaurentMatrix, LaurentPolynomial, RationalFunction
 from looptool.numberfield import QQ, NumberField
 from looptool.powersum import CoverPolynomial
 from looptool.rootsum import (ResidueForm, TorusSumSpec, _cyc_mul, av_exact,

@@ -2,11 +2,14 @@
 contains no `assert` statement: runtime checks raise typed errors instead,
 since `python -O` strips asserts.  Modules of the package import each other
 at module level only.  Every name the benchmark harness in
-`bench/` and its tests take from the package still exists, every
-module-level function and class of the package is named in src/,
-scripts/ or bench/, every method, property and class-level alias of those
-classes is used there as `.name` (two test-only checks of the 5_2 fixture
-aside), and every module-level import is used.  Only
+`bench/` and its tests take from the package still exists.  Read from the
+syntax trees of src/ (the re-exports of looptool/__init__.py aside),
+scripts/ and bench/, every module-level function and class of the package
+is used there as a name or an attribute, and every method, property and
+class-level alias of those classes as an attribute; a docstring, a test
+and an attribute of a module such as `json` are no use, and two
+allow-lists name the test-only helpers and members kept on purpose.  Every
+module-level import is used.  Only
 numberfield names the encoders behind `NumberField.integer_rows`.  mpmath
 stays off the exact path's import graph: no module imports it at module
 level, and importing the package, computing knot rows, a reconstruction
@@ -21,7 +24,6 @@ import re
 import subprocess
 import sys
 import warnings
-from collections import Counter
 
 import pytest
 
@@ -238,28 +240,14 @@ def test_bench_hooks_resolve():
     assert not missing, missing
 
 
-def test_no_dead_module_level_helpers():
-    """Each module-level function and class of src/looptool is named outside
-    its own def line: in src/ (looptool.__all__ included), scripts/ or
-    bench/ (read, never imported).  A name that only tests use does not
-    count: such a helper moves into the tests."""
-    words = Counter()
-    for part in ("src", "scripts", "bench"):
-        for path in glob.glob(os.path.join(ROOT, part, "**", "*.py"), recursive=True):
-            with open(path) as fh:
-                words.update(re.findall(r"\w+", fh.read()))
-    dead = []
-    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
-        with open(path) as fh:
-            text = fh.read()
-        lines = text.splitlines()
-        for node in ast.parse(text, path).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                own = re.findall(r"\w+", lines[node.lineno - 1]).count(node.name)
-                if words[node.name] == own:
-                    dead.append(f"{os.path.basename(path)}:{node.lineno} {node.name}")
-    assert not dead, dead
-
+#: Test-only module-level helpers kept on purpose, each with the reason it
+#: stays.
+KEPT_HELPERS = {
+    "leading_asymptotic": "acceptance criterion 3 checks the 4_1 asymptotic "
+                          "constants with it",
+    "asymptotic_fit_check": "acceptance criterion 3 checks the 4_1 error "
+                            "envelope with it",
+}
 
 #: Test-only members kept on purpose, each with the reason it stays.
 KEPT_MEMBERS = {
@@ -268,35 +256,98 @@ KEPT_MEMBERS = {
                                             "of the sextic defining its field",
 }
 
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _uses():
+    """(names, attributes) that src/ (looptool/__init__.py aside), scripts/
+    and bench/ use, read from their syntax trees, never imported.  A name is
+    used when it is read or imported from the package, an attribute when it
+    is read or called, except on a module bound by an `import` of anything
+    but the package (`json.load`).  In bench/ a string that is a dotted
+    name, such as the tracer's "KnotFixture.phi_rational_function", uses
+    each of its parts both ways; a docstring is no such string."""
+    init = os.path.join(SRC, "__init__.py")
+    names, attributes = set(), set()
+    for part in ("src", "scripts", "bench"):
+        for path in glob.glob(os.path.join(ROOT, part, "**", "*.py"), recursive=True):
+            if os.path.samefile(path, init):
+                continue
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            foreign = {alias.asname or alias.name.split(".")[0]
+                       for node in ast.walk(tree) if isinstance(node, ast.Import)
+                       for alias in node.names
+                       if alias.name.split(".")[0] != "looptool"}
+            docstrings = {id(node.value) for node in ast.walk(tree)
+                          if isinstance(node, ast.Expr)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                    if not (isinstance(node.value, ast.Name) and node.value.id in foreign):
+                        attributes.add(node.attr)
+                elif isinstance(node, ast.ImportFrom) and (
+                        node.level or node.module.split(".")[0] == "looptool"):
+                    names.update(alias.name for alias in node.names)
+                elif (part == "bench" and isinstance(node, ast.Constant)
+                      and isinstance(node.value, str) and id(node) not in docstrings
+                      and _DOTTED.fullmatch(node.value)):
+                    names.update(node.value.split("."))
+                    attributes.update(node.value.split("."))
+    return names, attributes
+
+
+def _members(cls):
+    """(name, line) of the methods, properties and class-level aliases of a
+    class, dunders aside."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            names = []
+        for name in names:
+            if not (name.startswith("__") and name.endswith("__")):
+                yield name, node.lineno
+
+
+def _package_trees():
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            yield os.path.basename(path), ast.parse(fh.read(), path)
+
+
+def test_no_dead_module_level_helpers():
+    """Each module-level function and class of src/looptool is used as a
+    name or an attribute (see `_uses`) in src/, scripts/ or bench/; a
+    re-export in looptool/__init__.py, a mention in a docstring and a use in
+    the tests do not count.  A helper that only tests use moves into the
+    tests unless KEPT_HELPERS names it, and every name KEPT_HELPERS lists is
+    test-only."""
+    names, attributes = _uses()
+    used = names | attributes
+    dead = [f"{name}:{node.lineno} {node.name}" for name, tree in _package_trees()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in used and node.name not in KEPT_HELPERS]
+    assert not dead, dead
+    assert not set(KEPT_HELPERS) & used, set(KEPT_HELPERS) & used
+
 
 def test_no_dead_members():
     """Each method, property and class-level alias of a module-level class
-    of src/looptool, dunders aside, is used as `.name` in src/, scripts/ or
-    bench/ (read, never imported); a string such as the tracer's
-    "KnotFixture.phi_rational_function" counts.  Members that only tests
-    use are dead unless KEPT_MEMBERS names them.  The check goes by name
-    only, so a member whose name another object also uses goes unseen."""
-    used = set()
-    for part in ("src", "scripts", "bench"):
-        for path in glob.glob(os.path.join(ROOT, part, "**", "*.py"), recursive=True):
-            with open(path) as fh:
-                used.update(re.findall(r"\.(\w+)", fh.read()))
-    dead = []
-    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
-        with open(path) as fh:
-            tree = ast.parse(fh.read(), path)
-        for cls in tree.body:
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for node in cls.body:
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    names = [node.name]
-                elif isinstance(node, ast.Assign):
-                    names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-                else:
-                    names = []
-                dead.extend(f"{cls.name}.{name}" for name in names
-                            if not (name.startswith("__") and name.endswith("__"))
-                            and name not in used
-                            and f"{cls.name}.{name}" not in KEPT_MEMBERS)
+    of src/looptool, dunders aside, is used as an attribute (see `_uses`)
+    in src/, scripts/ or bench/.  Members that only tests use are dead unless
+    KEPT_MEMBERS names them, and every member KEPT_MEMBERS lists is
+    test-only.  The check goes by name, so a member whose name another
+    object also uses goes unseen."""
+    used = _uses()[1]
+    dead = [f"{name}:{line} {cls.name}.{member}" for name, tree in _package_trees()
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for member, line in _members(cls)
+            if member not in used and f"{cls.name}.{member}" not in KEPT_MEMBERS]
     assert not dead, dead
+    kept = {key.partition(".")[2] for key in KEPT_MEMBERS}
+    assert not kept & used, kept & used
