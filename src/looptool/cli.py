@@ -235,6 +235,8 @@ def cmd_knot(args) -> int:
 
 
 def _knot_from_file(args) -> int:
+    if args.mode != "all":
+        raise ParseError(f"mode {args.mode!r} not available for {args.knot}")
     obj = _load_json(args.knot)
     if "nz" not in obj or "diagrams" not in obj:
         raise ParseError("knot file needs 'nz' and 'diagrams' sections")

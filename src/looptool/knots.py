@@ -21,9 +21,10 @@ checks membership exactly.
 The residue route (`phi_residue`) sums the same table by residues: one
 `rootsum.ResidueForm` per ell, and a row is one deg Q x deg Q integer solve
 against M_u.  It is the average route's oracle, and `looptool knot --mode
-all` compares the two on every row.  4_1 has two more routes, a
-generalized-power-sum closed form and a generating series; the latter keeps
-a prefix of series coefficients that at least doubles when it grows.
+all` compares the two on every row.  4_1 has two more routes: a closed
+form, a rational function of lam^n and lam^(-n) over a power of the
+resultant (1 - lam^n)(1 - lam^(-n)), and a generating series, which keeps a
+prefix of series coefficients that at least doubles when it grows.
 """
 
 from __future__ import annotations
@@ -62,14 +63,6 @@ class TaggedValue:
     def __hash__(self):
         # equal values hash alike: a zero equals its twin of the other unit
         return hash(self.value)
-
-    def to_mpc(self, precision_digits: int = 30):
-        import mpmath
-        with mpmath.workdps(precision_digits + 10):
-            base = self.value.to_mpc(precision_digits)
-            if self.sqrt_m3:
-                base = base * mpmath.sqrt(mpmath.mpf(3)) * 1j
-            return base
 
     def __repr__(self):
         return f"{self.value!r}" + (" (unit sqrt(-3))" if self.sqrt_m3 else "")

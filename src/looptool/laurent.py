@@ -98,28 +98,26 @@ class LaurentPolynomial:
 
     # -- ring operations ------------------------------------------------------
 
-    def _coerce(self, other) -> "LaurentPolynomial":
+    def _pair(self, other):
+        """(self, other) over one field: a scalar becomes a constant over
+        self's field, and the operand over Q is lifted into the field of the
+        other.  NotImplemented for other types; TypeError for incompatible
+        fields."""
         if isinstance(other, LaurentPolynomial):
             if other.field == self.field:
-                return other
+                return self, other
             if other.field.degree == 1:
-                return LaurentPolynomial(self.field, other.coeffs)
+                return self, LaurentPolynomial(self.field, other.coeffs)
             if self.field.degree == 1:
-                raise _Promote(other.field)
+                return LaurentPolynomial(other.field, self.coeffs), other
             raise TypeError("Laurent polynomials over incompatible fields")
         if isinstance(other, (int, Fraction, FieldElement)):
-            return LaurentPolynomial(self.field, {0: other})
+            return self, LaurentPolynomial(self.field, {0: other})
         return NotImplemented
 
     def _binop(self, other, op):
-        try:
-            o = self._coerce(other)
-        except _Promote as p:
-            lifted = LaurentPolynomial(p.field, self.coeffs)
-            return op(lifted, lifted._coerce(other))
-        if o is NotImplemented:
-            return NotImplemented
-        return op(self, o)
+        pair = self._pair(other)
+        return NotImplemented if pair is NotImplemented else op(*pair)
 
     def __add__(self, other):
         def add(a, b):
@@ -136,9 +134,6 @@ class LaurentPolynomial:
 
     def __sub__(self, other):
         return self._binop(other, lambda a, b: a + (-b))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         def mul(a, b):
@@ -219,16 +214,8 @@ class LaurentPolynomial:
             raise ZeroBase("evaluation at 0 with negative exponents present")
         target = a.field if a.field.degree > 1 else self.field
         acc = target.zero()
-        powers: Dict[int, FieldElement] = {}
-
-        def power(k: int) -> FieldElement:
-            if k not in powers:
-                powers[k] = a ** k
-            return powers[k]
-
         for k, c in self.coeffs.items():
-            term = power(k) * c
-            acc = acc + term
+            acc = acc + a ** k * c
         return acc
 
     # -- division --------------------------------------------------------------
@@ -236,16 +223,18 @@ class LaurentPolynomial:
     def divmod_poly(self, other: "LaurentPolynomial"):
         """Division in the polynomialized forms; returns (quotient, remainder)
         with self = q*other + r as Laurent polynomials (shifts handled)."""
-        o = self._coerce(other)
-        if o is NotImplemented or o.is_zero():
+        pair = self._pair(other)
+        if pair is NotImplemented or pair[1].is_zero():
             raise ZeroDivisionError("Laurent division by zero")
-        if self.is_zero():
-            return self, self
-        a, sa = self.as_poly_coeffs()
+        p, o = pair
+        if p.is_zero():
+            return p, p
+        field = p.field
+        a, sa = p.as_poly_coeffs()
         b, sb = o.as_poly_coeffs()
-        quo, rem = poly_divmod(a, b, self.field.zero(), self.field.one())
-        q_lp = LaurentPolynomial.from_coeff_list(self.field, quo, sa - sb)
-        r_lp = LaurentPolynomial.from_coeff_list(self.field, rem, sa)
+        quo, rem = poly_divmod(a, b, field.zero(), field.one())
+        q_lp = LaurentPolynomial.from_coeff_list(field, quo, sa - sb)
+        r_lp = LaurentPolynomial.from_coeff_list(field, rem, sa)
         return q_lp, r_lp
 
     def divide_exact(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
@@ -261,7 +250,7 @@ class LaurentPolynomial:
 
     def gcd(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         """Monic gcd of the polynomialized forms (unit-normalized, exponent 0 low)."""
-        a, b = self, self._coerce(other)
+        a, b = self._pair(other)
         if a.is_zero():
             return b.monic() if not b.is_zero() else b
         if b.is_zero():
@@ -301,11 +290,6 @@ class LaurentPolynomial:
         return cls(field, out)
 
 
-class _Promote(Exception):
-    def __init__(self, field):
-        self.field = field
-
-
 class RationalFunction:
     """Reduced quotient of Laurent polynomials with canonical normalization."""
 
@@ -314,12 +298,7 @@ class RationalFunction:
     def __init__(self, num: LaurentPolynomial, den: LaurentPolynomial, reduce: bool = True):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.field != den.field:
-            # lift the part over Q into the other part's field
-            if num.field.degree == 1:
-                num = den._coerce(num)
-            else:
-                den = num._coerce(den)
+        num, den = num._pair(den)
         if num.is_zero():
             den = LaurentPolynomial.one(den.field)
         elif reduce:
@@ -384,9 +363,6 @@ class RationalFunction:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -394,17 +370,6 @@ class RationalFunction:
         return RationalFunction(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
 
     def reciprocal(self) -> "RationalFunction":
         if self.is_zero():
@@ -480,15 +445,6 @@ class LaurentMatrix:
         one = LaurentPolynomial.one(field)
         zero = LaurentPolynomial.zero(field)
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, field: NumberField, rows: int, cols: int) -> "LaurentMatrix":
-        z = LaurentPolynomial.zero(field)
-        return cls(field, [[z for _ in range(cols)] for _ in range(rows)])
-
-    def __getitem__(self, idx):
-        i, j = idx
-        return self.entries[i][j]
 
     def __eq__(self, other):
         return (isinstance(other, LaurentMatrix) and self.rows == other.rows
@@ -592,11 +548,3 @@ class LaurentMatrix:
     def inverse(self):
         """`solve` of the identity; kept as the span the bench tracer wraps."""
         return self.solve(LaurentMatrix.identity(self.field, self.rows))
-
-    def to_json(self):
-        return [[e.to_json() for e in row] for row in self.entries]
-
-    @classmethod
-    def from_json(cls, obj, field: NumberField) -> "LaurentMatrix":
-        return cls(field, [[LaurentPolynomial.from_json(e, field) for e in row]
-                           for row in obj])

@@ -191,9 +191,11 @@ def bareiss(aug: list, cols: int, div):
     `cols` columns of the rows `aug`, in place (rows are replaced, never
     mutated), over an integral domain whose exact division is `div`.  Returns
     (pivot columns, D or None, sign of the row swaps), D the last pivot (sign
-    * det for a nonsingular square block); the pivot rows end as D times the
-    reduced row echelon form and the rows below them are zero in the first
-    `cols` columns.
+    * det for a nonsingular square block).  When the pivots are the first
+    len(aug) columns (full row rank, no column skipped), the rows end as D
+    times the reduced row echelon form.  Otherwise the rows are left as the
+    forward pass leaves them, and only the pivots, D and the sign mean
+    anything.
 
     Forward: the pivot is the first nonzero entry at or below the current
     row, and a column without one is skipped.  Each row below becomes
@@ -202,8 +204,8 @@ def bareiss(aug: list, cols: int, div):
     minor of the input (Sylvester's identity), and the k-th pivot is the
     leading k x k minor on the pivot rows and columns.
 
-    Back: with U the pivot rows on the pivot columns (upper triangular,
-    diagonal p_1, ..., p_r = D) and u a non-pivot column of the pivot rows,
+    Back: with U the leading r x r block (upper triangular, diagonal
+    p_1, ..., p_r = D) and u a later column,
     y = D U^-1 u is that column of D times the echelon form, so
     y_i = (D u_i - sum_(k > i) U_ik y_k) / p_i from the bottom row up
     (y_r = u_r).  Each y_i is an r x r minor of the input, so this division
@@ -236,20 +238,10 @@ def bareiss(aug: list, cols: int, div):
                 aug[i] = [div(pivot * x - f * y, prev) for x, y in zip(row[j + 1:], right)]
         pivots.append(c)
         base, prev = c + 1, pivot
-    if prev is None:
+    rank = len(pivots)
+    if prev is None or rank < rows or pivots[-1] != rank - 1:
         return pivots, prev, sign
-    rank, zero, order = len(pivots), prev - prev, None
-    if pivots[-1] != rank - 1:
-        # a column was skipped: put the pivot columns first.  Pivot row i
-        # holds its entries from column b = pivots[i - 1] + 1 on, and then from
-        # position i on, as when none is skipped; it is zero in the free
-        # columns left of its pivot, so y_i vanishes there
-        bases = [0] + [c + 1 for c in pivots[:-1]]
-        taken = set(pivots)
-        order = pivots + [j for j in range(bases[-1] + len(aug[rank - 1]))
-                          if j not in taken]
-        aug[:rank] = [[row[j - b] if j >= b else zero for j in order[i:]]
-                      for i, (row, b) in enumerate(zip(aug, bases))]
+    zero = prev - prev
     zeros, ys = [zero] * rank, []  # ys: the free entries of rows i + 1, i + 2, ...
     for i in range(rank - 1, -1, -1):
         row = aug[i]
@@ -263,11 +255,6 @@ def bareiss(aug: list, cols: int, div):
         out = zeros + y
         out[i] = prev
         aug[i] = out
-    if order is not None:
-        back = sorted(range(len(order)), key=order.__getitem__)
-        aug[:rank] = [[row[k] for k in back] for row in aug[:rank]]
-    for i in range(rank, rows):
-        aug[i] = [zero] * base + aug[i]
     return pivots, prev, sign
 
 
@@ -1026,14 +1013,12 @@ class FieldEmbedding:
     def __init__(self, source: "FieldElement", target: "FieldElement"):
         F, K = self.source, self.target = source.field, target.field
         d = F.degree
-        if d == 1:
-            images = [K.one()]
-        elif F == K and source == target:
+        if F == K and source == target:
             images = _powers(K.generator(), d)
         else:
             # xi = sum_i r_i source^i: solve for r on the coordinates
-            aug = [[p.coords[i] for p in _powers(source, d)] + [Fraction(int(i == 1))]
-                   for i in range(d)]
+            aug = [[p.coords[i] for p in _powers(source, d)] + [g]
+                   for i, g in enumerate(F.generator().coords)]
             pivots, last, _ = bareiss(aug, d, truediv)
             if len(pivots) < d:
                 raise ParseError(f"{source!r} does not generate its field")
@@ -1089,10 +1074,10 @@ class FieldEmbedding:
 
 def _powers(x: "FieldElement", count: int) -> list:
     """[1, x, ..., x^(count - 1)]."""
-    out = [x.field.one()]
-    for _ in range(count - 1):
+    out = [x.field.one(), x]
+    for _ in range(count - 2):
         out.append(out[-1] * x)
-    return out
+    return out[:count]
 
 
 #: The rationals as a degree-1 field (minpoly xi, i.e. xi = 0).

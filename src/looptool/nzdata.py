@@ -32,11 +32,9 @@ class PeripheralRows:
         self.replaced_row = replaced_row
 
     def to_json(self):
-        out = {}
-        for key in ("a_mu", "b_mu", "a_lambda", "b_lambda"):
-            v = getattr(self, key)
-            if v is not None:
-                out[key] = v
+        rows = {"a_mu": self.a_mu, "b_mu": self.b_mu,
+                "a_lambda": self.a_lambda, "b_lambda": self.b_lambda}
+        out = {key: row for key, row in rows.items() if row is not None}
         if self.replaced_row >= 0:
             out["replaced_row"] = self.replaced_row
         return out
@@ -70,7 +68,6 @@ class TwistedNZData:
             if z.is_zero() or (z - one).is_zero():
                 raise ValidationError("shapes must avoid 0 and 1")
         self.zp = [(one - z).inverse() for z in self.shapes]          # z' = 1/(1-z)
-        self.zpp = [one - z.inverse() for z in self.shapes]           # z'' = 1 - 1/z
         self._delta = None
         self._pi_symbolic = None
         self._pi1 = None

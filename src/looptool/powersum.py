@@ -25,7 +25,8 @@ from .errors import (CrossCheckError, HoldoutMismatchError, ParseError,
                      ResonantRoot, SingularError, SingularSystem, UnitCircleRoot)
 from .laurent import LaurentPolynomial, RationalFunction
 from .linalg import field_vector, solve_integer
-from .numberfield import FieldElement, FieldEmbedding, NumberField, QQ, poly_series
+from .numberfield import (FieldElement, FieldEmbedding, NumberField, QQ, _powers,
+                          poly_series)
 from .rootsum import delta_basis_inverse, delta_power_sums, one_minus_u_power
 
 
@@ -277,17 +278,6 @@ def _x_steps(field: NumberField, roots: Sequence[FieldElement],
         yield xs
 
 
-def _x_power_tables(xs: Sequence[FieldElement], top: int) -> List[List[FieldElement]]:
-    """[1, x, ..., x^top] for each x of xs."""
-    tables = []
-    for x in xs:
-        table = [x.field.one(), x]
-        for _ in range(top - 1):
-            table.append(table[-1] * x)
-        tables.append(table)
-    return tables
-
-
 def delta_embedding(delta: LaurentPolynomial, lam: FieldElement) -> FieldEmbedding:
     """The embedding of the field of delta = A(t + 1/t) + B into the field
     of its root lam: -B/A = lam + 1/lam.  ParseError when delta is not a
@@ -315,7 +305,7 @@ def reconstruction_matrix(field: NumberField, roots: Sequence[FieldElement],
     alphas = sorted({alpha for alpha, _ in basis})
     rows = []
     for n, xs in zip(ns, _x_steps(field, roots, ns)):
-        tables = _x_power_tables(xs, 2 * ell - 2)
+        tables = [_powers(x, 2 * ell - 1) for x in xs]
         monomials = {alpha: _monomial(tables, alpha) for alpha in alphas}
         n_powers = [field.element(n ** beta) for beta in range(ell)]
         rows.append([n_powers[beta] if monomials[alpha] is None
@@ -342,7 +332,7 @@ def reconstruction_system(field: NumberField, roots: Sequence[FieldElement],
         steps = _x_steps(field, roots, [n for n, _ in window])
     M, rhs = [], []
     for (n, value), xs in zip(window, steps):
-        tables = _x_power_tables(xs, 2 * ell - 2)
+        tables = [_powers(x, 2 * ell - 1) for x in xs]
         monomials = [_monomial(tables, alpha) for alpha in alphas]
         # row c of the columns of every alpha, in basis order, the value last
         rows, _ = field.integer_rows([one if x is None else x for x in monomials], value)

@@ -52,7 +52,7 @@ roots of unity, the sum is trace f(C).  f(C) lives in F[C] = F[t]/(t^n - 1):
 fold the exponents mod n, invert the folded denominator against t^n - 1 and
 multiply; the trace is n times the constant coefficient.  The inverse
 comes from the extended Euclid of the dense kernel, run against t^n - 1
-(`ratfun_mod_cyclic`, which `circulant` and `synth` use too).
+(`ratfun_mod_cyclic`, which `circulant` uses too).
 
 `CyclicMatrixImage` builds the full cyclic image of every entry of a
 propagator matrix for `diagrams`, on integers: n integer numerators

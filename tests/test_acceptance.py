@@ -248,12 +248,12 @@ def test_criterion_9_52_values_and_asymptotics():
         psi2 = fx.psi_numeric(2, 100)
         lam_abs = abs(fx.lambda_numeric(60))
         assert lam_abs < 1
-        rel = abs(values[29][1].to_mpc(100) / 30 - psi2) / abs(psi2)
+        rel = abs(values[29][1].value.to_mpc(100) / 30 - psi2) / abs(psi2)
         assert rel < mpmath.mpf(10) ** -20, mpmath.nstr(rel, 5)
         # |lambda| < 1 envelope: |Phi_n - n psi| <= C n |lambda|^n on the tail
         ratios = []
         for n, v in values[9:]:
-            diff = abs(v.to_mpc(100) - n * psi2)
+            diff = abs(v.value.to_mpc(100) - n * psi2)
             ratios.append(diff / (n * lam_abs ** n))
         assert max(ratios[len(ratios) // 2:]) <= 2 * max(ratios[:len(ratios) // 2])
     _report(9, f"30 exact values in {elapsed:.1f}s; relative error "

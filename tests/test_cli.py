@@ -99,6 +99,16 @@ def test_knot_from_bundle_file(capsys):
     assert lines[0].startswith("1,")
 
 
+@pytest.mark.parametrize("mode", ["average", "closed", "series"])
+def test_knot_from_bundle_file_rejects_a_route(mode, capsys):
+    # a bundle file has one route, so only the default mode applies to it
+    code, out, err = run(["knot", "--knot",
+                          os.path.join(DATA, "synthetic_theta_bundle.json"),
+                          "--loop", "2", "--nmax", "3", "--mode", mode], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_reconstruct_roundtrip(tmp_path, capsys):
     fx = fixture("4_1")
     rows = []

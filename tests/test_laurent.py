@@ -1,5 +1,6 @@
 """Laurent polynomials, rational functions, matrices, partial fractions."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,29 @@ def test_rational_function_lifts_rational_part_into_extension(field_sqrt21):
     assert RationalFunction(LP.one(QQ), den) == both
     assert RationalFunction(den, LP(QQ, {0: 2})) == RationalFunction(
         den, LP(field_sqrt21, {0: 2}))
+
+
+def test_operand_over_q_lifts_into_the_other_field(field_sqrt21, field_cubic):
+    # with the polynomial over Q on either side, each operation equals the
+    # same call on operands lifted by hand, over the larger field
+    s21 = field_sqrt21.generator()
+    p, q = LP(QQ, {-1: 3, 0: 1, 1: 2, 3: -1}), LP(field_sqrt21, {0: s21, 1: 1})
+    lifted = LP(field_sqrt21, p.coeffs)
+    ops = (operator.add, operator.sub, operator.mul, LP.divmod_poly, LP.gcd)
+    for a, b, lift_a, lift_b in ((p, q, lifted, q), (q, p, q, lifted)):
+        for op in ops:
+            got, want = op(a, b), op(lift_a, lift_b)
+            assert got == want
+            for part in (got if isinstance(got, tuple) else (got,)):
+                assert part.field == field_sqrt21
+    lam = (5 + s21) / 2
+    root = LP(field_sqrt21, {0: -lam, 1: 1})
+    assert DELTA_41.divide_exact(root) == LP(field_sqrt21, DELTA_41.coeffs).divide_exact(root)
+    assert (root * DELTA_41).divide_exact(DELTA_41) == root
+    cubic = LP(field_cubic, {0: field_cubic.generator(), 1: 1})
+    for op in ops + (LP.divide_exact,):
+        with pytest.raises(TypeError):
+            op(q, cubic)
 
 
 def _inverse(M):

@@ -5,12 +5,11 @@ at module level only.  Every name the benchmark harness in
 `bench/` and its tests take from the package still exists.  Read from the
 syntax trees of src/ (the re-exports of looptool/__init__.py aside),
 scripts/ and bench/, every module-level function and class of the package
-is used there as a name or an attribute, and every method, property and
-class-level alias of those classes as an attribute; a docstring, a test
-and an attribute of a module such as `json` are no use, and two
-allow-lists name the test-only helpers and members kept on purpose.  Every
-module-level import is used.  Only
-numberfield names the encoders behind `NumberField.integer_rows`.  mpmath
+is used there as a name or an attribute, and every method, property,
+class-level alias and instance attribute of those classes as an attribute;
+a docstring, a test and an attribute of a module such as `json` are no use,
+and two allow-lists name the test-only helpers and members kept on purpose.
+Every module-level import is used.  Only numberfield names the encoders behind `NumberField.integer_rows`.  mpmath
 stays off the exact path's import graph: no module imports it at module
 level, and importing the package, computing knot rows, a reconstruction
 and a bundle invariant leave it, and dataclasses, unloaded until a
@@ -254,6 +253,8 @@ KEPT_MEMBERS = {
     "FiveTwoFixture.psi_numeric": "criterion 9's numeric check of the 5_2 asymptotics",
     "FiveTwoFixture.lambda_sextic_residue": "the certificate that lambda is a root "
                                             "of the sextic defining its field",
+    "FigureEightFixture.psi": "criterion 3 checks the 4_1 asymptotic constants "
+                              "against it",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
@@ -298,19 +299,40 @@ def _uses():
     return names, attributes
 
 
+def _self_attributes(method):
+    """(name, line) of each attribute that `method` assigns as self.x = ..."""
+    for node in ast.walk(method):
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        while targets:
+            t = targets.pop()
+            if isinstance(t, ast.Tuple):
+                targets.extend(t.elts)
+            elif (isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                  and t.value.id == "self"):
+                yield t.attr, t.lineno
+
+
 def _members(cls):
-    """(name, line) of the methods, properties and class-level aliases of a
-    class, dunders aside."""
+    """(name, line) of the methods, properties, class-level aliases and
+    instance attributes (self.x = ... in a method) of a class, dunders
+    aside, each once."""
+    seen = set()
     for node in cls.body:
         if isinstance(node, ast.FunctionDef):
-            names = [node.name]
+            found = [(node.name, node.lineno), *_self_attributes(node)]
         elif isinstance(node, ast.Assign):
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            found = [(t.id, node.lineno) for t in node.targets if isinstance(t, ast.Name)]
         else:
-            names = []
-        for name in names:
-            if not (name.startswith("__") and name.endswith("__")):
-                yield name, node.lineno
+            found = []
+        for name, line in found:
+            if not (name.startswith("__") and name.endswith("__")) and name not in seen:
+                seen.add(name)
+                yield name, line
 
 
 def _package_trees():
@@ -337,9 +359,10 @@ def test_no_dead_module_level_helpers():
 
 
 def test_no_dead_members():
-    """Each method, property and class-level alias of a module-level class
-    of src/looptool, dunders aside, is used as an attribute (see `_uses`)
-    in src/, scripts/ or bench/.  Members that only tests use are dead unless
+    """Each method, property, class-level alias and instance attribute
+    (assigned as self.x = ...) of a module-level class of src/looptool,
+    dunders aside, is used as an attribute (see `_uses`) in src/, scripts/
+    or bench/; assigning it is no use.  Members that only tests use are dead unless
     KEPT_MEMBERS names them, and every member KEPT_MEMBERS lists is
     test-only.  The check goes by name, so a member whose name another
     object also uses goes unseen."""
