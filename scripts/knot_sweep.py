@@ -6,10 +6,13 @@ the number-field kernels beneath them.
         [--sections kernel build row table]
 
 `KnotFixture.phi_average` evaluates the cover polynomial of the phi-table
-(`powersum.CoverPolynomial.from_table`) at x = 1/(1 - lam^n) and maps the
-value back into the fixture field; `KnotFixture.phi_residue` sums the same
-table by residues, one deg Q x deg Q integer solve against M_u per row.
-It prints, each section on request (all by default):
+over the fixture field, in 1/R_n with R_n = (1 - lam^n)(1 - lam^(-n))
+(`powersum.DeltaFieldCover`); the cover route it replaced,
+`CoverPolynomial.evaluate` at x = 1/(1 - lam^n) in the field of lam mapped
+back by `FieldEmbedding.restrict`, stays as its oracle;
+`KnotFixture.phi_residue` sums the same table by residues, one
+deg Q x deg Q integer solve against M_u per row.  It prints, each section on
+request (all by default):
 
 0. `kernel`: the number-field kernels beneath a row,
    `NumberField._mul_numerators` and `FieldElement.inverse`, in the fields
@@ -22,10 +25,11 @@ It prints, each section on request (all by default):
 and for 4_1 and 5_2 at loops 2 and 3:
 
 1. the cold build of each route's per-loop object: the cover polynomial,
-   with the delta-power rows it needs built afresh, and the residue form;
-2. one row by each route at every n (4_1: n = 10 to 2000; 5_2: n = 5 to
-   320), checked equal, with the bit length of the value's largest
-   numerator or denominator;
+   with the delta-power rows it needs built afresh, its form over delta's
+   field from the built cover polynomial, and the residue form;
+2. one row by each of the three routes at every n (4_1: n = 10 to 2000;
+   5_2: n = 5 to 320), checked equal, with the bit length of the value's
+   largest numerator or denominator;
 3. per route, the slope of log(time) against log(n) over those n, which is
    how the cost of a row scales;
 4. whole tables on a fresh fixture, cold build included, as `looptool
@@ -46,6 +50,7 @@ import time
 
 from looptool import knots, rootsum
 from looptool.numberfield import QQ, FieldElement
+from looptool.powersum import DeltaFieldCover, delta_embedding
 
 TABLES = [("4_1", 3, 70), ("4_1", 3, 800), ("5_2", 3, 160)]
 KERNEL_FIELDS = {1: QQ, 2: knots.FIELD_SQRT21, 3: knots.FIELD_52,
@@ -137,37 +142,50 @@ def main(argv=None) -> int:
 
 
 def build(repeat: int) -> None:
-    print("build,knot,loop,cover_ms,residue_ms")
+    print("build,knot,loop,cover_ms,delta_field_ms,residue_ms")
     for knot in ("4_1", "5_2"):
         for ell in (2, 3):
+            def with_cover():
+                fx = fresh(knot)
+                fx.cover(ell)
+                return fx
+
             cover = best_ms(lambda fx: fx.cover(ell), repeat, lambda: fresh(knot))
+            delta = best_ms(lambda fx: DeltaFieldCover(fx.cover(ell), fx.delta), repeat,
+                            with_cover)
             form = best_ms(lambda fx: fx.phi_form(ell), repeat, lambda: fresh(knot))
-            print(f"build,{knot},{ell},{cover:.2f},{form:.2f}")
+            print(f"build,{knot},{ell},{cover:.2f},{delta:.2f},{form:.2f}")
 
 
 def rows(n41, n52, repeat: int) -> None:
-    print("row,knot,loop,n,bits,cover_ms,residue_ms,residue_over_cover")
+    print("row,knot,loop,n,bits,average_ms,lam_field_ms,residue_ms,"
+          "lam_field_over_average,residue_over_average")
     fits = []
     for knot, ns in (("4_1", n41), ("5_2", n52)):
         fx = fresh(knot)
+        embed = delta_embedding(fx.delta, fx.lam)
         for ell in (2, 3):
-            cover, residue = [], []
+            routes = {"average": lambda n: fx.phi_average(ell, n).value,
+                      "lam_field": lambda n: embed.restrict(fx.cover(ell).evaluate(n)),
+                      "residue": lambda n: fx.phi_residue(ell, n).value}
+            times = {name: [] for name in routes}
             for n in ns:
-                value = fx.phi_average(ell, n)
-                if value != fx.phi_residue(ell, n):
-                    raise SystemExit(f"{knot} loop {ell} n = {n}: the two routes disagree")
-                cover.append(median_ms(lambda: fx.phi_average(ell, n), repeat))
-                residue.append(median_ms(lambda: fx.phi_residue(ell, n), repeat))
-                print(f"row,{knot},{ell},{n},{bits(value.value)},{cover[-1]:.3f},"
-                      f"{residue[-1]:.3f},{residue[-1] / cover[-1]:.1f}")
-            fits.append((knot, ell, ns, slope(ns, cover), slope(ns, residue)))
-    for knot, ell, ns, a, b in fits:
-        print(f"scaling,{knot} loop {ell}, n = {ns[0]}..{ns[-1]}: time ~ n^{a:.2f} by "
-              f"the cover polynomial, n^{b:.2f} by residues")
+                value = routes["average"](n)
+                if any(route(n) != value for route in routes.values()):
+                    raise SystemExit(f"{knot} loop {ell} n = {n}: the routes disagree")
+                for name, route in routes.items():
+                    times[name].append(median_ms(lambda: route(n), repeat))
+                ms = [t[-1] for t in times.values()]
+                print(f"row,{knot},{ell},{n},{bits(value)},{ms[0]:.3f},{ms[1]:.3f},"
+                      f"{ms[2]:.3f},{ms[1] / ms[0]:.1f},{ms[2] / ms[0]:.1f}")
+            fits.append((knot, ell, ns, [slope(ns, t) for t in times.values()]))
+    for knot, ell, ns, (a, b, c) in fits:
+        print(f"scaling,{knot} loop {ell}, n = {ns[0]}..{ns[-1]}: time ~ n^{a:.2f} over "
+              f"delta's field, n^{b:.2f} over lam's field, n^{c:.2f} by residues")
 
 
 def tables(repeat: int) -> None:
-    print("table,knot,loop,nmax,cover_ms,residue_ms")
+    print("table,knot,loop,nmax,average_ms,residue_ms")
     for knot, ell, nmax in TABLES:
         routes = []
         for route in ("phi_average", "phi_residue"):

@@ -162,7 +162,10 @@ def _load_avg_input(path):
 
 def _format_value(value: FieldElement, unit: bool) -> str:
     if value.is_rational():
-        text = str(value.coords[0])
+        # as str(Fraction): num[0] / den is in lowest terms when the other
+        # numerators vanish
+        num, den = value.num[0], value.den
+        text = str(num) if den == 1 else f"{num}/{den}"
     else:
         text = ",".join(str(c) for c in value.coords)
     return text + (" (unit sqrt(-3))" if unit else "")

@@ -11,12 +11,15 @@ n-th roots of unity.  Both one-loop polynomials are palindromic quadratics
 delta = A(t + 1/t) + B, so that sum is the cover polynomial p(x, n) of the
 phi-table at x = 1/(1 - lam^n), lam a root of delta
 (`powersum.CoverPolynomial.from_table`).  lam lives in Q(sqrt 21) for 4_1
-and in the sextic field of `LAMBDA_52_SEXTIC` for 5_2.  A fixture builds p
-once per ell, on first use, and a row is lam^n, one inverse of 1 - lam^n,
-then one homogenized Horner pass on integer numerators, normalized once
-(`CoverPolynomial._evaluate`), and the map back into delta's field by a
-fixed left inverse of its embedding (`numberfield.FieldEmbedding`), which
-checks membership exactly.
+and in the sextic field of `LAMBDA_52_SEXTIC` for 5_2.  The sum is
+symmetric under lam <-> 1/lam, so p is also a polynomial over delta's field
+K in 1/R_n, R_n = (1 - lam^n)(1 - lam^(-n)) (`powersum.DeltaFieldCover`).
+A fixture builds both once per ell, on first use, and checks there that
+every coefficient maps back into K.  A row is s_n = lam^n + lam^(-n) and
+s_(n+1) by Lucas doubling in K, one inverse of R_n in K (none for 4_1, whose
+K is Q) and one homogenized Horner pass on integer numerators, normalized
+once.  `CoverPolynomial.evaluate`, mapped back into K, is the test oracle
+of these rows.
 
 The residue route (`phi_residue`) sums the same table by residues: one
 `rootsum.ResidueForm` per ell, and a row is one deg Q x deg Q integer solve
@@ -30,12 +33,12 @@ prefix of series coefficients that at least doubles when it grows.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .errors import CrossCheckError, ParseError, check_cover_order
 from .laurent import LaurentPolynomial, RationalFunction
-from .numberfield import FieldElement, FieldEmbedding, NumberField, QQ, poly_divmod
-from .powersum import CoverPolynomial, delta_embedding, series_coefficients
+from .numberfield import FieldElement, NumberField, QQ, poly_divmod
+from .powersum import CoverPolynomial, DeltaFieldCover, series_coefficients
 from .rootsum import ResidueForm, av_exact
 
 #: Real quadratic field Q(sqrt 21); root_index 1 is the positive square root.
@@ -96,7 +99,7 @@ class KnotFixture:
         self.lam = lam
         self._forms: Dict[int, ResidueForm] = {}
         self._covers: Dict[int, CoverPolynomial] = {}
-        self._embedding: Optional[FieldEmbedding] = None
+        self._delta_covers: Dict[int, DeltaFieldCover] = {}
 
     def _check_ell(self, ell: int) -> None:
         if ell not in self.phi:
@@ -125,16 +128,15 @@ class KnotFixture:
         return RationalFunction(form.numerator(n), form.den, reduce=False)
 
     def phi_average(self, ell: int, n: int) -> TaggedValue:
-        """Av_n(phi_ell^c(t, n)), exact: the cover polynomial at n, mapped
-        back into the fixture field."""
+        """Av_n(phi_ell^c(t, n)), exact: the cover polynomial of phi_ell^c
+        over the fixture field, built once per ell (`DeltaFieldCover`), at n."""
         check_cover_order(n)
-        value = self.cover(ell).evaluate(n)
-        if self._embedding is None:
-            self._embedding = delta_embedding(self.delta, self.lam)
-        try:
-            value = self._embedding.restrict(value)
-        except CrossCheckError as exc:
-            raise CrossCheckError(f"{self.name} ell = {ell}, n = {n}: {exc}") from None
+        if ell not in self._delta_covers:
+            try:
+                self._delta_covers[ell] = DeltaFieldCover(self.cover(ell), self.delta)
+            except CrossCheckError as exc:
+                raise CrossCheckError(f"{self.name} ell = {ell}: {exc}") from None
+        value = self._delta_covers[ell].evaluate(n)
         return TaggedValue(value, self.phi_units.get(ell, False))
 
     def phi_residue(self, ell: int, n: int) -> TaggedValue:

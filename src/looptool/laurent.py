@@ -100,9 +100,13 @@ class LaurentPolynomial:
 
     def _pair(self, other):
         """(self, other) over one field: a scalar becomes a constant over
-        self's field, and the operand over Q is lifted into the field of the
-        other.  NotImplemented for other types; TypeError for incompatible
-        fields."""
+        its own field (self's for an int or a Fraction), and the operand over
+        Q is lifted into the field of the other.  NotImplemented for other
+        types; TypeError for incompatible fields."""
+        if isinstance(other, FieldElement):
+            other = LaurentPolynomial(other.field, {0: other})
+        elif isinstance(other, (int, Fraction)):
+            return self, LaurentPolynomial(self.field, {0: other})
         if isinstance(other, LaurentPolynomial):
             if other.field == self.field:
                 return self, other
@@ -111,8 +115,6 @@ class LaurentPolynomial:
             if self.field.degree == 1:
                 return LaurentPolynomial(other.field, self.coeffs), other
             raise TypeError("Laurent polynomials over incompatible fields")
-        if isinstance(other, (int, Fraction, FieldElement)):
-            return self, LaurentPolynomial(self.field, {0: other})
         return NotImplemented
 
     def _binop(self, other, op):
@@ -171,7 +173,9 @@ class LaurentPolynomial:
         return LaurentPolynomial(self.field, {-k: v for k, v in self.coeffs.items()})
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
+        if isinstance(other, FieldElement):
+            other = LaurentPolynomial(other.field, {0: other})
+        elif isinstance(other, (int, Fraction)):
             other = LaurentPolynomial(self.field, {0: other})
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
@@ -224,7 +228,9 @@ class LaurentPolynomial:
         """Division in the polynomialized forms; returns (quotient, remainder)
         with self = q*other + r as Laurent polynomials (shifts handled)."""
         pair = self._pair(other)
-        if pair is NotImplemented or pair[1].is_zero():
+        if pair is NotImplemented:
+            raise TypeError(f"cannot divide a Laurent polynomial by {type(other).__name__}")
+        if pair[1].is_zero():
             raise ZeroDivisionError("Laurent division by zero")
         p, o = pair
         if p.is_zero():
@@ -341,9 +347,10 @@ class RationalFunction:
             return other
         if isinstance(other, LaurentPolynomial):
             return RationalFunction.from_poly(other)
-        if isinstance(other, (int, Fraction, FieldElement)):
-            f = self.den.field
-            return RationalFunction.from_poly(LaurentPolynomial(f, {0: other}))
+        if isinstance(other, FieldElement):
+            return RationalFunction.from_poly(LaurentPolynomial(other.field, {0: other}))
+        if isinstance(other, (int, Fraction)):
+            return RationalFunction.from_poly(LaurentPolynomial(self.den.field, {0: other}))
         return NotImplemented
 
     def __add__(self, other):

@@ -414,8 +414,10 @@ class NumberField:
         self._pad = (0,) * (self.degree - 1)
         self._zero = _make(self, (0,) + self._pad, 1)
         self._one = _make(self, (1,) + self._pad, 1)
-        if self.degree == 2:
-            # closed forms replace the generic product and adjugate methods
+        # closed forms replace the generic product and adjugate methods
+        if self.degree == 1:
+            self._mul_numerators, self._adjugate = _linear_kernels(self._scale)
+        elif self.degree == 2:
             self._mul_numerators, self._adjugate = _quadratic_kernels(
                 self._scale, *self._int_rows[0])
 
@@ -623,6 +625,17 @@ class NumberField:
         if not isinstance(obj, dict) or not isinstance(obj.get("minpoly"), list):
             raise ParseError("field description needs a 'minpoly' list")
         return cls(obj["minpoly"], parse_int(obj.get("root_index", 0), "root_index"))
+
+
+def _linear_kernels(scale: int) -> tuple:
+    """`_mul_numerators` and `_adjugate` of a degree-1 field in closed form."""
+
+    def adjugate(y) -> tuple:
+        if not y[0]:
+            raise ZeroInverse("inverse of zero field element")
+        return [1], y[0]
+
+    return (lambda x, y: [x[0] * y[0] * scale]), adjugate
 
 
 def _quadratic_kernels(scale: int, c0: int, c1: int) -> tuple:

@@ -10,13 +10,14 @@ at most 2*ell - 2, y-degree 1..ell-1), which has exactly
 two-variables-per-pair form are folded through 1/(1 - lam^{-n}) =
 1 - 1/(1 - lam^n).  For a palindromic quadratic delta with root lam,
 `CoverPolynomial.from_table` maps a phi-table sum_k c_k(n) delta^(-k) to the
-one-root-pair p of its sums over the roots of unity, and
-`quad_to_delta_form` maps p back.
+one-root-pair p of its sums over the roots of unity, `DeltaFieldCover`
+writes that p over delta's field, and `quad_to_delta_form` maps p back.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -133,36 +134,22 @@ class CoverPolynomial:
         """p at x_j = 1/(1 - lam_j^n), y = n."""
         return self._evaluate(n, next(_x_steps(self.field, self.roots, [n])))
 
-    def _compile(self):
-        """The integer form of p that `_evaluate` runs on, built on first
-        use: the common denominator D of the coefficients and, per alpha,
-        d rows (d the field degree) whose row i holds coordinate i of the
-        numerators over D of c_(alpha,1), ..., c_(alpha,ell-1)."""
-        zero = self.field.zero()
-        terms = {key: zero + c for key, c in self.terms.items()}
-        den = lcm(*(c.den for c in terms.values()))
-        blocks: Dict[Tuple[int, ...], List[List[int]]] = {}
-        for (alpha, beta), c in terms.items():
-            block = blocks.setdefault(alpha, [[0] * (self.ell - 1) for _ in c.num])
-            f = den // c.den
-            for row, v in zip(block, c.num):
-                row[beta - 1] = v * f
-        self._compiled = den, blocks
-        return self._compiled
-
     def _evaluate(self, n: int, xs: Sequence[FieldElement]) -> FieldElement:
         """p at the values xs of x_j for n, on integer numerators and
         normalized once.  P_alpha = sum_beta c_(alpha,beta) n^beta is a
-        numerator vector over D.  With x_j = X_j / E_j and S the field's
-        `_scale` (a product of numerators by `_mul_numerators` is over one
-        more S), one root pair is a homogenized Horner pass
-        acc <- acc X + P_a (E S)^(top - a), over D (E S)^top; more root
+        numerator vector over the common denominator D of the coefficients
+        (`_integer_form`, built on first use).  With x_j = X_j / E_j and S
+        the field's `_scale` (a product of numerators by `_mul_numerators`
+        is over one more S), one root pair is a homogenized Horner pass
+        (`_horner`), over D (E S)^top; more root
         pairs are one sum of P_alpha prod_j X_j^alpha_j times
         S^(K - |alpha|) prod_j E_j^(K_j - alpha_j), over
         D S^K prod_j E_j^K_j, with K_j the largest alpha_j and K the
         largest |alpha|."""
         field = self.field
-        den, blocks = self._compiled or self._compile()
+        if self._compiled is None:
+            self._compiled = _integer_form(field, self.ell, self.terms)
+        den, blocks = self._compiled
         if not blocks:
             return field.zero()
         powers = [n ** beta for beta in range(1, self.ell)]
@@ -171,15 +158,9 @@ class CoverPolynomial:
         mul_numerators, scale = field._mul_numerators, field._scale
         if self.r == 1:
             x = xs[0]
-            X, ES = x.num, x.den * scale
             top = max(a for a, in by_alpha)
-            acc, f = by_alpha[(top,)], 1
-            for a in range(top - 1, -1, -1):
-                acc = mul_numerators(acc, X)
-                f *= ES
-                p = by_alpha.get((a,))
-                if p is not None:
-                    acc = [u + v * f for u, v in zip(acc, p)]
+            acc, f = _horner(field, [by_alpha.get((a,)) for a in range(top + 1)],
+                             x.num, x.den)
             return FieldElement._from_integers(field, acc, den * f)
         tops = [max(alpha[j] for alpha in by_alpha) for j in range(self.r)]
         top = max(map(sum, by_alpha))
@@ -286,6 +267,147 @@ def delta_embedding(delta: LaurentPolynomial, lam: FieldElement) -> FieldEmbeddi
     if set(delta.coeffs) - {-1, 0, 1} or A.is_zero() or delta.coefficient(-1) != A:
         raise ParseError("delta must be a palindromic quadratic A(t + 1/t) + B")
     return FieldEmbedding(-delta.coefficient(0) / A, lam + lam.inverse())
+
+
+class DeltaFieldCover:
+    """A one-root-pair cover polynomial p over the field of its root lam,
+    rewritten over the field K of delta = A(t + 1/t) + B as a polynomial in
+    y = 1/R_n, R_n = (1 - lam^n)(1 - lam^(-n)) = 2 - s_n, s_n = lam^n + lam^(-n).
+
+    With x = (1 + z)/2, z = (lam^n - lam^(-n)) y changes sign under
+    lam <-> 1/lam, z^2 = 1 - 4y and z (lam - 1/lam) = (s_(n+1) - s_(n-1)) y.
+    So the values of p lie in K when the coefficients of its even part in z,
+    and of its odd part over lam - 1/lam, lie in K; construction maps them,
+    written in y, into K once (`FieldEmbedding.restrict`), CrossCheckError
+    otherwise.  A row is s_n and s_(n+1) by Lucas doubling from
+    s_1 = -B/A (`_lucas`), one inverse of R_n in K and one homogenized
+    Horner pass in y (`_horner`) on integer numerators, normalized once."""
+
+    def __init__(self, p: CoverPolynomial, delta: LaurentPolynomial):
+        if p.r != 1:
+            raise ParseError("a delta-field form needs exactly one root pair")
+        lam = p.roots[0]
+        embed = delta_embedding(delta, lam)
+        field = self.field = embed.source
+        self.ell = p.ell
+        # ((y-degree, parity), n-degree) -> coefficient: x^i = ((1 + z)/2)^i,
+        # z^(2m) = (1 - 4y)^m and z^(2m+1) = (s_(n+1) - s_(n-1)) y (1 - 4y)^m
+        # over lam - 1/lam
+        parts: Dict[Tuple[Tuple[int, int], int], FieldElement] = {}
+        for ((i,), beta), c in p.terms.items():
+            c = c * Fraction(1, 2 ** i)
+            for k in range(i + 1):
+                odd, m = k % 2, k // 2
+                for j in range(m + 1):
+                    key = ((j + odd, odd), beta)
+                    term = c * (comb(i, k) * comb(m, j) * (-4) ** j)
+                    parts[key] = parts[key] + term if key in parts else term
+        w_inv = (lam - lam.inverse()).inverse()
+        terms = {}
+        for ((j, odd), beta), a in parts.items():
+            try:
+                terms[((j, odd), beta)] = embed.restrict(a * w_inv if odd else a)
+            except CrossCheckError:
+                raise CrossCheckError(
+                    f"p is not symmetric under lam <-> 1/lam: the coefficient of "
+                    f"y^{j} n^{beta} in its {('even', 'odd')[odd]} part in z does not "
+                    f"lie in delta's field") from None
+        self._den, blocks = _integer_form(
+            field, self.ell, {key: v for key, v in terms.items() if not v.is_zero()})
+        top = max((j for j, _ in blocks), default=-1)
+        self._blocks = [(blocks.get((j, 0)), blocks.get((j, 1))) for j in range(top + 1)]
+        s1 = -delta.coefficient(0) / delta.coefficient(1)
+        scale = field._scale
+        # s_1 = u1 / q with q a multiple of the field's scale (see `_lucas`)
+        self._u1, self._q = [t * scale for t in s1.num], s1.den * scale
+
+    def evaluate(self, n: int) -> FieldElement:
+        """p at x = 1/(1 - lam^n), y = n, in K; ResonantRoot when R_n = 0."""
+        field = self.field
+        mul_numerators, scale, q = field._mul_numerators, field._scale, self._q
+        u, v, qn = _lucas(field, self._u1, q, n)
+        r = [-t for t in u]
+        r[0] += 2 * qn
+        if not any(r):
+            raise ResonantRoot(f"R_{n} = 0: lam^{n} = 1 for the root")
+        if not self._blocks:
+            return field.zero()
+        # y = 1/R_n = q^n w / det
+        w, det = field._adjugate(r)
+        # s_(n+1) - s_(n-1) = 2 s_(n+1) - s_1 s_n = d / q^(n+1), and each
+        # coefficient of y goes over den q^(n+1) scale
+        d = [2 * a - b // scale for a, b in zip(v, mul_numerators(self._u1, u))]
+        lift = qn * q * scale
+        powers = [n ** beta for beta in range(1, self.ell)]
+        coeffs = []
+        for even, odd in self._blocks:
+            c = None
+            if even is not None:
+                c = [sum(map(mul, row, powers)) * lift for row in even]
+            if odd is not None:
+                o = mul_numerators(d, [sum(map(mul, row, powers)) for row in odd])
+                c = o if c is None else [a + b for a, b in zip(c, o)]
+            coeffs.append(c)
+        acc, f = _horner(field, coeffs, [qn * t for t in w], det)
+        return FieldElement._from_integers(field, acc, self._den * lift * f)
+
+
+def _integer_form(field: NumberField, ell: int, terms) -> tuple:
+    """(D, blocks) for coefficients c_(key, beta), beta = 1..ell-1: their
+    common denominator D and, per key, d rows (d the field degree) whose
+    row i holds coordinate i of the numerators over D of c_(key,1), ...,
+    c_(key,ell-1)."""
+    zero = field.zero()
+    terms = {key: zero + c for key, c in terms.items()}
+    den = lcm(*(c.den for c in terms.values()))
+    blocks: Dict[object, List[List[int]]] = {}
+    for (key, beta), c in terms.items():
+        block = blocks.setdefault(key, [[0] * (ell - 1) for _ in c.num])
+        f = den // c.den
+        for row, v in zip(block, c.num):
+            row[beta - 1] = v * f
+    return den, blocks
+
+
+def _lucas(field: NumberField, u1: Sequence[int], q: int, n: int):
+    """(u_n, u_(n+1), q^n) with s_m = u_m / q^m for s_m = lam^m + lam^(-m),
+    from s_1 = u1 / q by Lucas doubling on numerator vectors:
+    s_2m = s_m^2 - 2 and s_(2m+1) = s_m s_(m+1) - s_1.  A product of
+    numerators is over the field's scale, which divides u1 and q, so the
+    division by it is exact."""
+    mul_numerators, scale = field._mul_numerators, field._scale
+    prod = mul_numerators if scale == 1 else \
+        (lambda x, y: [c // scale for c in mul_numerators(x, y)])
+    a, b, qm = u1, prod(u1, u1), q
+    b[0] -= 2 * q * q
+    for bit in bin(n)[3:]:
+        q2 = qm * qm
+        mixed = [c - e * q2 for c, e in zip(prod(a, b), u1)]
+        if bit == "1":
+            qm = q2 * q
+            a, b = mixed, prod(b, b)
+            b[0] -= 2 * qm * q
+        else:
+            qm = q2
+            a, b = prod(a, a), mixed
+            a[0] -= 2 * q2
+    return a, b, qm
+
+
+def _horner(field: NumberField, coeffs: Sequence[Optional[List[int]]], X, E: int):
+    """(acc, f) with acc / f the sum of coeffs[a] (X / E)^a, for numerator
+    vectors coeffs[a] (None for zero; the last is not None) and X the
+    numerators of x over E: with S the field's scale, the homogenized
+    Horner pass acc <- acc X + coeffs[a] (E S)^(top - a), over
+    f = (E S)^top."""
+    mul_numerators, ES = field._mul_numerators, E * field._scale
+    acc, f = coeffs[-1], 1
+    for p in reversed(coeffs[:-1]):
+        acc = mul_numerators(acc, X)
+        f *= ES
+        if p is not None:
+            acc = [u + v * f for u, v in zip(acc, p)]
+    return acc, f
 
 
 def _monomial(tables: Sequence[Sequence[FieldElement]], alpha: Tuple[int, ...]):

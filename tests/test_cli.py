@@ -10,8 +10,9 @@ from fractions import Fraction
 import pytest
 
 from looptool import verify
-from looptool.cli import main
+from looptool.cli import _format_value, main
 from looptool.knots import FIELD_SQRT21, TaggedValue, fixture
+from looptool.numberfield import QQ
 from looptool.synth import random_nz_data, random_vertex_table
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
@@ -491,6 +492,16 @@ def test_avg_prints_values_past_4300_digits(tmp_path, capsys):
     expect = str(Fraction(20000, 1 - 3 ** 20000))
     assert len(expect) == 9542
     assert code == 0 and out == expect + "\n"
+
+
+def test_format_value_prints_a_rational_as_fraction_does():
+    # a rational value prints from num and den, as str(Fraction) prints it
+    row = fixture("4_1").phi_average(3, 2000).value
+    assert row.field.degree == 1 and row.den > 1
+    values = [row, -row, QQ.zero(), QQ.element(-7), FIELD_SQRT21.element(Fraction(-3, 4))]
+    for value in values:
+        assert _format_value(value, False) == str(value.rational_value())
+    assert _format_value(row, True) == f"{row.rational_value()} (unit sqrt(-3))"
 
 
 def test_reconstruct_reads_coordinates_past_4300_digits(tmp_path, capsys):

@@ -1,19 +1,22 @@
 """Bundled knot data: cross-method agreement and tabulated constants."""
 
+import copy
 import sys
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
 
 from conftest import is_palindromic_up_to_unit
 from looptool import cli, knots
-from looptool.errors import CrossCheckError
+from looptool.errors import CrossCheckError, ResonantRoot
 from looptool.knots import (FIELD_52, FIELD_LAMBDA_52, FIELD_SQRT21, FigureEightFixture,
-                            FiveTwoFixture, TaggedValue, fixture)
+                            FiveTwoFixture, KnotFixture, TaggedValue, fixture)
 from looptool.laurent import LaurentPolynomial, RationalFunction
-from looptool.numberfield import QQ
-from looptool.powersum import CoverPolynomial, leading_asymptotic
+from looptool.numberfield import QQ, NumberField
+from looptool.powersum import (CoverPolynomial, DeltaFieldCover, delta_embedding,
+                               leading_asymptotic)
 
 
 def test_equal_tagged_values_hash_alike():
@@ -181,34 +184,88 @@ def test_cover_rows_equal_residue_rows(name, ell):
         assert fx.phi_average(ell, n) == fx.phi_residue(ell, n), n
 
 
+@pytest.mark.parametrize("name, ell", [("4_1", 2), ("4_1", 3), ("5_2", 2), ("5_2", 3)])
+def test_rows_over_the_delta_field_equal_the_cover_route_in_lowest_terms(name, ell):
+    # the old route, p in the field of lam mapped back by the left inverse
+    # of the embedding, is the oracle of the rows over delta's field
+    fx = fixture(name)
+    embed = delta_embedding(fx.delta, fx.lam)
+    sampled = (257, 640, 1000, 2000) if name == "4_1" else (257, 320, 640)
+    for n in [*range(1, 201), *sampled]:
+        row = fx.phi_average(ell, n).value
+        assert row == embed.restrict(fx.cover(ell).evaluate(n)), n
+        assert row.den > 0 and gcd(row.den, *row.num) == 1, n
+
+
+def test_a_root_of_unity_lambda_is_resonant_at_its_order():
+    # delta = t - 1 + 1/t has the primitive sixth roots of unity as roots
+    field = NumberField([1, -1, 1])
+    fx = KnotFixture("sixth", QQ, LaurentPolynomial(QQ, {1: 1, 0: -1, -1: 1}),
+                     {2: {1: [QQ.one()], 2: [QQ.element(3)]}}, {2: False},
+                     field.generator())
+    embed = delta_embedding(fx.delta, fx.lam)
+    for n in range(1, 6):
+        assert fx.phi_average(2, n).value == embed.restrict(fx.cover(2).evaluate(n))
+    for route in (lambda: fx.phi_average(2, 6), lambda: fx.cover(2).evaluate(12)):
+        with pytest.raises(ResonantRoot):
+            route()
+
+
 @pytest.mark.parametrize("make", [FigureEightFixture, FiveTwoFixture], ids=["4_1", "5_2"])
 def test_cover_is_built_once_per_ell_on_first_use(make, monkeypatch):
-    built, evaluated = [], []
+    built, forms, evaluated = [], [], []
     real = CoverPolynomial.from_table.__func__
-    real_evaluate = CoverPolynomial.evaluate
 
     def counted(cls, delta, table, lam):
         built.append(table)
         return real(cls, delta, table, lam)
 
+    class Counted(DeltaFieldCover):
+        def __init__(self, p, delta):
+            forms.append(p.ell)
+            super().__init__(p, delta)
+
+        def evaluate(self, n):
+            evaluated.append(n)
+            return super().evaluate(n)
+
     monkeypatch.setattr(knots.CoverPolynomial, "from_table", classmethod(counted))
-    monkeypatch.setattr(CoverPolynomial, "evaluate",
-                        lambda self, n: evaluated.append(n) or real_evaluate(self, n))
+    monkeypatch.setattr(knots, "DeltaFieldCover", Counted)
     fx = make()
-    assert built == []
-    for n in (1, 2, 2, 3):
+    assert built == [] and forms == []
+    fx.phi_average(2, 1)
+    fx.phi_average(3, 1)
+    state = copy.deepcopy([vars(form) for form in fx._delta_covers.values()])
+    for n in (2, 2, 3):
         for ell in (2, 3):
             fx.phi_average(ell, n)
-    assert built == [fx.phi[2], fx.phi[3]]
-    # no row is kept: a repeated n is evaluated again
+    assert built == [fx.phi[2], fx.phi[3]] and forms == [2, 3]
+    # no row is kept: a repeated n is evaluated again, and rows leave the
+    # forms as they were built
     assert evaluated == [1, 1, 2, 2, 2, 2, 3, 3]
+    assert [vars(form) for form in fx._delta_covers.values()] == state
 
 
 def test_phi_average_checks_the_map_back_exactly(monkeypatch):
-    fx = FiveTwoFixture()
-    monkeypatch.setattr(CoverPolynomial, "evaluate", lambda self, n: fx.lam)
-    with pytest.raises(CrossCheckError, match="5_2 ell = 2, n = 4"):
-        fx.phi_average(2, 4)
+    # any one coefficient of p moved by 10^-60 breaks its symmetry under
+    # lam <-> 1/lam: by a rational for x^i with i >= 1, since (1 - x)^i is
+    # not x^i, and by 10^-60 lam for x^0, since lam is not in delta's field
+    tiny = Fraction(1, 10 ** 60)
+    for make in (FigureEightFixture, FiveTwoFixture):
+        for ell in (2, 3):
+            fx = make()
+            p = fx.cover(ell)
+            for (alpha, beta), c in p.terms.items():
+                terms = dict(p.terms)
+                terms[(alpha, beta)] = c + (tiny * fx.lam if alpha == (0,) else tiny)
+                mutated = CoverPolynomial(p.field, p.ell, p.roots, terms)
+                monkeypatch.setattr(fx, "cover", lambda _: mutated)
+                with pytest.raises(CrossCheckError,
+                                   match=f"{fx.name} ell = {ell}: p is not symmetric"):
+                    fx.phi_average(ell, 4)
+                assert ell not in fx._delta_covers
+            monkeypatch.undo()
+            assert fx.phi_average(ell, 4) == fx.phi_residue(ell, 4)
 
 
 @pytest.mark.parametrize("ell", [2, 3])

@@ -94,6 +94,29 @@ def test_operand_over_q_lifts_into_the_other_field(field_sqrt21, field_cubic):
             op(q, cubic)
 
 
+def test_scalar_of_a_larger_field_lifts_a_polynomial_over_q(field_sqrt21):
+    # a scalar is a constant over its own field, so it lifts a polynomial
+    # over Q as a polynomial over its field does
+    s21 = field_sqrt21.generator()
+    p = LP(QQ, {0: 1, 1: 2})
+    lifted, constant = LP(field_sqrt21, p.coeffs), LP(field_sqrt21, {0: s21})
+    product = p * s21
+    assert product == s21 * p == lifted * constant and product.field == field_sqrt21
+    assert p + s21 == s21 + p == lifted + constant
+    assert p - s21 == lifted - constant
+    rf = RationalFunction.from_poly(p) * s21
+    assert rf == RationalFunction.from_poly(lifted * constant) and rf.field == field_sqrt21
+    assert p != s21 and LP(QQ, {0: 2}) == field_sqrt21.element(2)
+
+
+def test_division_by_an_unsupported_type_is_a_type_error():
+    p = LP(QQ, {0: 1, 1: 1})
+    for op in (LP.divmod_poly, LP.divide_exact):
+        with pytest.raises(TypeError, match="str"):
+            op(p, "x")
+    assert p.divmod_poly(2) == (LP(QQ, {0: Fraction(1, 2), 1: Fraction(1, 2)}), LP(QQ))
+
+
 def _inverse(M):
     return M.solve(LaurentMatrix.identity(QQ, M.rows))
 

@@ -181,6 +181,22 @@ def test_quadratic_kernels_equal_the_generic_route(minpoly):
         NumberField._adjugate(split, [1, 1])
 
 
+@pytest.mark.parametrize("minpoly", [[0, 1], [3, 1], [Fraction(-5, 6), 1]])
+def test_linear_kernels_equal_the_generic_route(minpoly):
+    field = NumberField(minpoly)
+    assert {"_mul_numerators", "_adjugate"} <= vars(field).keys()
+    rng = random.Random(23)
+    for bits in (4, 400):
+        for _ in range(25):
+            x, y = [rng.getrandbits(bits) - (1 << (bits - 1))], [rng.getrandbits(bits) + 1]
+            assert field._mul_numerators(x, y) == NumberField._mul_numerators(field, x, y)
+            w, det = field._adjugate(y)
+            v, last = NumberField._adjugate(field, y)
+            assert Fraction(w[0], det) == Fraction(v[0], last) == Fraction(1, y[0])
+    with pytest.raises(ZeroInverse):
+        field._adjugate([0])
+
+
 def test_minpoly_must_be_monic():
     with pytest.raises(ParseError):
         NumberField([-21, 0, 2])

@@ -501,6 +501,10 @@ def test_from_table_agrees_with_both_root_sums_on_seeded_tables(field, rng):
         # the inverse map gives the table back
         assert quad_to_delta_form(p) == (delta, _trimmed(table))
         assert CoverPolynomial.from_table(*quad_to_delta_form(p), lam) == p
+        # lam lies in delta's field here, and the form over it agrees
+        form = powersum.DeltaFieldCover(p, delta)
+        assert [form.evaluate(n) for n in range(1, 30)] == \
+            [p.evaluate(n) for n in range(1, 30)]
 
 
 @pytest.mark.parametrize("name", ["4_1", "5_2"])
@@ -542,6 +546,30 @@ def test_from_table_rejects_what_it_cannot_map():
     # 1/n delta^(-1) sums to a multiple of x with no power of n
     with pytest.raises(ParseError, match="e <= 0 survive"):
         CoverPolynomial.from_table(fx.delta, {1: [QQ.zero(), QQ.one()]}, fx.lam)
+
+
+def test_delta_field_cover_over_fields_with_a_scale():
+    # K = Q(xi) with xi^2 = 1/2, and lam a root of delta = t - xi + 1/t in
+    # the quartic field of lam^4 + (3/2) lam^2 + 1: neither field has a
+    # `_scale` of 1, and Lucas doubling divides K's out of its products
+    K = NumberField([Fraction(-1, 2), 0, 1])
+    L = NumberField([1, 0, Fraction(3, 2), 0, 1])
+    assert (K._scale, L._scale) == (2, 4)
+    xi, lam = K.generator(), L.generator()
+    delta = LP(K, {1: 1, 0: -xi, -1: 1})
+    table = {0: [xi], 1: [xi + 3], 2: [K.element(Fraction(1, 7))], 3: [2 * xi - 1]}
+    p = CoverPolynomial.from_table(delta, table, lam)
+    assert p.ell == 4 and p.field == L
+    form = powersum.DeltaFieldCover(p, delta)
+    embed = delta_embedding(delta, lam)
+    residue = ResidueForm.from_table(delta, table)
+    for n in [*range(1, 41), 101, 256]:
+        value = form.evaluate(n)
+        assert value.field == K and value == embed.restrict(p.evaluate(n)), n
+        assert value == av_exact(residue, n), n
+    two_pairs = CoverPolynomial(L, 2, [lam, lam + 1], {((1, 1), 1): L.one()})
+    with pytest.raises(ParseError, match="one root pair"):
+        powersum.DeltaFieldCover(two_pairs, delta)
 
 
 def test_evaluate_raises_resonant_root_when_lam_n_is_one():
