@@ -17,7 +17,8 @@ request (all by default):
 0. `kernel`: the number-field kernels beneath a row,
    `NumberField._mul_numerators` and `FieldElement.inverse`, in the fields
    of degree 1 (Q), 2 (Q(sqrt 21)), 3 (the cubic field of 5_2) and 6 (the
-   sextic field of its lambda, `_scale` 128), on seeded operands whose
+   sextic field of its lambda, whose elements live on the powers of the
+   algebraic integer 8 lambda), on seeded operands whose
    numerators (and the inverse's denominators) have 8 to 4096 bits: the
    best of `--repeat` runs of the microseconds per call, each run one pass
    over 32 operands;

@@ -276,6 +276,9 @@ def _load_values_csv(path, field: NumberField):
             n = int(cells[0])
         except ValueError as exc:
             raise ParseError(f"bad n {cells[0]!r} in {path}") from exc
+        if n < 1:
+            raise ParseError(f"{path} line {number} {line!r}: n must be at least 1, "
+                             f"got {n}")
         coords = [parse_rational(c) for c in cells[1:]]
         rows.append((n, field.element(coords), unit))
     if not rows:
@@ -291,6 +294,8 @@ def cmd_reconstruct(args) -> int:
         raise ParseError(f"--ell must be at least 2, got {args.ell}")
     if args.r < 1:
         raise ParseError(f"--r must be at least 1, got {args.r}")
+    if args.holdout < 0:
+        raise ParseError(f"--holdout must be at least 0, got {args.holdout}")
     roots_obj = _load_json(args.roots)
     if not isinstance(roots_obj, dict):
         raise ParseError("roots file must be a JSON object")

@@ -244,9 +244,6 @@ def _contract(G: FeynmanDiagram, table: VertexFactorTable, N: int,
              for idx in cycle_tree]
     cycle_edges = [G.edges[idx] for idx in cycle_tree + free_idx]
     m = len(cycle_tree)
-    # every term is a product of one numerator per cycle edge, and the
-    # vertex value makes one more product
-    scale = ring.scale ** (len(cycle_edges) + 1)
     result: Dict[int, FieldElement] = {}
     zero_key = (0,) * len(free_idx)
     for labeling in itertools.product(range(N), repeat=G.n_vertices):
@@ -258,7 +255,7 @@ def _contract(G: FeynmanDiagram, table: VertexFactorTable, N: int,
             grade += gr
         if value.is_zero():
             continue
-        folds, den = [], scale
+        folds, den = [], 1
         for u, v in cycle_edges:
             fold, fold_den = images.image(labeling[u], labeling[v])
             folds.append(fold)

@@ -1,27 +1,28 @@
 """Arbitrary-precision rationals and number-field arithmetic.
 
 A number field is Q[xi]/(m(xi)) for a monic squarefree m with rational
-coefficients; its elements are coordinate vectors over Q in the power basis
-1, xi, ..., xi^(d-1), stored as d integer numerators over one positive
-common denominator in lowest terms (Cohen, A Course in Computational
-Algebraic Number Theory, 4.2), one representation for every degree.  A sum
-reduces only by g = gcd of the two denominators, the one factor that can
-divide its content (Knuth, TAOCP vol. 2, 4.5.1); a product is one integer
-convolution, folded back through the rows of xi^d, ..., xi^(2d-2) written
-over Z with one scale (which covers monic minimal polynomials with
-non-integral coefficients), then one content gcd.  That integer product
-(`NumberField._mul_numerators`) also serves callers that keep many
-numerators over one denominator of their own.  An inverse is the adjugate
-kernel (`NumberField._adjugate`: the numerators of det y^-1 and det), one
-run of `bareiss`, the package's one fraction-free elimination (forward,
-then back substitution), on the integer matrix of multiplication.  A
-quadratic field replaces the product and the adjugate with closed forms,
-chosen once when the field is built.  The same matrices,
-side by side over one denominator (`NumberField.integer_rows`), are the one
-encoding over Z of every system over the field.  The Fraction
-coordinates (`coords`) are built on first use.  All values are immutable;
-arithmetic returns new objects, so elements are safe to share across
-threads.
+coefficients.  Its elements live on the power basis of the algebraic
+integer theta = c xi, c the lcm of the denominators of m, whose minimal
+polynomial c^(d-k) m_k is integral (Cohen, A Course in Computational
+Algebraic Number Theory, 4.2; theta = xi when m is integral): d integer
+numerators of the coordinates in 1, theta, ..., theta^(d-1) over one
+positive common denominator in lowest terms.  Coordinates in the powers of
+xi exist only at the boundary (`NumberField.element` and
+`FieldElement(field, coords)` in, `coords` out).  A sum reduces only by
+g = gcd of the two denominators, the one factor that can divide its
+content (Knuth, TAOCP vol. 2, 4.5.1); a product is one integer convolution,
+folded back through the integer rows of theta^d, ..., theta^(2d-2), then
+one content gcd.  That integer product (`NumberField._mul_numerators`, over
+1 like its operands) also serves callers that keep many numerators over one
+denominator of their own.  An inverse is the adjugate kernel
+(`NumberField._adjugate`: the numerators of det y^-1 and det), one run of
+`bareiss`, the package's one fraction-free elimination, on the integer
+matrix of multiplication.  A field of degree 1 or 2 replaces the product
+and the adjugate with closed forms, chosen once when the field is built.
+The same matrices, side by side over one denominator
+(`NumberField.integer_rows`), are the one encoding over Z of every system
+over the field.  All values are immutable, so elements are safe to share
+across threads.
 
 Complex embeddings are certified: every approximate root of m carries an
 isolation radius r such that the disk of radius r around the approximation
@@ -406,47 +407,41 @@ class NumberField:
             raise ParseError(f"root_index {root_index} out of range for degree {self.degree}")
         self.root_index = root_index
         self._roots_cache: dict = {}
-        self._reduction_rows = self._build_reduction()
-        # the same rows over Z: xi^(d+k) = _int_rows[k] / _scale
-        self._scale = lcm(*(q.denominator for row in self._reduction_rows for q in row))
-        self._int_rows = [[q.numerator * (self._scale // q.denominator) for q in row]
-                          for row in self._reduction_rows]
-        self._pad = (0,) * (self.degree - 1)
+        # theta = c xi, c the lcm of the denominators of m, is an algebraic
+        # integer: its minimal polynomial has the integer coefficients
+        # c^(d-k) m_k.  Elements live on its power basis, where xi^i is
+        # theta^i / c^i; _xi_dens holds those c^i (None when they are all 1).
+        d = self.degree
+        c = lcm(*(q.denominator for q in coeffs))
+        self._xi_dens = None if c == 1 or d == 1 else tuple(c ** i for i in range(d))
+        # the rows of theta^(d+k) for k = 0..d-2, so that products reduce by
+        # table lookup: theta^(d+k+1) = theta * theta^(d+k) with the
+        # overflow folded back through the theta^d row
+        low = [-(q * c ** (d - k)).numerator for k, q in enumerate(coeffs[:-1])]
+        self._int_rows = [low]
+        for _ in range(d - 2):
+            row = self._int_rows[-1]
+            top = row[-1]
+            self._int_rows.append([top * low[0]] + [a + top * m for a, m in zip(row, low[1:])])
+        self._pad = (0,) * (d - 1)
         self._zero = _make(self, (0,) + self._pad, 1)
         self._one = _make(self, (1,) + self._pad, 1)
         # closed forms replace the generic product and adjugate methods
-        if self.degree == 1:
-            self._mul_numerators, self._adjugate = _linear_kernels(self._scale)
-        elif self.degree == 2:
-            self._mul_numerators, self._adjugate = _quadratic_kernels(
-                self._scale, *self._int_rows[0])
-
-    def _build_reduction(self):
-        # coordinate rows of xi^(d+k) for k = 0..d-2, so products reduce by
-        # table lookup: xi^(d+k+1) = xi * xi^(d+k) with the overflow folded
-        # back through the xi^d row.
-        d = self.degree
-        rows = []
-        cur = [-c for c in self.minpoly[:-1]]
-        rows.append(list(cur))
-        for _ in range(max(0, d - 2)):
-            shifted = [Fraction(0)] + cur[:-1]
-            top = cur[-1]
-            nxt = [shifted[i] + top * rows[0][i] for i in range(d)]
-            rows.append(nxt)
-            cur = nxt
-        return rows
+        if d == 1:
+            self._mul_numerators, self._adjugate = _linear_kernels()
+        elif d == 2:
+            self._mul_numerators, self._adjugate = _quadratic_kernels(*low)
 
     def _mult_columns(self, num) -> list:
-        """Numerators of a, a xi, ..., a xi^(d-1) for the element a with
-        numerators `num`, column j over _scale^j: the matrix of
-        multiplication by a in the power basis, column by column."""
-        scale, low = self._scale, self._int_rows[0]
+        """Numerators of a, a theta, ..., a theta^(d-1) for the element a
+        with numerators `num`, each over 1: the matrix of multiplication by
+        a in the power basis, column by column."""
+        low = self._int_rows[0]
         col = list(num)
         out = [col]
         for _ in range(self.degree - 1):
             top = col[-1]
-            col = [top * low[0]] + [scale * c + top * m for c, m in zip(col, low[1:])]
+            col = [top * low[0]] + [c + top * m for c, m in zip(col, low[1:])]
             out.append(col)
         return out
 
@@ -454,34 +449,28 @@ class NumberField:
         """(rows, den): the d integer rows of the block row
         [M(e_1) | ... | M(e_k)] over one positive denominator den, with the
         coordinate column of `target` last when one is given.  M(e) is the
-        matrix of multiplication by e in the power basis (column j holds the
-        coordinates of e xi^j).  Elements may be ints, Fractions or elements
-        of Q."""
+        matrix of multiplication by e in the power basis of theta (column j
+        holds the coordinates of e theta^j).  Elements may be ints, Fractions
+        or elements of Q."""
         zero, k = self._zero, len(elements)
         items = [e if e.__class__ is FieldElement and e.field is self else zero + e
                  for e in (elements if target is None else [*elements, target])]
         den = lcm(*(e.den for e in items))
-        # column j of _mult_columns is over _scale^j; lift it to _scale^(d-1)
-        d, scale = self.degree, self._scale
-        lifts = [scale ** (d - 1 - j) for j in range(d)]
         columns = []
         for e in items[:k]:
             f = den // e.den
             cols = self._mult_columns(e.num)
-            if scale == 1:
-                columns.extend(cols if f == 1 else [[v * f for v in col] for col in cols])
-            else:
-                columns.extend([v * (f * lift) for v in col] for col, lift in zip(cols, lifts))
+            columns.extend(cols if f == 1 else [[v * f for v in col] for col in cols])
         if target is not None:
-            top = den // items[k].den * lifts[0]
-            columns.append([v * top for v in items[k].num])
-        rows = [list(row) for row in zip(*columns)] if columns else [[] for _ in range(d)]
-        return rows, den * lifts[0]
+            f = den // items[k].den
+            columns.append([v * f for v in items[k].num])
+        rows = [list(row) for row in zip(*columns)] if columns else [[] for _ in range(self.degree)]
+        return rows, den
 
     def _mul_numerators(self, x, y) -> list:
-        """Numerators over _scale of the product of the elements with
-        numerators x and y over 1: one integer convolution, the powers
-        xi^d ... xi^(2d-2) folded back through the integer rows.  A
+        """Numerators over 1 of the product of the elements with numerators
+        x and y over 1: one integer convolution, the powers
+        theta^d ... theta^(2d-2) folded back through the integer rows.  A
         quadratic field replaces it with a closed form
         (`_quadratic_kernels`)."""
         d = self.degree
@@ -490,8 +479,7 @@ class NumberField:
             if a:
                 for j, b in enumerate(y, i):
                     conv[j] += a * b
-        scale = self._scale
-        out = conv[:d] if scale == 1 else [v * scale for v in conv[:d]]
+        out = conv[:d]
         for v, row in zip(conv[d:], self._int_rows):
             if v:
                 for i, r in enumerate(row):
@@ -502,18 +490,16 @@ class NumberField:
         """(w, D) with w / D the inverse of the element with numerators y
         over 1, for D != 0: one `bareiss` of [M | e_0] for the integer
         matrix M of multiplication by y, whose last column ends as D times
-        the solution, D the last pivot.  Column j of M is over _scale^j, so
-        coordinate j of the inverse is _scale^j times that of the solution.
-        ZeroInverse when M is singular.  A quadratic field replaces it with
-        a closed form (`_quadratic_kernels`)."""
+        the solution, D the last pivot.  ZeroInverse when M is singular.  A
+        quadratic field replaces it with a closed form
+        (`_quadratic_kernels`)."""
         d = self.degree
         cols = self._mult_columns(y)
         aug = [[col[i] for col in cols] + [int(i == 0)] for i in range(d)]
         pivots, last, _ = bareiss(aug, d, floordiv)
         if len(pivots) < d:
             raise ZeroInverse("element not invertible; minpoly not squarefree?")
-        scale = self._scale
-        return [row[d] * scale ** j for j, row in enumerate(aug)], last
+        return [row[d] for row in aug], last
 
     # -- identity ------------------------------------------------------------
 
@@ -627,7 +613,7 @@ class NumberField:
         return cls(obj["minpoly"], parse_int(obj.get("root_index", 0), "root_index"))
 
 
-def _linear_kernels(scale: int) -> tuple:
+def _linear_kernels() -> tuple:
     """`_mul_numerators` and `_adjugate` of a degree-1 field in closed form."""
 
     def adjugate(y) -> tuple:
@@ -635,29 +621,28 @@ def _linear_kernels(scale: int) -> tuple:
             raise ZeroInverse("inverse of zero field element")
         return [1], y[0]
 
-    return (lambda x, y: [x[0] * y[0] * scale]), adjugate
+    return (lambda x, y: [x[0] * y[0]]), adjugate
 
 
-def _quadratic_kernels(scale: int, c0: int, c1: int) -> tuple:
+def _quadratic_kernels(c0: int, c1: int) -> tuple:
     """`_mul_numerators` and `_adjugate` of a quadratic field with
-    xi^2 = (c0 + c1 xi) / scale, in closed form.  The product of a0 + a1 xi
-    and b0 + b1 xi is a0 b0 + (a0 b1 + a1 b0) xi + a1 b1 xi^2; and
-    (a + b xi)(scale a + c1 b - scale b xi) = scale a^2 + c1 a b - c0 b^2,
-    a rational, so that pair is the adjugate and the determinant."""
+    theta^2 = c0 + c1 theta, in closed form.  The product of a0 + a1 theta
+    and b0 + b1 theta is a0 b0 + (a0 b1 + a1 b0) theta + a1 b1 theta^2; and
+    (a + b theta)(a + c1 b - b theta) = a^2 + c1 a b - c0 b^2, a rational,
+    so that pair is the adjugate and the determinant."""
 
     def mul_numerators(x, y) -> list:
         a0, a1 = x
         b0, b1 = y
         t = a1 * b1
-        return [a0 * b0 * scale + c0 * t, (a0 * b1 + a1 * b0) * scale + c1 * t]
+        return [a0 * b0 + c0 * t, a0 * b1 + a1 * b0 + c1 * t]
 
     def adjugate(y) -> tuple:
         a, b = y
-        sa, sb = scale * a, scale * b
-        det = sa * a + (c1 * a - c0 * b) * b
+        det = a * a + (c1 * a - c0 * b) * b
         if not det:
             raise ZeroInverse("element not invertible; minpoly not squarefree?")
-        return [sa + c1 * b, -sb], det
+        return [a + c1 * b, -b], det
 
     return mul_numerators, adjugate
 
@@ -729,13 +714,16 @@ def _add(field: NumberField, a, b: int, c, e: int) -> "FieldElement":
 
 class FieldElement:
     """Immutable element of a NumberField: the integer numerators `num` of
-    its power-basis coordinates over one positive common denominator `den`,
-    in lowest terms (gcd(den, num...) = 1, and zero is 0/1).  `coords` gives
-    the coordinates as Fractions, built on first use."""
+    its coordinates on the power basis of theta over one positive common
+    denominator `den`, in lowest terms (gcd(den, num...) = 1, and zero is
+    0/1).  `coords` gives the coordinates on the power basis of xi as
+    Fractions, built on first use, and the constructor takes those."""
 
     __slots__ = ("field", "num", "den", "_coords")
 
     def __init__(self, field: NumberField, coords):
+        if field._xi_dens is not None:
+            coords = [Fraction(c) / f for c, f in zip(coords, field._xi_dens)]
         # the lcm of reduced denominators leaves no common factor
         den = lcm(*[c.denominator for c in coords])
         self.field = field
@@ -755,11 +743,12 @@ class FieldElement:
 
     @property
     def coords(self) -> tuple:
-        """The power-basis coordinates as Fractions."""
+        """The coordinates on the power basis of xi as Fractions."""
         if self._coords is None:
-            den = self.den
-            gs = [gcd(v, den) for v in self.num]
-            self._coords = tuple([_fraction(v // g, den // g) for v, g in zip(self.num, gs)])
+            den, dens = self.den, self.field._xi_dens
+            num = self.num if dens is None else list(map(mul, self.num, dens))
+            gs = [gcd(v, den) for v in num]
+            self._coords = tuple([_fraction(v // g, den // g) for v, g in zip(num, gs)])
         return self._coords
 
     # -- coercion --------------------------------------------------------------
@@ -837,7 +826,7 @@ class FieldElement:
                 b //= g2
             return _make(field, (a * c,), b * e)
         out = field._mul_numerators(self.num, o.num)
-        den = b * e * field._scale
+        den = b * e
         g = gcd(den, *out)
         if g == 1:
             return _make(field, tuple(out), den)
@@ -896,12 +885,12 @@ class FieldElement:
             return field.one()
         # left-to-right binary powering on numerators, so that every product
         # but the squarings is by the base; each bit ends with one content gcd
-        mul_numerators, scale = field._mul_numerators, field._scale
+        mul_numerators = field._mul_numerators
         num, den = base.num, base.den
         for bit in bin(exponent)[3:]:
-            num, den = mul_numerators(num, num), den * den * scale
+            num, den = mul_numerators(num, num), den * den
             if bit == "1":
-                num, den = mul_numerators(num, base.num), den * base.den * scale
+                num, den = mul_numerators(num, base.num), den * base.den
             g = gcd(den, *num)
             if g > 1:
                 num, den = [v // g for v in num], den // g
@@ -1015,13 +1004,14 @@ class FieldEmbedding:
     The generator xi of F is a rational polynomial r in source, found by one
     d x d solve (d = deg F); it maps to r(target), and F's minimal polynomial
     must vanish there.  Both directions are integer matrices over one
-    denominator: `__call__` maps F into K, and `restrict`, a fixed left
-    inverse read off d independent coordinates of the image, maps K back.
-    On those d coordinates the image of its answer agrees by construction;
-    membership is checked exactly on the other deg K - d, through the
-    composite of the left inverse with those rows of the embedding, as one
-    cross-multiplied integer identity per coordinate.  Construction raises
-    ParseError when no such embedding exists."""
+    denominator on the numerators of elements, so the image columns are the
+    powers of the image of F's theta = c xi: `__call__` maps F into K, and
+    `restrict`, a fixed left inverse read off d independent coordinates of
+    the image, maps K back.  On those d coordinates the image of its answer
+    agrees by construction; membership is checked exactly on the other
+    deg K - d, through the composite of the left inverse with those rows of
+    the embedding, as one cross-multiplied integer identity per coordinate.
+    Construction raises ParseError when no such embedding exists."""
 
     def __init__(self, source: "FieldElement", target: "FieldElement"):
         F, K = self.source, self.target = source.field, target.field
@@ -1042,8 +1032,12 @@ class FieldEmbedding:
                 raise ParseError(f"no embedding of {F!r} sends {source!r} to "
                                  f"{target!r}")
             images.pop()
+        if F._xi_dens is not None:
+            # F's elements live on the powers of theta = c xi, which map to
+            # the powers of c times the image of xi
+            images = [p * f for p, f in zip(images, F._xi_dens)]
         self._den = lcm(*(e.den for e in images))
-        # column m holds the numerators of xi^m over self._den
+        # column m holds the numerators of theta^m over self._den
         self._image = [list(row) for row in zip(*(
             [v * (self._den // e.den) for v in e.num] for e in images))]
         if self(source) != target:

@@ -138,14 +138,11 @@ class CoverPolynomial:
         """p at the values xs of x_j for n, on integer numerators and
         normalized once.  P_alpha = sum_beta c_(alpha,beta) n^beta is a
         numerator vector over the common denominator D of the coefficients
-        (`_integer_form`, built on first use).  With x_j = X_j / E_j and S
-        the field's `_scale` (a product of numerators by `_mul_numerators`
-        is over one more S), one root pair is a homogenized Horner pass
-        (`_horner`), over D (E S)^top; more root
-        pairs are one sum of P_alpha prod_j X_j^alpha_j times
-        S^(K - |alpha|) prod_j E_j^(K_j - alpha_j), over
-        D S^K prod_j E_j^K_j, with K_j the largest alpha_j and K the
-        largest |alpha|."""
+        (`_integer_form`, built on first use).  With x_j = X_j / E_j, one
+        root pair is a homogenized Horner pass (`_horner`), over D E^top;
+        more root pairs are one sum of P_alpha prod_j X_j^alpha_j times
+        prod_j E_j^(K_j - alpha_j), over D prod_j E_j^K_j, with K_j the
+        largest alpha_j."""
         field = self.field
         if self._compiled is None:
             self._compiled = _integer_form(field, self.ell, self.terms)
@@ -155,7 +152,7 @@ class CoverPolynomial:
         powers = [n ** beta for beta in range(1, self.ell)]
         by_alpha = {alpha: [sum(map(mul, row, powers)) for row in block]
                     for alpha, block in blocks.items()}
-        mul_numerators, scale = field._mul_numerators, field._scale
+        mul_numerators = field._mul_numerators
         if self.r == 1:
             x = xs[0]
             top = max(a for a, in by_alpha)
@@ -163,8 +160,7 @@ class CoverPolynomial:
                              x.num, x.den)
             return FieldElement._from_integers(field, acc, den * f)
         tops = [max(alpha[j] for alpha in by_alpha) for j in range(self.r)]
-        top = max(map(sum, by_alpha))
-        # X^a over S^(a - 1), and the powers of E, per root pair
+        # X^a and the powers of E, per root pair
         x_powers, e_powers = [], []
         for x, t in zip(xs, tops):
             table, e = [None, x.num], [1, x.den]
@@ -175,14 +171,14 @@ class CoverPolynomial:
             e_powers.append(e)
         acc = [0] * field.degree
         for alpha, p in by_alpha.items():
-            f = scale ** (top - sum(alpha))
+            f = 1
             for a, t, table, e in zip(alpha, tops, x_powers, e_powers):
                 f *= e[t - a]
                 if a:
                     p = mul_numerators(p, table[a])
             acc = [u + v * f for u, v in zip(acc, p)]
         return FieldElement._from_integers(
-            field, acc, den * scale ** top * prod(e[t] for e, t in zip(e_powers, tops)))
+            field, acc, den * prod(e[t] for e, t in zip(e_powers, tops)))
 
     def __eq__(self, other):
         return (isinstance(other, CoverPolynomial) and self.ell == other.ell
@@ -317,14 +313,12 @@ class DeltaFieldCover:
         top = max((j for j, _ in blocks), default=-1)
         self._blocks = [(blocks.get((j, 0)), blocks.get((j, 1))) for j in range(top + 1)]
         s1 = -delta.coefficient(0) / delta.coefficient(1)
-        scale = field._scale
-        # s_1 = u1 / q with q a multiple of the field's scale (see `_lucas`)
-        self._u1, self._q = [t * scale for t in s1.num], s1.den * scale
+        self._u1, self._q = list(s1.num), s1.den
 
     def evaluate(self, n: int) -> FieldElement:
         """p at x = 1/(1 - lam^n), y = n, in K; ResonantRoot when R_n = 0."""
         field = self.field
-        mul_numerators, scale, q = field._mul_numerators, field._scale, self._q
+        mul_numerators, q = field._mul_numerators, self._q
         u, v, qn = _lucas(field, self._u1, q, n)
         r = [-t for t in u]
         r[0] += 2 * qn
@@ -335,9 +329,9 @@ class DeltaFieldCover:
         # y = 1/R_n = q^n w / det
         w, det = field._adjugate(r)
         # s_(n+1) - s_(n-1) = 2 s_(n+1) - s_1 s_n = d / q^(n+1), and each
-        # coefficient of y goes over den q^(n+1) scale
-        d = [2 * a - b // scale for a, b in zip(v, mul_numerators(self._u1, u))]
-        lift = qn * q * scale
+        # coefficient of y goes over den q^(n+1)
+        d = [2 * a - b for a, b in zip(v, mul_numerators(self._u1, u))]
+        lift = qn * q
         powers = [n ** beta for beta in range(1, self.ell)]
         coeffs = []
         for even, odd in self._blocks:
@@ -372,12 +366,8 @@ def _integer_form(field: NumberField, ell: int, terms) -> tuple:
 def _lucas(field: NumberField, u1: Sequence[int], q: int, n: int):
     """(u_n, u_(n+1), q^n) with s_m = u_m / q^m for s_m = lam^m + lam^(-m),
     from s_1 = u1 / q by Lucas doubling on numerator vectors:
-    s_2m = s_m^2 - 2 and s_(2m+1) = s_m s_(m+1) - s_1.  A product of
-    numerators is over the field's scale, which divides u1 and q, so the
-    division by it is exact."""
-    mul_numerators, scale = field._mul_numerators, field._scale
-    prod = mul_numerators if scale == 1 else \
-        (lambda x, y: [c // scale for c in mul_numerators(x, y)])
+    s_2m = s_m^2 - 2 and s_(2m+1) = s_m s_(m+1) - s_1."""
+    prod = field._mul_numerators
     a, b, qm = u1, prod(u1, u1), q
     b[0] -= 2 * q * q
     for bit in bin(n)[3:]:
@@ -397,14 +387,13 @@ def _lucas(field: NumberField, u1: Sequence[int], q: int, n: int):
 def _horner(field: NumberField, coeffs: Sequence[Optional[List[int]]], X, E: int):
     """(acc, f) with acc / f the sum of coeffs[a] (X / E)^a, for numerator
     vectors coeffs[a] (None for zero; the last is not None) and X the
-    numerators of x over E: with S the field's scale, the homogenized
-    Horner pass acc <- acc X + coeffs[a] (E S)^(top - a), over
-    f = (E S)^top."""
-    mul_numerators, ES = field._mul_numerators, E * field._scale
+    numerators of x over E: the homogenized Horner pass
+    acc <- acc X + coeffs[a] E^(top - a), over f = E^top."""
+    mul_numerators = field._mul_numerators
     acc, f = coeffs[-1], 1
     for p in reversed(coeffs[:-1]):
         acc = mul_numerators(acc, X)
-        f *= ES
+        f *= E
         if p is not None:
             acc = [u + v * f for u, v in zip(acc, p)]
     return acc, f

@@ -155,8 +155,8 @@ class Numerators:
     """Integer arithmetic on the numerators of field elements that share a
     denominator kept by the caller: an int per element over Q, a list of
     field.degree ints otherwise.  `mul` of two numerators over 1 is a
-    numerator over `scale` (`NumberField._mul_numerators`); `times`
-    multiplies by an int."""
+    numerator over 1 (`NumberField._mul_numerators`); `times` multiplies by
+    an int."""
 
     def __init__(self, field: NumberField):
         self.field = field
@@ -164,12 +164,12 @@ class Numerators:
         if d == 1:
             self.mul = self.times = mul
             self.add = add
-            self.zero, self.one, self.scale = 0, 1, 1
+            self.zero, self.one = 0, 1
         else:
             self.mul = field._mul_numerators
             self.add = lambda x, y: [a + b for a, b in zip(x, y)]
             self.times = lambda x, c: [a * c for a in x]
-            self.zero, self.one, self.scale = [0] * d, [1] + [0] * (d - 1), field._scale
+            self.zero, self.one = [0] * d, [1] + [0] * (d - 1)
 
     def numerator(self, e: FieldElement):
         """The numerator of an element of Q or of the field over e.den."""
@@ -272,10 +272,10 @@ def _den_inverse(den: LaurentPolynomial, n: int, ring: Numerators,
     cofactor, cofactor_den = ring.of(cofactor)
     inverse = ring.cyclic(enumerate(cofactor), a, n, ring.times)
     c *= cofactor_den
-    # the certificate Q A = c Q_den scale, for den = t^shift Q
+    # the certificate Q A = c Q_den, for den = t^shift Q
     q_num, q_den = ring.of(q)
     product = ring.cyclic(enumerate(q_num), inverse, n)
-    expect = [ring.times(ring.one, c * q_den * ring.scale)] + [ring.zero] * (n - 1)
+    expect = [ring.times(ring.one, c * q_den)] + [ring.zero] * (n - 1)
     if product != expect:
         k = next(k for k, (x, y) in enumerate(zip(product, expect)) if x != y)
         raise CrossCheckError(
@@ -342,7 +342,7 @@ class CyclicMatrixImage:
             inv, inv_den = inverse
             nums, den = ring.of(list(f.num.coeffs.values()))
             out = ring.cyclic(zip(f.num.coeffs, nums), inv, n)
-            den *= inv_den * ring.scale
+            den *= inv_den
             if self.pi0 is not None:
                 (corr,), corr_den = ring.of([(self.pi0[i][j] - self._at_one()[i][j]) / n])
                 common = lcm(den, corr_den)
@@ -366,7 +366,7 @@ class ResidueForm:
     """sum_i P_i n^(-i) / Q for Laurent polynomials P_0, P_1, ... and Q over
     one field, prepared for its sums over the n-th roots of unity (see the
     module docstring): the polynomial part q_i of each P_i and its residue
-    functional w_i, as an integer matrix over one scale, are built once.
+    functional w_i, as an integer matrix over one denominator, are built once.
     Zero numerators are allowed and contribute nothing."""
 
     def __init__(self, numerators, den: LaurentPolynomial):

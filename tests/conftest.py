@@ -26,8 +26,8 @@ def field_cubic():
 
 @pytest.fixture(scope="session")
 def field_nonintegral():
-    # xi^2 = 3/4: a minimal polynomial that is not integral (_scale = 4), so
-    # integer rows of field elements carry lift factors
+    # xi^2 = 3/4: a minimal polynomial that is not integral, so elements
+    # live on the powers of theta = 2 xi
     return NumberField([Fraction(-3, 4), 0, 1])
 
 

@@ -12,7 +12,8 @@ import pytest
 from looptool import verify
 from looptool.cli import _format_value, main
 from looptool.knots import FIELD_SQRT21, TaggedValue, fixture
-from looptool.numberfield import QQ
+from looptool.numberfield import QQ, NumberField
+from looptool.powersum import CoverPolynomial
 from looptool.synth import random_nz_data, random_vertex_table
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
@@ -235,6 +236,33 @@ def test_reconstruct_non_integer_n_exit_1(tmp_path, capsys):
     assert "'2.5'" in err
 
 
+def test_reconstruct_n_below_one_exit_1(tmp_path, capsys):
+    # n = 0 reached the solve and ended in a math domain error, and negative
+    # n were reconstructed as if they were cover orders
+    values = tmp_path / "values.csv"
+    for first in (-1, 0):
+        rows = [f"{n},17/216,0,sqrt(-3)" for n in range(first, first - 4, -1)]
+        values.write_text("# n,coords\n" + "\n".join(rows) + "\n")
+        code, out, err = run(["reconstruct", "--values", str(values),
+                              "--roots", os.path.join(DATA, "roots_4_1.json"),
+                              "--ell", "2", "--r", "1"], capsys)
+        _one_line_usage_error(code, err)
+        assert out == "" and f"{values} line 2 '{rows[0]}'" in err
+        assert f"n must be at least 1, got {first}" in err
+
+
+def test_reconstruct_negative_holdout_exit_1(tmp_path, capsys):
+    values = tmp_path / "values.csv"
+    fx = fixture("4_1")
+    values.write_text("".join(f"{n},{fx.phi_average(2, n).value.coords[0]},0,sqrt(-3)\n"
+                              for n in range(1, 4)))
+    code, out, err = run(["reconstruct", "--values", str(values),
+                          "--roots", os.path.join(DATA, "roots_4_1.json"),
+                          "--ell", "2", "--r", "1", "--holdout", "-5"], capsys)
+    _one_line_usage_error(code, err)
+    assert out == "" and "--holdout must be at least 0, got -5" in err
+
+
 def test_reconstruct_ell_below_two_exit_1(tmp_path, capsys):
     values = tmp_path / "values.csv"
     values.write_text("1,17/216,0,sqrt(-3)\n")
@@ -406,6 +434,49 @@ def test_reconstruct_41_golden(tmp_path, monkeypatch, capsys):
         "0ea4356d96760daa858cec7f606d44fcaab779b3f88534cf88ceaf7dacfc9308"
     assert hashlib.sha256((tmp_path / "poly.json").read_bytes()).hexdigest() == \
         "e4daeb20ffa3105ebbe22b6dd641ea1114363b78c859811c63cee8936a25f1d3"
+
+
+def test_avg_over_a_non_integral_field_golden(tmp_path, capsys):
+    # xi / (1 - 3t) over xi^2 = 1/2 sums to -xi/20 over the fourth roots of
+    # unity; the field's minimal polynomial is not integral
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"field": {"minpoly": ["-1/2", "0", "1"]},
+                                "num": {"0": {"coords": ["0", "1"]}},
+                                "den": {"0": "1", "1": "-3"}}))
+    code, out, _ = run(["avg", "--f", str(path), "--n", "4", "--numeric-check", "20"],
+                       capsys)
+    assert code == 0
+    assert out == ("0,-1/20\n"
+                   "numeric check: (0.03535533905932737622 + 0.0j) (|err| = 0.0)\n")
+
+
+def test_reconstruct_over_a_non_integral_field_golden(tmp_path, capsys):
+    # a planted l = 3, r = 1 polynomial over xi^2 = 3/4 with the root xi + 2,
+    # its values summed term by term in field arithmetic
+    field = NumberField(["-3/4", 0, 1])
+    lam = field.generator() + 2
+    terms = {key: field.element([Fraction(key[0][0] + 1, key[1] + 2),
+                                 Fraction(key[0][0] - key[1], 3)])
+             for key in CoverPolynomial.basis(1, 3)}
+    rows = []
+    for n in range(1, 14):
+        x = (field.one() - lam ** n).inverse()
+        value = sum((c * n ** beta * x ** a for ((a,), beta), c in terms.items()),
+                    field.zero())
+        rows.append(",".join([str(n), *map(str, value.coords)]))
+    values = tmp_path / "values.csv"
+    values.write_text("\n".join(rows) + "\n")
+    assert hashlib.sha256(values.read_bytes()).hexdigest() == \
+        "b7145daa15700b32668f8a48b0ee3354de8165dc52864d47e9e6612daf153ad9"
+    roots = tmp_path / "roots.json"
+    roots.write_text(json.dumps({"field": field.to_json(), "roots": [lam.to_json()]}))
+    code, out, _ = run(["reconstruct", "--values", str(values), "--roots", str(roots),
+                        "--ell", "3", "--r", "1", "--out", str(tmp_path / "poly.json")],
+                       capsys)
+    assert code == 0 and out.startswith(
+        "recovered 10 coefficients from 10 values; 3 holdout rows validated exactly\n")
+    assert hashlib.sha256((tmp_path / "poly.json").read_bytes()).hexdigest() == \
+        "dbcaafce49f0a59b3aac39c84322a0324fdb0a040b507a3b554fbe77dc073bae"
 
 
 def test_knot_cross_check_failure_names_routes_and_values(monkeypatch, capsys):

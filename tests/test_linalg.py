@@ -511,13 +511,21 @@ def test_small_systems_take_bareiss_and_large_ones_dixon(monkeypatch):
 
 
 def _reference_integer_system(field, A, b):
-    """integer_system on Fraction coordinates: the multiplication matrix of
-    each entry column by column, each rational equation scaled by the lcm of
-    its reduced denominators."""
-    lows = field.minpoly[:-1]
+    """integer_system on Fraction coordinates in the power basis of the
+    algebraic integer theta = c xi, c the lcm of the denominators of the
+    minimal polynomial m (whose theta-form has coefficients c^(d-k) m_k and
+    on whose basis xi^i = theta^i / c^i): the multiplication matrix of each
+    entry column by column, each rational equation scaled by the lcm of its
+    reduced denominators."""
+    d = field.degree
+    factor = lcm(*(q.denominator for q in field.minpoly))
+    lows = [q * factor ** (d - k) for k, q in enumerate(field.minpoly[:-1])]
+
+    def theta_coords(x):
+        return [q / factor ** i for i, q in enumerate((field.zero() + x).coords)]
 
     def columns(x):
-        col = list((field.zero() + x).coords)
+        col = theta_coords(x)
         out = [col]
         for _ in range(field.degree - 1):
             top = col[-1]
@@ -528,7 +536,7 @@ def _reference_integer_system(field, A, b):
     M, rhs = [], []
     for row, target in zip(A, b):
         blocks = [columns(a) for a in row]
-        for c, t in enumerate((field.zero() + target).coords):
+        for c, t in enumerate(theta_coords(target)):
             eq = [col[c] for cols in blocks for col in cols] + [t]
             scale = lcm(*(q.denominator for q in eq))
             ints = [q.numerator * (scale // q.denominator) for q in eq]

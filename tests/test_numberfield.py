@@ -296,19 +296,11 @@ def test_ball_arithmetic_encloses():
 # -- integer numerators over one denominator, against Fraction coordinates ------
 
 def _oracle_mul(field, a, b):
-    """The schoolbook product of Fraction coordinate tuples, with the powers
-    xi^d ... xi^(2d-2) folded back through the field's rational reduction
-    rows: the arithmetic FieldElement had before it kept integers."""
-    d = field.degree
-    conv = [Fraction(0)] * (2 * d - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            conv[i + j] += x * y
-    out = conv[:d]
-    for c, row in zip(conv[d:], field._reduction_rows):
-        for i, r in enumerate(row):
-            out[i] += c * r
-    return tuple(out)
+    """The schoolbook product of Fraction coordinate tuples in the powers
+    of xi, reduced modulo the minimal polynomial by polynomial division."""
+    zero = Fraction(0)
+    out = poly_divmod(poly_mul(a, b, zero), field.minpoly, zero, Fraction(1))[1]
+    return tuple(out + [zero] * (field.degree - len(out)))
 
 
 def _oracle_inverse(field, a):
@@ -360,7 +352,11 @@ def _assert_canonical(e, field):
         assert e.den == 1
     assert type(e.coords) is tuple
     assert all(type(c) is Fraction for c in e.coords)
-    assert e.coords == tuple(Fraction(v, e.den) for v in e.num)
+    # num / den are the coordinates on the powers of theta = c xi, c the lcm
+    # of the denominators of the minimal polynomial, so coordinate i on the
+    # powers of xi is c^i num[i] / den
+    c = math.lcm(*(q.denominator for q in field.minpoly))
+    assert e.coords == tuple(Fraction(v * c ** i, e.den) for i, v in enumerate(e.num))
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))

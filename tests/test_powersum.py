@@ -138,8 +138,8 @@ def test_singular_window_detected():
                       [QQ.element(1)], 2, 1)
 
 
-#: xi^2 = 1/2: a monic field whose integer rows need a scale (_scale = 2),
-#: so the integer systems carry its lift factors.
+#: xi^2 = 1/2: a monic minimal polynomial that is not integral, so the
+#: integer systems are written on the powers of theta = 2 xi.
 FIELD_HALF = NumberField([Fraction(-1, 2), 0, 1])
 
 #: Three non-resonant roots per field, none the inverse of another.
@@ -180,8 +180,8 @@ def test_evaluate_matches_the_ungrouped_sum(name, rng):
     """`evaluate` runs on integer numerators, normalized once; the value is
     the plain sum of c n^beta prod_j x_j^alpha_j over the terms in field
     arithmetic, for r = 1, 2, 3 root pairs, over fields whose minimal
-    polynomials are not integral (x^2 - 1/2, and the sextic with _scale
-    128) as well."""
+    polynomials are not integral (x^2 - 1/2, and the sextic whose
+    elements live on the powers of 8 lambda) as well."""
     field, coords = EVALUATION_ROOTS[name]
     roots = [field.element(c) for c in coords]
     for r, ell in ((1, 3), (2, 3), (3, 2), (1, 5), (3, 3)):
@@ -550,11 +550,12 @@ def test_from_table_rejects_what_it_cannot_map():
 
 def test_delta_field_cover_over_fields_with_a_scale():
     # K = Q(xi) with xi^2 = 1/2, and lam a root of delta = t - xi + 1/t in
-    # the quartic field of lam^4 + (3/2) lam^2 + 1: neither field has a
-    # `_scale` of 1, and Lucas doubling divides K's out of its products
+    # the quartic field of lam^4 + (3/2) lam^2 + 1: neither minimal
+    # polynomial is integral, so both fields keep their elements on the
+    # powers of an algebraic integer other than the generator
     K = NumberField([Fraction(-1, 2), 0, 1])
     L = NumberField([1, 0, Fraction(3, 2), 0, 1])
-    assert (K._scale, L._scale) == (2, 4)
+    assert all(any(q.denominator > 1 for q in F.minpoly) for F in (K, L))
     xi, lam = K.generator(), L.generator()
     delta = LP(K, {1: 1, 0: -xi, -1: 1})
     table = {0: [xi], 1: [xi + 3], 2: [K.element(Fraction(1, 7))], 3: [2 * xi - 1]}

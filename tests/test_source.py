@@ -9,7 +9,8 @@ is used there as a name or an attribute, and every method, property,
 class-level alias and instance attribute of those classes as an attribute;
 a docstring, a test and an attribute of a module such as `json` are no use,
 and two allow-lists name the test-only helpers and members kept on purpose.
-Every module-level import is used.  Only numberfield names the encoders behind `NumberField.integer_rows`.  mpmath
+Every module-level import is used.  Only numberfield names the encoders behind `NumberField.integer_rows`,
+and only it reads a field's basis factor or integer reduction rows.  mpmath
 stays off the exact path's import graph: no module imports it at module
 level, and importing the package, computing knot rows, a reconstruction
 and a bundle invariant leave it, and dataclasses, unloaded until a
@@ -162,6 +163,37 @@ def test_regular_representation_stays_in_numberfield(path):
     with open(path) as fh:
         words = set(re.findall(r"\w+", fh.read()))
     assert not words & {"_int_columns", "_mult_columns"}
+
+
+#: The attributes that carry a field's integral basis, and the names of the
+#: per-field scale that the integral basis replaced.
+FIELD_BASIS = {"_xi_dens", "_int_rows"}
+FIELD_SCALE = {"_scale", "_reduction_rows"}
+
+
+def _identifiers(tree):
+    """Every attribute, name and string constant of a syntax tree, so that
+    getattr(field, "_int_rows") counts as a use of _int_rows."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_field_basis_stays_in_numberfield():
+    """Read from the syntax trees of src/, scripts/ and bench/: only
+    numberfield touches the basis factor of a field or its integer
+    reduction rows, and nothing names the scale they replaced."""
+    for part in ("src", "scripts", "bench"):
+        for path in glob.glob(os.path.join(ROOT, part, "**", "*.py"), recursive=True):
+            with open(path) as fh:
+                found = set(_identifiers(ast.parse(fh.read(), path)))
+            assert not found & FIELD_SCALE, (path, found & FIELD_SCALE)
+            if os.path.basename(path) != "numberfield.py":
+                assert not found & FIELD_BASIS, (path, found & FIELD_BASIS)
 
 
 def _literal(tree, name):
