@@ -260,7 +260,7 @@ def _knot_from_file(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_values_csv(path, field: NumberField):
-    rows = []
+    rows, seen = [], {}
     for number, line in enumerate(_read_text(path).split("\n"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -275,10 +275,13 @@ def _load_values_csv(path, field: NumberField):
         try:
             n = int(cells[0])
         except ValueError as exc:
-            raise ParseError(f"bad n {cells[0]!r} in {path}") from exc
+            raise ParseError(f"{path} line {number} {line!r}: bad n {cells[0]!r}") from exc
         if n < 1:
             raise ParseError(f"{path} line {number} {line!r}: n must be at least 1, "
                              f"got {n}")
+        if n in seen:
+            raise ParseError(f"{path} line {number} {line!r}: n = {n} repeats line {seen[n]}")
+        seen[n] = number
         coords = [parse_rational(c) for c in cells[1:]]
         rows.append((n, field.element(coords), unit))
     if not rows:

@@ -10,9 +10,14 @@ Two evaluation routes for the weight of a diagram on an n-cyclic cover:
   in (Z/nZ)^d; each free edge carries one cycle coordinate, so its residue
   is forced and it is closed by a lookup.  Per vertex labeling this costs
   O(|E| n min(n^m, n^d)) products of integer numerators, m the number of
-  tree edges on a cycle, and one gcd.  loop_invariant folds the propagator
-  once per n (rootsum.CyclicMatrixImage, on integers) for all of its
-  diagrams.  No complex root of unity is ever evaluated.
+  tree edges on a cycle.  Built once per input and kept with it: each
+  table's weighted labelings of a diagram (those with a nonzero product of
+  vertex factors, that product times 1/sigma as numerators over one
+  denominator, and their grade), and on the NZ data what the images read
+  that does not depend on n (rootsum.CyclicMatrix).  Built per n: the images
+  (rootsum.CyclicMatrixImage), shared by all diagrams, and the contraction,
+  a sum on integer numerators that loop_invariant normalizes once per row.
+  No complex root of unity is ever evaluated.
 
 * weight_direct: the brute expansion over all (nN)^|V| vertex labelings of
   the cover, with the cover propagator as a block circulant.  Exponentially
@@ -28,13 +33,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .circulant import BlockCirculant
 from .errors import (CoverOrderError, GradeMismatch, MissingVertexFactor, ParseError,
                      ValidationError, check_cover_order)
 from .numberfield import FieldElement, NumberField, QQ, parse_int, parse_rational
-from .rootsum import CyclicMatrixImage
+from .rootsum import CyclicMatrix, CyclicMatrixImage, Numerators
 
 FlowAssignment = Tuple[int, ...]  # one residue per edge, aligned with .edges
 
@@ -152,6 +158,30 @@ class VertexFactorTable:
         self.factors = {int(k): list(v) for k, v in factors.items()}
         self.grades = {int(k): int(v) for k, v in (grades or {}).items()}
         self.gamma0 = gamma0
+        self._weighted: Dict[tuple, tuple] = {}
+
+    def weighted_labelings(self, G: FeynmanDiagram, N: int,
+                           field: NumberField) -> Tuple[list, int, int]:
+        """G's labelings by indices 0..N-1 whose product of vertex factors
+        is not zero, with that product times 1/sigma as numerators over one
+        denominator (rootsum.Numerators), the denominator, and the grade
+        they share; built on first use and kept, keyed by what they read."""
+        key = (tuple(G.degrees), G.symmetry_factor, N)
+        found = self._weighted.get(key)
+        # the field is compared, not hashed: its hash reads every coefficient
+        if found is None or (found[0] is not field and found[0] != field):
+            labelings, values = [], []
+            for labeling in itertools.product(range(N), repeat=G.n_vertices):
+                value = field.element(1 / G.symmetry_factor)
+                for degree, index in zip(G.degrees, labeling):
+                    value = value * self.lookup(degree, index)[0]
+                if not value.is_zero():
+                    labelings.append(labeling)
+                    values.append(value)
+            nums, den = Numerators(field).of(values) if values else ([], 1)
+            grade = len(G.edges) + sum(self.grades.get(d, 0) for d in G.degrees)
+            found = self._weighted[key] = (field, list(zip(labelings, nums)), den, grade)
+        return found[1:]
 
     def lookup(self, degree: int, index: int) -> Tuple[FieldElement, int]:
         if degree not in self.factors or index >= len(self.factors[degree]):
@@ -219,23 +249,28 @@ def weight_flow(G: FeynmanDiagram, n: int, pi_symbolic, table: VertexFactorTable
     -s_i and each free edge is closed by one lookup.  That costs
     O(|E| n min(n^m, n^d)) products of the images' integer numerators per
     labeling: O(n) for the theta graph, O(1) for the dumbbell and the
-    figure-eight.  The vertex factors and the bridges' flow-0 entries stay
-    field elements, and each labeling ends in one division by the collected
-    denominators, with one gcd.  Building the images costs one solve of
-    size deg Q and O(n deg Q) integer operations per distinct denominator Q,
-    and O(n) per entry numerator term (see rootsum).
+    figure-eight.  The weighted labelings (built once per table) and the
+    bridges' flow-0 entries enter as integer numerators; the labelings are
+    added over the lcm of their denominators and divided once.  Per n, the
+    images cost one solve of size deg Q and O(n deg Q) integer operations
+    per distinct denominator Q, and O(n) per entry numerator term (see
+    rootsum); here their n-independent parts are built too.
     """
     if field is None:
         field = _field_of(pi_symbolic, table)
-    return _contract(G, table, N, CyclicMatrixImage(pi_symbolic, n, field, pi0))
+    images = CyclicMatrixImage(pi_symbolic, n, field, pi0)
+    grade, num, den = _contract(G, table, N, images)
+    return {} if num == images.ring.zero else {grade: images.ring.element(num, den)}
 
 
 def _contract(G: FeynmanDiagram, table: VertexFactorTable, N: int,
-              images: CyclicMatrixImage) -> Dict[int, FieldElement]:
-    """weight_flow on the cover propagator images of one n."""
-    n, field, ring = images.n, images.field, images.ring
+              images: CyclicMatrixImage) -> Tuple[int, object, int]:
+    """weight_flow on the cover propagator images of one n: its grade and
+    its value as a numerator over a positive denominator, not reduced."""
+    n, ring = images.n, images.ring
     mul, add = ring.mul, ring.add
-    zero_entries = images.zero_entries()
+    zero_entries = images.source.flow_zero()[0]
+    labelings, weight_den, grade = table.weighted_labelings(G, N, images.field)
     tree_idx, free_idx, exponents = G.tree_edges, G.free_edges, G.exponents
     bridges = [G.edges[idx] for idx in tree_idx if not any(exponents[idx])]
     cycle_tree = [idx for idx in tree_idx if any(exponents[idx])]
@@ -244,43 +279,41 @@ def _contract(G: FeynmanDiagram, table: VertexFactorTable, N: int,
              for idx in cycle_tree]
     cycle_edges = [G.edges[idx] for idx in cycle_tree + free_idx]
     m = len(cycle_tree)
-    result: Dict[int, FieldElement] = {}
+    total, total_den = ring.zero, 1
     zero_key = (0,) * len(free_idx)
-    for labeling in itertools.product(range(N), repeat=G.n_vertices):
-        value = field.one()
-        grade = len(G.edges)
-        for v in range(G.n_vertices):
-            gv, gr = table.lookup(G.degrees[v], labeling[v])
-            value = value * gv
-            grade += gr
-        if value.is_zero():
-            continue
-        folds, den = [], 1
+    for labeling, weight in labelings:
+        folds, den = [], weight_den
         for u, v in cycle_edges:
             fold, fold_den = images.image(labeling[u], labeling[v])
             folds.append(fold)
             den *= fold_den
         for u, v in bridges:
-            value = value * zero_entries[labeling[u]][labeling[v]]
-        if value.is_zero():
+            entry, entry_den = zero_entries[labeling[u]][labeling[v]]
+            weight = mul(weight, entry)
+            den *= entry_den
+        if weight == ring.zero:
             continue
         acc = {zero_key: ring.one}
         for fold, step in zip(folds, steps):
             acc = _multiply_edge(acc, fold, step, n, mul, add)
         closing = list(enumerate(folds[m:]))
-        total = ring.zero
+        term_sum = ring.zero
         for key, term in acc.items():
             for pos, fold in closing:
                 term = mul(term, fold[-key[pos] % n])
                 if not term:
                     break
-            total = add(total, term)
-        contrib = ring.element(ring.times(mul(total, ring.numerator(value)), n),
-                               den * value.den)
-        if not contrib.is_zero():
-            result[grade] = result.get(grade, field.zero()) + contrib
-    inv_sigma = field.element(1 / G.symmetry_factor)
-    return {g: v * inv_sigma for g, v in result.items() if not v.is_zero()}
+            term_sum = add(term_sum, term)
+        total, total_den = _add_fractions(ring, total, total_den, mul(term_sum, weight), den)
+    return grade, ring.times(total, n), total_den
+
+
+def _add_fractions(ring: Numerators, a, a_den: int, b, b_den: int) -> Tuple[object, int]:
+    """a / a_den + b / b_den on numerators, over the lcm of the denominators."""
+    if a_den == b_den:
+        return ring.add(a, b), a_den
+    common = lcm(a_den, b_den)
+    return ring.add(ring.times(a, common // a_den), ring.times(b, common // b_den)), common
 
 
 def _multiply_edge(acc: dict, fold: list, step: List[tuple], n: int, mul, add) -> dict:
@@ -338,20 +371,11 @@ def weight_direct(G: FeynmanDiagram, n: int, pi_cover: BlockCirculant,
 
 
 def _field_of(pi_matrix, table: VertexFactorTable) -> NumberField:
-    for row in pi_matrix:
-        for e in row:
-            f = e.field if hasattr(e, "field") else None
-            if f is not None and f.degree > 1:
-                return f
-    for factors in table.factors.values():
-        for e in factors:
-            if e.field.degree > 1:
-                return e.field
-    for row in pi_matrix:
-        for e in row:
-            if hasattr(e, "field"):
-                return e.field
-    return QQ
+    """The first field of degree above 1 among the entries, then the vertex
+    factors; else the entries' field, else Q."""
+    fields = [e.field for row in pi_matrix for e in row if hasattr(e, "field")]
+    factors = [e.field for values in table.factors.values() for e in values]
+    return next((f for f in fields + factors if f.degree > 1), fields[0] if fields else QQ)
 
 
 def loop_invariant(data, n: int, diagrams, ell: int,
@@ -361,6 +385,9 @@ def loop_invariant(data, n: int, diagrams, ell: int,
 
     `diagrams` is a list of (FeynmanDiagram, VertexFactorTable); the vacuum
     value may be passed explicitly or carried (consistently) by the tables.
+    The first row builds what does not depend on n and keeps it, on the
+    tables and, per peripheral, on `data` (rebuilt when its propagator
+    matrices change); a row builds the images of its n and normalizes once.
     """
     pi_symbolic = data.propagator_symbolic()
     pi0 = None
@@ -368,23 +395,29 @@ def loop_invariant(data, n: int, diagrams, ell: int,
         pi0 = data.propagator_meridian()
     elif peripheral != "lambda":
         raise ParseError("peripheral curve must be 'lambda' or 'mu'")
-    field = data.field
-    images = CyclicMatrixImage(pi_symbolic, n, field, pi0, data.propagator_at_one)
-    total: Dict[int, FieldElement] = {}
+    kept = vars(data).setdefault("_cyclic_matrices", {})
+    matrix = kept.get(peripheral)
+    if matrix is None or matrix.source is not pi_symbolic or matrix.pi0 is not pi0:
+        matrix = kept[peripheral] = CyclicMatrix(pi_symbolic, data.field, pi0,
+                                                 data.propagator_at_one)
+    images = CyclicMatrixImage(matrix, n)
+    ring = images.ring
+    total, total_den, present = ring.zero, 1, False
     for G, table in diagrams:
-        w = _contract(G, table, data.N, images)
-        for g, v in w.items():
-            total[g] = total.get(g, field.zero()) + v
+        grade, num, den = _contract(G, table, data.N, images)
+        if grade == ell - 1 and num != ring.zero:
+            total, total_den = _add_fractions(ring, total, total_den, num, den)
+            present = True
         if table.gamma0 is not None:
             if gamma0 is not None and gamma0 != table.gamma0:
                 raise ValidationError("inconsistent vacuum contributions")
             gamma0 = table.gamma0
-    if gamma0 is not None:
-        g_val, g_grade = gamma0
-        total[g_grade] = total.get(g_grade, field.zero()) + g_val
-    if ell - 1 not in total:
+    value = ring.element(total, total_den)
+    if gamma0 is not None and gamma0[1] == ell - 1:
+        value, present = value + gamma0[0], True
+    if not present:
         raise GradeMismatch(f"no hbar^{ell - 1} component present")
-    return total[ell - 1]
+    return value
 
 
 def connected_multigraphs(max_edges: int = 3) -> List[FeynmanDiagram]:

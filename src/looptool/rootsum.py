@@ -64,12 +64,20 @@ primitive over Z, v = (t^n - 1)^(-1) mod Q is one solve of size d = deg Q
 monic over Z), and the cofactor a = (1 - v (t^n - 1)) / Q is Q^(-1) mod
 t^n - 1.  By Gauss's lemma den(v) a is integral, so its n coefficients,
 those of the power series of den(v) (1 + v) / Q, come from `poly_series`
-by exact integer division by Q(0): O(d^2 log n + n d) in all.  A Q with irrational
-coefficients goes through its norm N(Q) in Q[t], which vanishes at a root
-of unity exactly when Q does: Q^(-1) = (N(Q)/Q) N(Q)^(-1).  Before use the
+by exact integer division by Q(0): O(d^2 log n + n d) in all.  A Q with
+irrational coefficients goes through its norm N(Q) in Q[t], which vanishes
+at a root of unity exactly when Q does: Q^(-1) = (N(Q)/Q) N(Q)^(-1).  The
 inverse A / c is certified by the product Q A = c mod t^n - 1, at O(n d);
 a failed check or an inexact division raises CrossCheckError.  Neither
-route ever evaluates a complex root of unity.
+route ever evaluates a complex root of unity.  What does not depend on n
+is built once per matrix and kept in a `CyclicMatrix`: each entry's
+exponents and numerators over one denominator, the index of its
+denominator, and per distinct D its primitive and monic integer forms,
+N(Q) and N(Q)/Q, and Q's numerators for the certificate; Pi(1) and
+pi0 - Pi(1) on first use.  Per n, each image is built when it is first
+asked for, so only an entry that is asked for raises RootOfUnityPole;
+when pi0 overrides the value at flow 0, every coefficient picks up
+(pi0 - Pi(1))/n, so that each image still sums to its pi0 entry.
 
 The same M_u gives the cyclic resultant prod_{w^n = 1} delta(w), the
 one-loop term of the n-fold cover: for delta = t^s lc m with m monic of
@@ -84,7 +92,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
-from operator import add, mul, truediv
+from operator import add, mul, sub, truediv
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import (CrossCheckError, MathDomainError, ParseError, PoleOnTorus,
@@ -207,41 +215,6 @@ class Numerators:
         return [[x // g for x in v] if vector else v // g for v in nums], den // g
 
 
-def _rational_inverse(q: List[FieldElement], n: int, where: str) -> Tuple[List[int], int]:
-    """Integer numerators and a positive denominator of Q^(-1) in
-    Q[t]/(t^n - 1) for Q = sum q_k t^k with rational q_k and q_0 != 0, from
-    the residue side (see the module docstring)."""
-    den = lcm(*(c.den for c in q))
-    qz = [c.num[0] * (den // c.den) for c in q]
-    g = gcd(*qz)
-    qz = [c // g for c in qz]
-    d = len(qz) - 1
-    if d == 0:
-        return [qz[0] * den] + [0] * (n - 1), g
-    # s = lc t makes qz monic over Z, P(s) = lc^(d-1) qz(s / lc); then
-    # (t^n - 1) v = 1 mod qz is (s^n - lc^n) y = lc^n mod P with v(t) = y(lc t)
-    lc = qz[-1]
-    P = [c * lc ** (d - 1 - j) for j, c in enumerate(qz[:-1])] + [1]
-    M_u = _unit_system(n, P, 0, 1, lc ** n)[1]
-    y, v_den = _solve_unit(M_u, [lc ** n] + [0] * (d - 1), n)
-    v = [c * lc ** j for j, c in enumerate(y)]
-    # v_den (1 - (t^n - 1) v) / qz is integral by Gauss's lemma; below t^n it
-    # is the power series of v_den (1 + v) / qz
-    index = itertools.count()
-
-    def exact(s, q0):
-        k = next(index)
-        x, r = divmod(s, q0)
-        if r:
-            raise CrossCheckError(
-                f"{where}: the cofactor (1 - (t^n - 1) v) / Q is not integral: "
-                f"coefficient {k} has numerator {s}, not a multiple of Q(0) = {q0}")
-        return x
-
-    a = poly_series([v_den + v[0]] + v[1:], qz, n, 0, exact)
-    return [c * den for c in a], v_den * g
-
-
 def _norm(q: List[FieldElement], field: NumberField):
     """c N(Q) in Q[t], over Q, for a constant c > 0, and the cofactor
     c N(Q) / Q over the field for Q = sum q_k t^k: N(Q) is the determinant
@@ -259,21 +232,58 @@ def _norm(q: List[FieldElement], field: NumberField):
     return norm, cofactor
 
 
-def _den_inverse(den: LaurentPolynomial, n: int, ring: Numerators,
-                 where: str) -> Tuple[list, int]:
-    """Numerators and a positive denominator c of den^(-1) in
-    F[t]/(t^n - 1), certified by den * A = c there before use."""
+def _den_forms(den: LaurentPolynomial, ring: Numerators) -> tuple:
+    """The parts of den^(-1) mod t^n - 1 that do not depend on n, for
+    den = t^shift Q.  For R = Q over Q, else R = N(Q): the lcm L of R's
+    denominators, the content g of L R, the primitive qz = L R / g and
+    P(s) = lc^(d-1) qz(s / lc), lc = lc(qz), monic over Z; then R / Q and Q
+    as numerators over a denominator, and shift."""
     q, shift = den.as_poly_coeffs()
     if all(c.is_rational() for c in q):
         norm, cofactor = q, [ring.field.one()]
     else:
         norm, cofactor = _norm(q, ring.field)
-    a, c = _rational_inverse(norm, n, where)
-    cofactor, cofactor_den = ring.of(cofactor)
+    lcd = lcm(*(c.den for c in norm))
+    qz = [c.num[0] * (lcd // c.den) for c in norm]
+    g = gcd(*qz)
+    qz = [c // g for c in qz]
+    d, lc = len(qz) - 1, qz[-1]
+    P = [c * lc ** (d - 1 - j) for j, c in enumerate(qz[:-1])] + [1]
+    return lcd, g, qz, P, ring.of(cofactor), ring.of(q), shift
+
+
+def _den_inverse(forms: tuple, n: int, ring: Numerators,
+                 where: str) -> Tuple[list, int]:
+    """Numerators and a positive denominator c of den^(-1) in
+    F[t]/(t^n - 1), from its `_den_forms` and the residue side (see the
+    module docstring), certified by den * A = c there before use."""
+    lcd, g, qz, P, (cofactor, cofactor_den), (q_num, q_den), shift = forms
+    d, lc = len(qz) - 1, qz[-1]
+    if d == 0:
+        a, c = [qz[0] * lcd] + [0] * (n - 1), g
+    else:
+        # (t^n - 1) v = 1 mod qz is (s^n - lc^n) y = lc^n mod P, v(t) = y(lc t)
+        M_u = _unit_system(n, P, 0, 1, lc ** n)[1]
+        y, v_den = _solve_unit(M_u, [lc ** n] + [0] * (d - 1), n)
+        v = [c * lc ** j for j, c in enumerate(y)]
+        # v_den (1 - (t^n - 1) v) / qz is integral by Gauss's lemma; below
+        # t^n it is the power series of v_den (1 + v) / qz
+        index = itertools.count()
+
+        def exact(s, q0):
+            k = next(index)
+            x, r = divmod(s, q0)
+            if r:
+                raise CrossCheckError(
+                    f"{where}: the cofactor (1 - (t^n - 1) v) / Q is not integral: "
+                    f"coefficient {k} has numerator {s}, not a multiple of Q(0) = {q0}")
+            return x
+
+        a = [x * lcd for x in poly_series([v_den + v[0]] + v[1:], qz, n, 0, exact)]
+        c = v_den * g
     inverse = ring.cyclic(enumerate(cofactor), a, n, ring.times)
     c *= cofactor_den
     # the certificate Q A = c Q_den, for den = t^shift Q
-    q_num, q_den = ring.of(q)
     product = ring.cyclic(enumerate(q_num), inverse, n)
     expect = [ring.times(ring.one, c * q_den)] + [ring.zero] * (n - 1)
     if product != expect:
@@ -286,70 +296,81 @@ def _den_inverse(den: LaurentPolynomial, n: int, ring: Numerators,
     return inverse[shift:] + inverse[:shift], c
 
 
-class CyclicMatrixImage:
-    """Images in F[t]/(t^n - 1) of the entries of a square matrix of rational
-    functions (or Laurent polynomials): the cover propagator of an n-fold
-    cyclic cover.  `image` gives the n integer numerators of an entry (see
-    `Numerators`) over one positive denominator.
+class CyclicMatrix:
+    """What the cyclic images of a square matrix of rational functions (or
+    Laurent polynomials) read that does not depend on n, built once (see
+    the module docstring).  `flow_zero` gives, on first use, the matrix for
+    flow value 0 (pi0 when given, else Pi(1)) and pi0 - Pi(1) as numerators
+    over denominators; Pi(1) is taken from pi1 when given: the matrix, or a
+    function that returns it."""
 
-    Each image is built on first use and kept, so an entry whose denominator
-    vanishes at an n-th root of unity raises RootOfUnityPole only when it is
-    asked for.  Entries with the same denominator share one inverse mod
-    t^n - 1, taken from the residue side (see the module docstring).  When
-    pi0 overrides the value at flow 0, every coefficient of every image
-    picks up (pi0 - Pi(1))/n, so that each image still sums to its pi0
-    entry; `zero_entries` is the matrix for flow value 0, pi0 or Pi(1).
-    Pi(1) is evaluated at most once, and taken from pi1 when given: the
-    matrix, or a function that returns it, called when first needed.
-    """
-
-    def __init__(self, matrix, n: int, field: NumberField, pi0=None, pi1=None):
-        check_cover_order(n)
+    def __init__(self, matrix, field: NumberField, pi0=None, pi1=None):
+        self.source, self.field, self.pi0, self._pi1 = matrix, field, pi0, pi1
         self.matrix = [[RationalFunction.from_poly(e) if isinstance(e, LaurentPolynomial)
                         else e for e in row] for row in matrix]
-        self.n = n
-        self.field = field
-        self.ring = Numerators(field)
-        self.pi0 = pi0
-        self._pi1 = pi1
-        self._images: Dict[Tuple[int, int], Tuple[list, int]] = {}
-        self._den_inverses: Dict[tuple, Tuple[list, int]] = {}
+        ring = self.ring = Numerators(field)
+        keys: Dict[tuple, int] = {}
+        self.forms: List[tuple] = []
+        self.entries = []
+        for row in self.matrix:
+            self.entries.append([])
+            for f in row:
+                # keyed by the exact coefficients, which hash faster than f.den
+                key = tuple((k, c.num, c.den) for k, c in sorted(f.den.coeffs.items()))
+                if key not in keys:
+                    keys[key] = len(self.forms)
+                    self.forms.append(_den_forms(f.den, ring))
+                self.entries[-1].append((list(f.num.coeffs),
+                                         *ring.of(list(f.num.coeffs.values())), keys[key]))
+        self._flow_zero = None
 
-    def _at_one(self):
-        """Pi(1), the entries evaluated at t = 1."""
-        if callable(self._pi1):
-            self._pi1 = self._pi1()
-        elif self._pi1 is None:
-            one = self.field.one()
-            self._pi1 = [[e.eval(one) for e in row] for row in self.matrix]
-        return self._pi1
+    def flow_zero(self) -> tuple:
+        if self._flow_zero is None:
+            pi1 = self._pi1() if callable(self._pi1) else self._pi1
+            if pi1 is None:
+                pi1 = [[e.eval(self.field.one()) for e in row] for row in self.matrix]
+            pi0 = pi1 if self.pi0 is None else self.pi0
+            shift = [list(map(sub, *rows)) for rows in zip(pi0, pi1)]
+            self._flow_zero = tuple([[(self.ring.numerator(e), e.den) for e in row]
+                                     for row in m] for m in (pi0, shift))
+        return self._flow_zero
 
-    def zero_entries(self):
-        pi1 = self._at_one()
-        return pi1 if self.pi0 is None else self.pi0
+
+class CyclicMatrixImage:
+    """Images in F[t]/(t^n - 1), for one n, of the entries of a
+    `CyclicMatrix` (or of a matrix, with pi0 and pi1 as there): the cover
+    propagator of an n-fold cyclic cover.  `image` gives the n integer
+    numerators of an entry (see `Numerators`) over one positive denominator,
+    built when first asked for (see the module docstring)."""
+
+    def __init__(self, matrix, n: int, field: NumberField = None, pi0=None, pi1=None):
+        check_cover_order(n)
+        if not isinstance(matrix, CyclicMatrix):
+            matrix = CyclicMatrix(matrix, field, pi0, pi1)
+        self.source, self.n, self.field, self.ring = matrix, n, matrix.field, matrix.ring
+        self._images = [[None] * len(row) for row in matrix.entries]
+        self._den_inverses: List[Tuple[list, int] | None] = [None] * len(matrix.forms)
 
     def image(self, i: int, j: int) -> Tuple[list, int]:
         """(numerators, positive denominator) of the image of entry (i, j)."""
-        image = self._images.get((i, j))
+        image = self._images[i][j]
         if image is None:
-            f, n, ring = self.matrix[i][j], self.n, self.ring
-            # keyed by the exact coefficients, which hash faster than f.den
-            key = tuple((k, c.num, c.den) for k, c in sorted(f.den.coeffs.items()))
-            inverse = self._den_inverses.get(key)
+            n, ring, source = self.n, self.ring, self.source
+            exponents, nums, den, index = source.entries[i][j]
+            inverse = self._den_inverses[index]
             if inverse is None:
-                inverse = _den_inverse(f.den, n, ring, f"entry ({i}, {j}) at n = {n}")
-                self._den_inverses[key] = inverse
+                inverse = self._den_inverses[index] = _den_inverse(
+                    source.forms[index], n, ring, f"entry ({i}, {j}) at n = {n}")
             inv, inv_den = inverse
-            nums, den = ring.of(list(f.num.coeffs.values()))
-            out = ring.cyclic(zip(f.num.coeffs, nums), inv, n)
+            out = ring.cyclic(zip(exponents, nums), inv, n)
             den *= inv_den
-            if self.pi0 is not None:
-                (corr,), corr_den = ring.of([(self.pi0[i][j] - self._at_one()[i][j]) / n])
-                common = lcm(den, corr_den)
-                corr = ring.times(corr, common // corr_den)
+            if source.pi0 is not None:
+                corr, corr_den = source.flow_zero()[1][i][j]
+                common = lcm(den, corr_den * n)
+                corr = ring.times(corr, common // (corr_den * n))
                 out = [ring.add(ring.times(x, common // den), corr) for x in out]
                 den = common
-            image = self._images[(i, j)] = ring.reduce(out, den)
+            image = self._images[i][j] = ring.reduce(out, den)
         return image
 
 

@@ -251,6 +251,30 @@ def test_reconstruct_n_below_one_exit_1(tmp_path, capsys):
         assert f"n must be at least 1, got {first}" in err
 
 
+def test_reconstruct_repeated_n_exit_1(tmp_path, capsys):
+    # a repeated n made the reconstruction system singular: exit 4, blaming
+    # the roots or the window instead of the row
+    fx = fixture("4_1")
+    rows = [f"{n},{fx.phi_average(2, n).value.coords[0]},0,sqrt(-3)" for n in (1, 1, 2, 3, 4)]
+    values = tmp_path / "values.csv"
+    values.write_text("# n,coords\n" + "\n".join(rows) + "\n")
+    code, out, err = run(["reconstruct", "--values", str(values),
+                          "--roots", os.path.join(DATA, "roots_4_1.json"),
+                          "--ell", "2", "--r", "1"], capsys)
+    _one_line_usage_error(code, err)
+    assert out == "" and f"{values} line 3 '{rows[1]}': n = 1 repeats line 2" in err
+
+
+def test_reconstruct_bad_n_names_the_line(tmp_path, capsys):
+    values = tmp_path / "values.csv"
+    values.write_text("1,17/216,0,sqrt(-3)\n\nx,1,0,sqrt(-3)\n")
+    code, out, err = run(["reconstruct", "--values", str(values),
+                          "--roots", os.path.join(DATA, "roots_4_1.json"),
+                          "--ell", "2", "--r", "1"], capsys)
+    _one_line_usage_error(code, err)
+    assert out == "" and f"{values} line 3 'x,1,0,sqrt(-3)': bad n 'x'" in err
+
+
 def test_reconstruct_negative_holdout_exit_1(tmp_path, capsys):
     values = tmp_path / "values.csv"
     fx = fixture("4_1")

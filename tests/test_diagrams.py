@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -704,3 +705,111 @@ def test_tree_data_golden():
 def test_invalid_diagrams_raise_validation_error(n_vertices, edges, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         FeynmanDiagram(n_vertices, edges)
+
+
+# -- what a bundle row builds once per input, and what per n ---------------------
+
+
+def _seeded_bundle(seed):
+    """A seeded N = 2 bundle whose meridian propagator exists, with the
+    theta, dumbbell and figure-eight diagrams; the same seed gives equal,
+    fresh objects."""
+    rng = random.Random(seed)
+    while True:
+        data = random_nz_data(rng, 2, regular_orders=range(1, 9))
+        data.peripheral = PeripheralRows(a_mu=[rng.randint(-2, 2) for _ in range(2)],
+                                         b_mu=[rng.randint(-2, 2) for _ in range(2)])
+        try:
+            data.propagator_meridian()
+            break
+        except SingularAtRoot:
+            continue
+    return data, _bench_diagrams(rng, 2, (QQ.element(Fraction(-5, 3)), 1))
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("peripheral", ["lambda", "mu"])
+def test_rows_in_any_order_equal_the_in_order_rows_and_the_direct_sum(seed, peripheral):
+    data, diags = _seeded_bundle(seed)
+    in_order = {n: loop_invariant(data, n, diags, 2, peripheral=peripheral)
+                for n in range(1, 9)}
+    order = list(range(1, 9))
+    random.Random(seed).shuffle(order)
+    data, diags = _seeded_bundle(seed)
+    shuffled = {n: loop_invariant(data, n, diags, 2, peripheral=peripheral) for n in order}
+    assert shuffled == in_order
+    pi0 = data.propagator_meridian() if peripheral == "mu" else None
+    for n in range(1, 9):
+        cover = cover_blocks_from_symbolic(data.propagator_symbolic(), n, QQ, pi0=pi0,
+                                           pi1=data.propagator_at_one())
+        direct = sum((weight_direct(g, n, cover, table, 2).get(1, QQ.zero())
+                      for g, table in diags), QQ.element(Fraction(-5, 3)))
+        assert in_order[n] == direct, n
+
+
+def test_vertex_factors_are_looked_up_on_the_first_row_only(monkeypatch):
+    data, diags = _seeded_bundle(5)
+    looked_up = []
+    real = VertexFactorTable.lookup
+    monkeypatch.setattr(VertexFactorTable, "lookup",
+                        lambda self, d, i: looked_up.append((d, i)) or real(self, d, i))
+    loop_invariant(data, 4, diags, 2)
+    first = len(looked_up)
+    # N^|V| labelings of |V| vertices per diagram: 4 * 2 + 4 * 2 + 2 * 1
+    assert first == 18
+    for n in (1, 2, 3, 5, 9):
+        loop_invariant(data, n, diags, 2)
+        loop_invariant(data, n, diags, 2, peripheral="mu")
+    assert len(looked_up) == first
+
+
+def test_missing_vertex_factor_raises_on_the_first_row_and_in_the_cli(tmp_path, capsys):
+    data, diags = _seeded_bundle(5)
+    G, table = diags[2]
+    short = VertexFactorTable({4: table.factors[4][:1]}, table.grades)
+    for n in (1, 2):
+        with pytest.raises(MissingVertexFactor, match="^no vertex factor for degree 4, index 1$"):
+            loop_invariant(data, n, [diags[0], (G, short)], 2)
+    from looptool.cli import main
+    path = tmp_path / "bundle.json"
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "data",
+                           "synthetic_theta_bundle.json")) as fh:
+        obj = json.load(fh)
+    obj["diagrams"][0]["vertex_factors"]["3"] = []
+    path.write_text(json.dumps(obj))
+    code = main(["knot", "--knot", str(path), "--loop", "2", "--nmax", "3"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", "error: no vertex factor for degree 3, index 0\n")
+
+
+def test_grade_mismatch_without_a_labeling_at_the_grade(rng):
+    data = _Bundle(distinct_denominator_propagator(rng, 2), random_symmetric_matrix(rng, 2))
+    table = random_vertex_table(rng, 2, {4}, {4: -1})
+    # every labeling at grade 1, none at grade 2
+    assert loop_invariant(data, 3, [(BOUQUET, table)], 2) != 0
+    with pytest.raises(GradeMismatch, match="^no hbar\\^2 component present$"):
+        loop_invariant(data, 3, [(BOUQUET, table)], 3)
+    # no labeling at all: every product of vertex factors is zero
+    zero = VertexFactorTable({4: [QQ.zero(), QQ.zero()]}, {4: -1})
+    assert weight_flow(BOUQUET, 3, data.pi, zero, 2) == {}
+    with pytest.raises(GradeMismatch, match="^no hbar\\^1 component present$"):
+        loop_invariant(data, 3, [(BOUQUET, zero)], 2)
+
+
+def test_grade_mismatch_when_the_labelings_at_the_grade_cancel(rng):
+    data = _Bundle(distinct_denominator_propagator(rng, 2), random_symmetric_matrix(rng, 2))
+    n = 4
+    # the figure-eight has one vertex, so its weight is linear in the factors
+    w0, w1 = (weight_flow(BOUQUET, n, data.pi, VertexFactorTable({4: f}, {4: -1}), 2)[1]
+              for f in ([QQ.one(), QQ.zero()], [QQ.zero(), QQ.one()]))
+    assert w0 != 0 and w1 != 0
+    table = VertexFactorTable({4: [w1, -w0]}, {4: -1})
+    assert weight_flow(BOUQUET, n, data.pi, table, 2) == {}
+    with pytest.raises(GradeMismatch, match="^no hbar\\^1 component present$"):
+        loop_invariant(data, n, [(BOUQUET, table)], 2)
+    # a vacuum term at the grade is a component, even where the diagrams cancel
+    gamma0 = (QQ.element(Fraction(2, 7)), 1)
+    assert loop_invariant(data, n, [(BOUQUET, table)], 2, gamma0=gamma0) == Fraction(2, 7)
+    assert loop_invariant(data, n, [(BOUQUET, table), (THETA, VertexFactorTable(
+        {3: [QQ.one(), QQ.one()]}, {3: -1}))], 2) == weight_flow(
+            THETA, n, data.pi, VertexFactorTable({3: [QQ.one(), QQ.one()]}, {3: -1}), 2)[1]

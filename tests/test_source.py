@@ -9,7 +9,8 @@ is used there as a name or an attribute, and every method, property,
 class-level alias and instance attribute of those classes as an attribute;
 a docstring, a test and an attribute of a module such as `json` are no use,
 and two allow-lists name the test-only helpers and members kept on purpose.
-Every module-level import is used.  Only numberfield names the encoders behind `NumberField.integer_rows`,
+Every module-level import is used, and no module calls id(), so no cache
+is keyed by object identity.  Only numberfield names the encoders behind `NumberField.integer_rows`,
 and only it reads a field's basis factor or integer reduction rows.  mpmath
 stays off the exact path's import graph: no module imports it at module
 level, and importing the package, computing knot rows, a reconstruction
@@ -83,6 +84,20 @@ def test_no_unused_module_level_imports(path):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in used)
     assert not unused, f"unused imports: {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SRC, "*.py"))),
+                         ids=os.path.basename)
+def test_no_call_of_id(path):
+    """An id is reused once its object is collected, so a cache keyed by
+    id() can hand a new object what was built for a dead one; caches are
+    kept on the objects they serve, or keyed by value."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    calls = sorted(node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "id")
+    assert not calls, f"id() called at lines {calls}"
 
 
 @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SRC, "*.py"))),
