@@ -33,17 +33,23 @@ and for 4_1 and 5_2 at loops 2 and 3:
    largest numerator or denominator;
 3. per route, the slope of log(time) against log(n) over those n, which is
    how the cost of a row scales;
-4. whole tables on a fresh fixture, cold build included, as `looptool
-   knot --mode average` computes them but without printing (4_1 loop 3 to
-   n = 70 and 800, 5_2 loop 3 to n = 160), by each route.
+4. whole tables through `KnotInput.table`, the loop `looptool knot` prints,
+   without printing: on a fresh fixture, cold build included, in mode
+   `average` (4_1 loop 3 to n = 70, 800 and 2000, 5_2 loop 3 to n = 160 and
+   320) and `all` (4_1 loop 3 to n = 70, 5_2 loop 3 to n = 40), and on the
+   theta bundle `data/synthetic_theta_bundle.json` read afresh, loop 2 to
+   n = 160, 320 and 640, its first row building what does not depend on n.
 
 Row figures are the median of `--repeat` calls after one untimed warm-up
 call; build and table figures are the best of `--repeat` runs (one run for
-the 800-row table), each on a new fixture whose construction is not timed.
+tables past n = 160), each on a new fixture or bundle whose construction is
+not timed.
 """
 
 import argparse
+import json
 import math
+import os
 import random
 import statistics
 import sys
@@ -53,7 +59,13 @@ from looptool import knots, rootsum
 from looptool.numberfield import QQ, FieldElement
 from looptool.powersum import DeltaFieldCover, delta_embedding
 
-TABLES = [("4_1", 3, 70), ("4_1", 3, 800), ("5_2", 3, 160)]
+THETA = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "data",
+                     "synthetic_theta_bundle.json")
+#: (input, loop, nmax, mode) of each timed table.
+TABLES = ([("4_1", 3, nmax, "average") for nmax in (70, 800, 2000)]
+          + [("5_2", 3, nmax, "average") for nmax in (160, 320)]
+          + [("4_1", 3, 70, "all"), ("5_2", 3, 40, "all")]
+          + [(THETA, 2, nmax, "all") for nmax in (160, 320, 640)])
 KERNEL_FIELDS = {1: QQ, 2: knots.FIELD_SQRT21, 3: knots.FIELD_52,
                  6: knots.FIELD_LAMBDA_52}
 KERNEL_BITS = (8, 64, 512, 4096)
@@ -79,8 +91,12 @@ def kernel_us(field, bits: int, repeat: int, rng: random.Random):
 
 
 def fresh(knot: str):
-    """A new fixture, with no delta-power row left in the cache."""
+    """A new fixture, with no delta-power row left in the cache, or a new
+    bundle read from the file `knot`."""
     rootsum._delta_power_row.cache_clear()
+    if knot not in ("4_1", "5_2"):
+        with open(knot) as fh:
+            return knots.DiagramBundle.from_json(json.load(fh), knot)
     return knots.FigureEightFixture() if knot == "4_1" else knots.FiveTwoFixture()
 
 
@@ -186,16 +202,13 @@ def rows(n41, n52, repeat: int) -> None:
 
 
 def tables(repeat: int) -> None:
-    print("table,knot,loop,nmax,average_ms,residue_ms")
-    for knot, ell, nmax in TABLES:
-        routes = []
-        for route in ("phi_average", "phi_residue"):
-            def table(fx):
-                for n in range(1, nmax + 1):
-                    getattr(fx, route)(ell, n)
-            routes.append(best_ms(table, repeat if nmax <= 160 else 1,
-                                  lambda: fresh(knot)))
-        print(f"table,{knot},{ell},{nmax},{routes[0]:.1f},{routes[1]:.1f}")
+    print("table,input,loop,nmax,mode,ms")
+    for knot, ell, nmax, mode in TABLES:
+        ms = best_ms(lambda source: sum(1 for _ in source.table(ell, nmax, mode)),
+                     repeat if nmax <= 160 else 1, lambda: fresh(knot))
+        name = knot if knot in ("4_1", "5_2") else os.path.basename(knot)
+        print(f"table,{name},{ell},{nmax},{mode},{ms:.1f}")
+
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -6,7 +6,10 @@ invariants for the bundled knots or an NZ+diagram file), `reconstruct`
 suites).  Exit codes: 1 parse/usage, 2 mathematical domain error, 3
 cross-method disagreement, 4 singular system, 5 holdout mismatch.
 
-`verify --prec DIGITS` (default 100, capped at 60) sets the digits of the
+`knot` prints the `table` of a `knots.KnotFixture` or a file's
+`knots.DiagramBundle` as `n,value` lines.
+
+`verify --prec DIGITS` (at most 60, the default) sets the digits of the
 suites' numeric checks and `avg --numeric-check DIGITS` those of its one
 numeric check; every other output is exact.
 """
@@ -21,11 +24,9 @@ from typing import List, Optional
 
 from .errors import (CrossCheckError, HoldoutMismatchError, MathDomainError,
                      ParseError, SingularError)
-from .diagrams import FeynmanDiagram, VertexFactorTable, loop_invariant
-from .knots import KnotFixture, fixture
+from .knots import DiagramBundle, TaggedValue, fixture
 from .laurent import LaurentPolynomial, RationalFunction
 from .numberfield import FieldElement, NumberField, QQ, parse_rational
-from .nzdata import TwistedNZData
 from .powersum import reconstruct_p
 from .rootsum import MAX_EXPONENT_SPAN, ResidueForm, av_exact
 from .verify import SUITES, run_suites
@@ -69,8 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", default="all",
                        choices=tuple(SUITES) + ("all",))
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--prec", type=int, default=100,
-                       help="digits of the numeric checks, capped at 60 (default 100)")
+    p_ver.add_argument("--prec", type=int, default=60,
+                       help="digits of the numeric checks, at most 60, the default")
     return parser
 
 
@@ -160,17 +161,6 @@ def _load_avg_input(path):
     return ResidueForm([rf.num], rf.den), unit
 
 
-def _format_value(value: FieldElement, unit: bool) -> str:
-    if value.is_rational():
-        # as str(Fraction): num[0] / den is in lowest terms when the other
-        # numerators vanish
-        num, den = value.num[0], value.den
-        text = str(num) if den == 1 else f"{num}/{den}"
-    else:
-        text = ",".join(str(c) for c in value.coords)
-    return text + (" (unit sqrt(-3))" if unit else "")
-
-
 def cmd_avg(args) -> int:
     if args.n < 1:
         raise ParseError("--n must be >= 1")
@@ -178,7 +168,7 @@ def cmd_avg(args) -> int:
         raise ParseError(f"--numeric-check must be at least 1, got {args.numeric_check}")
     form, unit = _load_avg_input(args.f)
     value = av_exact(form, args.n)
-    print(_format_value(value, unit))
+    print(TaggedValue(value, unit))
     if args.numeric_check:
         import mpmath
         digits = args.numeric_check
@@ -203,55 +193,13 @@ def cmd_avg(args) -> int:
 # knot
 # ---------------------------------------------------------------------------
 
-def _knot_methods(fx: KnotFixture, mode: str, ell: int):
-    methods = {"average": lambda n: fx.phi_average(ell, n),
-               "residue": lambda n: fx.phi_residue(ell, n)}
-    if hasattr(fx, "phi_closed"):
-        methods["closed"] = lambda n: fx.phi_closed(ell, n)
-        methods["series"] = lambda n: fx.series_value(ell, n)
-    if mode == "all":
-        return methods
-    if mode not in methods:
-        raise ParseError(f"mode {mode!r} not available for {fx.name}")
-    return {mode: methods[mode]}
-
-
 def cmd_knot(args) -> int:
     if args.nmax < 1:
         raise ParseError("--nmax must be >= 1")
-    if args.knot in ("4_1", "5_2"):
-        fx = fixture(args.knot)
-        methods = _knot_methods(fx, args.mode, args.loop)
-        primary = "average" if "average" in methods else next(iter(methods))
-        for n in range(1, args.nmax + 1):
-            values = {name: fn(n) for name, fn in methods.items()}
-            base = values[primary]
-            for name, v in values.items():
-                if v != base:
-                    raise CrossCheckError(
-                        f"{primary} and {name} disagree at n = {n}: "
-                        f"{primary} = {_format_value(base.value, base.sqrt_m3)}, "
-                        f"{name} = {_format_value(v.value, v.sqrt_m3)}")
-            print(f"{n},{_format_value(base.value, base.sqrt_m3)}")
-        return 0
-    return _knot_from_file(args)
-
-
-def _knot_from_file(args) -> int:
-    if args.mode != "all":
-        raise ParseError(f"mode {args.mode!r} not available for {args.knot}")
-    obj = _load_json(args.knot)
-    if "nz" not in obj or "diagrams" not in obj:
-        raise ParseError("knot file needs 'nz' and 'diagrams' sections")
-    if not (isinstance(obj["diagrams"], list)
-            and all(isinstance(d, dict) for d in obj["diagrams"])):
-        raise ParseError("'diagrams' must be a list of objects")
-    data = TwistedNZData.from_json(obj["nz"])
-    diagrams = [(FeynmanDiagram.from_json(d), VertexFactorTable.from_json(d, data.field))
-                for d in obj["diagrams"]]
-    for n in range(1, args.nmax + 1):
-        value = loop_invariant(data, n, diagrams, args.loop)
-        print(f"{n},{_format_value(value, False)}")
+    source = (fixture(args.knot) if args.knot in ("4_1", "5_2")
+              else DiagramBundle.from_json(_load_json(args.knot), args.knot))
+    for n, value in source.table(args.loop, args.nmax, args.mode):
+        print(f"{n},{value}")
     return 0
 
 
@@ -348,39 +296,23 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+#: Prefix of the stderr line and exit code of each error; none is two of these.
+_EXITS = {ParseError: ("error", 1), MathDomainError: ("math domain error", 2),
+         CrossCheckError: ("cross-check failure", 3), SingularError: ("singular system", 4),
+         HoldoutMismatchError: ("holdout mismatch", 5), OSError: ("error", 1)}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # exact values outgrow 4300 digits
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "avg":
-            return cmd_avg(args)
-        if args.command == "knot":
-            return cmd_knot(args)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        raise ParseError(f"unknown command {args.command!r}")
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MathDomainError as exc:
-        print(f"math domain error: {exc}", file=sys.stderr)
-        return 2
-    except CrossCheckError as exc:
-        print(f"cross-check failure: {exc}", file=sys.stderr)
-        return 3
-    except HoldoutMismatchError as exc:
-        print(f"holdout mismatch: {exc}", file=sys.stderr)
-        return 5
-    except SingularError as exc:
-        print(f"singular system: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        return {"avg": cmd_avg, "knot": cmd_knot, "reconstruct": cmd_reconstruct,
+                "verify": cmd_verify}[args.command](args)
+    except tuple(_EXITS) as exc:
+        prefix, code = next(v for cls, v in _EXITS.items() if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

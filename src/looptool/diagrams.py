@@ -258,7 +258,7 @@ def weight_flow(G: FeynmanDiagram, n: int, pi_symbolic, table: VertexFactorTable
     """
     if field is None:
         field = _field_of(pi_symbolic, table)
-    images = CyclicMatrixImage(pi_symbolic, n, field, pi0)
+    images = CyclicMatrixImage(CyclicMatrix(pi_symbolic, field, pi0), n)
     grade, num, den = _contract(G, table, N, images)
     return {} if num == images.ring.zero else {grade: images.ring.element(num, den)}
 
@@ -379,12 +379,12 @@ def _field_of(pi_matrix, table: VertexFactorTable) -> NumberField:
 
 
 def loop_invariant(data, n: int, diagrams, ell: int,
-                   peripheral: str = "lambda", gamma0=None) -> FieldElement:
+                   peripheral: str = "lambda") -> FieldElement:
     """Coefficient of hbar^(ell-1) in the summed diagram weights plus the
     vacuum contribution.
 
-    `diagrams` is a list of (FeynmanDiagram, VertexFactorTable); the vacuum
-    value may be passed explicitly or carried (consistently) by the tables.
+    `diagrams` is a list of (FeynmanDiagram, VertexFactorTable); the tables
+    carry the vacuum value, and those that do must agree on it.
     The first row builds what does not depend on n and keeps it, on the
     tables and, per peripheral, on `data` (rebuilt when its propagator
     matrices change); a row builds the images of its n and normalizes once.
@@ -402,7 +402,7 @@ def loop_invariant(data, n: int, diagrams, ell: int,
                                                  data.propagator_at_one)
     images = CyclicMatrixImage(matrix, n)
     ring = images.ring
-    total, total_den, present = ring.zero, 1, False
+    total, total_den, present, gamma0 = ring.zero, 1, False, None
     for G, table in diagrams:
         grade, num, den = _contract(G, table, data.N, images)
         if grade == ell - 1 and num != ring.zero:

@@ -1,4 +1,5 @@
-"""Exact data for the 4_1 and 5_2 knots and the evaluators built on it.
+"""Exact data for the 4_1 and 5_2 knots, the evaluators built on it, and the
+tables of `looptool knot`.
 
 Values of the 2-loop invariant of 4_1 covers carry a global sqrt(-3) unit;
 they are stored as rational (or Q(sqrt21)) values tagged with that unit, so
@@ -23,21 +24,24 @@ of these rows.
 
 The residue route (`phi_residue`) sums the same table by residues: one
 `rootsum.ResidueForm` per ell, and a row is one deg Q x deg Q integer solve
-against M_u.  It is the average route's oracle, and `looptool knot --mode
-all` compares the two on every row.  4_1 has two more routes: a closed
-form, a rational function of lam^n and lam^(-n) over a power of the
+against M_u; it is the average route's oracle.  4_1 has two more routes: a
+closed form, a rational function of lam^n and lam^(-n) over a power of the
 resultant (1 - lam^n)(1 - lam^(-n)), and a generating series, which keeps a
 prefix of series coefficients that at least doubles when it grows.
+`KnotInput.table`, the one loop over n of `looptool knot`, gives the rows of
+a fixture or a `DiagramBundle` by one route, or by all of them checked equal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List
+from typing import Callable, Dict, Iterator, List, Tuple
 
+from .diagrams import FeynmanDiagram, VertexFactorTable, loop_invariant
 from .errors import CrossCheckError, ParseError, check_cover_order
 from .laurent import LaurentPolynomial, RationalFunction
 from .numberfield import FieldElement, NumberField, QQ, poly_divmod
+from .nzdata import TwistedNZData
 from .powersum import CoverPolynomial, DeltaFieldCover, series_coefficients
 from .rootsum import ResidueForm, av_exact
 
@@ -70,6 +74,39 @@ class TaggedValue:
     def __repr__(self):
         return f"{self.value!r}" + (" (unit sqrt(-3))" if self.sqrt_m3 else "")
 
+    def __str__(self):
+        """As `looptool` prints it: a rational as str(Fraction) does."""
+        value = self.value
+        if value.is_rational():
+            # num[0] / den is in lowest terms when the other numerators vanish
+            num, den = value.num[0], value.den
+            text = str(num) if den == 1 else f"{num}/{den}"
+        else:
+            text = ",".join(str(c) for c in value.coords)
+        return text + (" (unit sqrt(-3))" if self.sqrt_m3 else "")
+
+
+class KnotInput:
+    """An input of `looptool knot`: a `name`, and `routes()` mapping each
+    route's name to its (ell, n) -> TaggedValue, the first one printed."""
+
+    def table(self, ell: int, nmax: int, mode: str) -> Iterator[Tuple[int, TaggedValue]]:
+        """(n, value) for n = 1..nmax by the route `mode` names, or by every
+        route, read on the instance, for 'all': the first n where a route
+        differs from the first raises CrossCheckError before its row."""
+        routes = self.routes()
+        if mode != "all":
+            if mode not in routes:
+                raise ParseError(f"mode {mode!r} not available for {self.name}")
+            routes = {mode: routes[mode]}
+        for n in range(1, nmax + 1):
+            (first, value), *others = [(name, route(ell, n)) for name, route in routes.items()]
+            for name, other in others:
+                if other != value:
+                    raise CrossCheckError(f"{first} and {name} disagree at n = {n}: "
+                                          f"{first} = {value}, {name} = {other}")
+            yield n, value
+
 
 def _q(text: str) -> Fraction:
     return Fraction(text)
@@ -79,7 +116,7 @@ def _el52(c0="0", c1="0", c2="0") -> FieldElement:
     return FIELD_52.element([_q(str(c0)), _q(str(c1)), _q(str(c2))])
 
 
-class KnotFixture:
+class KnotFixture(KnotInput):
     """One knot's exact data: delta, phi tables, closed forms, asymptotics.
 
     phi[ell] maps the delta-power k to the coefficient list [c0, c1, c2]
@@ -105,6 +142,9 @@ class KnotFixture:
         if ell not in self.phi:
             raise ParseError(f"no phi table for ell = {ell}")
 
+    def routes(self) -> Dict[str, Callable[[int, int], TaggedValue]]:
+        return {"average": self.phi_average, "residue": self.phi_residue}
+
     def phi_form(self, ell: int) -> ResidueForm:
         """phi_ell^c as a residue form over delta^kmax, built once per ell."""
         self._check_ell(ell)
@@ -123,7 +163,8 @@ class KnotFixture:
 
     def phi_rational_function(self, ell: int, n: int) -> RationalFunction:
         """phi_ell^c(t, n) for fixed n, over the fixture field, as the
-        unreduced fraction over delta^kmax; `phi_average` does not build it."""
+        unreduced fraction over delta^kmax; `phi_average` does not build it.
+        Kept only as the span the bench tracer wraps (ROADMAP item 8)."""
         form = self.phi_form(ell)
         return RationalFunction(form.numerator(n), form.den, reduce=False)
 
@@ -189,6 +230,10 @@ class FigureEightFixture(KnotFixture):
                 (tm1 ** 3) * (quad2 ** 2) * (quad ** 3) * 588),
         }
         self._series_coeff_cache: Dict[int, List[FieldElement]] = {}
+
+    def routes(self) -> Dict[str, Callable[[int, int], TaggedValue]]:
+        return {**super().routes(), "closed": self.phi_closed,
+                "series": self.series_value}
 
     # -- closed forms in Q(sqrt 21) -------------------------------------------
 
@@ -362,3 +407,28 @@ def fixture(name: str) -> KnotFixture:
             raise ParseError(f"unknown knot fixture {name!r}")
     return _FIXTURES[key]
 
+
+class DiagramBundle(KnotInput):
+    """NZ data and (diagram, vertex table) pairs, from a `looptool knot` file
+    {"nz": ..., "diagrams": [...]}; its one route is `loop_invariant`."""
+
+    def __init__(self, name: str, data: TwistedNZData, diagrams: list):
+        self.name, self.data, self.diagrams = name, data, diagrams
+
+    @classmethod
+    def from_json(cls, obj, name: str) -> "DiagramBundle":
+        if not isinstance(obj, dict):
+            raise ParseError("expected a JSON object")
+        if "nz" not in obj or "diagrams" not in obj:
+            raise ParseError("knot file needs 'nz' and 'diagrams' sections")
+        if not (isinstance(obj["diagrams"], list)
+                and all(isinstance(d, dict) for d in obj["diagrams"])):
+            raise ParseError("'diagrams' must be a list of objects")
+        data = TwistedNZData.from_json(obj["nz"])
+        return cls(name, data, [(FeynmanDiagram.from_json(d),
+                                 VertexFactorTable.from_json(d, data.field))
+                                for d in obj["diagrams"]])
+
+    def routes(self) -> Dict[str, Callable[[int, int], TaggedValue]]:
+        return {"loop_invariant": lambda ell, n: TaggedValue(
+            loop_invariant(self.data, n, self.diagrams, ell))}

@@ -213,6 +213,9 @@ class TwistedNZData:
             if not isinstance(obj["shapes"], list):
                 raise ParseError("'shapes' must be a list")
             shapes = [FieldElement.from_json(z, field) for z in obj["shapes"]]
+            # before the N x N coefficient matrices are allocated
+            if len(shapes) != N:
+                raise ParseError("number of shapes disagrees with N")
             A = _matrix_from_json(obj["A"], field, N)
             B = _matrix_from_json(obj["B"], field, N)
         except KeyError as exc:
@@ -220,8 +223,6 @@ class TwistedNZData:
         peripheral = None
         if "peripheral" in obj:
             peripheral = PeripheralRows.from_json(obj["peripheral"])
-        if len(shapes) != N:
-            raise ParseError("number of shapes disagrees with N")
         return cls(field, A, B, shapes, peripheral)
 
 

@@ -301,8 +301,7 @@ class CyclicMatrix:
     Laurent polynomials) read that does not depend on n, built once (see
     the module docstring).  `flow_zero` gives, on first use, the matrix for
     flow value 0 (pi0 when given, else Pi(1)) and pi0 - Pi(1) as numerators
-    over denominators; Pi(1) is taken from pi1 when given: the matrix, or a
-    function that returns it."""
+    over denominators; Pi(1) is pi1() when a function pi1 is given."""
 
     def __init__(self, matrix, field: NumberField, pi0=None, pi1=None):
         self.source, self.field, self.pi0, self._pi1 = matrix, field, pi0, pi1
@@ -326,9 +325,8 @@ class CyclicMatrix:
 
     def flow_zero(self) -> tuple:
         if self._flow_zero is None:
-            pi1 = self._pi1() if callable(self._pi1) else self._pi1
-            if pi1 is None:
-                pi1 = [[e.eval(self.field.one()) for e in row] for row in self.matrix]
+            pi1 = (self._pi1() if self._pi1 is not None else
+                   [[e.eval(self.field.one()) for e in row] for row in self.matrix])
             pi0 = pi1 if self.pi0 is None else self.pi0
             shift = [list(map(sub, *rows)) for rows in zip(pi0, pi1)]
             self._flow_zero = tuple([[(self.ring.numerator(e), e.den) for e in row]
@@ -338,15 +336,13 @@ class CyclicMatrix:
 
 class CyclicMatrixImage:
     """Images in F[t]/(t^n - 1), for one n, of the entries of a
-    `CyclicMatrix` (or of a matrix, with pi0 and pi1 as there): the cover
-    propagator of an n-fold cyclic cover.  `image` gives the n integer
-    numerators of an entry (see `Numerators`) over one positive denominator,
-    built when first asked for (see the module docstring)."""
+    `CyclicMatrix`: the cover propagator of an n-fold cyclic cover.  `image`
+    gives the n integer numerators of an entry (see `Numerators`) over one
+    positive denominator, built when first asked for (see the module
+    docstring)."""
 
-    def __init__(self, matrix, n: int, field: NumberField = None, pi0=None, pi1=None):
+    def __init__(self, matrix: CyclicMatrix, n: int):
         check_cover_order(n)
-        if not isinstance(matrix, CyclicMatrix):
-            matrix = CyclicMatrix(matrix, field, pi0, pi1)
         self.source, self.n, self.field, self.ring = matrix, n, matrix.field, matrix.ring
         self._images = [[None] * len(row) for row in matrix.entries]
         self._den_inverses: List[Tuple[list, int] | None] = [None] * len(matrix.forms)

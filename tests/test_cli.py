@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from looptool import verify
-from looptool.cli import _format_value, main
+from looptool.cli import main
 from looptool.knots import FIELD_SQRT21, TaggedValue, fixture
 from looptool.numberfield import QQ, NumberField
 from looptool.powersum import CoverPolynomial
@@ -595,8 +595,8 @@ def test_format_value_prints_a_rational_as_fraction_does():
     assert row.field.degree == 1 and row.den > 1
     values = [row, -row, QQ.zero(), QQ.element(-7), FIELD_SQRT21.element(Fraction(-3, 4))]
     for value in values:
-        assert _format_value(value, False) == str(value.rational_value())
-    assert _format_value(row, True) == f"{row.rational_value()} (unit sqrt(-3))"
+        assert str(TaggedValue(value)) == str(value.rational_value())
+    assert str(TaggedValue(row, True)) == f"{row.rational_value()} (unit sqrt(-3))"
 
 
 def test_reconstruct_reads_coordinates_past_4300_digits(tmp_path, capsys):
@@ -688,11 +688,16 @@ def test_avg_delta_powers_huge_span_exit_1(delta, powers, span, tmp_path, capsys
 
 
 def _set(path, value):
-    """A mutation of the theta bundle: set the item at `path` to `value`."""
+    """A mutation of the theta bundle: set the item at `path` to `value`, or
+    replace the whole file's JSON by `value` when `path` is empty."""
     def mutate(obj):
+        if not path:
+            return value
+        item = obj
         for key in path[:-1]:
-            obj = obj[key]
-        obj[path[-1]] = value
+            item = item[key]
+        item[path[-1]] = value
+        return obj
     return mutate
 
 
@@ -707,12 +712,19 @@ def _set(path, value):
     (_set(("diagrams", 0, "vertices"), [1, 2]), "'vertices'"),
     (_set(("diagrams", 0, "gamma0"), 5), "'gamma0'"),
     (_set(("diagrams", 0, "vertex_factors"), {"3": "1/2"}), "must be a list"),
+    # checked before the N x N coefficient matrices are allocated
+    (_set(("nz", "N"), 10 ** 9), "number of shapes disagrees with N"),
+    (_set((), 5), "expected a JSON object"),
+    (_set((), None), "expected a JSON object"),
+    (_set((), True), "expected a JSON object"),
+    # "nz" in a string is a substring test
+    (_set((), "nz diagrams"), "expected a JSON object"),
 ], ids=["A-item", "matrix", "exp", "N", "shapes", "peripheral", "edges",
-        "vertices", "gamma0", "vertex-factors"])
+        "vertices", "gamma0", "vertex-factors", "N-huge", "int", "null", "bool",
+        "string"])
 def test_knot_malformed_bundle_exit_1(mutate, fragment, tmp_path, capsys):
     with open(os.path.join(DATA, "synthetic_theta_bundle.json")) as fh:
-        obj = json.load(fh)
-    mutate(obj)
+        obj = mutate(json.load(fh))
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(obj))
     code, _, err = run(["knot", "--knot", str(path), "--loop", "2",

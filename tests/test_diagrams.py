@@ -16,11 +16,12 @@ from looptool.diagrams import (FeynmanDiagram, VertexFactorTable,
 from looptool.errors import (CoverOrderError, CrossCheckError, GradeMismatch,
                              MathDomainError, MissingVertexFactor, RootOfUnityPole,
                              SingularAtRoot, ValidationError)
+from looptool.knots import DiagramBundle
 from looptool.laurent import LaurentMatrix, LaurentPolynomial, RationalFunction
 from looptool.numberfield import QQ
 from looptool.nzdata import PeripheralRows, TwistedNZData
-from looptool.rootsum import (CyclicMatrixImage, ResidueForm, TorusSumSpec, av_exact,
-                              av_trace, cyclic_resultant, ratfun_mod_cyclic,
+from looptool.rootsum import (CyclicMatrix, CyclicMatrixImage, ResidueForm, TorusSumSpec,
+                              av_exact, av_trace, cyclic_resultant, ratfun_mod_cyclic,
                               torus_sum_oracle)
 from looptool.synth import random_nz_data, random_symmetric_propagator, random_vertex_table
 
@@ -212,7 +213,7 @@ def _cover_order_entry_points():
         "av_trace": lambda n: av_trace(f, n),
         "cyclic_resultant": lambda n: cyclic_resultant(f.den, n),
         "torus_sum_oracle": lambda n: torus_sum_oracle(spec, n),
-        "CyclicMatrixImage": lambda n: CyclicMatrixImage(pi, n, QQ),
+        "CyclicMatrixImage": lambda n: CyclicMatrixImage(CyclicMatrix(pi, QQ), n),
         "ResidueForm.root_sum": lambda n: ResidueForm([f.num], f.den).root_sum(n),
         "BlockCirculant.from_representer": lambda n: BlockCirculant.from_representer(data.A, n),
         "cover_blocks_from_symbolic": lambda n: cover_blocks_from_symbolic(pi, n, QQ),
@@ -256,8 +257,6 @@ def test_loop_invariant_gamma0_and_grades(rng):
     data = random_nz_data(rng, 1)
     gamma0 = (QQ.element(Fraction(7, 2)), 1)
     table = VertexFactorTable({3: [QQ.one()]}, grades={3: -1}, gamma0=gamma0)
-    # empty diagram list: Gamma0 only
-    assert loop_invariant(data, 3, [], 2, gamma0=gamma0) == Fraction(7, 2)
     # theta diagram contributes at grade 1 = ell - 1
     val = loop_invariant(data, 3, [(THETA, table)], 2)
     w = weight_flow(THETA, 3, data.propagator_symbolic(), table, 1)
@@ -488,7 +487,7 @@ def test_wrong_small_solve_raises_cross_check_error(rng, monkeypatch, entry, che
     data = _Bundle(distinct_denominator_propagator(rng, 2), random_symmetric_matrix(rng, 2))
     i, j = entry
     with pytest.raises(CrossCheckError) as excinfo:
-        rootsum.CyclicMatrixImage(data.pi, 7, QQ).image(i, j)
+        rootsum.CyclicMatrixImage(rootsum.CyclicMatrix(data.pi, QQ), 7).image(i, j)
     message = str(excinfo.value)
     assert message.startswith(f"entry ({i}, {j}) at n = 7: ") and check in message
     assert "coefficient" in message and "\n" not in message
@@ -566,15 +565,16 @@ def _elements(images, i, j):
 
 @pytest.mark.parametrize("fixture", ["field_sqrt21", "field_cubic", "field_nonintegral"])
 def test_cyclic_images_equal_ratfun_mod_cyclic_over_number_fields(request, fixture):
-    from looptool.rootsum import CyclicMatrixImage
     field = request.getfixturevalue(fixture)
     rng = random.Random(41 + field.degree)
     pi = _field_propagator(rng, field)
     pi1 = [[e.eval(field.one()) for e in row] for row in pi]
     pi0 = _field_matrix(rng, field, 3)
+    plain_matrix = CyclicMatrix(pi, field)
+    shifted_matrix = CyclicMatrix(pi, field, pi0, lambda: pi1)
     for n in range(1, 41):
-        plain = CyclicMatrixImage(pi, n, field)
-        shifted = CyclicMatrixImage(pi, n, field, pi0, pi1)
+        plain = CyclicMatrixImage(plain_matrix, n)
+        shifted = CyclicMatrixImage(shifted_matrix, n)
         for i in range(3):
             for j in range(3):
                 f = pi[i][j]
@@ -782,6 +782,26 @@ def test_missing_vertex_factor_raises_on_the_first_row_and_in_the_cli(tmp_path, 
     assert (code, out, err) == (1, "", "error: no vertex factor for degree 3, index 0\n")
 
 
+def test_bundle_table_rows_are_loop_invariant_rows():
+    # the theta file, and a seeded N = 2 bundle whose tables carry gamma0;
+    # the rows of each against loop_invariant on fresh, equal objects
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "data",
+                           "synthetic_theta_bundle.json")) as fh:
+        obj = json.load(fh)
+    theta = DiagramBundle.from_json(obj, "theta")
+    data = TwistedNZData.from_json(obj["nz"])
+    diags = [(FeynmanDiagram.from_json(d), VertexFactorTable.from_json(d, data.field))
+             for d in obj["diagrams"]]
+    seeded = DiagramBundle("seeded", *_seeded_bundle(3))
+    for bundle, (data, diags), nmax in ((theta, (data, diags), 20),
+                                        (seeded, _seeded_bundle(3), 8)):
+        rows = list(bundle.table(2, nmax, "all"))
+        assert [n for n, _ in rows] == list(range(1, nmax + 1))
+        for n, value in rows:
+            assert not value.sqrt_m3
+            assert value.value == loop_invariant(data, n, diags, 2), (bundle.name, n)
+
+
 def test_grade_mismatch_without_a_labeling_at_the_grade(rng):
     data = _Bundle(distinct_denominator_propagator(rng, 2), random_symmetric_matrix(rng, 2))
     table = random_vertex_table(rng, 2, {4}, {4: -1})
@@ -808,8 +828,8 @@ def test_grade_mismatch_when_the_labelings_at_the_grade_cancel(rng):
     with pytest.raises(GradeMismatch, match="^no hbar\\^1 component present$"):
         loop_invariant(data, n, [(BOUQUET, table)], 2)
     # a vacuum term at the grade is a component, even where the diagrams cancel
-    gamma0 = (QQ.element(Fraction(2, 7)), 1)
-    assert loop_invariant(data, n, [(BOUQUET, table)], 2, gamma0=gamma0) == Fraction(2, 7)
+    with_vacuum = VertexFactorTable({4: [w1, -w0]}, {4: -1}, (QQ.element(Fraction(2, 7)), 1))
+    assert loop_invariant(data, n, [(BOUQUET, with_vacuum)], 2) == Fraction(2, 7)
     assert loop_invariant(data, n, [(BOUQUET, table), (THETA, VertexFactorTable(
         {3: [QQ.one(), QQ.one()]}, {3: -1}))], 2) == weight_flow(
             THETA, n, data.pi, VertexFactorTable({3: [QQ.one(), QQ.one()]}, {3: -1}), 2)[1]

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import is_palindromic_up_to_unit
 from looptool import cli, knots
-from looptool.errors import CrossCheckError, ResonantRoot
+from looptool.errors import CrossCheckError, ParseError, ResonantRoot
 from looptool.knots import (FIELD_52, FIELD_LAMBDA_52, FIELD_SQRT21, FigureEightFixture,
                             FiveTwoFixture, KnotFixture, TaggedValue, fixture)
 from looptool.laurent import LaurentPolynomial, RationalFunction
@@ -176,6 +176,49 @@ def test_series_cache_grows_by_doubling(monkeypatch):
 
 
 @pytest.mark.parametrize("name, ell", [("4_1", 2), ("4_1", 3), ("5_2", 2), ("5_2", 3)])
+def test_table_rows_are_the_row_methods_in_every_mode(name, ell):
+    fx = fixture(name)
+    methods = {"average": fx.phi_average, "residue": fx.phi_residue}
+    if name == "4_1":
+        methods.update(closed=fx.phi_closed, series=fx.series_value)
+    else:
+        for mode in ("closed", "series"):
+            with pytest.raises(ParseError, match=f"^mode '{mode}' not available for 5_2$"):
+                next(fx.table(ell, 12, mode))
+    for mode in ("all", *methods):
+        rows = list(fx.table(ell, 12, mode))
+        assert [n for n, _ in rows] == list(range(1, 13))
+        method = methods["average" if mode == "all" else mode]
+        for n, value in rows:
+            expect = method(ell, n)
+            assert value == expect and str(value) == str(expect), (mode, n)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_table_raises_at_the_first_disagreeing_row_and_computes_no_later_one(k):
+    fx = FigureEightFixture()
+    computed = []
+    real = fx.phi_residue
+
+    def residue(ell, n):
+        computed.append(n)
+        value = real(ell, n)
+        return TaggedValue(value.value * 2, value.sqrt_m3) if n == k else value
+
+    fx.phi_residue = residue
+    table = fx.table(2, 10, "all")
+    assert [next(table)[0] for _ in range(k - 1)] == list(range(1, k))
+    bad = fx.phi_average(2, k)
+    with pytest.raises(CrossCheckError) as excinfo:
+        next(table)
+    assert str(excinfo.value) == (f"average and residue disagree at n = {k}: "
+                                  f"average = {bad}, residue = "
+                                  f"{TaggedValue(bad.value * 2, bad.sqrt_m3)}")
+    assert computed == list(range(1, k + 1))
+    assert next(table, None) is None and computed == list(range(1, k + 1))
+
+
+@pytest.mark.parametrize("name, ell", [("4_1", 2), ("4_1", 3), ("5_2", 2), ("5_2", 3)])
 def test_cover_rows_equal_residue_rows(name, ell):
     # the cover polynomial route against its oracle, the M_u solve
     fx = fixture(name)
@@ -301,11 +344,11 @@ def test_41_row_past_20000_digits_matches_closed_form_and_prints(capsys):
     try:
         sys.set_int_max_str_digits(4300)
         with pytest.raises(ValueError, match="limit"):
-            cli._format_value(row.value, row.sqrt_m3)
+            str(row)
         assert cli.main(["knot", "--knot", "4_1", "--loop", "3", "--nmax", "1"]) == 0
         capsys.readouterr()
         assert sys.get_int_max_str_digits() == 0
-        text = cli._format_value(row.value, row.sqrt_m3)
+        text = str(row)
         num, den = text.split("/")
         assert min(len(num.lstrip("-")), len(den)) > 20000
         assert Fraction(text) == row.value.rational_value()

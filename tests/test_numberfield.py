@@ -609,7 +609,7 @@ def test_one_series_loop_serves_every_power_series(monkeypatch):
     powersum.series_coefficients(f, 5)
     assert len(calls) == 1
     calls.clear()
-    rootsum.CyclicMatrixImage([[f]], 7, QQ).image(0, 0)
+    rootsum.CyclicMatrixImage(rootsum.CyclicMatrix([[f]], QQ), 7).image(0, 0)
     assert len(calls) == 1
     calls.clear()
     rootsum.ResidueForm([f.num, t * t], f.den)
