@@ -14,8 +14,10 @@ back by `FieldEmbedding.restrict`, stays as its oracle;
 deg Q x deg Q integer solve against M_u per row.  It prints, each section on
 request (all by default):
 
-0. `kernel`: the number-field kernels beneath a row,
-   `NumberField._mul_numerators` and `FieldElement.inverse`, in the fields
+0. `kernel`: the number-field kernels beneath a row, the product of the
+   field's ring of numerators (`NumberField.ring.mul`, which every row
+   calls: int multiplication over Q, `NumberField._mul_numerators`
+   otherwise) and `FieldElement.inverse`, in the fields
    of degree 1 (Q), 2 (Q(sqrt 21)), 3 (the cubic field of 5_2) and 6 (the
    sextic field of its lambda, whose elements live on the powers of the
    algebraic integer 8 lambda), on seeded operands whose
@@ -73,16 +75,19 @@ SECTIONS = ("kernel", "build", "row", "table")
 
 
 def kernel_us(field, bits: int, repeat: int, rng: random.Random):
-    """Best microseconds per `_mul_numerators` and per `inverse` call."""
+    """Best microseconds per product in the field's ring of numerators and
+    per `inverse` call."""
     def numerators():
         return [rng.choice((-1, 1)) * (rng.getrandbits(bits - 1) | 1 << (bits - 1))
                 for _ in range(field.degree)]
 
-    pairs = [(numerators(), numerators()) for _ in range(32)]
+    ring = field.ring
+    pairs = [tuple(ring.numerator(FieldElement._from_integers(field, numerators(), 1))
+                   for _ in range(2)) for _ in range(32)]
     elements = [FieldElement._from_integers(field, numerators(),
                                             rng.getrandbits(bits) | 1 << (bits - 1))
                 for _ in range(32)]
-    mul = field._mul_numerators
+    mul = ring.mul
     out = []
     for batch in (lambda: [mul(x, y) for x, y in pairs],
                   lambda: [e.inverse() for e in elements]):
@@ -143,7 +148,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.set_int_max_str_digits(0)
     if "kernel" in args.sections:
-        print("kernel,degree,bits,mul_numerators_us,inverse_us")
+        print("kernel,degree,bits,ring_mul_us,inverse_us")
         rng = random.Random(1)
         for degree, field in KERNEL_FIELDS.items():
             for b in KERNEL_BITS:

@@ -39,8 +39,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .circulant import BlockCirculant
 from .errors import (CoverOrderError, GradeMismatch, MissingVertexFactor, ParseError,
                      ValidationError, check_cover_order)
-from .numberfield import FieldElement, NumberField, QQ, parse_int, parse_rational
-from .rootsum import CyclicMatrix, CyclicMatrixImage, Numerators
+from .numberfield import FieldElement, NumberField, Numerators, QQ, parse_int, parse_rational
+from .rootsum import CyclicMatrix, CyclicMatrixImage
 
 FlowAssignment = Tuple[int, ...]  # one residue per edge, aligned with .edges
 
@@ -164,7 +164,7 @@ class VertexFactorTable:
                            field: NumberField) -> Tuple[list, int, int]:
         """G's labelings by indices 0..N-1 whose product of vertex factors
         is not zero, with that product times 1/sigma as numerators over one
-        denominator (rootsum.Numerators), the denominator, and the grade
+        denominator (`NumberField.ring`), the denominator, and the grade
         they share; built on first use and kept, keyed by what they read."""
         key = (tuple(G.degrees), G.symmetry_factor, N)
         found = self._weighted.get(key)
@@ -178,7 +178,7 @@ class VertexFactorTable:
                 if not value.is_zero():
                     labelings.append(labeling)
                     values.append(value)
-            nums, den = Numerators(field).of(values) if values else ([], 1)
+            nums, den = field.ring.of(values) if values else ([], 1)
             grade = len(G.edges) + sum(self.grades.get(d, 0) for d in G.degrees)
             found = self._weighted[key] = (field, list(zip(labelings, nums)), den, grade)
         return found[1:]

@@ -12,14 +12,13 @@ xi exist only at the boundary (`NumberField.element` and
 g = gcd of the two denominators, the one factor that can divide its
 content (Knuth, TAOCP vol. 2, 4.5.1); a product is one integer convolution,
 folded back through the integer rows of theta^d, ..., theta^(2d-2), then
-one content gcd.  That integer product (`NumberField._mul_numerators`, over
-1 like its operands) also serves callers that keep many numerators over one
-denominator of their own.  An inverse is the adjugate kernel
+one content gcd.  That integer product is `NumberField._mul_numerators`,
+over 1 like its operands.  An inverse is the adjugate kernel
 (`NumberField._adjugate`: the numerators of det y^-1 and det), one run of
 `bareiss`, the package's one fraction-free elimination, on the integer
-matrix of multiplication.  A field of degree 1 or 2 replaces the product
-and the adjugate with closed forms, chosen once when the field is built.
-The same matrices, side by side over one denominator
+matrix of multiplication.  A quadratic field replaces both with closed
+forms when it is built; `Numerators` is the field's ring of numerators kept
+over one denominator.  The same matrices, side by side over one denominator
 (`NumberField.integer_rows`), are the one encoding over Z of every system
 over the field.  All values are immutable, so elements are safe to share
 across threads.
@@ -38,10 +37,11 @@ mpmath in their own bodies, so exact arithmetic never loads it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from math import gcd, lcm
-from operator import floordiv, mul, truediv
+from operator import add, floordiv, mul, truediv
 from typing import Iterable, Sequence
 
 from .errors import CrossCheckError, ParseError, PrecisionUnreachable, ZeroInverse
@@ -427,10 +427,9 @@ class NumberField:
         self._zero = _make(self, (0,) + self._pad, 1)
         self._one = _make(self, (1,) + self._pad, 1)
         # closed forms replace the generic product and adjugate methods
-        if d == 1:
-            self._mul_numerators, self._adjugate = _linear_kernels()
-        elif d == 2:
+        if d == 2:
             self._mul_numerators, self._adjugate = _quadratic_kernels(*low)
+        self.ring = Numerators(self)
 
     def _mult_columns(self, num) -> list:
         """Numerators of a, a theta, ..., a theta^(d-1) for the element a
@@ -611,17 +610,6 @@ class NumberField:
         if not isinstance(obj, dict) or not isinstance(obj.get("minpoly"), list):
             raise ParseError("field description needs a 'minpoly' list")
         return cls(obj["minpoly"], parse_int(obj.get("root_index", 0), "root_index"))
-
-
-def _linear_kernels() -> tuple:
-    """`_mul_numerators` and `_adjugate` of a degree-1 field in closed form."""
-
-    def adjugate(y) -> tuple:
-        if not y[0]:
-            raise ZeroInverse("inverse of zero field element")
-        return [1], y[0]
-
-    return (lambda x, y: [x[0] * y[0]]), adjugate
 
 
 def _quadratic_kernels(c0: int, c1: int) -> tuple:
@@ -1085,6 +1073,75 @@ def _powers(x: "FieldElement", count: int) -> list:
     for _ in range(count - 2):
         out.append(out[-1] * x)
     return out[:count]
+
+
+class Numerators:
+    """The ring of numerators of a field's elements over a denominator the
+    caller keeps, one per field (`NumberField.ring`): ints over Q, lists of
+    field.degree ints with the field's product and adjugate kernels
+    otherwise.  `adjugate(y)` is (w, D) with w / D = 1 / y; `add_times(x, y,
+    c)` is x + c y; `combine(rows, cs)` is sum_k cs_k x_k for numerators x_k
+    given as the d rows of their coordinates."""
+
+    def __init__(self, field: NumberField):
+        self.field = field
+        if field.degree == 1:
+            self.mul = self.times = mul
+            self.add = self.plus = add
+            self.add_times = lambda x, y, c: x + y * c
+            self.adjugate = _linear_adjugate
+            self.combine = lambda rows, cs: sum(map(mul, rows[0], cs))
+            self.from_ints = lambda xs: xs
+            self.zero, self.one = 0, 1
+        else:
+            pad = [0] * (field.degree - 1)
+            self.mul, self.adjugate = field._mul_numerators, field._adjugate
+            self.add = lambda x, y: [a + b for a, b in zip(x, y)]
+            self.times = lambda x, c: [a * c for a in x]
+            self.plus = lambda x, c: [x[0] + c, *x[1:]]
+            self.add_times = lambda x, y, c: [a + b * c for a, b in zip(x, y)]
+            self.combine = lambda rows, cs: [sum(map(mul, row, cs)) for row in rows]
+            self.from_ints = lambda xs: [[x, *pad] for x in xs]
+            self.zero, self.one = [0, *pad], [1, *pad]
+
+    def numerator(self, e: FieldElement):
+        """The numerator of an element of Q or of the field over e.den."""
+        return e.num[0] if self.field.degree == 1 else [*e.num, *self.zero[len(e.num):]]
+
+    def of(self, elements) -> tuple:
+        """Elements of Q or of the field as numerators over one denominator > 0."""
+        den = lcm(*(e.den for e in elements))
+        return [self.times(self.numerator(e), den // e.den) for e in elements], den
+
+    def cyclic(self, terms, a: list, n: int, op=None) -> list:
+        """sum_k y_k t^k a(t) mod t^n - 1 for the pairs (k, y_k) of `terms` and
+        the n numerators of a; `op` (default `mul`) multiplies y_k by them."""
+        op = op or self.mul
+        out = [self.zero] * n
+        for k, y in terms:
+            r = -k % n
+            out = list(map(self.add, out, map(op, itertools.repeat(y), a[r:] + a[:r])))
+        return out
+
+    def element(self, num, den: int) -> FieldElement:
+        """The element num / den, for den != 0."""
+        return FieldElement._from_integers(self.field, (num,) if self.field.degree == 1
+                                           else num, den)
+
+    def reduce(self, nums: list, den: int) -> tuple:
+        """nums / den with the content of all of them and den divided out."""
+        vector = self.field.degree > 1
+        g = gcd(den, *(itertools.chain.from_iterable(nums) if vector else nums))
+        if g == 1:
+            return nums, den
+        return [[x // g for x in v] if vector else v // g for v in nums], den // g
+
+
+def _linear_adjugate(y: int) -> tuple:
+    """`Numerators.adjugate` over Q: 1 / y is 1 over y."""
+    if not y:
+        raise ZeroInverse("inverse of zero field element")
+    return 1, y
 
 
 #: The rationals as a degree-1 field (minpoly xi, i.e. xi = 0).

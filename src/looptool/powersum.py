@@ -12,6 +12,8 @@ two-variables-per-pair form are folded through 1/(1 - lam^{-n}) =
 `CoverPolynomial.from_table` maps a phi-table sum_k c_k(n) delta^(-k) to the
 one-root-pair p of its sums over the roots of unity, `DeltaFieldCover`
 writes that p over delta's field, and `quad_to_delta_form` maps p back.
+Both evaluate on numerators in the field's ring (`NumberField.ring`), plain
+ints over Q (the field of a 4_1 row), and normalize once.
 """
 
 from __future__ import annotations
@@ -19,15 +21,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
-from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (CrossCheckError, HoldoutMismatchError, ParseError,
                      ResonantRoot, SingularError, SingularSystem, UnitCircleRoot)
 from .laurent import LaurentPolynomial, RationalFunction
 from .linalg import field_vector, solve_integer
-from .numberfield import (FieldElement, FieldEmbedding, NumberField, QQ, _powers,
-                          poly_series)
+from .numberfield import (FieldElement, FieldEmbedding, NumberField, Numerators, QQ,
+                          _powers, poly_series)
 from .rootsum import delta_basis_inverse, delta_power_sums, one_minus_u_power
 
 
@@ -135,50 +136,47 @@ class CoverPolynomial:
         return self._evaluate(n, next(_x_steps(self.field, self.roots, [n])))
 
     def _evaluate(self, n: int, xs: Sequence[FieldElement]) -> FieldElement:
-        """p at the values xs of x_j for n, on integer numerators and
-        normalized once.  P_alpha = sum_beta c_(alpha,beta) n^beta is a
-        numerator vector over the common denominator D of the coefficients
+        """p at the values xs of x_j for n, on numerators in the field's
+        ring, normalized once.  P_alpha = sum_beta c_(alpha,beta) n^beta is
+        a numerator over the common denominator D of the coefficients
         (`_integer_form`, built on first use).  With x_j = X_j / E_j, one
         root pair is a homogenized Horner pass (`_horner`), over D E^top;
         more root pairs are one sum of P_alpha prod_j X_j^alpha_j times
         prod_j E_j^(K_j - alpha_j), over D prod_j E_j^K_j, with K_j the
         largest alpha_j."""
-        field = self.field
+        field, ring = self.field, self.field.ring
         if self._compiled is None:
             self._compiled = _integer_form(field, self.ell, self.terms)
         den, blocks = self._compiled
         if not blocks:
             return field.zero()
         powers = [n ** beta for beta in range(1, self.ell)]
-        by_alpha = {alpha: [sum(map(mul, row, powers)) for row in block]
-                    for alpha, block in blocks.items()}
-        mul_numerators = field._mul_numerators
+        by_alpha = {alpha: ring.combine(block, powers) for alpha, block in blocks.items()}
         if self.r == 1:
             x = xs[0]
             top = max(a for a, in by_alpha)
-            acc, f = _horner(field, [by_alpha.get((a,)) for a in range(top + 1)],
-                             x.num, x.den)
-            return FieldElement._from_integers(field, acc, den * f)
+            acc, f = _horner(ring, [by_alpha.get((a,)) for a in range(top + 1)],
+                             ring.numerator(x), x.den)
+            return ring.element(acc, den * f)
         tops = [max(alpha[j] for alpha in by_alpha) for j in range(self.r)]
         # X^a and the powers of E, per root pair
         x_powers, e_powers = [], []
         for x, t in zip(xs, tops):
-            table, e = [None, x.num], [1, x.den]
+            table, e = [None, ring.numerator(x)], [1, x.den]
             for _ in range(t - 1):
-                table.append(mul_numerators(table[-1], x.num))
+                table.append(ring.mul(table[-1], table[1]))
                 e.append(e[-1] * x.den)
             x_powers.append(table)
             e_powers.append(e)
-        acc = [0] * field.degree
+        acc = ring.zero
         for alpha, p in by_alpha.items():
             f = 1
             for a, t, table, e in zip(alpha, tops, x_powers, e_powers):
                 f *= e[t - a]
                 if a:
-                    p = mul_numerators(p, table[a])
-            acc = [u + v * f for u, v in zip(acc, p)]
-        return FieldElement._from_integers(
-            field, acc, den * prod(e[t] for e, t in zip(e_powers, tops)))
+                    p = ring.mul(p, table[a])
+            acc = ring.add_times(acc, p, f)
+        return ring.element(acc, den * prod(e[t] for e, t in zip(e_powers, tops)))
 
     def __eq__(self, other):
         return (isinstance(other, CoverPolynomial) and self.ell == other.ell
@@ -271,13 +269,13 @@ class DeltaFieldCover:
     y = 1/R_n, R_n = (1 - lam^n)(1 - lam^(-n)) = 2 - s_n, s_n = lam^n + lam^(-n).
 
     With x = (1 + z)/2, z = (lam^n - lam^(-n)) y changes sign under
-    lam <-> 1/lam, z^2 = 1 - 4y and z (lam - 1/lam) = (s_(n+1) - s_(n-1)) y.
+    lam <-> 1/lam, z^2 = 1 - 4y and z (1/lam - lam) = (s_(n-1) - s_(n+1)) y.
     So the values of p lie in K when the coefficients of its even part in z,
-    and of its odd part over lam - 1/lam, lie in K; construction maps them,
+    and of its odd part over 1/lam - lam, lie in K; construction maps them,
     written in y, into K once (`FieldEmbedding.restrict`), CrossCheckError
-    otherwise.  A row is s_n and s_(n+1) by Lucas doubling from
-    s_1 = -B/A (`_lucas`), one inverse of R_n in K and one homogenized
-    Horner pass in y (`_horner`) on integer numerators, normalized once."""
+    otherwise.  A row is s_n and s_(n+1) by Lucas doubling from the kept s_1
+    = -B/A and s_2 (`_lucas`), one adjugate of R_n and one homogenized Horner
+    pass in y (`_horner`) in K's ring (ints when K = Q), normalized once."""
 
     def __init__(self, p: CoverPolynomial, delta: LaurentPolynomial):
         if p.r != 1:
@@ -287,8 +285,8 @@ class DeltaFieldCover:
         field = self.field = embed.source
         self.ell = p.ell
         # ((y-degree, parity), n-degree) -> coefficient: x^i = ((1 + z)/2)^i,
-        # z^(2m) = (1 - 4y)^m and z^(2m+1) = (s_(n+1) - s_(n-1)) y (1 - 4y)^m
-        # over lam - 1/lam
+        # z^(2m) = (1 - 4y)^m and z^(2m+1) = (s_(n-1) - s_(n+1)) y (1 - 4y)^m
+        # over 1/lam - lam
         parts: Dict[Tuple[Tuple[int, int], int], FieldElement] = {}
         for ((i,), beta), c in p.terms.items():
             c = c * Fraction(1, 2 ** i)
@@ -298,7 +296,7 @@ class DeltaFieldCover:
                     key = ((j + odd, odd), beta)
                     term = c * (comb(i, k) * comb(m, j) * (-4) ** j)
                     parts[key] = parts[key] + term if key in parts else term
-        w_inv = (lam - lam.inverse()).inverse()
+        w_inv = (lam.inverse() - lam).inverse()
         terms = {}
         for ((j, odd), beta), a in parts.items():
             try:
@@ -313,37 +311,39 @@ class DeltaFieldCover:
         top = max((j for j, _ in blocks), default=-1)
         self._blocks = [(blocks.get((j, 0)), blocks.get((j, 1))) for j in range(top + 1)]
         s1 = -delta.coefficient(0) / delta.coefficient(1)
-        self._u1, self._q = list(s1.num), s1.den
+        # s_1 and s_2 = s_1^2 - 2 as numerators over q and q^2
+        self._u1, self._q = u1, q = field.ring.numerator(s1), s1.den
+        self._u2 = field.ring.plus(field.ring.mul(u1, u1), -2 * q * q)
 
     def evaluate(self, n: int) -> FieldElement:
         """p at x = 1/(1 - lam^n), y = n, in K; ResonantRoot when R_n = 0."""
-        field = self.field
-        mul_numerators, q = field._mul_numerators, self._q
-        u, v, qn = _lucas(field, self._u1, q, n)
-        r = [-t for t in u]
-        r[0] += 2 * qn
-        if not any(r):
+        ring, q = self.field.ring, self._q
+        mul, combine = ring.mul, ring.combine
+        u, v, qn = _lucas(ring, self._u1, self._u2, q, n)
+        # s_n - 2 = -R_n over q^n, so y = 1/R_n = q^n w / -det
+        r = ring.plus(u, -2 * qn)
+        if r == ring.zero:
             raise ResonantRoot(f"R_{n} = 0: lam^{n} = 1 for the root")
         if not self._blocks:
-            return field.zero()
-        # y = 1/R_n = q^n w / det
-        w, det = field._adjugate(r)
-        # s_(n+1) - s_(n-1) = 2 s_(n+1) - s_1 s_n = d / q^(n+1), and each
+            return self.field.zero()
+        w, det = ring.adjugate(r)
+        # s_(n-1) - s_(n+1) = s_1 s_n - 2 s_(n+1) = d / q^(n+1), and each
         # coefficient of y goes over den q^(n+1)
-        d = [2 * a - b for a, b in zip(v, mul_numerators(self._u1, u))]
+        d = ring.add_times(mul(self._u1, u), v, -2)
         lift = qn * q
         powers = [n ** beta for beta in range(1, self.ell)]
+        lifted = [p * lift for p in powers]
         coeffs = []
         for even, odd in self._blocks:
             c = None
             if even is not None:
-                c = [sum(map(mul, row, powers)) * lift for row in even]
+                c = combine(even, lifted)
             if odd is not None:
-                o = mul_numerators(d, [sum(map(mul, row, powers)) for row in odd])
-                c = o if c is None else [a + b for a, b in zip(c, o)]
+                o = mul(d, combine(odd, powers))
+                c = o if c is None else ring.add(c, o)
             coeffs.append(c)
-        acc, f = _horner(field, coeffs, [qn * t for t in w], det)
-        return FieldElement._from_integers(field, acc, self._den * lift * f)
+        acc, f = _horner(ring, coeffs, ring.times(w, qn), -det)
+        return ring.element(acc, self._den * lift * f)
 
 
 def _integer_form(field: NumberField, ell: int, terms) -> tuple:
@@ -363,39 +363,36 @@ def _integer_form(field: NumberField, ell: int, terms) -> tuple:
     return den, blocks
 
 
-def _lucas(field: NumberField, u1: Sequence[int], q: int, n: int):
+def _lucas(ring: Numerators, u1, u2, q: int, n: int):
     """(u_n, u_(n+1), q^n) with s_m = u_m / q^m for s_m = lam^m + lam^(-m),
-    from s_1 = u1 / q by Lucas doubling on numerator vectors:
-    s_2m = s_m^2 - 2 and s_(2m+1) = s_m s_(m+1) - s_1."""
-    prod = field._mul_numerators
-    a, b, qm = u1, prod(u1, u1), q
-    b[0] -= 2 * q * q
+    from s_1 = u1 / q and s_2 = u2 / q^2 by Lucas doubling on numerators in
+    the field's ring: s_2m = s_m^2 - 2 and s_(2m+1) = s_m s_(m+1) - s_1."""
+    mul, plus, add_times = ring.mul, ring.plus, ring.add_times
+    a, b, qm = u1, u2, q
     for bit in bin(n)[3:]:
         q2 = qm * qm
-        mixed = [c - e * q2 for c, e in zip(prod(a, b), u1)]
+        mixed = add_times(mul(a, b), u1, -q2)
         if bit == "1":
             qm = q2 * q
-            a, b = mixed, prod(b, b)
-            b[0] -= 2 * qm * q
+            a, b = mixed, plus(mul(b, b), -2 * qm * q)
         else:
             qm = q2
-            a, b = prod(a, a), mixed
-            a[0] -= 2 * q2
+            a, b = plus(mul(a, a), -2 * q2), mixed
     return a, b, qm
 
 
-def _horner(field: NumberField, coeffs: Sequence[Optional[List[int]]], X, E: int):
-    """(acc, f) with acc / f the sum of coeffs[a] (X / E)^a, for numerator
-    vectors coeffs[a] (None for zero; the last is not None) and X the
-    numerators of x over E: the homogenized Horner pass
+def _horner(ring: Numerators, coeffs: Sequence, X, E: int):
+    """(acc, f) with acc / f the sum of coeffs[a] (X / E)^a, for numerators
+    coeffs[a] in the field's ring (None for zero; the last is not None) and
+    X the numerator of x over E: the homogenized Horner pass
     acc <- acc X + coeffs[a] E^(top - a), over f = E^top."""
-    mul_numerators = field._mul_numerators
+    mul, add_times = ring.mul, ring.add_times
     acc, f = coeffs[-1], 1
     for p in reversed(coeffs[:-1]):
-        acc = mul_numerators(acc, X)
+        acc = mul(acc, X)
         f *= E
         if p is not None:
-            acc = [u + v * f for u, v in zip(acc, p)]
+            acc = add_times(acc, p, f)
     return acc, f
 
 

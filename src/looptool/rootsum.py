@@ -55,29 +55,30 @@ comes from the extended Euclid of the dense kernel, run against t^n - 1
 (`ratfun_mod_cyclic`, which `circulant` uses too).
 
 `CyclicMatrixImage` builds the full cyclic image of every entry of a
-propagator matrix for `diagrams`, on integers: n integer numerators
-(`Numerators`: an int per coefficient over Q, field.degree ints otherwise)
-over one positive denominator.  The inverse of a denominator D = t^s Q
-comes from the residue side, once per distinct D.  For Q over Q, made
-primitive over Z, v = (t^n - 1)^(-1) mod Q is one solve of size d = deg Q
-(`_unit_system` and `linalg.solve_integer`, after s = lc(Q) t makes Q
-monic over Z), and the cofactor a = (1 - v (t^n - 1)) / Q is Q^(-1) mod
-t^n - 1.  By Gauss's lemma den(v) a is integral, so its n coefficients,
-those of the power series of den(v) (1 + v) / Q, come from `poly_series`
-by exact integer division by Q(0): O(d^2 log n + n d) in all.  A Q with
-irrational coefficients goes through its norm N(Q) in Q[t], which vanishes
-at a root of unity exactly when Q does: Q^(-1) = (N(Q)/Q) N(Q)^(-1).  The
-inverse A / c is certified by the product Q A = c mod t^n - 1, at O(n d);
-a failed check or an inexact division raises CrossCheckError.  Neither
-route ever evaluates a complex root of unity.  What does not depend on n
-is built once per matrix and kept in a `CyclicMatrix`: each entry's
-exponents and numerators over one denominator, the index of its
-denominator, and per distinct D its primitive and monic integer forms,
-N(Q) and N(Q)/Q, and Q's numerators for the certificate; Pi(1) and
-pi0 - Pi(1) on first use.  Per n, each image is built when it is first
-asked for, so only an entry that is asked for raises RootOfUnityPole;
-when pi0 overrides the value at flow 0, every coefficient picks up
-(pi0 - Pi(1))/n, so that each image still sums to its pi0 entry.
+propagator matrix for `diagrams`: n numerators in the field's ring
+(`NumberField.ring`, ints over Q) over one positive denominator.  The
+inverse of a denominator D = t^s Q comes from the residue side, once per
+distinct D.  For Q over Q, made primitive over Z, v = (t^n - 1)^(-1) mod Q
+is one solve of size d = deg Q (`_unit_system` and `linalg.solve_integer`,
+after s = lc(Q) t makes Q monic over Z), and the cofactor
+a = (1 - v (t^n - 1)) / Q is Q^(-1) mod t^n - 1.  By Gauss's lemma
+den(v) a is integral, so its n coefficients, those of the power series of
+den(v) (1 + v) / Q, come from `poly_series` by exact integer division by
+Q(0): O(d^2 log n + n d) in all.  A Q with irrational coefficients goes
+through its norm N(Q) in Q[t], which vanishes at a root of unity exactly
+when Q does: Q^(-1) = (N(Q)/Q) N(Q)^(-1), a cofactor that is 1, and so
+skipped, for Q over Q.  The inverse A / c is certified by the product
+Q A = c mod t^n - 1, at O(n d); a failed check or an inexact division
+raises CrossCheckError.  Neither route ever evaluates a complex root of
+unity.  What does not depend on n is built once per matrix and kept in a
+`CyclicMatrix`: each entry's exponents and numerators over one
+denominator, the index of its denominator, and per distinct D its
+primitive and monic integer forms, N(Q) and N(Q)/Q, and Q's numerators
+for the certificate; Pi(1) and pi0 - Pi(1) on first use.  Per n, each
+image is built when it is first asked for, so only an entry that is asked
+for raises RootOfUnityPole; when pi0 overrides the value at flow 0, every
+coefficient picks up (pi0 - Pi(1))/n, so that each image still sums to
+its pi0 entry.
 
 The same M_u gives the cyclic resultant prod_{w^n = 1} delta(w), the
 one-loop term of the n-fold cover: for delta = t^s lc m with m monic of
@@ -92,7 +93,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
-from operator import add, mul, sub, truediv
+from operator import mul, sub, truediv
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import (CrossCheckError, MathDomainError, ParseError, PoleOnTorus,
@@ -100,7 +101,7 @@ from .errors import (CrossCheckError, MathDomainError, ParseError, PoleOnTorus,
                      check_cover_order)
 from .laurent import LaurentMatrix, LaurentPolynomial, RationalFunction
 from .linalg import integer_system, solve_consistent, solve_integer, transpose
-from .numberfield import (QQ, FieldElement, NumberField, bareiss, poly_divmod,
+from .numberfield import (QQ, FieldElement, NumberField, Numerators, bareiss, poly_divmod,
                           poly_invmod, poly_series, poly_t_power_mod, poly_trim)
 
 #: Largest span of the exponents of t (highest minus lowest) over the
@@ -159,69 +160,13 @@ def ratfun_mod_cyclic(f: RationalFunction, n: int) -> List[FieldElement]:
     return _cyc_mul(fold_mod_cyclic(f.num, n), den_inv, n, f.field)
 
 
-class Numerators:
-    """Integer arithmetic on the numerators of field elements that share a
-    denominator kept by the caller: an int per element over Q, a list of
-    field.degree ints otherwise.  `mul` of two numerators over 1 is a
-    numerator over 1 (`NumberField._mul_numerators`); `times` multiplies by
-    an int."""
-
-    def __init__(self, field: NumberField):
-        self.field = field
-        d = field.degree
-        if d == 1:
-            self.mul = self.times = mul
-            self.add = add
-            self.zero, self.one = 0, 1
-        else:
-            self.mul = field._mul_numerators
-            self.add = lambda x, y: [a + b for a, b in zip(x, y)]
-            self.times = lambda x, c: [a * c for a in x]
-            self.zero, self.one = [0] * d, [1] + [0] * (d - 1)
-
-    def numerator(self, e: FieldElement):
-        """The numerator of an element of Q or of the field over e.den."""
-        if self.field.degree == 1:
-            return e.num[0]
-        return list(e.num) if len(e.num) > 1 else [e.num[0]] + self.zero[1:]
-
-    def of(self, elements) -> Tuple[list, int]:
-        """Elements of Q or of the field as numerators over one positive
-        denominator."""
-        den = lcm(*(e.den for e in elements))
-        return [self.times(self.numerator(e), den // e.den) for e in elements], den
-
-    def cyclic(self, terms, a: list, n: int, op=None) -> list:
-        """sum_k y_k t^k a(t) mod t^n - 1 for the pairs (k, y_k) of `terms`
-        and the n numerators of a; `op` (default `mul`) multiplies y_k by a
-        coefficient of a."""
-        op = op or self.mul
-        out = [self.zero] * n
-        for k, y in terms:
-            r = -k % n
-            out = list(map(self.add, out, map(op, itertools.repeat(y), a[r:] + a[:r])))
-        return out
-
-    def element(self, num, den: int) -> FieldElement:
-        return FieldElement._from_integers(self.field, [num] if self.field.degree == 1
-                                           else num, den)
-
-    def reduce(self, nums: list, den: int) -> Tuple[list, int]:
-        """nums / den with the content of all of them and den divided out."""
-        vector = self.field.degree > 1
-        g = gcd(den, *(itertools.chain.from_iterable(nums) if vector else nums))
-        if g == 1:
-            return nums, den
-        return [[x // g for x in v] if vector else v // g for v in nums], den // g
-
-
 def _norm(q: List[FieldElement], field: NumberField):
     """c N(Q) in Q[t], over Q, for a constant c > 0, and the cofactor
-    c N(Q) / Q over the field for Q = sum q_k t^k: N(Q) is the determinant
-    over Q[t] of multiplication by Q on F[t], and a root of unity is a root
-    of N(Q) exactly when it is one of Q.  The matrix is that of
-    `NumberField.integer_rows(q)`, entry (i, j) = sum_k row_i[k d + j] t^k,
-    so c = den^d for its denominator den."""
+    c N(Q) / Q as numerators over a denominator, for Q = sum q_k t^k: N(Q)
+    is the determinant over Q[t] of multiplication by Q on F[t], and a root
+    of unity is a root of N(Q) exactly when it is one of Q.  The matrix is
+    that of `NumberField.integer_rows(q)`, entry (i, j) =
+    sum_k row_i[k d + j] t^k, so c = den^d for its denominator den."""
     d = field.degree
     rows = field.integer_rows(q)[0]
     det = LaurentMatrix(QQ, [[LaurentPolynomial(QQ, dict(enumerate(row[j::d])))
@@ -229,7 +174,7 @@ def _norm(q: List[FieldElement], field: NumberField):
     norm = det.as_poly_coeffs()[0]
     cofactor = poly_divmod([field.zero() + c for c in norm], q, field.zero(),
                            field.one())[0]
-    return norm, cofactor
+    return norm, field.ring.of(cofactor)
 
 
 def _den_forms(den: LaurentPolynomial, ring: Numerators) -> tuple:
@@ -237,10 +182,10 @@ def _den_forms(den: LaurentPolynomial, ring: Numerators) -> tuple:
     den = t^shift Q.  For R = Q over Q, else R = N(Q): the lcm L of R's
     denominators, the content g of L R, the primitive qz = L R / g and
     P(s) = lc^(d-1) qz(s / lc), lc = lc(qz), monic over Z; then R / Q and Q
-    as numerators over a denominator, and shift."""
+    as numerators over a denominator (None over 1 for R / Q = 1), and shift."""
     q, shift = den.as_poly_coeffs()
     if all(c.is_rational() for c in q):
-        norm, cofactor = q, [ring.field.one()]
+        norm, cofactor = q, (None, 1)
     else:
         norm, cofactor = _norm(q, ring.field)
     lcd = lcm(*(c.den for c in norm))
@@ -249,7 +194,7 @@ def _den_forms(den: LaurentPolynomial, ring: Numerators) -> tuple:
     qz = [c // g for c in qz]
     d, lc = len(qz) - 1, qz[-1]
     P = [c * lc ** (d - 1 - j) for j, c in enumerate(qz[:-1])] + [1]
-    return lcd, g, qz, P, ring.of(cofactor), ring.of(q), shift
+    return lcd, g, qz, P, cofactor, ring.of(q), shift
 
 
 def _den_inverse(forms: tuple, n: int, ring: Numerators,
@@ -281,7 +226,8 @@ def _den_inverse(forms: tuple, n: int, ring: Numerators,
 
         a = [x * lcd for x in poly_series([v_den + v[0]] + v[1:], qz, n, 0, exact)]
         c = v_den * g
-    inverse = ring.cyclic(enumerate(cofactor), a, n, ring.times)
+    inverse = (ring.from_ints(a) if cofactor is None
+               else ring.cyclic(enumerate(cofactor), a, n, ring.times))
     c *= cofactor_den
     # the certificate Q A = c Q_den, for den = t^shift Q
     product = ring.cyclic(enumerate(q_num), inverse, n)
@@ -307,7 +253,6 @@ class CyclicMatrix:
         self.source, self.field, self.pi0, self._pi1 = matrix, field, pi0, pi1
         self.matrix = [[RationalFunction.from_poly(e) if isinstance(e, LaurentPolynomial)
                         else e for e in row] for row in matrix]
-        ring = self.ring = Numerators(field)
         keys: Dict[tuple, int] = {}
         self.forms: List[tuple] = []
         self.entries = []
@@ -318,9 +263,9 @@ class CyclicMatrix:
                 key = tuple((k, c.num, c.den) for k, c in sorted(f.den.coeffs.items()))
                 if key not in keys:
                     keys[key] = len(self.forms)
-                    self.forms.append(_den_forms(f.den, ring))
+                    self.forms.append(_den_forms(f.den, field.ring))
                 self.entries[-1].append((list(f.num.coeffs),
-                                         *ring.of(list(f.num.coeffs.values())), keys[key]))
+                                         *field.ring.of(list(f.num.coeffs.values())), keys[key]))
         self._flow_zero = None
 
     def flow_zero(self) -> tuple:
@@ -329,7 +274,7 @@ class CyclicMatrix:
                    [[e.eval(self.field.one()) for e in row] for row in self.matrix])
             pi0 = pi1 if self.pi0 is None else self.pi0
             shift = [list(map(sub, *rows)) for rows in zip(pi0, pi1)]
-            self._flow_zero = tuple([[(self.ring.numerator(e), e.den) for e in row]
+            self._flow_zero = tuple([[(self.field.ring.numerator(e), e.den) for e in row]
                                      for row in m] for m in (pi0, shift))
         return self._flow_zero
 
@@ -343,7 +288,7 @@ class CyclicMatrixImage:
 
     def __init__(self, matrix: CyclicMatrix, n: int):
         check_cover_order(n)
-        self.source, self.n, self.field, self.ring = matrix, n, matrix.field, matrix.ring
+        self.source, self.n, self.field, self.ring = matrix, n, matrix.field, matrix.field.ring
         self._images = [[None] * len(row) for row in matrix.entries]
         self._den_inverses: List[Tuple[list, int] | None] = [None] * len(matrix.forms)
 

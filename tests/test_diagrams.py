@@ -16,6 +16,7 @@ from looptool.diagrams import (FeynmanDiagram, VertexFactorTable,
 from looptool.errors import (CoverOrderError, CrossCheckError, GradeMismatch,
                              MathDomainError, MissingVertexFactor, RootOfUnityPole,
                              SingularAtRoot, ValidationError)
+from looptool import rootsum
 from looptool.knots import DiagramBundle
 from looptool.laurent import LaurentMatrix, LaurentPolynomial, RationalFunction
 from looptool.numberfield import QQ
@@ -584,6 +585,29 @@ def test_cyclic_images_equal_ratfun_mod_cyclic_over_number_fields(request, fixtu
                 corr = (pi0[i][j] - pi1[i][j]) / n
                 assert _elements(plain, i, j) == image, (n, i, j)
                 assert _elements(shifted, i, j) == [c + corr for c in image], (n, i, j)
+
+
+def test_cyclic_images_over_sqrt21_through_the_norm_and_without_a_cofactor(field_sqrt21):
+    """Over Q(sqrt 21) a denominator over Q has the cofactor 1, so its
+    inverse is the integer series itself with no cofactor pass; an
+    irrational one goes through its norm N(Q) and the cofactor N(Q) / Q.
+    Both images, certified by Q A = c, equal ratfun_mod_cyclic."""
+    field, s = field_sqrt21, field_sqrt21.generator()
+
+    def lp(coeffs):
+        return LaurentPolynomial(field, coeffs)
+
+    over_q = RationalFunction(lp({0: 1 + s, 2: 3}), lp({0: 5, 1: -2, 2: 1}))
+    irrational = RationalFunction(lp({-1: 2, 1: s}), lp({0: 3 + s, 1: Fraction(1, 2)}))
+    assert rootsum._den_forms(over_q.den, field.ring)[4] == (None, 1)
+    assert rootsum._den_forms(irrational.den, field.ring)[4][0] is not None
+    entries = [[over_q, irrational], [irrational, over_q]]
+    matrix = CyclicMatrix(entries, field)
+    for n in range(1, 31):
+        images = CyclicMatrixImage(matrix, n)
+        for i, row in enumerate(entries):
+            for j, f in enumerate(row):
+                assert _elements(images, i, j) == ratfun_mod_cyclic(f, n), (n, i, j)
 
 
 class _FieldBundle(_Bundle):

@@ -182,19 +182,55 @@ def test_quadratic_kernels_equal_the_generic_route(minpoly):
 
 
 @pytest.mark.parametrize("minpoly", [[0, 1], [3, 1], [Fraction(-5, 6), 1]])
-def test_linear_kernels_equal_the_generic_route(minpoly):
+def test_linear_ring_equals_the_generic_route(minpoly):
+    """Over a degree-1 field a numerator is an int: the ring's product and
+    adjugate equal the generic convolution and `bareiss` route on seeded
+    operands, the field keeps no closed-form kernel of its own, and the
+    adjugate of zero raises ZeroInverse."""
     field = NumberField(minpoly)
-    assert {"_mul_numerators", "_adjugate"} <= vars(field).keys()
+    ring = field.ring
+    assert not {"_mul_numerators", "_adjugate"} & vars(field).keys()
     rng = random.Random(23)
     for bits in (4, 400):
         for _ in range(25):
-            x, y = [rng.getrandbits(bits) - (1 << (bits - 1))], [rng.getrandbits(bits) + 1]
-            assert field._mul_numerators(x, y) == NumberField._mul_numerators(field, x, y)
-            w, det = field._adjugate(y)
-            v, last = NumberField._adjugate(field, y)
-            assert Fraction(w[0], det) == Fraction(v[0], last) == Fraction(1, y[0])
+            x, y = rng.getrandbits(bits) - (1 << (bits - 1)), rng.getrandbits(bits) + 1
+            assert [ring.mul(x, y)] == NumberField._mul_numerators(field, [x], [y])
+            w, det = ring.adjugate(y)
+            v, last = NumberField._adjugate(field, [y])
+            assert Fraction(w, det) == Fraction(v[0], last) == Fraction(1, y)
     with pytest.raises(ZeroInverse):
-        field._adjugate([0])
+        ring.adjugate(0)
+    with pytest.raises(ZeroInverse):
+        NumberField._adjugate(field, [0])
+
+
+@pytest.mark.parametrize("name", ["QQ", "field_sqrt21", "field_cubic", "field_nonintegral"])
+def test_ring_operations_equal_field_arithmetic(request, name):
+    """Each operation of a field's ring of numerators, read back over a
+    denominator, equals the same `FieldElement` arithmetic; over Q a
+    numerator is a plain int."""
+    field = QQ if name == "QQ" else request.getfixturevalue(name)
+    ring = field.ring
+    rng = random.Random(29 + field.degree)
+    for _ in range(20):
+        x, y = random_element(rng, field), random_element(rng, field)
+        (a, b), den = ring.of([x, y])
+        assert isinstance(a, int) == (field.degree == 1)
+        c = rng.randint(-50, 50)
+        assert ring.element(a, den) == x and ring.element(b, den) == y
+        assert ring.element(ring.mul(a, b), den * den) == x * y
+        assert ring.element(ring.add(a, b), den) == x + y
+        assert ring.element(ring.times(a, c), den) == x * c
+        assert ring.element(ring.plus(a, c), den) == x + Fraction(c, den)
+        assert ring.element(ring.add_times(a, b, c), den) == x + y * c
+        # combine reads the numerators as the rows of their coordinates
+        rows = [[a, b]] if field.degree == 1 else [list(row) for row in zip(a, b)]
+        assert ring.element(ring.combine(rows, [c, 3]), den) == x * c + y * 3
+        assert ring.element(ring.from_ints([c])[0], 1) == field.element(c)
+        if x:
+            w, det = ring.adjugate(a)
+            assert ring.element(ring.times(w, den), det) == x.inverse()
+    assert ring.element(ring.zero, 1) == 0 and ring.element(ring.one, 1) == 1
 
 
 def test_minpoly_must_be_monic():

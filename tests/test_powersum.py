@@ -1,5 +1,6 @@
 """Generating series, reconstruction, asymptotics, delta form."""
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -9,7 +10,8 @@ from looptool import linalg, powersum
 from conftest import random_element
 from looptool.errors import (HoldoutMismatchError, ParseError,
                              ResonantRoot, SingularSystem, UnitCircleRoot)
-from looptool.knots import FIELD_52, FIELD_LAMBDA_52, FIELD_SQRT21, fixture
+from looptool.knots import (FIELD_52, FIELD_LAMBDA_52, FIELD_SQRT21, FigureEightFixture,
+                            fixture)
 from looptool.laurent import LaurentPolynomial, RationalFunction
 from looptool.linalg import field_vector, solve, solve_gauss_jordan, solve_integer
 from looptool.numberfield import QQ, FieldElement, NumberField
@@ -607,3 +609,62 @@ def test_lam_n_steps_along_consecutive_n(monkeypatch):
     assert powers == [1]
     monkeypatch.undo()
     assert p == fx.cover(3)
+
+
+def test_rows_and_hold_outs_over_q_never_reach_the_generic_kernels(monkeypatch):
+    """Over Q a numerator is a plain int: with the generic product and
+    adjugate of `NumberField` made to raise, 4_1 rows at loops 2 and 3 for
+    n = 1..70 (on a fixture built under the patch) and reconstructions over
+    Q with r = 1 and r = 3, window and hold-outs, give what they give
+    without it."""
+    rng = random.Random(39)
+    fx = fixture("4_1")
+    rows = {(ell, n): fx.phi_average(ell, n) for ell in (2, 3) for n in range(1, 71)}
+    roots = [QQ.element(c) for c in RECONSTRUCTION_ROOTS["QQ"][1]]
+    cases = []
+    for r, ell in ((1, 3), (3, 2)):
+        planted, coeffs = _planted(rng, QQ, roots[:r], ell)
+        values = [(n, planted.evaluate(n)) for n in range(1, len(coeffs) + 4)]
+        cases.append((values, r, ell, reconstruct_p(values, roots[:r], ell, r)))
+
+    def generic(*args):
+        raise RuntimeError("a generic number-field kernel was called")
+
+    monkeypatch.setattr(NumberField, "_mul_numerators", generic)
+    monkeypatch.setattr(NumberField, "_adjugate", generic)
+    assert not {"_mul_numerators", "_adjugate"} & vars(QQ).keys()
+    fresh = FigureEightFixture()
+    assert all(fresh.phi_average(ell, n) == row for (ell, n), row in rows.items())
+    for values, r, ell, expect in cases:
+        assert reconstruct_p(values, roots[:r], ell, r) == expect
+
+
+@pytest.mark.parametrize("field", [QQ, FIELD_SQRT21, FIELD_52],
+                         ids=["QQ", "sqrt21", "FIELD_52"])
+def test_lucas_and_horner_equal_field_arithmetic(field):
+    """The row kernels on the field's ring of numerators: `_lucas` gives
+    s_n = lam^n + lam^(-n) and s_(n+1) over q^n and q^(n+1), as the
+    recurrence s_(m+1) = s_1 s_m - s_(m-1) from s_0 = 2 gives them in
+    `FieldElement` arithmetic, and `_horner` gives sum_a c_a x^a."""
+    rng = random.Random(41 + field.degree)
+    ring = field.ring
+    for _ in range(6):
+        s1 = random_element(rng, field)
+        u1, q = ring.numerator(s1), s1.den
+        u2 = ring.plus(ring.mul(u1, u1), -2 * q * q)
+        n = rng.randint(1, 150)
+        u, v, qn = powersum._lucas(ring, u1, u2, q, n)
+        s = [field.element(2), s1]
+        while len(s) < n + 2:
+            s.append(s1 * s[-1] - s[-2])
+        assert qn == q ** n
+        assert ring.element(u, qn) == s[n] and ring.element(v, qn * q) == s[n + 1], n
+        x = random_element(rng, field)
+        cs = [None if rng.random() < 0.3 else random_element(rng, field)
+              for _ in range(rng.randint(0, 5))] + [random_element(rng, field)]
+        nums, den = ring.of([c for c in cs if c is not None])
+        nums.reverse()
+        acc, f = powersum._horner(ring, [None if c is None else nums.pop() for c in cs],
+                                  ring.numerator(x), x.den)
+        expect = sum((c * x ** a for a, c in enumerate(cs) if c is not None), field.zero())
+        assert ring.element(acc, f * den) == expect
